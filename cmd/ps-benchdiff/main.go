@@ -2,7 +2,7 @@
 // a committed baseline and exits non-zero on regression, so CI can hold the
 // metadata-plane cost envelope over time.
 //
-// Rows are matched per profile name ("event", "group-poll", ...). A row
+// Rows are matched per profile name ("event", "group", ...). A row
 // present in the baseline but absent from the new report is itself a
 // failure — a silently dropped benchmark looks exactly like a fixed one.
 //

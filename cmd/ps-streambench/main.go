@@ -7,8 +7,7 @@
 //	                   submits paced tasks to an endpoint worker pool
 //	                   (consumer-group claims over the broker), reporting
 //	                   submit→execute→result latency per task and
-//	                   kv-cmds/task; on the kv broker the same workload
-//	                   repeats over the polling fallback (tasks-poll)
+//	                   kv-cmds/task
 //	multi            — the stream profile's batched mode over a
 //	                   multi-connector store: small payloads route to an
 //	                   in-memory child, large ones to a file child, the
@@ -79,28 +78,23 @@
 //	             INCRBY + one MSET instead of 2 round trips per event)
 //	event      — the delivery-latency profile: paced single-event sends
 //	             (-gap apart), consumers parked in blocking waits between
-//	             arrivals — push delivery's home turf. Runs twice on the kv
-//	             broker: push (server-side WAITGET) and poll (the
-//	             capped-backoff fallback), on the same server, so the
-//	             kv-cmds/item and latency columns are directly comparable.
+//	             arrivals — push delivery's home turf.
 //	group      — with -groups: consumers form one consumer group, so the
 //	             stream is a work queue where each item is claimed by exactly
 //	             one member (total work = items, not items × consumers).
-//	             Paced like event; also run push vs poll on the kv broker.
+//	             Paced like event.
 //
 // It reports items/sec, bytes over the broker vs bytes over the store, kv
 // server commands per item, and p50/p95/p99 publish→deliver latency —
 // making all three ProxyStream trades visible: the metadata plane stays
 // O(KB) per item while the data plane carries the bulk, batching collapses
-// the publish path's round trips, and push delivery collapses the delivery
-// path's polling (strictly fewer kv commands per item, sub-millisecond
-// wakes regardless of backoff state).
+// the publish path's round trips, and push delivery keeps an idle
+// consumer at O(1) kv commands per delivered item with sub-millisecond
+// wakes.
 //
 // -json writes the full result table as machine-readable JSON
 // (BENCH_pstream.json in CI) so runs can be tracked over time. -strict
-// exits non-zero if push delivery fails to beat the polling fallback on
-// kv-cmds/item in the event and group profiles; in the pipeline profile,
-// if pipelining fails to amortize round trips (cmds/rtt ≤ 1.02) or parked
+// exits non-zero in the pipeline profile if pipelining fails to amortize round trips (cmds/rtt ≤ 1.02) or parked
 // group members fail to share the wait connection (conns/consumer > 1);
 // in the shard profile, if the sharded row's aggregate publish throughput
 // falls below 1.3× the single-shard row (a floor set well under the ~2×
@@ -288,7 +282,7 @@ func main() {
 	groups := flag.Bool("groups", false, "add the consumer-group work-queue profiles (stream profile)")
 	wan := flag.Bool("wan", false, "model WAN delays on the redis data plane (kv broker only)")
 	jsonPath := flag.String("json", "", "write machine-readable results to this path")
-	strict := flag.Bool("strict", false, "exit non-zero unless push delivery beats polling on kv-cmds/item (pipeline profile: cmds/rtt and conns/consumer gates; replay profile: replayed-vs-recorded kv-cmds and op-p95 gates)")
+	strict := flag.Bool("strict", false, "exit non-zero when the profile's gates fail (pipeline: cmds/rtt and conns/consumer; shard: sharded speedup; churn: settled keys and p95; replay: replayed-vs-recorded kv-cmds and op p95)")
 	modeFilter := flag.String("mode", "", "run only the named benchmark row (e.g. \"group\"; required with -record, which needs exactly one row)")
 	recordPath := flag.String("record", "", "record the row's broker wire traffic to this trace file (in-process kv broker only; forces a local data plane so the trace holds every server command)")
 	tracePath := flag.String("trace", "", "trace file to drive -profile replay")
@@ -312,14 +306,14 @@ func main() {
 	}
 
 	var srv *kvstore.Server
-	var mkBroker func(push bool) pstream.Broker
+	var mkBroker func() pstream.Broker
 	// mkStore builds the run's data-plane store; gobSer selects the
 	// default gob serializer (needed for the tasks profile's struct
 	// payloads) over the raw []byte serializer.
 	var mkStore func(run string, gobSer bool) *store.Store
 	switch *brokerKind {
 	case "mem":
-		mkBroker = func(bool) pstream.Broker { return pstream.NewMem() }
+		mkBroker = func() pstream.Broker { return pstream.NewMem() }
 		mkStore = func(run string, _ bool) *store.Store {
 			st, err := store.New("sb-"+run, local.New("sb-conn-"+run), store.WithCacheBytes(0))
 			if err != nil {
@@ -334,9 +328,7 @@ func main() {
 			// the data plane stays in-process, so the run measures the
 			// external servers' metadata plane — including through a
 			// failover, which is what the CI kill-primary smoke drives.
-			mkBroker = func(push bool) pstream.Broker {
-				return pstream.NewKV(*kvAddr, pstream.WithKVPush(push))
-			}
+			mkBroker = func() pstream.Broker { return pstream.NewKV(*kvAddr) }
 			mkStore = func(run string, gobSer bool) *store.Store {
 				sopts := []store.Option{store.WithCacheBytes(0)}
 				if !gobSer {
@@ -361,8 +353,8 @@ func main() {
 			redisc.SetNetwork(netsim.Testbed(5000))
 			opts = append(opts, redisc.WithSites(netsim.SiteEdge, netsim.SiteCloud))
 		}
-		mkBroker = func(push bool) pstream.Broker {
-			kvOpts := []pstream.KVOption{pstream.WithKVPush(push)}
+		mkBroker = func() pstream.Broker {
+			var kvOpts []pstream.KVOption
 			if rec != nil {
 				kvOpts = append(kvOpts, pstream.WithKVWrap(rec.WrapKV))
 			}
@@ -483,13 +475,13 @@ func main() {
 	// run executes one benchmark row. newStore builds the row's store
 	// (so the multi profile can swap connectors) and rowSize is the
 	// payload size behind the MB/s column.
-	run := func(mode string, push bool, newStore func(run string) *store.Store, rowSize int, f func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error) {
+	run := func(mode string, newStore func(run string) *store.Store, rowSize int, f func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error) {
 		if *modeFilter != "" && mode != *modeFilter {
 			return
 		}
 		st := newStore(mode)
 		defer st.Close()
-		cb := pstream.NewCounting(mkBroker(push))
+		cb := pstream.NewCounting(mkBroker())
 		defer cb.Close()
 		lats := &latencies{}
 		var cmds0 uint64
@@ -567,14 +559,9 @@ func main() {
 
 	switch *profileKind {
 	case "tasks":
-		run("tasks", true, gobStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
+		run("tasks", gobStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
 			return taskRoundTrips(cb, st, payload, *items, *consumers, *gap, lats)
 		})
-		if srv != nil {
-			run("tasks-poll", false, gobStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
-				return taskRoundTrips(cb, st, payload, *items, *consumers, *gap, lats)
-			})
-		}
 	case "multi":
 		// Same batched streaming workload, two payload classes: 4 KiB
 		// routes to the in-memory child, -size to the file child.
@@ -582,45 +569,33 @@ func main() {
 		for i := range small {
 			small[i] = byte(i * 31)
 		}
-		run("multi-small", true, multiStore, len(small), func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
+		run("multi-small", multiStore, len(small), func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
 			return proxyStream(cb, st, small, streamOpts{items: *items, consumers: *consumers, window: *window}, lats)
 		})
-		run("multi-large", true, multiStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
+		run("multi-large", multiStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
 			return proxyStream(cb, st, payload, streamOpts{items: *items, consumers: *consumers, window: *window}, lats)
 		})
 	case "stream":
-		run("inline", true, rawStore, *size, func(cb *pstream.CountingBroker, _ *store.Store, lats *latencies) error {
+		run("inline", rawStore, *size, func(cb *pstream.CountingBroker, _ *store.Store, lats *latencies) error {
 			return inlineFanOut(cb, payload, *items, *consumers, lats)
 		})
-		run("eager", true, rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
+		run("eager", rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
 			return proxyStream(cb, st, payload, streamOpts{items: *items, consumers: *consumers, window: 1}, lats)
 		})
-		run("batched", true, rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
+		run("batched", rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
 			return proxyStream(cb, st, payload, streamOpts{items: *items, consumers: *consumers, window: *window}, lats)
 		})
-		run("batchpub", true, rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
+		run("batchpub", rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
 			return proxyStream(cb, st, payload, streamOpts{items: *items, consumers: *consumers, window: *window, sendBatch: *batch}, lats)
 		})
 		// The latency profiles: paced sends, consumers blocked between events.
-		// On the kv broker the poll variant runs the same workload over the
-		// polling fallback — same server, same run — for a direct comparison.
-		run("event", true, rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
+		run("event", rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
 			return proxyStream(cb, st, payload, streamOpts{items: *items, consumers: *consumers, window: 1, gap: *gap}, lats)
 		})
-		if srv != nil {
-			run("event-poll", false, rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
-				return proxyStream(cb, st, payload, streamOpts{items: *items, consumers: *consumers, window: 1, gap: *gap}, lats)
-			})
-		}
 		if *groups {
-			run("group", true, rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
+			run("group", rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
 				return proxyStream(cb, st, payload, streamOpts{items: *items, consumers: *consumers, window: *window, gap: *gap, group: true}, lats)
 			})
-			if srv != nil {
-				run("group-poll", false, rawStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
-					return proxyStream(cb, st, payload, streamOpts{items: *items, consumers: *consumers, window: *window, gap: *gap, group: true}, lats)
-				})
-			}
 		}
 	case "pipeline":
 		if srv == nil {
@@ -640,7 +615,7 @@ func main() {
 		// pipe-fanout exercises the pipelined ack path: windowed consumers
 		// commit ranges of offsets, so cmds/rtt > 1 ⇔ those commits pack
 		// multiple INCRs into one flush.
-		run("pipe-fanout", true, localStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
+		run("pipe-fanout", localStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
 			return proxyStream(cb, st, payload, streamOpts{items: *items, consumers: *consumers, window: *window}, lats)
 		})
 		// pipe-group parks enough group members that connection sharing is
@@ -651,7 +626,7 @@ func main() {
 			pipeMembers = 16
 		}
 		rowConsumers = pipeMembers
-		run("pipe-group", true, localStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
+		run("pipe-group", localStore, *size, func(cb *pstream.CountingBroker, st *store.Store, lats *latencies) error {
 			return proxyStream(cb, st, payload, streamOpts{items: *items, consumers: pipeMembers, window: *window, gap: *gap, group: true}, lats)
 		})
 	case "shard":
@@ -733,7 +708,6 @@ func main() {
 		cli := kvstore.NewClient(srv.Addr())
 		defer cli.Close()
 		cb := pstream.NewCounting(pstream.NewKV(srv.Addr(),
-			pstream.WithKVPush(true),
 			pstream.WithKVHeartbeat(churnHeartbeat),
 			pstream.WithKVLease(churnLease),
 			pstream.WithKVTruncate(1)))
@@ -891,20 +865,6 @@ func main() {
 		fmt.Printf("recorded %d ops to %s\n", len(tr.Ops), *recordPath)
 	}
 
-	pushWins := true
-	for _, pair := range [][2]string{{"event", "event-poll"}, {"group", "group-poll"}, {"tasks", "tasks-poll"}} {
-		push, ok1 := results[pair[0]]
-		poll, ok2 := results[pair[1]]
-		if !ok1 || !ok2 || push.KVCmdsPerItem == nil || poll.KVCmdsPerItem == nil {
-			continue
-		}
-		delta := (1 - *push.KVCmdsPerItem / *poll.KVCmdsPerItem) * 100
-		fmt.Printf("\n%s: push delivery %.1f kv-cmds/item vs polling %.1f (%.0f%% fewer)",
-			pair[0], *push.KVCmdsPerItem, *poll.KVCmdsPerItem, delta)
-		if *push.KVCmdsPerItem >= *poll.KVCmdsPerItem {
-			pushWins = false
-		}
-	}
 	pipeOK := true
 	if p, ok := results["pipe-fanout"]; ok && p.CmdsPerRTT != nil {
 		fmt.Printf("\npipe-fanout: %.2f kv commands per round trip (pipelining amortizes flushes when > 1)", *p.CmdsPerRTT)
@@ -971,10 +931,6 @@ func main() {
 			log.Fatalf("writing %s: %v", *jsonPath, err)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-	if *strict && !pushWins {
-		fmt.Fprintln(os.Stderr, "strict: push delivery did not beat the polling fallback on kv-cmds/item")
-		os.Exit(1)
 	}
 	if *strict && !pipeOK {
 		fmt.Fprintln(os.Stderr, "strict: pipelining/mux transport gates failed (need cmds/rtt > 1.02 and conns/consumer ≤ 1)")
@@ -1254,8 +1210,8 @@ type streamOpts struct {
 	// sendBatch > 0 publishes in SendBatch chunks of that size.
 	sendBatch int
 	// gap paces sends, modeling an event stream rather than a bulk
-	// transfer: consumers park between arrivals, which is where push vs
-	// polling delivery diverges.
+	// transfer: consumers park in blocking waits between arrivals, so the
+	// row measures wake latency rather than throughput.
 	gap time.Duration
 	// group makes the consumers members of one consumer group (each item
 	// claimed by exactly one member) instead of independent fan-out readers.

@@ -106,6 +106,10 @@ type Endpoint struct {
 
 	peersMu sync.Mutex
 	peers   map[string]*peerConn
+	// dialing holds the handshake in flight per target; the signal loop
+	// routes that target's answer to it, and later callers wait on it
+	// instead of racing a second offer.
+	dialing map[string]*handshake
 
 	seq      atomic.Uint64
 	pendMu   sync.Mutex
@@ -120,6 +124,12 @@ type Endpoint struct {
 type peerConn struct {
 	ch   *rudp.Channel
 	once sync.Once
+}
+
+// handshake is one peering attempt awaiting its answer.
+type handshake struct {
+	answer chan signalMsg // buffered; the first answer wins
+	done   chan struct{}  // closed when the attempt ends
 }
 
 // Start launches an endpoint: it binds a client API on apiAddr (e.g.
@@ -140,6 +150,7 @@ func Start(apiAddr, relayAddr string, opts Options) (*Endpoint, error) {
 		relay:   rc,
 		store:   make(map[string][]byte),
 		peers:   make(map[string]*peerConn),
+		dialing: make(map[string]*handshake),
 		pending: make(map[uint64]chan response),
 		ctx:     ctx,
 		cancel:  cancel,
@@ -292,13 +303,41 @@ func (ep *Endpoint) forward(ctx context.Context, req request) response {
 // peer returns the established channel to target, initiating the handshake
 // if needed. Connections are kept until one endpoint stops (paper §4.2.2).
 func (ep *Endpoint) peer(ctx context.Context, target string) (*peerConn, error) {
-	ep.peersMu.Lock()
-	if pc, ok := ep.peers[target]; ok {
+	for {
+		ep.peersMu.Lock()
+		if pc, ok := ep.peers[target]; ok {
+			ep.peersMu.Unlock()
+			return pc, nil
+		}
+		hs, busy := ep.dialing[target]
+		if !busy {
+			hs = &handshake{answer: make(chan signalMsg, 1), done: make(chan struct{})}
+			ep.dialing[target] = hs
+		}
 		ep.peersMu.Unlock()
-		return pc, nil
-	}
-	ep.peersMu.Unlock()
 
+		if !busy {
+			pc, err := ep.handshake(ctx, target, hs)
+			ep.peersMu.Lock()
+			delete(ep.dialing, target)
+			ep.peersMu.Unlock()
+			close(hs.done)
+			return pc, err
+		}
+		// Another request is peering with target: wait for it, then take
+		// its channel or, if it failed, try again.
+		select {
+		case <-hs.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// handshake sends an offer to target and installs the peer channel once the
+// answer arrives. hs is registered in ep.dialing before the offer leaves, so
+// an answer can never overtake its waiter.
+func (ep *Endpoint) handshake(ctx context.Context, target string, hs *handshake) (*peerConn, error) {
 	// Gather a local candidate: bind a UDP socket (the "hole punch").
 	pipe, err := rudp.NewUDPPipe("127.0.0.1:0")
 	if err != nil {
@@ -315,10 +354,8 @@ func (ep *Endpoint) peer(ctx context.Context, target string) (*peerConn, error) 
 	}
 
 	// Await the answer, delivered via the signal loop.
-	answerCh := make(chan signalMsg, 1)
-	ep.pendAnswer(target, answerCh)
 	select {
-	case ans := <-answerCh:
+	case ans := <-hs.answer:
 		if err := pipe.SetPeer(ans.Candidate); err != nil {
 			pipe.Close()
 			return nil, err
@@ -331,12 +368,6 @@ func (ep *Endpoint) peer(ctx context.Context, target string) (*peerConn, error) 
 		pipe.Close()
 		return nil, ctx.Err()
 	}
-}
-
-var answerWaiters sync.Map // uuid(self)+target -> chan signalMsg
-
-func (ep *Endpoint) pendAnswer(target string, ch chan signalMsg) {
-	answerWaiters.Store(ep.uuid+"/"+target, ch)
 }
 
 func (ep *Endpoint) installPeer(target string, pipe rudp.Pipe, peerSite string) *peerConn {
@@ -431,8 +462,14 @@ func (ep *Endpoint) signalLoop() {
 			}
 			ep.installPeer(sig.From, pipe, m.Site)
 		case "answer":
-			if ch, ok := answerWaiters.LoadAndDelete(ep.uuid + "/" + sig.From); ok {
-				ch.(chan signalMsg) <- m
+			ep.peersMu.Lock()
+			hs, ok := ep.dialing[sig.From]
+			ep.peersMu.Unlock()
+			if ok {
+				select {
+				case hs.answer <- m:
+				default: // a duplicate answer; the first one won
+				}
 			}
 		}
 	}

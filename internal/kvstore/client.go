@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,12 +14,6 @@ import (
 	"proxystore/internal/netsim"
 	"proxystore/internal/telemetry"
 )
-
-// ErrUnknownCommand wraps server replies to commands the server does not
-// implement, so callers talking to an older server can detect the
-// condition with errors.Is and fall back (e.g. pstream's push delivery
-// degrading to its polling loop).
-var ErrUnknownCommand = errors.New("unknown command")
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
@@ -61,8 +54,8 @@ func WithDialFunc(fn func(ctx context.Context, network, addr string) (net.Conn, 
 }
 
 // WithClientTelemetry makes the client record its metrics (RTTs, pool
-// waits, mux fallbacks, pipeline depth) into reg instead of a private
-// registry.
+// waits, blocking-wait parks, pipeline depth) into reg instead of a
+// private registry.
 func WithClientTelemetry(reg *telemetry.Registry) ClientOption {
 	return func(c *Client) { c.reg = reg }
 }
@@ -87,26 +80,23 @@ type Client struct {
 	closed  bool
 	waiters []chan poolGrant
 
-	// mux parks all tagged blocking waits on one shared connection; muxOff
-	// latches when the server answers tagged waits with unknown-command, so
-	// a legacy server pays the detection round trip once per client.
-	mux    *waitMux
-	muxOff atomic.Bool
+	// mux parks every blocking wait on one shared connection outside the
+	// pool, so parked waits never take a slot from command traffic.
+	mux *waitMux
 
 	dials      atomic.Uint64
 	roundTrips atomic.Uint64
 
 	// reg collects client metrics; the handles below are resolved once at
 	// construction so hot paths skip the registry's name lookup.
-	reg          *telemetry.Registry
-	mRTT         *telemetry.Histogram // kvc.rtt.ns: flush → last reply read
-	mWait        *telemetry.Histogram // kvc.wait.ns: blocking-wait park time
-	mPoolWaitNs  *telemetry.Histogram // kvc.pool.wait.ns: time parked for a conn
-	mPoolWaits   *telemetry.Counter   // kvc.pool.waits
-	mMuxFallback *telemetry.Counter   // kvc.mux.fallbacks
-	mPipeDepth   *telemetry.Histogram // kvc.pipeline.depth: commands per Exec
-	mDials       *telemetry.Counter   // kvc.dials (mirrors Dials())
-	mTrips       *telemetry.Counter   // kvc.round_trips (mirrors RoundTrips())
+	reg         *telemetry.Registry
+	mRTT        *telemetry.Histogram // kvc.rtt.ns: flush → last reply read
+	mWait       *telemetry.Histogram // kvc.wait.ns: blocking-wait park time
+	mPoolWaitNs *telemetry.Histogram // kvc.pool.wait.ns: time parked for a conn
+	mPoolWaits  *telemetry.Counter   // kvc.pool.waits
+	mPipeDepth  *telemetry.Histogram // kvc.pipeline.depth: commands per Exec
+	mDials      *telemetry.Counter   // kvc.dials (mirrors Dials())
+	mTrips      *telemetry.Counter   // kvc.round_trips (mirrors RoundTrips())
 }
 
 // poolGrant is what a parked acquirer receives: a connection handed off
@@ -137,7 +127,6 @@ func NewClient(addr string, opts ...ClientOption) *Client {
 	c.mWait = c.reg.Histogram("kvc.wait.ns")
 	c.mPoolWaitNs = c.reg.Histogram("kvc.pool.wait.ns")
 	c.mPoolWaits = c.reg.Counter("kvc.pool.waits")
-	c.mMuxFallback = c.reg.Counter("kvc.mux.fallbacks")
 	c.mPipeDepth = c.reg.Histogram("kvc.pipeline.depth")
 	c.mDials = c.reg.Counter("kvc.dials")
 	c.mTrips = c.reg.Counter("kvc.round_trips")
@@ -395,15 +384,6 @@ type ReplyError struct{ Msg string }
 
 func (e *ReplyError) Error() string { return "kvstore: server error: " + e.Msg }
 
-// Unwrap lets errors.Is(err, ErrUnknownCommand) keep detecting old
-// servers through the typed reply error.
-func (e *ReplyError) Unwrap() error {
-	if strings.HasPrefix(e.Msg, "ERR unknown command") {
-		return ErrUnknownCommand
-	}
-	return nil
-}
-
 // IsReplyError reports whether err is (or wraps) a server error reply.
 func IsReplyError(err error) bool {
 	var re *ReplyError
@@ -417,124 +397,17 @@ func serverError(v value) error {
 	return &ReplyError{Msg: v.str}
 }
 
-// waitSlack is how long past the server-side wait timeout the client waits
-// for the reply before declaring the connection dead. Generous: it only
-// matters when the server vanished without closing the connection.
-const waitSlack = 5 * time.Second
-
-// doWait sends one blocking command and reads its (possibly long-delayed)
-// reply on a dedicated pooled connection. Unlike do, the read is armed
-// with a deadline — the server-side timeout plus slack — and context
-// cancellation collapses that deadline so a caller can abandon a wait
-// immediately (at the cost of the connection, which carries an
-// unconsumed reply and cannot be pooled again).
-func (c *Client) doWait(ctx context.Context, budget time.Duration, name string, args ...[]byte) (value, error) {
-	reqSize := len(name)
-	for _, a := range args {
-		reqSize += len(a)
-	}
-	if err := c.delay(ctx, reqSize); err != nil {
-		return value{}, err
-	}
-
-	cc, err := c.acquire(ctx)
-	if err != nil {
-		return value{}, err
-	}
-	if err := encodeCommand(cc.w, name, args...); err != nil {
-		c.release(cc, true)
-		return value{}, fmt.Errorf("kvstore: sending %s: %w", name, err)
-	}
-	if err := cc.w.Flush(); err != nil {
-		c.release(cc, true)
-		return value{}, fmt.Errorf("kvstore: sending %s: %w", name, err)
-	}
-	c.trip()
-	sent := time.Now()
-	defer c.mWait.Since(sent)
-
-	cc.conn.SetReadDeadline(time.Now().Add(budget + waitSlack))
-	watchDone := make(chan struct{})
-	// fired reports whether the watcher collapsed the deadline; receiving
-	// it joins the watcher, so no deadline write can race a later use of
-	// the connection (e.g. after it returns to the pool).
-	fired := make(chan bool, 1)
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Interrupt the blocked read now instead of at the deadline.
-			cc.conn.SetReadDeadline(time.Now())
-			fired <- true
-		case <-watchDone:
-			fired <- false
-		}
-	}()
-	v, err := readValue(cc.r)
-	close(watchDone)
-	collapsed := <-fired
-	if err != nil {
-		c.release(cc, true)
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return value{}, ctxErr
-		}
-		return value{}, fmt.Errorf("kvstore: reading %s reply: %w", name, err)
-	}
-	if collapsed {
-		// The reply landed but the deadline was collapsed concurrently:
-		// hand the caller its value, but don't pool the connection.
-		c.release(cc, true)
-	} else {
-		cc.conn.SetReadDeadline(time.Time{})
-		c.release(cc, false)
-	}
-
-	respSize := len(v.bulk)
-	if err := c.delay(ctx, respSize); err != nil {
-		return value{}, err
-	}
-	if v.kind == respError {
-		return value{}, serverError(v)
-	}
-	return v, nil
-}
-
 // WaitGet blocks until key holds a value — delivered in the reply itself,
 // so a successful wait is one round trip with no follow-up GET — or until
 // timeout lapses server-side (ok=false). The wait parks on the client's
 // shared multiplexer connection (TWAITGET), so any number of concurrent
-// waits hold one connection between them; against a server that predates
-// tagged waits the client latches onto the untagged WAITGET, which
-// dedicates one pooled connection per wait, and against a server that
-// predates waits entirely the error satisfies errors.Is(err,
-// ErrUnknownCommand). Context cancellation aborts the wait promptly.
-// Servers cap a single wait (currently at 60s); callers wanting longer
-// waits re-issue in rounds.
+// waits hold one connection between them and none takes a pool slot.
+// Context cancellation aborts the wait promptly. Servers cap a single wait
+// (currently at 60s); callers wanting longer waits re-issue in rounds.
 func (c *Client) WaitGet(ctx context.Context, key string, timeout time.Duration) (val []byte, ok bool, err error) {
-	ms := timeout.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
-	msArg := []byte(strconv.FormatInt(ms, 10))
-	if !c.muxOff.Load() {
-		v, err := c.mux.do(ctx, timeout, "TWAITGET", []byte(key), msArg)
-		if err == nil {
-			if v.null {
-				return nil, false, nil
-			}
-			return v.bulk, true, nil
-		}
-		if !errors.Is(err, ErrUnknownCommand) {
-			return nil, false, err
-		}
-		c.muxOff.Store(true)
-		c.mMuxFallback.Inc()
-	}
-	v, err := c.doWait(ctx, timeout, "WAITGET", []byte(key), msArg)
-	if err != nil {
+	v, err := c.mux.do(ctx, timeout, "TWAITGET", []byte(key), waitMillis(timeout))
+	if err != nil || v.null {
 		return nil, false, err
-	}
-	if v.null {
-		return nil, false, nil
 	}
 	return v.bulk, true, nil
 }
@@ -546,30 +419,20 @@ func (c *Client) WaitGet(ctx context.Context, key string, timeout time.Duration)
 // seed by definition and returns the current sequence immediately, as
 // does any sequence the server cannot reason about (older than its
 // recent-writes ring, or from before a restart) — the primitive is
-// conservative, never lossy.
+// conservative, never lossy. It parks on the multiplexer like WaitGet.
 func (c *Client) WaitPrefix(ctx context.Context, prefix string, after uint64, timeout time.Duration) (uint64, error) {
-	ms := timeout.Milliseconds()
-	if ms < 1 {
-		ms = 1
-	}
 	afterArg := []byte(strconv.FormatUint(after, 10))
-	msArg := []byte(strconv.FormatInt(ms, 10))
-	if !c.muxOff.Load() {
-		v, err := c.mux.do(ctx, timeout, "TWAITPREFIX", []byte(prefix), afterArg, msArg)
-		if err == nil {
-			return uint64(v.num), nil
-		}
-		if !errors.Is(err, ErrUnknownCommand) {
-			return 0, err
-		}
-		c.muxOff.Store(true)
-		c.mMuxFallback.Inc()
-	}
-	v, err := c.doWait(ctx, timeout, "WAITPREFIX", []byte(prefix), afterArg, msArg)
+	v, err := c.mux.do(ctx, timeout, "TWAITPREFIX", []byte(prefix), afterArg, waitMillis(timeout))
 	if err != nil {
 		return 0, err
 	}
 	return uint64(v.num), nil
+}
+
+// waitMillis encodes a wait timeout as the wire's whole milliseconds,
+// rounding sub-millisecond timeouts up to the 1 ms minimum.
+func waitMillis(timeout time.Duration) []byte {
+	return []byte(strconv.FormatInt(max(timeout.Milliseconds(), 1), 10))
 }
 
 // Ping round-trips a PING.
@@ -727,9 +590,7 @@ func (c *Client) Addr() string { return c.addr }
 
 // Info returns the server's introspection dump (see the package doc's
 // INFO section): "name value" lines covering uptime, key/connection
-// counts, and the server's full telemetry snapshot. Against a server
-// that predates INFO the error satisfies errors.Is(err,
-// ErrUnknownCommand).
+// counts, and the server's full telemetry snapshot.
 func (c *Client) Info(ctx context.Context) (string, error) {
 	v, err := c.do(ctx, "INFO")
 	if err != nil {

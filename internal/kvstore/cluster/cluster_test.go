@@ -255,7 +255,15 @@ func TestShardedFailover(t *testing.T) {
 	repl := newServer(t,
 		kvstore.WithPersistence(filepath.Join(dir, "r.aof")),
 		kvstore.WithReplicaOf(prim.Addr()))
-	_ = repl
+	// Replication is asynchronous: only a replica attached to the primary
+	// is drained on its Close, so the pair must be established before any
+	// write the test later expects on the survivor.
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(prim.InfoText(), "server.replicas 1\n"); {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never attached to the primary")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	sc, err := New(prim.Addr() + "|" + repl.Addr())
 	if err != nil {
 		t.Fatalf("New: %v", err)

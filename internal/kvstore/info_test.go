@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -90,26 +89,7 @@ func TestInfoWaitersGauge(t *testing.T) {
 	if g.Peak < 1 {
 		t.Fatalf("kv.waiters peak = %d, want >= 1", g.Peak)
 	}
-	if snap.Counters["kv.cmd.TWAITGET.count"]+snap.Counters["kv.cmd.WAITGET.count"] == 0 {
+	if snap.Counters["kv.cmd.TWAITGET.count"] == 0 {
 		t.Fatal("no wait command recorded")
-	}
-}
-
-// TestInfoUnknownOnOldServer: INFO itself must latch the standard
-// unknown-command error shape when a future build removes it — here we
-// simulate by asserting the error tag for a genuinely unknown command,
-// keeping the fallback contract documented in resp.go honest.
-func TestInfoUnknownOnOldServer(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	defer srv.Close()
-	c := NewClient(srv.Addr())
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := c.do(ctx, "NOSUCH"); !errors.Is(err, ErrUnknownCommand) {
-		t.Fatalf("unknown command error = %v, want ErrUnknownCommand", err)
 	}
 }

@@ -18,11 +18,11 @@ import (
 // waiters by tag, so an idle fleet of consumers holds one connection
 // instead of one per wait.
 //
-// The mux connection carries ONLY tagged waits. That makes the reply
-// stream unambiguous: every frame is either a [tag, reply] array or an
-// untagged error — and an untagged error can only be a server that does
-// not know the tagged commands at all, which fails all parked waits with
-// ErrUnknownCommand so their callers latch onto the untagged protocol.
+// The mux connection carries ONLY tagged waits, and it lives outside the
+// command pool: parked waits never take a slot from command traffic, so
+// any number of them cannot starve the write that is supposed to wake
+// them. That also makes the reply stream unambiguous: every frame must be
+// a [tag, reply] array, and anything else fails the connection.
 //
 // An abandoned wait (context cancelled) is simply deregistered; its
 // eventual reply arrives with a tag nobody claims and is dropped, leaving
@@ -43,6 +43,11 @@ type waitMux struct {
 	deadline time.Time
 	closed   bool
 }
+
+// waitSlack is how long past the server-side wait timeout the client waits
+// for the reply before declaring the connection dead. Generous: it only
+// matters when the server vanished without closing the connection.
+const waitSlack = 5 * time.Second
 
 type muxReply struct {
 	v   value
@@ -135,6 +140,7 @@ func (m *waitMux) do(ctx context.Context, budget time.Duration, name string, arg
 	}
 	m.mu.Unlock()
 	m.c.trip()
+	defer m.c.mWait.Since(time.Now())
 
 	select {
 	case rep := <-ch:
@@ -166,10 +172,10 @@ func (m *waitMux) readLoop(cc *clientConn, gen uint64) {
 			return
 		}
 		if v.kind == respError {
-			// Untagged error: the server rejected a tagged wait wholesale —
-			// a build that predates them. serverError tags unknown-command
-			// so the callers latch their fallback.
-			m.fail(gen, serverError(v))
+			// Untagged error: the server rejected a frame of this stream
+			// outright (one it could not parse as a command). No wait can
+			// be matched to it, so every parked wait fails with it.
+			m.fail(gen, fmt.Errorf("kvstore: untagged error on the wait connection: %w", serverError(v)))
 			return
 		}
 		if v.kind != respArray || v.null || len(v.arr) != 2 || v.arr[0].kind != respBulkString {

@@ -151,52 +151,6 @@ func TestMuxCancelledWaitLeavesConnectionHealthy(t *testing.T) {
 	}
 }
 
-// Against a server that has blocking waits but predates the tagged
-// variants, the client must latch onto the untagged protocol after one
-// unknown-command reply and keep working transparently.
-func TestWaitGetFallsBackOnServerWithoutTaggedWaits(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", WithoutTaggedWaits())
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cli := NewClient(srv.Addr())
-	t.Cleanup(func() { cli.Close() })
-	ctx := context.Background()
-
-	// Value already present: the fallback wait returns it.
-	if err := cli.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatalf("Set: %v", err)
-	}
-	if val, ok, err := cli.WaitGet(ctx, "k", time.Second); err != nil || !ok || string(val) != "v" {
-		t.Fatalf("WaitGet via fallback = %q, %v, %v", val, ok, err)
-	}
-	if !cli.muxOff.Load() {
-		t.Fatal("client did not latch the mux off after unknown-command")
-	}
-	// A parked fallback wait still wakes on a write.
-	got := make(chan error, 1)
-	go func() {
-		val, ok, err := cli.WaitGet(ctx, "late", 10*time.Second)
-		if err == nil && (!ok || string(val) != "x") {
-			err = fmt.Errorf("WaitGet = %q, %v", val, ok)
-		}
-		got <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	if err := cli.Set(ctx, "late", []byte("x")); err != nil {
-		t.Fatalf("Set: %v", err)
-	}
-	if err := <-got; err != nil {
-		t.Fatalf("parked fallback wait: %v", err)
-	}
-	// WaitPrefix falls back too (muxOff is already latched — no second
-	// detection round trip).
-	if _, err := cli.WaitPrefix(ctx, "p", 0, time.Second); err != nil {
-		t.Fatalf("WaitPrefix via fallback: %v", err)
-	}
-}
-
 // A server restart mid-wait fails the parked waits with a transport error
 // (not a hang); re-issued waits against the restarted server must park on
 // a fresh mux connection and resolve.

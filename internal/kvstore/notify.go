@@ -6,7 +6,7 @@ import (
 )
 
 // notifyRingCap bounds the recent-writes ring the notifier keeps so a
-// WAITPREFIX can prove "nothing under this prefix changed since seq N"
+// TWAITPREFIX can prove "nothing under this prefix changed since seq N"
 // without scanning the keyspace. A caller whose N is older than the ring's
 // reach gets a conservative immediate wake (it rescans and comes back with
 // a fresh sequence), so the ring trades memory for spurious wakes, never
@@ -36,19 +36,19 @@ func (e ringEntry) match(prefix string) bool {
 	return strings.HasPrefix(e.key, prefix)
 }
 
-// keyWaiter is one blocked WAITGET. Its channel is closed exactly once, on
+// keyWaiter is one blocked TWAITGET. Its channel is closed exactly once, on
 // wake; the waiter re-registers for further rounds.
 type keyWaiter struct {
 	ch chan struct{}
 }
 
-// prefixWaiter is one blocked WAITPREFIX.
+// prefixWaiter is one blocked TWAITPREFIX.
 type prefixWaiter struct {
 	prefix string
 	ch     chan struct{}
 }
 
-// notifier is the server's wait/notify registry: blocked WAITGET/WAITPREFIX
+// notifier is the server's wait/notify registry: blocked TWAITGET/TWAITPREFIX
 // handlers park here and every mutation wakes the watchers it affects. The
 // registry has its own mutex, so a parked waiter never holds (or contends
 // for) the data mutex, and writers notify after releasing it — the
@@ -68,7 +68,7 @@ type notifier struct {
 
 	closed bool
 	// done is closed by close(); parked handlers select on it so
-	// Server.Close never waits out a blocked WAITGET.
+	// Server.Close never waits out a blocked TWAITGET.
 	done chan struct{}
 }
 

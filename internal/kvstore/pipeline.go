@@ -22,8 +22,8 @@ const pipelineWindow = 128
 //
 // Per-command server errors land on the individual PipeReply; Exec itself
 // only fails on transport errors, which also fail every unresolved reply.
-// Queue only non-blocking commands: a blocking wait (WAITGET) inside a
-// pipeline would stall every command queued behind it.
+// Queue only non-blocking commands: a tagged wait (TWAITGET) answers out
+// of order and belongs on the client's wait multiplexer, not in a pipeline.
 //
 // A Pipeline is not safe for concurrent use and is single-shot: discard it
 // after Exec.

@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 )
@@ -120,20 +119,6 @@ func TestPipelineServerErrorIsPerCommand(t *testing.T) {
 	}
 	if val, ok, err := after.Bytes(); err != nil || !ok || string(val) != "1" {
 		t.Fatalf("command after the failure = %q, %v, %v", val, ok, err)
-	}
-}
-
-// An unknown command inside a pipeline is detectable with errors.Is, like
-// the unpipelined path.
-func TestPipelineUnknownCommandTagged(t *testing.T) {
-	_, cli := newPair(t, nil, nil)
-	p := cli.Pipeline()
-	r := p.Do("NOSUCH")
-	if err := p.Exec(context.Background()); err != nil {
-		t.Fatalf("Exec: %v", err)
-	}
-	if !errors.Is(r.Err(), ErrUnknownCommand) {
-		t.Fatalf("unknown command error = %v, want ErrUnknownCommand", r.Err())
 	}
 }
 

@@ -176,15 +176,17 @@ func (s *Server) serveReplication(cmd command, conn net.Conn, r *bufio.Reader, w
 
 	shipped := s.reg.Counter("kv.repl.bytes_out")
 	for {
+		// A closing server does not end the feed here: shipped is not
+		// applied, so the feed stays registered until the replica has acked
+		// the tail (drainFeeds) and Close hangs up, which kills it.
 		s.aofMu.Lock()
-		for offset >= s.aofSize && s.aofErr == nil && !s.closed.Load() && !feed.isDead() {
+		for offset >= s.aofSize && s.aofErr == nil && !feed.isDead() {
 			s.aofCond.Wait()
 		}
 		size := s.aofSize
 		s.aofMu.Unlock()
 		if offset >= size || feed.isDead() {
-			// Fully shipped and the server is closing (or the log broke), or
-			// the replica hung up: the feed is done.
+			// The log broke, or the replica hung up: the feed is done.
 			return
 		}
 		chunk, err := readAOFChunk(f, offset, size)

@@ -8,31 +8,39 @@
 //
 // # Blocking reads (the wait/notify protocol)
 //
-// Two commands turn the server into a push-delivery substrate — the
-// mechanism behind pstream's KVBroker push mode:
+// Two tagged commands turn the server into a push-delivery substrate — the
+// mechanism behind pstream's KVBroker delivery:
 //
-//   - WAITGET key timeout_ms blocks until key holds a value (any of
+//   - TWAITGET tag key timeout_ms blocks until key holds a value (any of
 //     SET/MSET/CAS/INCR/INCRBY filling it) and returns that value in the
 //     wait's own reply, so the wake carries the payload and no follow-up
 //     GET is needed. A lapsed timeout returns a null bulk; the connection
-//     stays clean either way, so pooled clients do not redial across
-//     timed-out waits.
-//   - WAITPREFIX prefix after_seq timeout_ms blocks until any key under
-//     prefix is mutated with a server mutation-sequence number >
+//     stays clean either way.
+//   - TWAITPREFIX tag prefix after_seq timeout_ms blocks until any key
+//     under prefix is mutated with a server mutation-sequence number >
 //     after_seq, then returns the current sequence for the caller to
-//     carry into its next wait. The server answers "nothing changed"
-//     from a bounded recent-writes ring; callers whose after_seq is
-//     older than the ring's reach (or predates a restart) get a
-//     conservative immediate wake and rescan — spurious wakes are
-//     possible, missed wakes are not.
+//     carry into its next wait. The server answers "nothing changed" from
+//     a bounded recent-writes ring; callers whose after_seq is older than
+//     the ring's reach (or predates a restart) get a conservative
+//     immediate wake and rescan — spurious wakes are possible, missed
+//     wakes are not.
 //
-// Server-side, waiters park in a notification registry with its own lock
-// (they never hold the data mutex), Close hangs up blocked waiters like
-// idle connections, and waits append nothing to the AOF. Client-side,
-// WaitGet/WaitPrefix honor context cancellation and tag replies from
-// servers that predate the commands with ErrUnknownCommand so callers can
-// fall back to polling (WithoutWaitCommands simulates such servers in
-// tests).
+// The tag is a client-chosen name for the wait. The server answers each
+// wait whenever it resolves — out of order with other traffic on the
+// connection — with a two-element array [tag, reply]. Waits park in
+// per-wait server goroutines (bounded per connection by
+// maxConnTaggedWaits) that are cancelled when the connection drops, and
+// replies interleave under a per-connection write lock. Waiters park in a
+// notification registry with its own lock (they never hold the data
+// mutex), Close hangs up blocked waiters like idle connections, and waits
+// append nothing to the AOF.
+//
+// The client parks ALL its blocking waits on one dedicated multiplexer
+// connection carrying only tagged commands, outside the command pool, and
+// dispatches replies to waiters by tag: an idle fleet of N consumers holds
+// one connection instead of N. A context-cancelled wait is deregistered
+// client-side and its late reply dropped; the server side burns out on its
+// own (bounded) timeout.
 //
 // # Pipelining
 //
@@ -43,44 +51,7 @@
 // buffer). N commands cost ceil(N/window) round trips instead of N.
 // Client.RoundTrips exposes the flush count so commands-per-round-trip is
 // observable; pstream's broker uses the pipeline for its ack paths.
-// Blocking waits must not be pipelined — a parked WAITGET would stall
-// every command queued behind it.
-//
-// # Tagged replies (the wait multiplexer)
-//
-// Plain blocking waits occupy one connection each, because the connection
-// is the only thing that names the wait. Two tagged variants lift that
-// restriction by naming the wait explicitly:
-//
-//	TWAITGET    tag key timeout_ms
-//	TWAITPREFIX tag prefix after_seq timeout_ms
-//
-// The server answers a tagged wait whenever it resolves — out of order
-// with other traffic on the connection — with a two-element array
-// [tag, reply], where reply is exactly what the untagged command would
-// have returned. Tagged waits park in per-wait server goroutines (bounded
-// per connection by maxConnTaggedWaits) that are cancelled when the
-// connection drops, and replies interleave under a per-connection write
-// lock.
-//
-// The client parks ALL its blocking waits on one dedicated multiplexer
-// connection carrying only tagged commands, dispatching replies to waiters
-// by tag: an idle fleet of N consumers holds one connection instead of N.
-// A context-cancelled wait is deregistered client-side and its late reply
-// dropped; the server side burns out on its own (bounded) timeout.
-//
-// # Legacy-fallback matrix
-//
-// Every protocol extension degrades transparently, latching once per
-// client on the first unknown-command reply:
-//
-//	server build            WaitGet/WaitPrefix path      connections held
-//	current                 TWAITGET on the multiplexer  O(1) for any number of waits
-//	pre-mux (WithoutTaggedWaits)  untagged WAITGET       one pooled conn per wait
-//	pre-wait (WithoutWaitCommands) ErrUnknownCommand     callers poll (pstream does)
-//
-// Pipelining needs no fallback: it is plain RESP ordering that every
-// server build honors.
+// Blocking waits never enter a pipeline: they travel on the multiplexer.
 //
 // # Replication (the AOF as the wire log)
 //
@@ -130,8 +101,6 @@
 // (kv.waiters/.peak), and open connections (kv.conns) — the same text
 // format the -metrics-addr HTTP endpoint serves at /metrics. Clients call
 // it via Client.Info; cmd/kvserver prints it as its shutdown summary.
-// Like any new command it answers ERR unknown command on older builds,
-// which Client.Info surfaces as ErrUnknownCommand.
 package kvstore
 
 import (

@@ -46,7 +46,7 @@ func FuzzRESPRoundTrip(f *testing.F) {
 	}
 	// Untagged frames: every reply kind the server produces.
 	seed(simpleString("OK"))
-	seed(errorValue("ERR unknown command 'TWAITGET'"))
+	seed(errorValue("ERR unknown command 'NOSUCH'"))
 	seed(integerValue(-42))
 	seed(bulkValue([]byte("payload\r\nwith framing bytes")))
 	seed(nullBulk())
@@ -57,7 +57,7 @@ func FuzzRESPRoundTrip(f *testing.F) {
 	seed(taggedReply([]byte("18"), nullBulk()))
 	seed(taggedReply([]byte("19"), integerValue(9)))
 	seed(taggedReply([]byte("20"), errorValue("ERR server closed")))
-	// Command frames (arrays of bulk strings), tagged and untagged.
+	// Command frames (arrays of bulk strings), plain and tagged.
 	cmd := func(parts ...string) {
 		var buf bytes.Buffer
 		w := bufio.NewWriter(&buf)
@@ -73,7 +73,7 @@ func FuzzRESPRoundTrip(f *testing.F) {
 	}
 	cmd("GET", "key")
 	cmd("SET", "key", "val")
-	cmd("WAITGET", "key", "1000")
+	cmd("MGET", "k1", "k2", "k3")
 	cmd("TWAITGET", "3", "key", "1000")
 	cmd("TWAITPREFIX", "4", "ps:t:", "12", "15000")
 

@@ -55,24 +55,6 @@ func WithLogger(l *log.Logger) ServerOption {
 	return func(s *Server) { s.logger = l }
 }
 
-// WithoutWaitCommands disables the blocking WAITGET/WAITPREFIX commands
-// (and their tagged TWAITGET/TWAITPREFIX forms): the server answers them
-// with an unknown-command error, exactly like a build that predates them.
-// Exists so clients' polling fallback paths can be exercised against a
-// live server.
-func WithoutWaitCommands() ServerOption {
-	return func(s *Server) { s.noWait = true }
-}
-
-// WithoutTaggedWaits disables only the tagged TWAITGET/TWAITPREFIX
-// commands, answering them with unknown-command errors while the plain
-// blocking waits keep working — exactly like a build that has blocking
-// waits but predates the wait multiplexer. Exists so clients'
-// untagged-wait fallback can be exercised against a live server.
-func WithoutTaggedWaits() ServerOption {
-	return func(s *Server) { s.noTagged = true }
-}
-
 // WithTelemetry makes the server record its metrics into reg instead of
 // a private registry — so a daemon can serve one merged /metrics view.
 func WithTelemetry(reg *telemetry.Registry) ServerOption {
@@ -86,10 +68,8 @@ type Server struct {
 	aofSync       bool
 	commitLatency time.Duration
 	logger        *log.Logger
-	noWait        bool
-	noTagged      bool
 
-	// notify parks blocked WAITGET/WAITPREFIX handlers and is poked by
+	// notify parks blocked TWAITGET/TWAITPREFIX handlers and is poked by
 	// every mutation. It has its own lock: waiters never hold (or block
 	// behind) the data mutex, and Close wakes them like it hangs up idle
 	// connections.
@@ -286,7 +266,7 @@ func (s *Server) Close() error {
 	}
 	err := s.ln.Close()
 	s.severUpstream()
-	// Wake parked WAITGET/WAITPREFIX handlers before waiting on them:
+	// Wake parked TWAITGET/TWAITPREFIX handlers before waiting on them:
 	// their connections are about to be closed, and a blocked wait must
 	// not pin Close for its full timeout.
 	s.notify.close()
@@ -299,11 +279,8 @@ func (s *Server) Close() error {
 		}
 	}
 	s.connMu.Unlock()
-	// Wake feeds parked at the log head so they observe the close, finish
-	// streaming, and exit once caught up; then wait for their acks.
-	s.aofMu.Lock()
-	s.aofCond.Broadcast()
-	s.aofMu.Unlock()
+	// Feeds keep streaming the tail; wait for their acks before hanging up,
+	// which is what ends them.
 	s.drainFeeds(replDrainTimeout)
 	s.connMu.Lock()
 	for conn := range s.conns {
@@ -428,15 +405,9 @@ func taggedReply(tag []byte, v value) value {
 // startTaggedWait handles TWAITGET/TWAITPREFIX. It reports whether cmd was
 // a tagged wait it accepted responsibility for; when the wait could not
 // even start (bad arguments, overload), sync carries the immediate tagged
-// error reply for the caller to write in-line. On a server built without
-// tagged waits it reports handled=false so execute answers with the same
-// unknown-command error a predating build would — the client's cue to fall
-// back to untagged waits.
+// error reply for the caller to write in-line.
 func (s *Server) startTaggedWait(cmd command, write func(value) error, cancel <-chan struct{}, wg *sync.WaitGroup, inflight *atomic.Int64) (handled bool, sync *value) {
 	if cmd.name != "TWAITGET" && cmd.name != "TWAITPREFIX" {
-		return false, nil
-	}
-	if s.noWait || s.noTagged {
 		return false, nil
 	}
 	if len(cmd.args) < 1 {
@@ -645,41 +616,13 @@ func (s *Server) execute(cmd command) value {
 		// failover client can send it unconditionally.
 		s.promote("PROMOTE command")
 		return simpleString("OK")
-	case "WAITGET":
-		if s.noWait {
-			break
-		}
-		if len(cmd.args) != 2 {
-			return errorValue("ERR wrong number of arguments for 'waitget'")
-		}
-		ms, err := strconv.ParseInt(string(cmd.args[1]), 10, 64)
-		if err != nil || ms <= 0 {
-			return errorValue("ERR timeout is not a positive integer")
-		}
-		return s.waitGet(string(cmd.args[0]), clampWait(ms), nil)
-	case "WAITPREFIX":
-		if s.noWait {
-			break
-		}
-		if len(cmd.args) != 3 {
-			return errorValue("ERR wrong number of arguments for 'waitprefix'")
-		}
-		after, err1 := strconv.ParseUint(string(cmd.args[1]), 10, 64)
-		ms, err2 := strconv.ParseInt(string(cmd.args[2]), 10, 64)
-		if err1 != nil || err2 != nil || ms <= 0 {
-			return errorValue("ERR value is not an integer or out of range")
-		}
-		return s.waitPrefix(string(cmd.args[0]), after, clampWait(ms), nil)
 	}
-	// Unknown command — or a wait command on a server configured without
-	// them (WithoutWaitCommands), which must answer exactly like a build
-	// that predates them so clients exercise their polling fallback.
 	return errorValue(fmt.Sprintf("ERR unknown command '%s'", cmd.name))
 }
 
 // maxWaitMS caps a server-side blocking wait at one minute: clients
 // re-issue waits in rounds, and an unbounded wait would pin its handler
-// (and its pooled connection) on both ends arbitrarily long.
+// goroutine and its client-side tag arbitrarily long.
 const maxWaitMS = 60_000
 
 // clampWait converts a client-supplied timeout to a bounded duration.
@@ -695,7 +638,7 @@ func clampWait(ms int64) time.Duration {
 // checking the data map, so a write landing between check and park is
 // never missed; wakes caused by deletes simply re-park. A server shutdown
 // wakes the waiter with an error reply, and a close of cancel (the owning
-// connection went away — only tagged waits pass one) unparks it too.
+// connection went away) unparks it too.
 func (s *Server) waitGet(key string, timeout time.Duration, cancel <-chan struct{}) value {
 	waiters := s.reg.Gauge("kv.waiters")
 	waiters.Inc()

@@ -349,27 +349,6 @@ func TestWaitCommandsLeaveAOFUntouched(t *testing.T) {
 	}
 }
 
-func TestWaitGetAgainstServerWithoutWaitCommands(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", WithoutWaitCommands())
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cli := NewClient(srv.Addr())
-	t.Cleanup(func() { cli.Close() })
-	ctx := context.Background()
-	if _, _, err := cli.WaitGet(ctx, "k", time.Second); !errors.Is(err, ErrUnknownCommand) {
-		t.Fatalf("WaitGet error = %v, want ErrUnknownCommand", err)
-	}
-	if _, err := cli.WaitPrefix(ctx, "p", 0, time.Second); !errors.Is(err, ErrUnknownCommand) {
-		t.Fatalf("WaitPrefix error = %v, want ErrUnknownCommand", err)
-	}
-	// Ordinary commands are unaffected.
-	if err := cli.Set(ctx, "k", []byte("v")); err != nil {
-		t.Fatalf("Set: %v", err)
-	}
-}
-
 func TestWaitGetManyWaitersAllWake(t *testing.T) {
 	srv, _ := newPair(t, nil, nil)
 	ctx := context.Background()

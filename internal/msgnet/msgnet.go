@@ -66,6 +66,15 @@ type Server struct {
 	handler Handler
 	closed  atomic.Bool
 	wg      sync.WaitGroup
+	// ctx is every handler call's context; Close cancels it, so a handler
+	// blocked on its request unwinds instead of pinning Close.
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	// connMu guards conns, the open connections, so Close can hang up on
+	// idle peers instead of waiting for them to leave.
+	connMu sync.Mutex
+	conns  map[net.Conn]struct{}
 
 	requests atomic.Uint64
 }
@@ -79,7 +88,8 @@ func NewServer(addr string, h Handler) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("msgnet: listen: %w", err)
 	}
-	s := &Server{ln: ln, handler: h}
+	s := &Server{ln: ln, handler: h, conns: make(map[net.Conn]struct{})}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	go s.acceptLoop()
 	return s, nil
 }
@@ -90,12 +100,20 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Requests returns the number of requests served.
 func (s *Server) Requests() uint64 { return s.requests.Load() }
 
-// Close stops the listener and waits for in-flight connections.
+// Close stops the listener, cancels in-flight handlers, hangs up on every
+// connection (an idle peer would otherwise pin the server open forever),
+// and waits for the connection handlers to finish.
 func (s *Server) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	err := s.ln.Close()
+	s.cancel()
+	s.connMu.Lock()
+	for conn := range s.conns {
+		conn.Close()
+	}
+	s.connMu.Unlock()
 	s.wg.Wait()
 	return err
 }
@@ -106,10 +124,25 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return
 		}
+		// Register under connMu and re-check closed there: a connection
+		// accepted while Close runs is either cut by Close or never served.
+		s.connMu.Lock()
+		if s.closed.Load() {
+			s.connMu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
+		s.connMu.Unlock()
 		go func() {
 			defer s.wg.Done()
-			defer conn.Close()
+			defer func() {
+				s.connMu.Lock()
+				delete(s.conns, conn)
+				s.connMu.Unlock()
+				conn.Close()
+			}()
 			s.serveConn(conn)
 		}()
 	}
@@ -118,14 +151,13 @@ func (s *Server) acceptLoop() {
 func (s *Server) serveConn(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, 64<<10)
 	w := bufio.NewWriterSize(conn, 64<<10)
-	ctx := context.Background()
 	for {
 		req, err := ReadFrame(r)
 		if err != nil {
 			return
 		}
 		s.requests.Add(1)
-		resp, err := s.handler(ctx, req)
+		resp, err := s.handler(s.ctx, req)
 		if err != nil {
 			// Error replies are framed with a 1-byte marker so the client
 			// can distinguish handler failures from transport failures.

@@ -123,6 +123,51 @@ func TestClientReusesPooledConnections(t *testing.T) {
 	}
 }
 
+// closeWithin runs srv.Close and fails the test if it takes longer than d.
+func closeWithin(t *testing.T, srv *Server, d time.Duration) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- srv.Close() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(d):
+		t.Fatalf("Close did not return within %v", d)
+	}
+}
+
+func TestCloseCutsIdleConnections(t *testing.T) {
+	// The client's pooled connection stays open and idle after its request:
+	// the server's handler is parked reading it, and Close must hang up on
+	// it rather than wait for the peer to leave.
+	srv := echoServer(t)
+	cli := NewClient(srv.Addr())
+	defer cli.Close()
+	if _, err := cli.Request(context.Background(), []byte("x")); err != nil {
+		t.Fatalf("Request: %v", err)
+	}
+	closeWithin(t, srv, time.Second)
+}
+
+func TestCloseCancelsBlockedHandlers(t *testing.T) {
+	entered := make(chan struct{})
+	srv, err := NewServer("127.0.0.1:0", func(ctx context.Context, _ []byte) ([]byte, error) {
+		close(entered)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	cli := NewClient(srv.Addr())
+	defer cli.Close()
+	go cli.Request(context.Background(), []byte("block"))
+	<-entered
+	closeWithin(t, srv, time.Second)
+}
+
 func TestNetworkShapedDelay(t *testing.T) {
 	n := netsim.New(1)
 	n.AddSite("c", true)

@@ -33,7 +33,7 @@ type Options struct {
 	// Restart restarts the broker's backing service in place — same
 	// address, state recovered from persistence — simulating a broker
 	// crash mid-stream. nil skips the restart test. Implementations whose
-	// state is process-local (MemBroker, NetServer) have nothing durable
+	// state is process-local (MemBroker) have nothing durable
 	// to restart and leave it nil.
 	Restart func() error
 	// Commands reports the backing service's cumulative command count

@@ -2,12 +2,10 @@ package pstream
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"proxystore/internal/kvstore"
@@ -35,14 +33,12 @@ import (
 // Appends reserve a slot with INCR (atomic on the server) and then SET the
 // event — PublishBatch reserves the whole range with one INCRBY and fills
 // it with one MSET — so concurrent producers never collide; delivery is
-// push: a blocked Next parks in one server-side WAITGET on its cursor slot
-// (group members in one WAITPREFIX over the topic keyspace) and the write
-// that fills it wakes the waiter — O(1) commands while idle and wake
-// latency independent of any backoff state. Against servers that predate
-// the wait commands (or with WithKVPush(false)), Next degrades to the
-// original capped-exponential-backoff polling loop. Group members claim
-// slots with server-side CAS on the claim record, so an event can never
-// be leased to two members at once.
+// push: a blocked Next parks in one server-side wait on its cursor slot
+// (group members on their first unfilled slot, or over the topic keyspace
+// while an End barrier is pending) and the write that fills it wakes the
+// waiter — O(1) commands while idle and wake latency independent of any
+// backoff state. Group members claim slots with server-side CAS on the
+// claim record, so an event can never be leased to two members at once.
 type KVBroker struct {
 	addr string
 	// client is the command path: a single-server *kvstore.Client, or a
@@ -51,28 +47,13 @@ type KVBroker struct {
 	// package doc). Every key the broker derives from one topic shares the
 	// topic's "ps:T" placement prefix, so sharding is invisible up here:
 	// appends, waits, acks, and truncation sweeps all stay shard-local.
+	// Blocking waits park on the client's wait multiplexer, a connection
+	// outside the command pool, so parked subscriptions can never starve
+	// the Publish whose write is supposed to wake them.
 	client kvstore.KV
-	// waitClient carries only the blocking waits, each of which pins a
-	// pooled connection for up to a wait round. On a separate pool (sized
-	// waitPool), parked subscriptions can never starve the command path —
-	// with a shared pool, enough parked consumers would block the very
-	// Publish whose write is supposed to wake them.
-	waitClient kvstore.KV
-	waitPool   int
-	// wrap, when set, interposes on both clients at construction (see
+	// wrap, when set, interposes on the client at construction (see
 	// WithKVWrap) — the record/replay tap's entry point into the broker.
 	wrap func(kvstore.KV) kvstore.KV
-	// pollFloor/pollCap bound the polling-fallback backoff.
-	pollFloor, pollCap time.Duration
-	// waitRound bounds one server-side blocking wait; blocked consumers
-	// re-arm in rounds so truncation sweeps and lease expiries are
-	// re-checked at least this often.
-	waitRound time.Duration
-	// pushOff disables blocking-wait delivery: set by WithKVPush(false), or
-	// latched at runtime when the server answers WAITGET with an
-	// unknown-command error (an old build) — the polling fallback keeps the
-	// broker working either way.
-	pushOff atomic.Bool
 	// lease bounds how long a group member may hold a claimed event
 	// before other members reclaim it.
 	lease time.Duration
@@ -106,52 +87,6 @@ type KVBroker struct {
 
 // KVOption configures a KVBroker.
 type KVOption func(*KVBroker)
-
-// WithKVPush toggles push delivery (default on): blocked Next calls park
-// in server-side WAITGET/WAITPREFIX waits instead of polling. Disabled —
-// or against a server that predates the wait commands, which is detected
-// automatically — subscriptions use the capped-backoff polling loop, the
-// pre-push behavior, bounded by WithPollInterval.
-func WithKVPush(on bool) KVOption {
-	return func(b *KVBroker) { b.pushOff.Store(!on) }
-}
-
-// WithKVWaitRound bounds a single server-side blocking wait (default 15s).
-// Longer rounds cost nothing while idle; shorter ones re-check truncation
-// floors more eagerly after missed wakes.
-func WithKVWaitRound(d time.Duration) KVOption {
-	return func(b *KVBroker) {
-		if d > 0 {
-			b.waitRound = d
-		}
-	}
-}
-
-// WithKVWaitPool sets how many subscriptions can be parked in blocking
-// waits concurrently (default 64). Each parked subscription holds one
-// connection of a pool dedicated to waits; a subscription past the limit
-// queues for a slot instead of starving command traffic.
-func WithKVWaitPool(n int) KVOption {
-	return func(b *KVBroker) {
-		if n > 0 {
-			b.waitPool = n
-		}
-	}
-}
-
-// WithPollInterval overrides the polling-fallback backoff bounds (defaults
-// 500µs floor, 10ms cap). The fallback runs only when push delivery is
-// off — WithKVPush(false) or an old server.
-func WithPollInterval(floor, ceil time.Duration) KVOption {
-	return func(b *KVBroker) {
-		if floor > 0 {
-			b.pollFloor = floor
-		}
-		if ceil >= floor {
-			b.pollCap = ceil
-		}
-	}
-}
 
 // WithKVLease sets the claim lease for group subscriptions (default
 // DefaultLease).
@@ -206,14 +141,7 @@ func WithKVTruncate(consumers int) KVOption {
 
 // NewKV returns a broker over the kvstore server at addr.
 func NewKV(addr string, opts ...KVOption) *KVBroker {
-	b := &KVBroker{
-		addr:      addr,
-		pollFloor: 500 * time.Microsecond,
-		pollCap:   10 * time.Millisecond,
-		waitRound: 15 * time.Second,
-		waitPool:  64,
-		lease:     DefaultLease,
-	}
+	b := &KVBroker{addr: addr, lease: DefaultLease}
 	for _, o := range opts {
 		o(b)
 	}
@@ -230,18 +158,14 @@ func NewKV(addr string, opts ...KVOption) *KVBroker {
 	b.mMembers = b.reg.Gauge("ps.members")
 	b.mOrphanGC = b.reg.Counter("ps.orphan_gc")
 	b.client = newKVClient(addr, kvstore.WithClientTelemetry(b.reg))
-	b.waitClient = newKVClient(addr,
-		kvstore.WithPoolSize(b.waitPool), kvstore.WithClientTelemetry(b.reg))
 	if b.wrap != nil {
 		b.client = b.wrap(b.client)
-		b.waitClient = b.wrap(b.waitClient)
 	}
 	return b
 }
 
-// WithKVWrap interposes wrap on the broker's kvstore clients at
-// construction — once for the command client, once for the blocking-wait
-// client — so a wire tap (kvstore.NewTap over a wiretap recorder) can
+// WithKVWrap interposes wrap on the broker's kvstore client at
+// construction, so a wire tap (kvstore.NewTap over a wiretap recorder) can
 // record every command the broker issues without a TCP proxy. The wrapper
 // sees the KV interface above pooling, pipelining and sharded routing;
 // taps compose with the broker's own wrappers the way CountingBroker and
@@ -265,7 +189,7 @@ func newKVClient(addr string, opts ...kvstore.ClientOption) kvstore.KV {
 }
 
 // Telemetry returns the broker's metrics registry. It also carries the
-// underlying kvstore clients' metrics (kvc.* names), so one snapshot
+// underlying kvstore client's metrics (kvc.* names), so one snapshot
 // answers both "what did the broker do" and "what did it cost on the
 // wire".
 func (b *KVBroker) Telemetry() *telemetry.Registry { return b.reg }
@@ -339,22 +263,14 @@ func kvClaimKey(topic, group string, i uint64) string {
 func kvClaimPrefix(topic, group string) string { return "ps:" + topic + ":g:" + group + ":c:" }
 
 // kvTopicPrefix covers every key of one topic — log slots, counters, acks
-// and claim records — so one WAITPREFIX watch observes appends, settles
+// and claim records — so one WaitPrefix watch observes appends, settles
 // and floor sweeps alike.
 func kvTopicPrefix(topic string) string { return "ps:" + topic + ":" }
 
-// pushOK reports whether blocking-wait delivery is live.
-func (b *KVBroker) pushOK() bool { return !b.pushOff.Load() }
-
-// disablePushIfUnknown latches the polling fallback when err shows the
-// server predates the wait commands, reporting whether it did.
-func (b *KVBroker) disablePushIfUnknown(err error) bool {
-	if errors.Is(err, kvstore.ErrUnknownCommand) {
-		b.pushOff.Store(true)
-		return true
-	}
-	return false
-}
+// kvWaitRound bounds one server-side blocking wait. Blocked consumers
+// re-arm in rounds, so truncation of a watched slot (which produces no
+// write) is re-checked at least this often; an idle round costs nothing.
+const kvWaitRound = 15 * time.Second
 
 // Publish implements Broker: INCR reserves the next log index, SET fills it.
 // The two steps are not atomic; if the SET fails, the reserved slot is
@@ -519,25 +435,19 @@ func (b *KVBroker) counter(ctx context.Context, key string) (uint64, error) {
 }
 
 // Close implements Broker. Server-side logs and offsets persist.
-func (b *KVBroker) Close() error {
-	err := b.client.Close()
-	if werr := b.waitClient.Close(); err == nil {
-		err = werr
-	}
-	return err
-}
+func (b *KVBroker) Close() error { return b.client.Close() }
 
-// Dials reports how many TCP connections the broker's clients have
+// Dials reports how many TCP connections the broker's client has
 // established, command pool and wait multiplexer together. An idle
 // N-member group should hold O(1) of them — the wait multiplexer parks
 // every blocked Next on one shared connection — and benches report this
 // as connections-per-consumer.
-func (b *KVBroker) Dials() uint64 { return b.client.Dials() + b.waitClient.Dials() }
+func (b *KVBroker) Dials() uint64 { return b.client.Dials() }
 
-// RoundTrips reports how many request flushes the broker's clients have
+// RoundTrips reports how many request flushes the broker's client has
 // performed; commands-per-round-trip (server commands over this) measures
 // how much the pipelined ack and batched scan paths amortize.
-func (b *KVBroker) RoundTrips() uint64 { return b.client.RoundTrips() + b.waitClient.RoundTrips() }
+func (b *KVBroker) RoundTrips() uint64 { return b.client.RoundTrips() }
 
 // kvScanWindow is how many adjacent slots one batched scan read fetches.
 const kvScanWindow = 32
@@ -653,29 +563,19 @@ func (s *kvSub) skipTruncated(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
-// Next implements Subscription. With push delivery (the default against
-// current servers) a miss parks in one server-side WAITGET on the cursor
-// slot: the SET that fills the slot ships the value back in the wait's own
-// reply, so a quiet consumer costs O(1) commands per delivered event —
-// not O(poll rate) — and wakes in sub-millisecond time regardless of how
-// long it idled. Each wait round is bounded so truncation of the cursor
-// slot (collected while we watched it) is re-detected; the polling
-// fallback with capped exponential backoff serves old servers and
-// WithKVPush(false).
+// Next implements Subscription. A miss parks in one server-side wait on
+// the cursor slot: the SET that fills the slot ships the value back in the
+// wait's own reply, so a quiet consumer costs O(1) commands per delivered
+// event — not O(poll rate) — and wakes in sub-millisecond time regardless
+// of how long it idled. The wait returns an already-filled slot
+// immediately, so it IS the read: the fast path costs the same one command
+// as a plain GET. Truncation of the watched slot (possible only for a
+// consumer left out of the topic's ack threshold) produces no SET, so it
+// is re-checked when a wait round lapses rather than before every arm.
 func (s *kvSub) Next(ctx context.Context) (Event, error) {
-	delay := s.b.pollFloor
-	for s.b.pushOK() {
-		// WAITGET returns an already-filled slot immediately, so it IS the
-		// read — the fast path costs the same one command as a plain GET,
-		// and a miss parks instead of returning. Truncation of the watched
-		// slot (possible only for a consumer left out of the topic's ack
-		// threshold) produces no SET, so it is re-checked when a wait round
-		// lapses rather than before every arm.
-		raw, ok, err := s.b.waitClient.WaitGet(ctx, kvEventKey(s.topic, s.cursor), s.b.waitRound)
+	for {
+		raw, ok, err := s.b.client.WaitGet(ctx, kvEventKey(s.topic, s.cursor), kvWaitRound)
 		if err != nil {
-			if s.b.disablePushIfUnknown(err) {
-				break
-			}
 			return Event{}, err
 		}
 		if !ok {
@@ -691,30 +591,6 @@ func (s *kvSub) Next(ctx context.Context) (Event, error) {
 		s.cursor++
 		s.b.observeDeliver(ev)
 		return ev, nil
-	}
-	for {
-		ev, ok, err := s.get(ctx)
-		if err != nil {
-			return Event{}, err
-		}
-		if ok {
-			s.cursor++
-			s.b.observeDeliver(ev)
-			return ev, nil
-		}
-		if skipped, err := s.skipTruncated(ctx); err != nil {
-			return Event{}, err
-		} else if skipped {
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return Event{}, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > s.b.pollCap {
-			delay = s.b.pollCap
-		}
 	}
 }
 
@@ -1089,7 +965,7 @@ type kvGroupSub struct {
 	// endCursor: offsets below it hold no undelivered End marker for this
 	// member.
 	endCursor uint64
-	// lastSeq is the server mutation sequence carried between WAITPREFIX
+	// lastSeq is the server mutation sequence carried between WaitPrefix
 	// rounds: the next wait fires only for topic writes newer than it, so
 	// rescans happen exactly once per batch of wakes.
 	lastSeq uint64
@@ -1103,7 +979,7 @@ type kvGroupSub struct {
 	// from a single log slot to the whole topic keyspace.
 	endPending bool
 	// parkSlot is where the latest scan stopped: the first unfilled log
-	// slot. A pushed park watches exactly that slot with WAITGET — new
+	// slot. A park watches exactly that slot with WaitGet — new
 	// claimable work cannot appear anywhere earlier.
 	parkSlot uint64
 	// pendingIncr holds offsets whose claim record was settled but whose
@@ -1336,7 +1212,7 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 
 	// 3. Claim the earliest available payload slot. parkSlot ends at the
 	// first unfilled slot — the only place new claimable work can appear —
-	// which is where a pushed park points its blocking watch.
+	// which is where park points its blocking watch.
 	s.parkSlot = length
 	for i := f; i < length; i++ {
 		ev, ok, err := evWin.event(ctx, i)
@@ -1443,13 +1319,12 @@ func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64) (bool, error) {
 	return true, nil
 }
 
-// waitTimeout returns the bound for one blocking wait: the broker's wait
-// round, capped just past the earliest live claim deadline the member has
-// seen. Lease expiry produces no server write, so only this cap makes
-// reclamation after a member crash happen on lease time — with no
-// server-side timers.
+// waitTimeout returns the bound for one blocking wait: kvWaitRound, capped
+// just past the earliest live claim deadline the member has seen. Lease
+// expiry produces no server write, so only this cap makes reclamation
+// after a member crash happen on lease time — with no server-side timers.
 func (s *kvGroupSub) waitTimeout() time.Duration {
-	timeout := s.b.waitRound
+	timeout := kvWaitRound
 	if !s.nextLease.IsZero() {
 		if until := time.Until(s.nextLease) + 2*time.Millisecond; until < timeout {
 			timeout = until
@@ -1461,39 +1336,32 @@ func (s *kvGroupSub) waitTimeout() time.Duration {
 	return timeout
 }
 
-// parkPush blocks until new work may exist for this member. The watch is
-// the narrowest possible: one WAITGET on the first unfilled log slot (the
+// park blocks until new work may exist for this member. The watch is the
+// narrowest possible: one WaitGet on the first unfilled log slot (the
 // only place claimable work can appear), whose filling write delivers the
 // event in the wait's own reply — the member then claims it directly,
 // with no rescan, and a member that loses the claim race just advances
 // its watch to the next slot, still without rescanning. Peer claims,
 // settles and floor sweeps never wake a parked member. The exception is a
 // withheld End marker (endPending): its barrier clears on a claim
-// settling, so the watch widens to a WAITPREFIX over the whole topic.
+// settling, so the watch widens to a WaitPrefix over the whole topic.
 //
 // Returns ok=true with a claimed event, or ok=false when the caller must
-// rescan: a wait round lapsed (lease expiry → reclamation, truncation), a
-// delivered End or endPending wake (the barrier logic lives in scan), or
-// push delivery just latched off.
-func (s *kvGroupSub) parkPush(ctx context.Context) (Event, bool, error) {
+// rescan: a wait round lapsed (lease expiry → reclamation, truncation), or
+// a delivered End or endPending wake (the barrier logic lives in scan).
+func (s *kvGroupSub) park(ctx context.Context) (Event, bool, error) {
 	parkSlot := s.parkSlot
 	for {
 		if s.endPending {
-			seq, err := s.b.waitClient.WaitPrefix(ctx, kvTopicPrefix(s.topic), s.lastSeq, s.waitTimeout())
+			seq, err := s.b.client.WaitPrefix(ctx, kvTopicPrefix(s.topic), s.lastSeq, s.waitTimeout())
 			if err != nil {
-				if s.b.disablePushIfUnknown(err) {
-					return Event{}, false, nil
-				}
 				return Event{}, false, err
 			}
 			s.lastSeq = seq
 			return Event{}, false, nil
 		}
-		raw, ok, err := s.b.waitClient.WaitGet(ctx, kvEventKey(s.topic, parkSlot), s.waitTimeout())
+		raw, ok, err := s.b.client.WaitGet(ctx, kvEventKey(s.topic, parkSlot), s.waitTimeout())
 		if err != nil {
-			if s.b.disablePushIfUnknown(err) {
-				return Event{}, false, nil
-			}
 			return Event{}, false, err
 		}
 		if !ok {
@@ -1522,40 +1390,19 @@ func (s *kvGroupSub) parkPush(ctx context.Context) (Event, bool, error) {
 	}
 }
 
-// Next implements Subscription. With push delivery an empty scan parks in
-// a blocking wait (see parkPush) instead of polling: an idle member costs
-// O(1) commands regardless of how long it idles, wakes carry the
-// triggering event, and an append burst is consumed claim-by-claim
-// without rescans. The polling fallback (capped exponential backoff,
-// lease expirations surfacing on the next poll) serves old servers and
-// WithKVPush(false).
+// Next implements Subscription. An empty scan parks in a blocking wait
+// (see park) instead of polling: an idle member costs O(1) commands
+// regardless of how long it idles, wakes carry the triggering event, and
+// an append burst is consumed claim-by-claim without rescans.
 func (s *kvGroupSub) Next(ctx context.Context) (Event, error) {
-	delay := s.b.pollFloor
 	for {
 		ev, ok, err := s.scan(ctx)
-		if err != nil {
-			return Event{}, err
+		if err != nil || ok {
+			return ev, err
 		}
-		if ok {
-			return ev, nil
-		}
-		if s.b.pushOK() {
-			ev, ok, err := s.parkPush(ctx)
-			if err != nil {
-				return Event{}, err
-			}
-			if ok {
-				return ev, nil
-			}
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return Event{}, ctx.Err()
-		case <-time.After(delay):
-		}
-		if delay *= 2; delay > s.b.pollCap {
-			delay = s.b.pollCap
+		ev, ok, err = s.park(ctx)
+		if err != nil || ok {
+			return ev, err
 		}
 	}
 }

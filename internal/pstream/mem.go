@@ -15,9 +15,8 @@ const DefaultLease = 30 * time.Second
 
 // MemBroker is the in-process broker: topic logs live in memory, waiters
 // block on a broadcast channel that append rotates. It is the reference
-// implementation of the Broker contract (brokertest runs against it first),
-// the backing core of NetServer, and the right choice for tests and
-// single-process pipelines.
+// implementation of the Broker contract (brokertest runs against it first)
+// and the right choice for tests and single-process pipelines.
 //
 // A MemBroker is safe for concurrent use.
 type MemBroker struct {
@@ -191,18 +190,10 @@ func (b *MemBroker) Close() error {
 	return nil
 }
 
-// fetch returns the event at cursor in topic, waiting up to wait for one
-// to be appended: wait == 0 polls without blocking, wait < 0 blocks until
-// an event lands, the broker closes, or ctx cancels. ok is false on
-// timeout. It is shared by local subscriptions (wait < 0) and NetServer's
-// long-poll handler (bounded waits).
-func (b *MemBroker) fetch(ctx context.Context, topic string, cursor uint64, wait time.Duration) (Event, bool, error) {
-	var timeout <-chan time.Time
-	if wait > 0 {
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		timeout = timer.C
-	}
+// fetch returns the event at cursor in topic. With block set it waits
+// until an event lands, the broker closes, or ctx cancels; without, it
+// polls once and ok is false when the slot is still empty.
+func (b *MemBroker) fetch(ctx context.Context, topic string, cursor uint64, block bool) (Event, bool, error) {
 	for {
 		b.mu.Lock()
 		if b.closed {
@@ -217,26 +208,17 @@ func (b *MemBroker) fetch(ctx context.Context, topic string, cursor uint64, wait
 		}
 		changed := t.changed
 		b.mu.Unlock()
-		if wait == 0 {
+		if !block {
 			return Event{}, false, nil
 		}
 		select {
 		case <-changed:
 		case <-b.done:
 			return Event{}, false, fmt.Errorf("pstream: broker closed")
-		case <-timeout:
-			return Event{}, false, nil
 		case <-ctx.Done():
 			return Event{}, false, ctx.Err()
 		}
 	}
-}
-
-// committed returns the consumer's committed offset in topic.
-func (b *MemBroker) committedOffset(topic, consumer string) uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.topic(topic).committed[consumer]
 }
 
 // ack advances the consumer's committed offset to at least offset+1,
@@ -273,13 +255,9 @@ func (s *memSub) Next(ctx context.Context) (Event, error) {
 	s.mu.Lock()
 	cursor := s.cursor
 	s.mu.Unlock()
-	ev, ok, err := s.b.fetch(ctx, s.topic, cursor, -1)
+	ev, _, err := s.b.fetch(ctx, s.topic, cursor, true)
 	if err != nil {
 		return Event{}, err
-	}
-	if !ok {
-		// Unreachable: an unbounded fetch only returns on delivery or error.
-		return Event{}, context.DeadlineExceeded
 	}
 	s.advance(cursor)
 	return ev, nil
@@ -290,7 +268,7 @@ func (s *memSub) Poll(ctx context.Context) (Event, bool, error) {
 	s.mu.Lock()
 	cursor := s.cursor
 	s.mu.Unlock()
-	ev, ok, err := s.b.fetch(ctx, s.topic, cursor, 0)
+	ev, ok, err := s.b.fetch(ctx, s.topic, cursor, false)
 	if err != nil || !ok {
 		return Event{}, false, err
 	}
@@ -335,22 +313,14 @@ func advanceGroupFloor(t *memTopic, g *memGroup) {
 	}
 }
 
-// fetchGroup claims and returns the next event for a group member, waiting
-// up to wait as in fetch. endCursor is the member's private End-marker
-// cursor (offsets below it hold no undelivered End for this member); the
-// possibly advanced cursor is returned alongside the event. Delivery
-// order: a deliverable End (all payload events before it group-acked)
-// wins over new claims, then the earliest claimable payload event —
-// unclaimed, unacked, and not under another member's live lease. It is
-// shared by memGroupSub (wait < 0 / 0) and NetServer's long-poll handler
-// (bounded waits).
-func (b *MemBroker) fetchGroup(ctx context.Context, topic, group, member string, endCursor uint64, wait time.Duration) (Event, uint64, bool, error) {
-	var timeout <-chan time.Time
-	if wait > 0 {
-		timer := time.NewTimer(wait)
-		defer timer.Stop()
-		timeout = timer.C
-	}
+// fetchGroup claims and returns the next event for a group member,
+// blocking or polling as in fetch. endCursor is the member's private
+// End-marker cursor (offsets below it hold no undelivered End for this
+// member); the possibly advanced cursor is returned alongside the event.
+// Delivery order: a deliverable End (all payload events before it
+// group-acked) wins over new claims, then the earliest claimable payload
+// event — unclaimed, unacked, and not under another member's live lease.
+func (b *MemBroker) fetchGroup(ctx context.Context, topic, group, member string, endCursor uint64, block bool) (Event, uint64, bool, error) {
 	for {
 		b.mu.Lock()
 		if b.closed {
@@ -401,7 +371,7 @@ func (b *MemBroker) fetchGroup(ctx context.Context, topic, group, member string,
 		}
 		changed := t.changed
 		b.mu.Unlock()
-		if wait == 0 {
+		if !block {
 			return Event{}, endCursor, false, nil
 		}
 		var expiry <-chan time.Time
@@ -422,9 +392,6 @@ func (b *MemBroker) fetchGroup(ctx context.Context, topic, group, member string,
 		case <-b.done:
 			stop()
 			return Event{}, endCursor, false, fmt.Errorf("pstream: broker closed")
-		case <-timeout:
-			stop()
-			return Event{}, endCursor, false, nil
 		case <-ctx.Done():
 			stop()
 			return Event{}, endCursor, false, ctx.Err()
@@ -478,14 +445,10 @@ func (s *memGroupSub) Next(ctx context.Context) (Event, error) {
 	s.mu.Lock()
 	cur := s.endCursor
 	s.mu.Unlock()
-	ev, cur, ok, err := s.b.fetchGroup(ctx, s.topic, s.group, s.member, cur, -1)
+	ev, cur, _, err := s.b.fetchGroup(ctx, s.topic, s.group, s.member, cur, true)
 	s.setEndCursor(cur)
 	if err != nil {
 		return Event{}, err
-	}
-	if !ok {
-		// Unreachable: an unbounded fetch only returns on delivery or error.
-		return Event{}, context.DeadlineExceeded
 	}
 	return ev, nil
 }
@@ -495,7 +458,7 @@ func (s *memGroupSub) Poll(ctx context.Context) (Event, bool, error) {
 	s.mu.Lock()
 	cur := s.endCursor
 	s.mu.Unlock()
-	ev, cur, ok, err := s.b.fetchGroup(ctx, s.topic, s.group, s.member, cur, 0)
+	ev, cur, ok, err := s.b.fetchGroup(ctx, s.topic, s.group, s.member, cur, false)
 	s.setEndCursor(cur)
 	if err != nil || !ok {
 		return Event{}, false, err

@@ -11,7 +11,7 @@ package pstream
 //	ps:m.T:G:h:<member> heartbeat: the member's deadline (UnixNano, decimal)
 //
 // The "ps:m.T" placement prefix keeps a group's roster, heartbeats, and
-// WAITPREFIX watches on one shard under the cluster client. The roster key
+// WaitPrefix watches on one shard under the cluster client. The roster key
 // is never deleted — an empty roster holds the "-" tombstone — because the
 // kv CAS treats an empty expected value as "key must not exist": deleting
 // the key on last-leave would race a concurrent join's create-CAS.
@@ -159,12 +159,13 @@ func rosterRemove(names []string, members map[string]bool) ([]string, bool) {
 // Join registers member in the domain and starts its heartbeater: a
 // background goroutine that refreshes the member's deadline-stamped key at
 // a third of the TTL, retrying failures with capped exponential backoff
-// plus jitter. A member whose refreshes fail for longer than the TTL
-// self-fences — Fenced flips true, and group subscriptions carrying the
-// heartbeat stop claiming new work — so a partitioned member degrades to
-// idle instead of working claims its peers believe are dead; the fence
-// lifts on the next successful refresh. Stop the heartbeater with Leave
-// (clean departure) or abandon it with Kill (simulated crash).
+// plus jitter. A member whose refreshes stop landing — failing, or merely
+// late — self-fences a third of a TTL before its stamped deadline: Fenced
+// flips true, and group subscriptions carrying the heartbeat stop claiming
+// new work, so a partitioned or starved member degrades to idle before its
+// peers can believe it dead; the fence lifts on the next landed refresh.
+// Stop the heartbeater with Leave (clean departure) or abandon it with
+// Kill (simulated crash).
 func (m *Membership) Join(ctx context.Context, member string) (*Heartbeat, error) {
 	if member == "" || strings.Contains(member, "\n") {
 		return nil, fmt.Errorf("pstream: invalid member name %q", member)
@@ -245,7 +246,7 @@ func (m *Membership) split(ctx context.Context) (live, dead []string, err error)
 	return live, dead, nil
 }
 
-// Watch parks in one server-side WAITPREFIX over the domain's keyspace
+// Watch parks in one server-side WaitPrefix over the domain's keyspace
 // until a membership write (join, heartbeat refresh, leave, reap) newer
 // than after lands, or timeout lapses. It returns the server mutation
 // sequence to pass to the next Watch, so callers observe every change
@@ -253,7 +254,7 @@ func (m *Membership) split(ctx context.Context) (live, dead []string, err error)
 // "membership state may have changed", not an edge-triggered join/leave
 // signal — re-read Live and diff.
 func (m *Membership) Watch(ctx context.Context, after uint64, timeout time.Duration) (uint64, error) {
-	return m.b.waitClient.WaitPrefix(ctx, kvMemberPrefix(m.topic, m.group), after, timeout)
+	return m.b.client.WaitPrefix(ctx, kvMemberPrefix(m.topic, m.group), after, timeout)
 }
 
 // Reap deletes dead members — expired or missing heartbeats — from the
@@ -331,11 +332,8 @@ func (m *Membership) Sizer(maxAge time.Duration) func() int {
 type Heartbeat struct {
 	m      *Membership
 	member string
-	// fenced is set while refreshes have failed past the member's own
-	// stamped deadline: peers are entitled to steal its claims, so it must
-	// not take new ones.
-	fenced atomic.Bool
-	// deadline is the last successfully stamped deadline (UnixNano).
+	// deadline is the last successfully stamped deadline (UnixNano); Fenced
+	// is judged from it alone.
 	deadline atomic.Int64
 	cancel   context.CancelFunc
 	done     chan struct{}
@@ -345,11 +343,17 @@ type Heartbeat struct {
 // Member returns the member name this heartbeat maintains.
 func (h *Heartbeat) Member() string { return h.member }
 
-// Fenced reports whether the member is self-fenced: its heartbeat could
-// not be refreshed before its own liveness deadline passed, so peers may
-// already be reclaiming its claims and it must not take new work. The
-// fence lifts automatically when a refresh succeeds.
-func (h *Heartbeat) Fenced() bool { return h.fenced.Load() }
+// Fenced reports whether the member is self-fenced: its last landed
+// refresh stamped a deadline that is now less than ttl/3 away (or past),
+// so peers may soon read it as dead and steal its claims, and it must not
+// take new work. Refreshes are jittered within [ttl/6, ttl/2) of the
+// previous one, so an on-time member never trips the fence; a refresh
+// that is only late — its SET queued behind a busy command pool, never
+// erroring — fences exactly like a failing one. The fence lifts when a
+// refresh lands.
+func (h *Heartbeat) Fenced() bool {
+	return time.Now().UnixNano() >= h.deadline.Load()-int64(h.m.ttl/3)
+}
 
 // run is the refresher: stamp a fresh deadline every ttl/3, with capped
 // exponential backoff plus jitter on errors.
@@ -380,13 +384,9 @@ func (h *Heartbeat) run(ctx context.Context) {
 			if delay *= 2; delay > m.ttl {
 				delay = m.ttl
 			}
-			if time.Now().UnixNano() > h.deadline.Load() {
-				h.fenced.Store(true)
-			}
 			continue
 		}
 		h.deadline.Store(deadline.UnixNano())
-		h.fenced.Store(false)
 		delay = interval
 	}
 }

@@ -2,6 +2,7 @@ package pstream_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,6 +161,70 @@ func TestMembershipSelfFencesWhenServerDies(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	h.Kill()
+}
+
+// stallingKV holds SETs of one key while stall is set: the write neither
+// lands nor fails, the way a heartbeat refresh queued behind a saturated
+// command pool behaves.
+type stallingKV struct {
+	kvstore.KV
+	key     string
+	stall   atomic.Bool
+	release chan struct{}
+}
+
+func (s *stallingKV) Set(ctx context.Context, key string, val []byte) error {
+	if key == s.key && s.stall.Load() {
+		select {
+		case <-s.release:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return s.KV.Set(ctx, key, val)
+}
+
+func TestMembershipFencesWhenRefreshStallsWithoutError(t *testing.T) {
+	// A refresher that is only late never sees an error, yet its peers
+	// read it as dead once its stamped deadline passes. It must fence
+	// before that, from its own last stamped deadline, and unfence once a
+	// refresh lands again.
+	ctx := context.Background()
+	const ttl = 300 * time.Millisecond
+	srv, err := kvstore.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	kv := &stallingKV{key: "ps:m.stall:g:h:slow", release: make(chan struct{})}
+	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeat(ttl),
+		pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { kv.KV = inner; return kv }))
+	t.Cleanup(func() { b.Close() })
+
+	h, err := b.Membership("stall", "g").Join(ctx, "slow")
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	defer h.Kill()
+	if h.Fenced() {
+		t.Fatal("fenced immediately after a successful join")
+	}
+	kv.stall.Store(true)
+	stalled := time.Now()
+	for !h.Fenced() {
+		if time.Since(stalled) > ttl {
+			t.Fatalf("member still unfenced %v after its refreshes stalled (ttl %v)", time.Since(stalled), ttl)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(kv.release)
+	released := time.Now()
+	for h.Fenced() {
+		if time.Since(released) > ttl {
+			t.Fatal("fence did not lift after refreshes landed again")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func TestMembershipSizerFeedsEvictSizer(t *testing.T) {

@@ -15,11 +15,12 @@
 // semantics): members of a named group claim events so each event is
 // processed by exactly one member, claims carry leases so a crashed
 // member's unacked events are reclaimed and redelivered, and End markers
-// broadcast to every member once all preceding work is acked. Three
+// broadcast to every member once all preceding work is acked. Two
 // implementations ship behind one conformance battery (brokertest):
-// MemBroker (in-process, for tests and benches), KVBroker (append-to-log
-// over the kvstore RESP server), and NetBroker (msgnet request/reply to a
-// NetServer, discoverable through a relay for cross-site use).
+// MemBroker (in-process, for tests and benches) and KVBroker (append-to-log
+// over the kvstore RESP server, with push delivery through the server's
+// tagged waits — the one remote broker, shardable and replicated for
+// cross-site use).
 package pstream
 
 import (

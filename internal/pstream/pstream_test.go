@@ -17,7 +17,6 @@ import (
 	"proxystore/internal/kvstore"
 	"proxystore/internal/pstream"
 	"proxystore/internal/pstream/brokertest"
-	"proxystore/internal/relay"
 	"proxystore/internal/serial"
 	"proxystore/internal/store"
 )
@@ -153,56 +152,6 @@ func TestKVBrokerShardedConformance(t *testing.T) {
 	})
 }
 
-// TestKVBrokerPollingFallbackConformance runs the whole battery over the
-// pre-push polling path (WithKVPush(false)): the fallback that serves old
-// servers must stay fully conformant, not merely limp.
-func TestKVBrokerPollingFallbackConformance(t *testing.T) {
-	srv, err := kvstore.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("kvstore server: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	brokertest.Run(t, func(t *testing.T) pstream.Broker {
-		return pstream.NewKV(srv.Addr(),
-			pstream.WithKVLease(conformanceLease), pstream.WithKVPush(false))
-	}, brokertest.Options{ClaimLease: conformanceLease})
-}
-
-// TestKVBrokerTaggedFallbackConformance runs the full battery — restart
-// fault included — against a server that has the blocking waits but
-// predates their tagged (multiplexed) variants: the client must latch the
-// untagged per-connection protocol after one unknown-command reply and
-// stay fully conformant on it.
-func TestKVBrokerTaggedFallbackConformance(t *testing.T) {
-	aof := filepath.Join(t.TempDir(), "broker.aof")
-	srv, err := kvstore.NewServer("127.0.0.1:0",
-		kvstore.WithPersistence(aof), kvstore.WithoutTaggedWaits())
-	if err != nil {
-		t.Fatalf("kvstore server: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	addr := srv.Addr()
-	restart := func() error {
-		if err := srv.Close(); err != nil {
-			return err
-		}
-		next, err := kvstore.NewServer(addr,
-			kvstore.WithPersistence(aof), kvstore.WithoutTaggedWaits())
-		if err != nil {
-			return err
-		}
-		srv = next
-		return nil
-	}
-	brokertest.Run(t, func(t *testing.T) pstream.Broker {
-		return pstream.NewKV(addr, pstream.WithKVLease(conformanceLease))
-	}, brokertest.Options{
-		ClaimLease: conformanceLease,
-		Restart:    restart,
-		Commands:   func() uint64 { return srv.Commands() },
-	})
-}
-
 // TestKVBrokerIdleGroupHoldsOneWaitConnection is the connection-scaling
 // guarantee behind the wait multiplexer: N parked group members share ONE
 // blocking-wait connection instead of pinning one each, so an idle group
@@ -254,120 +203,6 @@ func TestKVBrokerIdleGroupHoldsOneWaitConnection(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestKVBrokerFallsBackOnLegacyServer drives a broker with push enabled
-// against a server that answers WAITGET/WAITPREFIX with unknown-command
-// errors (a build predating them): the broker must degrade to polling
-// transparently — blocked Next still wakes, nothing errors to the caller.
-func TestKVBrokerFallsBackOnLegacyServer(t *testing.T) {
-	srv, err := kvstore.NewServer("127.0.0.1:0", kvstore.WithoutWaitCommands())
-	if err != nil {
-		t.Fatalf("kvstore server: %v", err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	b := pstream.NewKV(srv.Addr(), pstream.WithKVLease(conformanceLease))
-	t.Cleanup(func() { b.Close() })
-	ctx := context.Background()
-
-	sub, err := b.Subscribe(ctx, "legacy", "c1")
-	if err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	defer sub.Close()
-	got := make(chan pstream.Event, 1)
-	errs := make(chan error, 1)
-	go func() {
-		nctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		defer cancel()
-		e, err := sub.Next(nctx)
-		if err != nil {
-			errs <- err
-			return
-		}
-		got <- e
-	}()
-	time.Sleep(50 * time.Millisecond) // Next hits the unknown command, falls back
-	if err := b.Publish(ctx, "legacy", pstream.Event{Producer: "p", Seq: 1}); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-	select {
-	case e := <-got:
-		if e.Seq != 1 {
-			t.Fatalf("fallback Next delivered Seq %d", e.Seq)
-		}
-	case err := <-errs:
-		t.Fatalf("Next against legacy server: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("fallback Next did not deliver")
-	}
-
-	// Group members degrade the same way.
-	gsub, err := b.SubscribeGroup(ctx, "legacy", "g", "m")
-	if err != nil {
-		t.Fatalf("SubscribeGroup: %v", err)
-	}
-	defer gsub.Close()
-	nctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	e, err := gsub.Next(nctx)
-	if err != nil || e.Seq != 1 {
-		t.Fatalf("group Next on legacy server = %+v, %v", e, err)
-	}
-	if _, err := gsub.Ack(ctx, e); err != nil {
-		t.Fatalf("Ack: %v", err)
-	}
-}
-
-func TestNetBrokerConformance(t *testing.T) {
-	brokertest.Run(t, func(t *testing.T) pstream.Broker {
-		srv, err := pstream.ServeNet("127.0.0.1:0", pstream.WithMemLease(conformanceLease))
-		if err != nil {
-			t.Fatalf("broker server: %v", err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		return pstream.DialNet(srv.Addr())
-	}, brokertest.Options{ClaimLease: conformanceLease})
-}
-
-func TestNetBrokerRelayDiscovery(t *testing.T) {
-	ctx := context.Background()
-	rs, err := relay.NewServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("relay: %v", err)
-	}
-	defer rs.Close()
-
-	srv, err := pstream.ServeNet("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("broker server: %v", err)
-	}
-	defer srv.Close()
-	uuid, err := srv.AnnounceRelay(rs.Addr(), "")
-	if err != nil {
-		t.Fatalf("AnnounceRelay: %v", err)
-	}
-
-	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	b, err := pstream.DialNetRelay(dctx, rs.Addr(), uuid)
-	if err != nil {
-		t.Fatalf("DialNetRelay: %v", err)
-	}
-	defer b.Close()
-
-	if err := b.Publish(ctx, "t", pstream.Event{Producer: "p", Seq: 1}); err != nil {
-		t.Fatalf("Publish through discovered broker: %v", err)
-	}
-	sub, err := b.Subscribe(ctx, "t", "c")
-	if err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	defer sub.Close()
-	ev, err := sub.Next(dctx)
-	if err != nil || ev.Seq != 1 {
-		t.Fatalf("Next = %+v, %v", ev, err)
 	}
 }
 
