@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"proxystore/internal/connector"
 	"proxystore/internal/kvstore"
@@ -32,6 +33,10 @@ type Connector struct {
 	client    *kvstore.Client
 	chunkSize int
 	getWindow int
+
+	// chunks holds idle *[]byte PutFrom buffers of chunkSize bytes, so a
+	// put costs its payload, not a fresh chunk, in allocations.
+	chunks sync.Pool
 
 	// Net-model description, preserved in Config so reconstructed
 	// connectors keep the same timing behaviour within one process.
@@ -92,6 +97,10 @@ func New(addr string, opts ...Option) *Connector {
 	for _, o := range opts {
 		o(c)
 	}
+	c.chunks.New = func() any {
+		buf := make([]byte, c.chunkSize)
+		return &buf
+	}
 	var copts []kvstore.ClientOption
 	if sharedNet != nil && c.clientSite != "" {
 		copts = append(copts, kvstore.WithClientNetwork(sharedNet, c.clientSite, c.serverSite))
@@ -106,15 +115,19 @@ func (c *Connector) Client() *kvstore.Client { return c.client }
 // Type implements connector.Connector.
 func (c *Connector) Type() string { return Type }
 
-// Config implements connector.Connector.
+// Config implements connector.Connector. The sites are listed only when
+// set, since every proxy descriptor carries the config.
 func (c *Connector) Config() connector.Config {
-	return connector.Config{Type: Type, Params: map[string]string{
-		"addr":        c.addr,
-		"client_site": c.clientSite,
-		"server_site": c.serverSite,
-		"chunk_size":  strconv.Itoa(c.chunkSize),
-		"get_window":  strconv.Itoa(c.getWindow),
-	}}
+	params := map[string]string{
+		"addr":       c.addr,
+		"chunk_size": strconv.Itoa(c.chunkSize),
+		"get_window": strconv.Itoa(c.getWindow),
+	}
+	if c.clientSite != "" || c.serverSite != "" {
+		params["client_site"] = c.clientSite
+		params["server_site"] = c.serverSite
+	}
+	return connector.Config{Type: Type, Params: params}
 }
 
 func chunkKey(id string, i int) string { return id + ":" + strconv.Itoa(i) }
@@ -144,13 +157,17 @@ func (c *Connector) Put(ctx context.Context, data []byte) (connector.Key, error)
 
 // PutFrom implements connector.StreamPutter: the stream is sharded into
 // chunk-size server keys as it is read, so at most one chunk is buffered
-// client-side. The returned key carries the shard manifest in
-// connector.ChunkCountAttr.
+// client-side. That chunk buffer comes from a per-connector pool and goes
+// back once the last Set has returned (Client.Set does not retain its
+// args), so the pool holds only idle buffers. The returned key carries the
+// shard manifest in connector.ChunkCountAttr.
 func (c *Connector) PutFrom(ctx context.Context, r io.Reader) (connector.Key, error) {
 	id := connector.NewID()
 	var total int64
 	chunks := 0
-	buf := make([]byte, c.chunkSize)
+	bufp := c.chunks.Get().(*[]byte)
+	defer c.chunks.Put(bufp)
+	buf := *bufp
 	for {
 		n, rerr := io.ReadFull(r, buf)
 		// Always write chunk 0, even for empty objects, so Exists and Evict

@@ -447,7 +447,8 @@ func (c *Client) Ping(ctx context.Context) error {
 	return nil
 }
 
-// Set stores val under key.
+// Set stores val under key. val is not retained: it has been written out
+// by the time Set returns, so the caller may reuse or mutate it at once.
 func (c *Client) Set(ctx context.Context, key string, val []byte) error {
 	_, err := c.do(ctx, "SET", []byte(key), val)
 	return err

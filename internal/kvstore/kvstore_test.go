@@ -47,6 +47,32 @@ func TestSetGet(t *testing.T) {
 	}
 }
 
+// Set does not retain its value: a caller that reuses the buffer as soon
+// as Set returns (redisc's pooled chunk buffers do) must not change what
+// the server stored. Both sizes stay inside and go past the client's
+// write buffer.
+func TestSetValueReusedAfterReturn(t *testing.T) {
+	_, cli := newPair(t, nil, nil)
+	ctx := context.Background()
+	for _, size := range []int{1 << 10, 1 << 20} {
+		buf := bytes.Repeat([]byte{0xAB}, size)
+		key := fmt.Sprintf("reuse-%d", size)
+		if err := cli.Set(ctx, key, buf); err != nil {
+			t.Fatalf("Set: %v", err)
+		}
+		for i := range buf {
+			buf[i] = 0xCD
+		}
+		got, ok, err := cli.Get(ctx, key)
+		if err != nil || !ok {
+			t.Fatalf("Get = %v, %v", ok, err)
+		}
+		if !bytes.Equal(got, bytes.Repeat([]byte{0xAB}, size)) {
+			t.Fatalf("size %d: stored value changed after the caller reused its buffer", size)
+		}
+	}
+}
+
 func TestGetMissing(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	_, ok, err := cli.Get(context.Background(), "ghost")

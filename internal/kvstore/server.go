@@ -123,6 +123,13 @@ type Server struct {
 	reg        *telemetry.Registry
 	cmdMetrics sync.Map // command name -> *cmdMetrics
 	started    time.Time
+
+	// Server-wide metric handles, resolved once in NewServer so the hot
+	// path never takes the registry lock.
+	bytesIn   *telemetry.Counter
+	bytesOut  *telemetry.Counter
+	connGauge *telemetry.Gauge
+	waiters   *telemetry.Gauge
 }
 
 // cmdMetrics is the per-command instrument bundle: how many times the
@@ -159,8 +166,8 @@ func (s *Server) observe(cmd command, start time.Time, reply value) {
 	}
 	r := reply.encodedSize()
 	m.bytes.Add(uint64(n + r))
-	s.reg.Counter("kv.bytes_in").Add(uint64(n))
-	s.reg.Counter("kv.bytes_out").Add(uint64(r))
+	s.bytesIn.Add(uint64(n))
+	s.bytesOut.Add(uint64(r))
 }
 
 // NewServer starts a server listening on addr (e.g. "127.0.0.1:0").
@@ -180,6 +187,10 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 	if s.reg == nil {
 		s.reg = telemetry.NewRegistry()
 	}
+	s.bytesIn = s.reg.Counter("kv.bytes_in")
+	s.bytesOut = s.reg.Counter("kv.bytes_out")
+	s.connGauge = s.reg.Gauge("kv.conns")
+	s.waiters = s.reg.Gauge("kv.waiters")
 	if s.aofPath != "" {
 		if err := s.loadAOF(); err != nil {
 			return nil, err
@@ -313,7 +324,7 @@ func (s *Server) acceptLoop() {
 		s.connMu.Lock()
 		s.conns[conn] = false
 		s.connMu.Unlock()
-		s.reg.Gauge("kv.conns").Inc()
+		s.connGauge.Inc()
 		s.connWG.Add(1)
 		go func() {
 			defer s.connWG.Done()
@@ -321,7 +332,7 @@ func (s *Server) acceptLoop() {
 				s.connMu.Lock()
 				delete(s.conns, conn)
 				s.connMu.Unlock()
-				s.reg.Gauge("kv.conns").Dec()
+				s.connGauge.Dec()
 				conn.Close()
 			}()
 			s.serveConn(conn)
@@ -640,9 +651,8 @@ func clampWait(ms int64) time.Duration {
 // wakes the waiter with an error reply, and a close of cancel (the owning
 // connection went away) unparks it too.
 func (s *Server) waitGet(key string, timeout time.Duration, cancel <-chan struct{}) value {
-	waiters := s.reg.Gauge("kv.waiters")
-	waiters.Inc()
-	defer waiters.Dec()
+	s.waiters.Inc()
+	defer s.waiters.Dec()
 	deadline := time.Now().Add(timeout)
 	for {
 		w := s.notify.registerKey(key)
@@ -690,9 +700,8 @@ func (s *Server) waitGet(key string, timeout time.Duration, cancel <-chan struct
 // so the wake itself carries no payload and can afford to be conservative
 // (ring overflow, server restart) without ever being lossy.
 func (s *Server) waitPrefix(prefix string, after uint64, timeout time.Duration, cancel <-chan struct{}) value {
-	waiters := s.reg.Gauge("kv.waiters")
-	waiters.Inc()
-	defer waiters.Dec()
+	s.waiters.Inc()
+	defer s.waiters.Dec()
 	w, cur, fired := s.notify.registerPrefix(prefix, after)
 	if fired {
 		return integerValue(int64(cur))
@@ -718,13 +727,12 @@ func (s *Server) waitPrefix(prefix string, after uint64, timeout time.Duration, 
 
 // set stores the value and appends its AOF record while still holding the
 // data mutex: releasing first would let two writes of one key persist in
-// reversed order, replaying (or replicating) to the older value.
+// reversed order, replaying (or replicating) to the older value. val is
+// kept as is: readValue gives every bulk argument its own allocation.
 func (s *Server) set(key string, val []byte) {
-	buf := make([]byte, len(val))
-	copy(buf, val)
 	s.mu.Lock()
-	s.data[key] = buf
-	s.appendAOF(aofSet, key, buf)
+	s.data[key] = val
+	s.appendAOF(aofSet, key, val)
 	s.mu.Unlock()
 }
 
@@ -778,10 +786,8 @@ func (s *Server) cas(key string, old, new []byte) bool {
 	} else if !ok || !bytes.Equal(cur, old) {
 		return false
 	}
-	buf := make([]byte, len(new))
-	copy(buf, new)
-	s.data[key] = buf
-	s.appendAOF(aofSet, key, buf)
+	s.data[key] = new // its own allocation, as in set
+	s.appendAOF(aofSet, key, new)
 	return true
 }
 

@@ -12,8 +12,8 @@
 package proxy
 
 import (
-	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"sync"
@@ -299,19 +299,15 @@ func (p *Proxy[T]) MarshalBinary() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proxy: describing factory: %w", err)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(desc); err != nil {
-		return nil, fmt.Errorf("proxy: encoding descriptor: %w", err)
-	}
-	return buf.Bytes(), nil
+	return desc.MarshalBinary()
 }
 
 // UnmarshalBinary reconstructs the proxy's factory from a descriptor. The
 // proxy is left unresolved.
 func (p *Proxy[T]) UnmarshalBinary(data []byte) error {
 	var desc Descriptor
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&desc); err != nil {
-		return fmt.Errorf("proxy: decoding descriptor: %w", err)
+	if err := desc.UnmarshalBinary(data); err != nil {
+		return err
 	}
 	af, err := rebuild(desc)
 	if err != nil {
@@ -324,6 +320,46 @@ func (p *Proxy[T]) UnmarshalBinary(data []byte) error {
 	p.pending = nil
 	var zero T
 	p.value = zero
+	return nil
+}
+
+// descriptorFormat is the first byte of an encoded Descriptor. A gob
+// stream, the format of earlier builds, starts with a message length that
+// is either below 0x80 or a byte count in 0xf8–0xff, so it can never begin
+// with this byte and is refused as an unsupported format.
+const descriptorFormat = 0xd1
+
+// MarshalBinary encodes the descriptor as its wire frame: the format byte,
+// the uvarint length of Kind, Kind, then Data up to the end of the frame.
+func (d Descriptor) MarshalBinary() ([]byte, error) {
+	out := make([]byte, 0, 1+binary.MaxVarintLen64+len(d.Kind)+len(d.Data))
+	out = append(out, descriptorFormat)
+	out = binary.AppendUvarint(out, uint64(len(d.Kind)))
+	out = append(out, d.Kind...)
+	return append(out, d.Data...), nil
+}
+
+// UnmarshalBinary decodes a frame written by MarshalBinary. It checks the
+// kind length against the bytes that remain before allocating, and copies
+// Data, so the descriptor never aliases the input.
+func (d *Descriptor) UnmarshalBinary(data []byte) error {
+	if len(data) == 0 {
+		return fmt.Errorf("proxy: decoding descriptor: empty input")
+	}
+	if data[0] != descriptorFormat {
+		return fmt.Errorf("proxy: decoding descriptor: unsupported descriptor format 0x%02x (want 0x%02x; blobs from earlier builds are not readable)", data[0], descriptorFormat)
+	}
+	rest := data[1:]
+	n, w := binary.Uvarint(rest)
+	if w <= 0 || (w > 1 && rest[w-1] == 0) {
+		return fmt.Errorf("proxy: decoding descriptor: malformed kind length")
+	}
+	rest = rest[w:]
+	if n > uint64(len(rest)) {
+		return fmt.Errorf("proxy: decoding descriptor: kind length %d exceeds the %d bytes left", n, len(rest))
+	}
+	d.Kind = string(rest[:n])
+	d.Data = append([]byte(nil), rest[n:]...)
 	return nil
 }
 

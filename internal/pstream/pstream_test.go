@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -85,8 +86,23 @@ func newKVFailoverEnv(t *testing.T) (pstream.Broker, func() error) {
 		t.Fatalf("kvstore replica: %v", err)
 	}
 	t.Cleanup(func() { repl.Close() })
+	waitReplicaAttached(t, prim)
 	b := pstream.NewKV(prim.Addr()+"|"+repl.Addr(), pstream.WithKVLease(conformanceLease))
 	return b, prim.Close
+}
+
+// waitReplicaAttached returns once prim has a replica feed. Replication is
+// asynchronous: only an attached replica is drained on the primary's Close,
+// so the pair must be established before any write the failover battery
+// later expects on the survivor.
+func waitReplicaAttached(t *testing.T, prim *kvstore.Server) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(prim.InfoText(), "server.replicas 1\n"); {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never attached to the primary")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // TestKVBrokerShardedConformance runs the full battery against a broker
@@ -134,6 +150,7 @@ func TestKVBrokerShardedConformance(t *testing.T) {
 					t.Fatalf("kvstore replica %d: %v", i, err)
 				}
 				t.Cleanup(func() { repl.Close() })
+				waitReplicaAttached(t, prim)
 				prims = append(prims, prim)
 				specs = append(specs, prim.Addr()+"|"+repl.Addr())
 			}

@@ -107,8 +107,10 @@ func NewFabric(n *netsim.Network, p Profile) *Fabric {
 // Profile returns the fabric's transport profile.
 func (f *Fabric) Profile() Profile { return f.profile }
 
-// delay blocks for the modeled duration of an op moving size bytes.
-func (f *Fabric) delay(ctx context.Context, src, dst string, size int) error {
+// modeled returns the modeled duration of an op moving size bytes from
+// site src to site dst: the profile's per-op overhead, the link latency,
+// and the link's serialization time divided by the transport efficiency.
+func (f *Fabric) modeled(src, dst string, size int) time.Duration {
 	d := f.profile.OpOverhead
 	if f.net != nil {
 		base := f.net.TransferTime(src, dst, size)
@@ -117,6 +119,12 @@ func (f *Fabric) delay(ctx context.Context, src, dst string, size int) error {
 		ser := base - lat
 		d += lat + time.Duration(float64(ser)/f.profile.efficiency(size))
 	}
+	return d
+}
+
+// delay blocks for the modeled duration of an op moving size bytes.
+func (f *Fabric) delay(ctx context.Context, src, dst string, size int) error {
+	d := f.modeled(src, dst, size)
 	if d <= 0 {
 		return ctx.Err()
 	}

@@ -144,30 +144,33 @@ func TestProfileEfficiencyRegimes(t *testing.T) {
 
 func TestUCXEthernetSlowerThanMargoAtLargeSizes(t *testing.T) {
 	// The Figure 6 anomaly: identical link, different transport profiles.
+	// The assertion is on the model, not on timed transfers, so a loaded
+	// machine cannot flip it.
 	n := netsim.New(1)
 	n.AddSite("x", false)
 	n.AddSite("y", false)
 	n.SetLink("x", "y", netsim.Link{Latency: 50 * time.Microsecond, Bandwidth: 1e9})
 
 	size := 8 << 20
-	payload := make([]byte, size)
-	measure := func(p Profile) time.Duration {
-		f := NewFabric(n, p)
-		src, _ := f.NewEndpoint("src", "x")
-		dst, _ := f.NewEndpoint("dst", "y")
-		region := dst.RegisterMemory(make([]byte, size))
-		start := time.Now()
-		if err := src.WriteRemote(context.Background(), "dst", region.ID, 0, payload); err != nil {
-			t.Fatalf("WriteRemote: %v", err)
-		}
-		return time.Since(start)
+	margo := NewFabric(n, MargoProfile()).modeled("x", "y", size)
+	ucxEth := NewFabric(n, UCXEthernetProfile()).modeled("x", "y", size)
+	ratio := float64(ucxEth) / float64(margo)
+	// 8 MiB at 1 GB/s is 8.39 ms on the wire: Margo pays it at 0.95
+	// efficiency (8.89 ms in all), UCX on Ethernet at 0.35 (24.02 ms).
+	if ratio < 2 || ratio > 3 {
+		t.Fatalf("modeled UCX-on-Ethernet %v vs Margo %v: ratio %.2f, want about 2.7", ucxEth, margo, ratio)
 	}
+}
 
-	margo := measure(MargoProfile())
-	ucxEth := measure(UCXEthernetProfile())
-	// Model predicts ~2.7x; allow slack for alloc/copy/scheduler overhead
-	// that inflates both measurements equally.
-	if ucxEth < margo*3/2 {
-		t.Fatalf("UCX-on-Ethernet (%v) should be markedly slower than Margo (%v) for large transfers", ucxEth, margo)
+// delay sleeps what modeled predicts: the model is what the fabric charges.
+func TestDelaySleepsModeledDuration(t *testing.T) {
+	f := newFabric(t)
+	want := f.modeled("a", "b", 1<<20)
+	start := time.Now()
+	if err := f.delay(context.Background(), "a", "b", 1<<20); err != nil {
+		t.Fatalf("delay: %v", err)
+	}
+	if got := time.Since(start); got < want {
+		t.Fatalf("delay slept %v, less than the modeled %v", got, want)
 	}
 }

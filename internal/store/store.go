@@ -13,7 +13,6 @@ package store
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -778,8 +777,7 @@ type factoryState struct {
 	Key        connector.Key
 	Evict      bool
 	Serializer string
-	// Metrics opts the proxy into resolve timing (WithProxyMetrics). New
-	// field: gob decodes payloads from builds without it to false.
+	// Metrics opts the proxy into resolve timing (WithProxyMetrics).
 	Metrics bool
 }
 
@@ -812,12 +810,11 @@ func (f *storeFactory) ResolveAny(ctx context.Context) (any, error) {
 	return v, nil
 }
 
+// Describe encodes the factory state in the frame documented in
+// descriptor.go. A redis-backed state is about 130 bytes, so one
+// allocation of 160 usually holds it.
 func (f *storeFactory) Describe() (proxy.Descriptor, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f.state); err != nil {
-		return proxy.Descriptor{}, fmt.Errorf("store: encoding factory state: %w", err)
-	}
-	return proxy.Descriptor{Kind: FactoryKind, Data: buf.Bytes()}, nil
+	return proxy.Descriptor{Kind: FactoryKind, Data: appendState(make([]byte, 0, 160), &f.state)}, nil
 }
 
 // RebuildFactory reconstructs a store proxy factory from its descriptor
@@ -825,9 +822,9 @@ func (f *storeFactory) Describe() (proxy.Descriptor, error) {
 // processes with custom descriptor wiring can route their own kinds through
 // the store machinery via proxy.RegisterKind.
 func RebuildFactory(data []byte) (proxy.AnyFactory, error) {
-	var st factoryState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return nil, fmt.Errorf("store: decoding factory state: %w", err)
+	st, err := decodeState(data)
+	if err != nil {
+		return nil, err
 	}
 	return &storeFactory{state: st}, nil
 }

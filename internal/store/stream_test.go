@@ -3,7 +3,6 @@ package store_test
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -429,9 +428,9 @@ func TestProxyDescriptorRebuildViaRegisterKind(t *testing.T) {
 // does, letting tests synthesize wire blobs for alternative kinds.
 func mustMarshalDescriptor(t *testing.T, d proxy.Descriptor) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
+	blob, err := d.MarshalBinary()
+	if err != nil {
 		t.Fatalf("encoding descriptor: %v", err)
 	}
-	return buf.Bytes()
+	return blob
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"proxystore/internal/connector"
 	"proxystore/internal/connectors/local"
 	"proxystore/internal/connectors/multi"
 	"proxystore/internal/serial"
@@ -17,8 +18,11 @@ import (
 // are observable by which child received the object.
 func newTaggedStore(t *testing.T, name string, opts ...store.Option) (*store.Store, *local.Connector, *local.Connector) {
 	t.Helper()
-	plain := local.New(name + "-plain")
-	tagged := local.New(name + "-tagged")
+	// local instances are process-global by name; a fresh suffix keeps
+	// repeated runs (-count=N) from seeing earlier runs' objects.
+	id := connector.NewID()
+	plain := local.New(name + "-plain-" + id)
+	tagged := local.New(name + "-tagged-" + id)
 	mc, err := multi.New(
 		multi.Child{Name: "plain", Connector: plain, Policy: multi.Policy{Priority: 1}},
 		multi.Child{Name: "tagged", Connector: tagged, Policy: multi.Policy{Tags: []string{"persistent"}}},
