@@ -3,9 +3,18 @@
 // implementation is 31 lines of Python; this one is comparably thin over
 // the kvstore client, demonstrating the ease of extending the proxy model
 // to new mediated channels.
+//
+// A streamed object is a run of chunk keys moved by one pipelined kv
+// transfer in each direction: a put is one SET pipeline fed from the
+// reader through a pooled chunk buffer, a read is one GET pipeline whose
+// values are copied from the connection straight into the writer, and an
+// eviction is one multi-key DEL. Each transfer holds one pooled kv
+// connection while it runs, so a stalled reader or writer stalls that
+// connection.
 package redisc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -24,15 +33,15 @@ const Type = "redis"
 //
 // Blob puts store the object under a single server key. Streamed puts
 // (PutFrom) shard the object into chunk-size server keys "<id>:<i>" and
-// record the shard count in the key's connector.ChunkCountAttr manifest, so
-// neither side of the transfer ever holds more than one chunk in memory.
-// Sharded reads pipeline up to getWindow chunk fetches so round trips
-// overlap instead of paying server latency once per chunk.
+// record the shard count in the key's connector.ChunkCountAttr manifest.
+// The client never holds more than one chunk of a streamed put, and a
+// streamed read (GetTo) holds none: every shard of an object is written or
+// fetched in one pipelined round trip (one per 128 shards), not one round
+// trip per shard.
 type Connector struct {
 	addr      string
 	client    *kvstore.Client
 	chunkSize int
-	getWindow int
 
 	// chunks holds idle *[]byte PutFrom buffers of chunkSize bytes, so a
 	// put costs its payload, not a fresh chunk, in allocations.
@@ -74,26 +83,9 @@ func WithChunkSize(n int) Option {
 	}
 }
 
-// DefaultGetWindow is the default bound on concurrent in-flight chunk
-// fetches during sharded reads. It matches the client's connection pool, so
-// the window fills the pool without queueing on it.
-const DefaultGetWindow = 4
-
-// WithGetWindow bounds concurrent chunk fetches during sharded reads;
-// n == 1 restores sequential per-chunk round trips. n <= 0 is ignored,
-// keeping the default (so configs that omit the parameter rebuild with
-// DefaultGetWindow).
-func WithGetWindow(n int) Option {
-	return func(c *Connector) {
-		if n > 0 {
-			c.getWindow = n
-		}
-	}
-}
-
 // New returns a connector talking to the RESP server at addr.
 func New(addr string, opts ...Option) *Connector {
-	c := &Connector{addr: addr, chunkSize: connector.DefaultChunkSize, getWindow: DefaultGetWindow}
+	c := &Connector{addr: addr, chunkSize: connector.DefaultChunkSize}
 	for _, o := range opts {
 		o(c)
 	}
@@ -121,7 +113,6 @@ func (c *Connector) Config() connector.Config {
 	params := map[string]string{
 		"addr":       c.addr,
 		"chunk_size": strconv.Itoa(c.chunkSize),
-		"get_window": strconv.Itoa(c.getWindow),
 	}
 	if c.clientSite != "" || c.serverSite != "" {
 		params["client_site"] = c.clientSite
@@ -132,16 +123,11 @@ func (c *Connector) Config() connector.Config {
 
 func chunkKey(id string, i int) string { return id + ":" + strconv.Itoa(i) }
 
-// chunkKeys lists every server key holding a shard of key's object, or nil
-// for blob-stored objects.
-func chunkKeys(key connector.Key) []string {
-	n := key.ChunkCount()
-	if n == 0 {
-		return nil
-	}
+// chunkKeys lists the server keys of the first n shards of object id.
+func chunkKeys(id string, n int) []string {
 	out := make([]string, n)
 	for i := range out {
-		out[i] = chunkKey(key.ID, i)
+		out[i] = chunkKey(id, i)
 	}
 	return out
 }
@@ -156,37 +142,20 @@ func (c *Connector) Put(ctx context.Context, data []byte) (connector.Key, error)
 }
 
 // PutFrom implements connector.StreamPutter: the stream is sharded into
-// chunk-size server keys as it is read, so at most one chunk is buffered
-// client-side. That chunk buffer comes from a per-connector pool and goes
-// back once the last Set has returned (Client.Set does not retain its
-// args), so the pool holds only idle buffers. The returned key carries the
-// shard manifest in connector.ChunkCountAttr.
+// chunk-size server keys as it is read, in one pipelined SET transfer, so
+// at most one chunk is buffered client-side. That chunk buffer comes from
+// a per-connector pool and goes back once the transfer has returned
+// (SetChunks does not retain it), so the pool holds only idle buffers. The
+// returned key carries the shard manifest in connector.ChunkCountAttr. A
+// failed put deletes whatever shards it wrote.
 func (c *Connector) PutFrom(ctx context.Context, r io.Reader) (connector.Key, error) {
 	id := connector.NewID()
-	var total int64
-	chunks := 0
 	bufp := c.chunks.Get().(*[]byte)
 	defer c.chunks.Put(bufp)
-	buf := *bufp
-	for {
-		n, rerr := io.ReadFull(r, buf)
-		// Always write chunk 0, even for empty objects, so Exists and Evict
-		// have a server key to anchor on.
-		if n > 0 || chunks == 0 {
-			if err := c.client.Set(ctx, chunkKey(id, chunks), buf[:n]); err != nil {
-				c.evictChunks(ctx, id, chunks)
-				return connector.Key{}, fmt.Errorf("redisc: storing chunk %d: %w", chunks, err)
-			}
-			chunks++
-			total += int64(n)
-		}
-		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
-			break
-		}
-		if rerr != nil {
-			c.evictChunks(ctx, id, chunks)
-			return connector.Key{}, fmt.Errorf("redisc: reading stream: %w", rerr)
-		}
+	chunks, total, err := c.client.SetChunks(ctx, r, *bufp, func(i int) string { return chunkKey(id, i) })
+	if err != nil {
+		c.evictChunks(ctx, id, chunks)
+		return connector.Key{}, fmt.Errorf("redisc: streamed put: %w", err)
 	}
 	return connector.Key{
 		ID: id, Type: Type, Size: total,
@@ -194,22 +163,21 @@ func (c *Connector) PutFrom(ctx context.Context, r io.Reader) (connector.Key, er
 	}, nil
 }
 
-// evictChunks removes shards written by a failed PutFrom. The cleanup runs
-// on a cancellation-detached context: when the failure was the caller's
-// ctx being canceled, the Dels must still go through or the orphaned
-// shards leak on the server forever.
+// evictChunks removes the n shards a failed PutFrom wrote, in one DEL. It
+// is best effort: the put's own error is what the caller sees. The cleanup
+// runs on a cancellation-detached context: when the failure was the
+// caller's ctx being canceled, the DEL must still go through or the
+// orphaned shards leak on the server forever.
 func (c *Connector) evictChunks(ctx context.Context, id string, n int) {
-	ctx = context.WithoutCancel(ctx)
-	for i := 0; i < n; i++ {
-		c.client.Del(ctx, chunkKey(id, i))
+	if n > 0 {
+		_, _ = c.client.Del(context.WithoutCancel(ctx), chunkKeys(id, n)...)
 	}
 }
 
-// Get implements connector.Connector, reassembling sharded objects with
-// pipelined chunk fetches.
+// Get implements connector.Connector. A sharded object is streamed into
+// one buffer of the object's size.
 func (c *Connector) Get(ctx context.Context, key connector.Key) ([]byte, error) {
-	shards := chunkKeys(key)
-	if shards == nil {
+	if key.ChunkCount() == 0 {
 		data, ok, err := c.client.Get(ctx, key.ID)
 		if err != nil {
 			return nil, err
@@ -219,23 +187,22 @@ func (c *Connector) Get(ctx context.Context, key connector.Key) ([]byte, error) 
 		}
 		return data, nil
 	}
-	out := make([]byte, 0, key.Size)
-	err := c.forEachShard(ctx, shards, func(_ int, data []byte) error {
-		out = append(out, data...)
-		return nil
-	})
-	if err != nil {
+	out := bytes.NewBuffer(make([]byte, 0, key.Size))
+	if err := c.GetTo(ctx, key, out); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return out.Bytes(), nil
 }
 
-// GetTo implements connector.StreamGetter: chunk fetches are pipelined up
-// to the get window, but writes land in order, so client-resident memory
-// stays O(window × chunk).
+// GetTo implements connector.StreamGetter: every shard is fetched in one
+// pipelined GET transfer whose values are copied, in order, from the kv
+// connection straight into w, so the client holds no shard in memory. A
+// missing shard fails with ErrNotFound before any later shard reaches w.
+// The transfer holds one pooled kv connection until w has taken the last
+// byte, so a stalled w stalls that connection.
 func (c *Connector) GetTo(ctx context.Context, key connector.Key, w io.Writer) error {
-	shards := chunkKeys(key)
-	if shards == nil {
+	n := key.ChunkCount()
+	if n == 0 {
 		data, ok, err := c.client.Get(ctx, key.ID)
 		if err != nil {
 			return err
@@ -246,84 +213,12 @@ func (c *Connector) GetTo(ctx context.Context, key connector.Key, w io.Writer) e
 		_, err = w.Write(data)
 		return err
 	}
-	return c.forEachShard(ctx, shards, func(_ int, data []byte) error {
-		_, err := w.Write(data)
+	found, err := c.client.GetTo(ctx, chunkKeys(key.ID, n), w)
+	if err != nil {
 		return err
-	})
-}
-
-// forEachShard fetches every shard key, keeping up to getWindow fetches in
-// flight to overlap server round trips, and delivers results to fn in
-// shard order. A missing shard fails with ErrNotFound; the first error
-// cancels outstanding fetches.
-func (c *Connector) forEachShard(ctx context.Context, shards []string, fn func(i int, data []byte) error) error {
-	window := c.getWindow
-	if window < 1 {
-		window = 1
 	}
-	if window == 1 || len(shards) == 1 {
-		for i, sk := range shards {
-			data, ok, err := c.client.Get(ctx, sk)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return connector.ErrNotFound
-			}
-			if err := fn(i, data); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		data []byte
-		err  error
-	}
-	// Each shard gets a 1-buffered channel so fetchers never block on
-	// delivery; the semaphore bounds in-flight fetches.
-	results := make([]chan result, len(shards))
-	for i := range results {
-		results[i] = make(chan result, 1)
-	}
-	// The semaphore is acquired at launch and released only after the
-	// shard's bytes are delivered to fn, so fetched-but-unconsumed chunks
-	// count against the window too: resident memory is O(window × chunk).
-	// Shards launch in order, so the next shard the consumer needs is
-	// always among the in-flight window — no deadlock.
-	sem := make(chan struct{}, window)
-	go func() {
-		for i, sk := range shards {
-			select {
-			case sem <- struct{}{}:
-			case <-fctx.Done():
-				return
-			}
-			go func(i int, sk string) {
-				data, ok, err := c.client.Get(fctx, sk)
-				if err == nil && !ok {
-					err = connector.ErrNotFound
-				}
-				results[i] <- result{data: data, err: err}
-			}(i, sk)
-		}
-	}()
-	for i := range shards {
-		select {
-		case res := <-results[i]:
-			if res.err != nil {
-				return res.err
-			}
-			if err := fn(i, res.data); err != nil {
-				return err
-			}
-			<-sem
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	if found < n {
+		return connector.ErrNotFound
 	}
 	return nil
 }
@@ -393,11 +288,11 @@ func (c *Connector) Exists(ctx context.Context, key connector.Key) (bool, error)
 	return n > 0, nil
 }
 
-// Evict implements connector.Connector, removing every shard.
+// Evict implements connector.Connector, removing every shard in one DEL.
 func (c *Connector) Evict(ctx context.Context, key connector.Key) error {
-	targets := chunkKeys(key)
-	if targets == nil {
-		targets = []string{key.ID}
+	targets := []string{key.ID}
+	if n := key.ChunkCount(); n > 0 {
+		targets = chunkKeys(key.ID, n)
 	}
 	_, err := c.client.Del(ctx, targets...)
 	return err
@@ -409,9 +304,8 @@ func (c *Connector) Close() error { return c.client.Close() }
 func init() {
 	connector.Register(Type, func(cfg connector.Config) (connector.Connector, error) {
 		chunk, _ := strconv.Atoi(cfg.Param("chunk_size", "0"))
-		window, _ := strconv.Atoi(cfg.Param("get_window", "0"))
 		return New(cfg.Param("addr", "127.0.0.1:6379"),
 			WithSites(cfg.Param("client_site", ""), cfg.Param("server_site", "")),
-			WithChunkSize(chunk), WithGetWindow(window)), nil
+			WithChunkSize(chunk)), nil
 	})
 }

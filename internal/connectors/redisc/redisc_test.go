@@ -61,8 +61,8 @@ func TestConfigCarriesSites(t *testing.T) {
 }
 
 func TestShardedGetWindows(t *testing.T) {
-	// The pipelined path must reassemble shards in order for every window
-	// size, including mid-stream missing shards surfacing ErrNotFound.
+	// The pipelined read must reassemble shards in order, and a shard
+	// missing mid-object must surface ErrNotFound.
 	srv := newServer(t)
 	ctx := context.Background()
 	const chunk = 1 << 10
@@ -70,45 +70,123 @@ func TestShardedGetWindows(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	for _, window := range []int{1, 2, 4, 8} {
-		c := New(srv.Addr(), WithChunkSize(chunk), WithGetWindow(window))
-		key, err := c.PutFrom(ctx, bytes.NewReader(payload))
-		if err != nil {
-			t.Fatalf("window %d: PutFrom: %v", window, err)
-		}
-		got, err := c.Get(ctx, key)
-		if err != nil {
-			t.Fatalf("window %d: Get: %v", window, err)
-		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("window %d: sharded object reassembled out of order", window)
-		}
-		var buf bytes.Buffer
-		if err := c.GetTo(ctx, key, &buf); err != nil {
-			t.Fatalf("window %d: GetTo: %v", window, err)
-		}
-		if !bytes.Equal(buf.Bytes(), payload) {
-			t.Fatalf("window %d: GetTo reassembled out of order", window)
-		}
-		// Punch a hole mid-object: the pipelined read must fail NotFound.
-		cli := kvstore.NewClient(srv.Addr())
-		if _, err := cli.Del(ctx, key.ID+":5"); err != nil {
-			t.Fatalf("Del: %v", err)
-		}
-		cli.Close()
-		if _, err := c.Get(ctx, key); !errors.Is(err, connector.ErrNotFound) {
-			t.Fatalf("window %d: Get with missing shard = %v, want ErrNotFound", window, err)
-		}
-		c.Close()
+	c := New(srv.Addr(), WithChunkSize(chunk))
+	defer c.Close()
+	key, err := c.PutFrom(ctx, bytes.NewReader(payload))
+	if err != nil {
+		t.Fatalf("PutFrom: %v", err)
+	}
+	got, err := c.Get(ctx, key)
+	if err != nil {
+		t.Fatalf("Get: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("sharded object reassembled out of order")
+	}
+	var buf bytes.Buffer
+	if err := c.GetTo(ctx, key, &buf); err != nil {
+		t.Fatalf("GetTo: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), payload) {
+		t.Fatal("GetTo reassembled out of order")
+	}
+	// Punch a hole mid-object: the pipelined read must fail NotFound.
+	cli := kvstore.NewClient(srv.Addr())
+	if _, err := cli.Del(ctx, key.ID+":5"); err != nil {
+		t.Fatalf("Del: %v", err)
+	}
+	cli.Close()
+	if _, err := c.Get(ctx, key); !errors.Is(err, connector.ErrNotFound) {
+		t.Fatalf("Get with missing shard = %v, want ErrNotFound", err)
+	}
+	buf.Reset()
+	if err := c.GetTo(ctx, key, &buf); !errors.Is(err, connector.ErrNotFound) {
+		t.Fatalf("GetTo with missing shard = %v, want ErrNotFound", err)
+	}
+	if !bytes.Equal(buf.Bytes(), payload[:5*chunk]) {
+		t.Fatalf("GetTo with missing shard 5 wrote %d bytes, want the %d before it", buf.Len(), 5*chunk)
 	}
 }
 
-// benchShardedGet measures sharded reads with the given in-flight window
-// over a WAN-shaped link (netsim cloud↔edge, heavily time-compressed): the
-// sequential-vs-pipelined delta is the round-trip overlap win that
-// motivates the window. On a zero-latency loopback the window only adds
-// goroutine overhead — the option exists for the federated regime.
-func benchShardedGet(b *testing.B, window int) {
+// failAfter yields n bytes of r and then fails with err.
+type failAfter struct {
+	r   io.Reader
+	n   int
+	err error
+}
+
+func (f *failAfter) Read(p []byte) (int, error) {
+	if f.n == 0 {
+		return 0, f.err
+	}
+	k, err := f.r.Read(p[:min(len(p), f.n)])
+	f.n -= k
+	return k, err
+}
+
+// A put whose reader fails removes the shards it wrote, in one DEL on the
+// connection the put used.
+func TestPutFromReadErrorCleansUp(t *testing.T) {
+	srv := newServer(t)
+	ctx := context.Background()
+	c := New(srv.Addr(), WithChunkSize(64))
+	defer c.Close()
+	if err := c.Client().Ping(ctx); err != nil {
+		t.Fatalf("Ping: %v", err)
+	}
+	dials := c.Client().Dials()
+	boom := errors.New("boom")
+	cmds := srv.Commands()
+	_, err := c.PutFrom(ctx, &failAfter{r: bytes.NewReader(make([]byte, 1000)), n: 3 * 64, err: boom})
+	if !errors.Is(err, boom) {
+		t.Fatalf("PutFrom err = %v, want %v", err, boom)
+	}
+	if got := srv.Commands() - cmds; got != 4 {
+		t.Fatalf("failed PutFrom ran %d commands, want 3 SETs and 1 DEL", got)
+	}
+	if n, err := c.Client().DBSize(ctx); err != nil || n != 0 {
+		t.Fatalf("DBSize after a failed PutFrom = %d, %v; want 0", n, err)
+	}
+	if got := c.Client().Dials(); got != dials {
+		t.Fatalf("Dials went from %d to %d", dials, got)
+	}
+}
+
+// Descriptors minted before the get window was removed still carry its
+// parameter; they must rebuild and resolve.
+func TestConfigWithRetiredGetWindowResolves(t *testing.T) {
+	srv := newServer(t)
+	ctx := context.Background()
+	c := New(srv.Addr(), WithChunkSize(1<<10))
+	defer c.Close()
+	payload := bytes.Repeat([]byte("old descriptor|"), 300)
+	key, err := c.PutFrom(ctx, bytes.NewReader(payload))
+	if err != nil {
+		t.Fatalf("PutFrom: %v", err)
+	}
+	cfg := c.Config()
+	if _, ok := cfg.Params["get_window"]; ok {
+		t.Fatalf("Config still carries get_window: %v", cfg.Params)
+	}
+	cfg.Params["get_window"] = "4"
+	rebuilt, err := connector.FromConfig(cfg)
+	if err != nil {
+		t.Fatalf("FromConfig: %v", err)
+	}
+	defer rebuilt.Close()
+	got, err := rebuilt.Get(ctx, key)
+	if err != nil {
+		t.Fatalf("Get through the rebuilt connector: %v", err)
+	}
+	if !bytes.Equal(got, payload) {
+		t.Fatal("rebuilt connector read different bytes")
+	}
+}
+
+// BenchmarkShardedGet measures a sharded read over a WAN-shaped link
+// (netsim cloud↔edge, heavily time-compressed): all 64 shards of a 4 MiB
+// object travel in one pipelined round trip.
+func BenchmarkShardedGet(b *testing.B) {
 	srv, err := kvstore.NewServer("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -116,8 +194,7 @@ func benchShardedGet(b *testing.B, window int) {
 	defer srv.Close()
 	SetNetwork(netsim.Testbed(5000))
 	defer SetNetwork(nil)
-	c := New(srv.Addr(), WithChunkSize(64<<10), WithGetWindow(window),
-		WithSites(netsim.SiteEdge, netsim.SiteCloud))
+	c := New(srv.Addr(), WithChunkSize(64<<10), WithSites(netsim.SiteEdge, netsim.SiteCloud))
 	defer c.Close()
 	ctx := context.Background()
 	payload := make([]byte, 4<<20) // 64 shards
@@ -133,6 +210,3 @@ func benchShardedGet(b *testing.B, window int) {
 		}
 	}
 }
-
-func BenchmarkShardedGetSequential(b *testing.B) { benchShardedGet(b, 1) }
-func BenchmarkShardedGetPipelined(b *testing.B)  { benchShardedGet(b, 4) }

@@ -53,6 +53,19 @@
 // observable; pstream's broker uses the pipeline for its ack paths.
 // Blocking waits never enter a pipeline: they travel on the multiplexer.
 //
+// Two streamed pipelines move one object as a run of chunk keys without
+// queueing anything in memory. Client.SetChunks reads a stream into a
+// caller's chunk buffer and writes one SET per chunk as it goes;
+// Client.GetTo writes one GET per key and copies each bulk reply from the
+// connection's read buffer straight into a writer, in key order. Both
+// follow Exec's window rule, so an object of N chunks costs
+// ceil(N/window) round trips each way, and both hold one pooled
+// connection while the stream runs.
+//
+// The server flushes a synchronous reply only once its read buffer holds
+// no further command, so the replies to a pipelined batch leave in one
+// write, not one per command.
+//
 // # Replication (the AOF as the wire log)
 //
 // The append-only file doubles as the replication log. Every record is
@@ -166,44 +179,24 @@ func (v value) encodedSize() int {
 // writeValue encodes v in RESP2 framing.
 func writeValue(w *bufio.Writer, v value) error {
 	switch v.kind {
-	case respSimpleString:
-		if _, err := fmt.Fprintf(w, "+%s\r\n", v.str); err != nil {
-			return err
-		}
-	case respError:
-		if _, err := fmt.Fprintf(w, "-%s\r\n", v.str); err != nil {
-			return err
-		}
+	case respSimpleString, respError:
+		w.WriteByte(v.kind)
+		w.WriteString(v.str)
+		w.WriteString("\r\n")
 	case respInteger:
-		if _, err := fmt.Fprintf(w, ":%d\r\n", v.num); err != nil {
-			return err
-		}
+		writeHeader(w, respInteger, v.num)
 	case respBulkString:
 		if v.null {
-			if _, err := w.WriteString("$-1\r\n"); err != nil {
-				return err
-			}
-			return nil
+			w.WriteString("$-1\r\n")
+			break
 		}
-		if _, err := fmt.Fprintf(w, "$%d\r\n", len(v.bulk)); err != nil {
-			return err
-		}
-		if _, err := w.Write(v.bulk); err != nil {
-			return err
-		}
-		if _, err := w.WriteString("\r\n"); err != nil {
-			return err
-		}
+		writeBulk(w, v.bulk)
 	case respArray:
 		if v.null {
-			if _, err := w.WriteString("*-1\r\n"); err != nil {
-				return err
-			}
-			return nil
+			w.WriteString("*-1\r\n")
+			break
 		}
-		if _, err := fmt.Fprintf(w, "*%d\r\n", len(v.arr)); err != nil {
-			return err
-		}
+		writeHeader(w, respArray, int64(len(v.arr)))
 		for _, el := range v.arr {
 			if err := writeValue(w, el); err != nil {
 				return err
@@ -212,7 +205,30 @@ func writeValue(w *bufio.Writer, v value) error {
 	default:
 		return fmt.Errorf("kvstore: unknown RESP kind %q", v.kind)
 	}
-	return nil
+	return writeErr(w)
+}
+
+// writeHeader writes a RESP line "<kind><n>\r\n" through w's free buffer
+// space, so framing a reply or command allocates nothing while w has room.
+func writeHeader(w *bufio.Writer, kind byte, n int64) {
+	b := append(w.AvailableBuffer(), kind)
+	b = strconv.AppendInt(b, n, 10)
+	w.Write(append(b, '\r', '\n'))
+}
+
+// writeBulk writes p as a bulk string.
+func writeBulk(w *bufio.Writer, p []byte) {
+	writeHeader(w, respBulkString, int64(len(p)))
+	w.Write(p)
+	w.WriteString("\r\n")
+}
+
+// writeErr returns w's first write error. A bufio.Writer's errors are
+// sticky and a zero-length Write reports them, so a frame's writes need
+// no per-call checks.
+func writeErr(w *bufio.Writer) error {
+	_, err := w.Write(nil)
+	return err
 }
 
 // maxBulkLen bounds a single bulk string (512 MB, Redis' limit).
@@ -327,12 +343,15 @@ func upperASCII(s string) string {
 	return string(b)
 }
 
-// encodeCommand frames a command for the wire.
+// encodeCommand frames a command for the wire: a RESP array of bulk
+// strings, written straight into w.
 func encodeCommand(w *bufio.Writer, name string, args ...[]byte) error {
-	els := make([]value, 0, len(args)+1)
-	els = append(els, bulkValue([]byte(name)))
+	writeHeader(w, respArray, int64(len(args)+1))
+	writeHeader(w, respBulkString, int64(len(name)))
+	w.WriteString(name)
+	w.WriteString("\r\n")
 	for _, a := range args {
-		els = append(els, bulkValue(a))
+		writeBulk(w, a)
 	}
-	return writeValue(w, arrayValue(els))
+	return writeErr(w)
 }

@@ -348,15 +348,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	// order with the synchronous reply stream. The write mutex keeps frames
 	// whole; connDone unparks every tagged waiter when the read loop exits,
 	// so a client hangup (or Close) never waits out a full wait timeout.
+	//
+	// A synchronous reply is flushed only once the read buffer holds no
+	// further command: the replies to a pipelined batch leave in one write
+	// rather than one per command. Tagged-wait and replication frames go
+	// through write, which always flushes (and so also carries out any
+	// synchronous replies still buffered ahead of it).
 	var wmu sync.Mutex
-	write := func(v value) error {
+	writeReply := func(v value, flush bool) error {
 		wmu.Lock()
 		defer wmu.Unlock()
 		if err := writeValue(w, v); err != nil {
 			return err
 		}
+		if !flush {
+			return nil
+		}
 		return w.Flush()
 	}
+	write := func(v value) error { return writeReply(v, true) }
 	connDone := make(chan struct{})
 	var waitWG sync.WaitGroup
 	var inflight atomic.Int64
@@ -396,7 +406,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.observe(cmd, start, reply)
 		}
 		s.commands.Add(1)
-		if err := write(reply); err != nil {
+		if err := writeReply(reply, r.Buffered() == 0); err != nil {
 			return
 		}
 	}

@@ -20,9 +20,10 @@ const BinaryID = "binary"
 // payloads of the paper's benchmarks): EncodeTo writes the backing bytes
 // straight into the writer with no intermediate copy, and DecodeFrom
 // reads them with io.ReadFull into exactly one allocation of the declared
-// length. Compare gob, whose encoder and decoder both materialize the
-// whole encoded message internally — O(object) extra memory on each side
-// of a 64 MiB transfer.
+// length. The gob serializer does the same for a []byte, but a string or
+// any other value goes through encoding/gob, whose encoder and decoder
+// both materialize the whole encoded message internally — O(object) extra
+// memory on each side of a 64 MiB transfer.
 //
 // Scalars are normalized like encoding/json normalizes numbers: every
 // signed integer decodes as int64, every unsigned as uint64, every float

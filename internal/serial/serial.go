@@ -9,6 +9,7 @@
 package serial
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
@@ -76,7 +77,9 @@ func Default() Serializer { return gobSerializer{} }
 func RegisterType(v any) { gob.Register(v) }
 
 // gobSerializer encodes values through an interface indirection so that the
-// decoder can recover the concrete type without knowing it statically.
+// decoder can recover the concrete type without knowing it statically. A
+// []byte takes a hand-written path (gobbytes.go) that produces and accepts
+// exactly encoding/gob's bytes without its staging buffers.
 type gobSerializer struct{}
 
 // GobID is the registry ID of the default serializer.
@@ -91,6 +94,9 @@ const JSONID = "json"
 func (gobSerializer) ID() string { return GobID }
 
 func (gobSerializer) Encode(v any) ([]byte, error) {
+	if p, ok := v.([]byte); ok {
+		return append(appendGobBytesHeader(make([]byte, 0, gobBytesMaxHeader+len(p)), len(p)), p...), nil
+	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
 		return nil, fmt.Errorf("serial: gob encode: %w", err)
@@ -98,26 +104,42 @@ func (gobSerializer) Encode(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func (gobSerializer) Decode(data []byte) (any, error) {
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("serial: gob decode: %w", err)
-	}
-	return v, nil
+func (s gobSerializer) Decode(data []byte) (any, error) {
+	return s.DecodeFrom(bytes.NewReader(data))
 }
 
-// EncodeTo implements StreamEncoder.
+// EncodeTo implements StreamEncoder. A []byte payload is written straight
+// from the slice.
 func (gobSerializer) EncodeTo(w io.Writer, v any) error {
+	if p, ok := v.([]byte); ok {
+		if err := encodeGobBytes(w, p); err != nil {
+			return fmt.Errorf("serial: gob encode: %w", err)
+		}
+		return nil
+	}
 	if err := gob.NewEncoder(w).Encode(&v); err != nil {
 		return fmt.Errorf("serial: gob encode: %w", err)
 	}
 	return nil
 }
 
-// DecodeFrom implements StreamDecoder.
+// gobPeekSize is the read buffer DecodeFrom puts in front of its reader to
+// recognize a []byte header. It holds the whole header, so an input that
+// delivers the header in one piece is peeked with one read.
+const gobPeekSize = 64
+
+// DecodeFrom implements StreamDecoder. A []byte payload is read into one
+// allocation; any other message goes to encoding/gob.
 func (gobSerializer) DecodeFrom(r io.Reader) (any, error) {
+	br := bufio.NewReaderSize(r, gobPeekSize)
+	if p, ok, err := readGobBytes(br); ok {
+		if err != nil {
+			return nil, fmt.Errorf("serial: gob decode: %w", err)
+		}
+		return p, nil
+	}
 	var v any
-	if err := gob.NewDecoder(r).Decode(&v); err != nil {
+	if err := gob.NewDecoder(br).Decode(&v); err != nil {
 		return nil, fmt.Errorf("serial: gob decode: %w", err)
 	}
 	return v, nil
