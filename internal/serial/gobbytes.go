@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"sync"
 )
 
 // The gob serializer moves a []byte without encoding/gob's staging
@@ -19,10 +20,11 @@ import (
 // after U(L); 0x10 is the interface type id (8) as a gob int; 00 is the
 // singleton field delta; "[]uint8" is the name registered for []byte in
 // init and 0x0a its wire type id (5); m = 1+|U(n)|+n is the length of the
-// concrete value that follows. Encoding writes those bytes by hand and the
-// payload straight from the slice, and decoding recognizes them and reads
-// the payload into one allocation, so the wire bytes, and the serializer
-// ID, are those of encoding/gob in both directions.
+// concrete value that follows. Encoding writes those bytes by hand, with a
+// payload over gobOneWriteMax straight from the slice, and decoding
+// recognizes them and reads the payload into one allocation, so the wire
+// bytes, and the serializer ID, are those of encoding/gob in both
+// directions.
 
 // gobBytesType is the fixed part of the header between U(L) and U(m).
 const gobBytesType = "\x10\x00\x07[]uint8\x0a"
@@ -62,14 +64,30 @@ func appendGobBytesHeader(b []byte, n int) []byte {
 	return appendGobUint(b, uint64(n))
 }
 
+// gobOneWriteMax is the largest payload encodeGobBytes copies behind its
+// header to write the message in one Write, as encoding/gob does. Over an
+// io.Pipe every Write is a hand-off between goroutines, which costs more
+// than copying a few KiB. A larger payload is written straight from the
+// slice, after the header.
+const gobOneWriteMax = 4 << 10
+
+// gobWriteBufs recycles the buffers of one-Write messages.
+var gobWriteBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, gobBytesMaxHeader+gobOneWriteMax)
+	return &b
+}}
+
 // encodeGobBytes writes the gob encoding of an interface holding p.
 func encodeGobBytes(w io.Writer, p []byte) error {
-	var hdr [gobBytesMaxHeader]byte
-	if _, err := w.Write(appendGobBytesHeader(hdr[:0], len(p))); err != nil {
+	bp := gobWriteBufs.Get().(*[]byte)
+	defer gobWriteBufs.Put(bp)
+	msg := appendGobBytesHeader((*bp)[:0], len(p))
+	if len(p) <= gobOneWriteMax {
+		_, err := w.Write(append(msg, p...))
 		return err
 	}
-	if len(p) == 0 {
-		return nil
+	if _, err := w.Write(msg); err != nil {
+		return err
 	}
 	_, err := w.Write(p)
 	return err

@@ -136,6 +136,59 @@ func TestGobBytesDecodeFromSplitAndTruncatedInput(t *testing.T) {
 	}
 }
 
+// Across an io.Pipe every Write and Read is a hand-off between goroutines,
+// so a small []byte leaves EncodeTo in one Write, as encoding/gob's message
+// does, and comes back through DecodeFrom in one Read. A larger payload is
+// written after its header straight from the caller's slice.
+func TestGobBytesSmallMessageIsOneWriteAndOneRead(t *testing.T) {
+	s := Default().(gobSerializer)
+	for _, n := range []int{0, 1, 64, gobOneWriteMax, gobOneWriteMax + 1} {
+		p := bytes.Repeat([]byte{0xa5}, n)
+		w := &recordingWriter{}
+		if err := s.EncodeTo(w, p); err != nil {
+			t.Fatalf("n=%d: EncodeTo: %v", n, err)
+		}
+		want := gobReference(t, p)
+		if got := bytes.Join(w.writes, nil); !bytes.Equal(got, want) {
+			t.Fatalf("n=%d: EncodeTo differs from encoding/gob", n)
+		}
+		if n <= gobOneWriteMax {
+			if len(w.writes) != 1 {
+				t.Fatalf("n=%d: EncodeTo made %d Writes, want 1", n, len(w.writes))
+			}
+		} else if last := w.writes[len(w.writes)-1]; len(w.writes) != 2 || &last[0] != &p[0] {
+			t.Fatalf("n=%d: EncodeTo made %d Writes, want the header and then p itself", n, len(w.writes))
+		}
+
+		r := &countingReader{r: bytes.NewReader(want)}
+		got, err := s.DecodeFrom(r)
+		if err != nil || (n > 0 && !bytes.Equal(got.([]byte), p)) {
+			t.Fatalf("n=%d: DecodeFrom = %v", n, err)
+		}
+		if len(want) <= gobReadSize && r.reads != 1 {
+			t.Fatalf("n=%d: DecodeFrom made %d Reads of a %d-byte message, want 1", n, r.reads, len(want))
+		}
+	}
+}
+
+// recordingWriter keeps each Write's slice as given, without copying it.
+type recordingWriter struct{ writes [][]byte }
+
+func (w *recordingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, p)
+	return len(p), nil
+}
+
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
 type oneByteAtATime struct{ b []byte }
 
 func (r *oneByteAtATime) Read(p []byte) (int, error) {

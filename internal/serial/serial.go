@@ -108,8 +108,9 @@ func (s gobSerializer) Decode(data []byte) (any, error) {
 	return s.DecodeFrom(bytes.NewReader(data))
 }
 
-// EncodeTo implements StreamEncoder. A []byte payload is written straight
-// from the slice.
+// EncodeTo implements StreamEncoder. A []byte payload over gobOneWriteMax
+// is written straight from the slice; a smaller one goes out with its
+// header in one Write.
 func (gobSerializer) EncodeTo(w io.Writer, v any) error {
 	if p, ok := v.([]byte); ok {
 		if err := encodeGobBytes(w, p); err != nil {
@@ -123,15 +124,25 @@ func (gobSerializer) EncodeTo(w io.Writer, v any) error {
 	return nil
 }
 
-// gobPeekSize is the read buffer DecodeFrom puts in front of its reader to
-// recognize a []byte header. It holds the whole header, so an input that
-// delivers the header in one piece is peeked with one read.
-const gobPeekSize = 64
+// gobReadSize is the read buffer DecodeFrom puts in front of its reader,
+// the size encoding/gob gives its own. A message of up to that size that
+// arrives in one write, such as a small object through an io.Pipe, is
+// taken in one read; a longer payload is read past the buffer, straight
+// into its allocation.
+const gobReadSize = 4 << 10
+
+// gobReaders recycles DecodeFrom's read buffers.
+var gobReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, gobReadSize) }}
 
 // DecodeFrom implements StreamDecoder. A []byte payload is read into one
 // allocation; any other message goes to encoding/gob.
 func (gobSerializer) DecodeFrom(r io.Reader) (any, error) {
-	br := bufio.NewReaderSize(r, gobPeekSize)
+	br := gobReaders.Get().(*bufio.Reader)
+	br.Reset(r)
+	defer func() {
+		br.Reset(nil)
+		gobReaders.Put(br)
+	}()
 	if p, ok, err := readGobBytes(br); ok {
 		if err != nil {
 			return nil, fmt.Errorf("serial: gob decode: %w", err)
