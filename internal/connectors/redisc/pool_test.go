@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"proxystore/internal/connector"
+	"proxystore/internal/store"
 )
 
 // Concurrent PutFrom calls share the connector's chunk-buffer pool. Each
@@ -95,5 +98,92 @@ func TestPutFromSmallObjectAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per >= 16<<10 {
 		t.Fatalf("a 1 KiB PutFrom allocates %d bytes, want < 16 KiB", per)
+	}
+}
+
+// A streamed read holds one pooled kv connection until its reader has taken
+// the last byte, so readers opened but not yet read hold the whole pool,
+// and one reader more waits for a connection. This pins that behaviour: the
+// extra reader, read first, blocks, and it completes once one of the
+// others has been read to the end and its connection freed.
+func TestGetReadersBeyondThePoolWaitForAConnection(t *testing.T) {
+	srv := newServer(t)
+	ctx := context.Background()
+	// The objects are written through a connector of their own, so every
+	// connection the reading connector dials is held by one reader.
+	w := New(srv.Addr(), WithChunkSize(1<<10))
+	defer w.Close()
+	var payloads [][]byte
+	var keys []connector.Key
+	for i := 0; i < 16; i++ {
+		p := bytes.Repeat([]byte(fmt.Sprintf("reader %d|", i)), 400) // 4 shards
+		key, err := w.PutFrom(ctx, bytes.NewReader(p))
+		if err != nil {
+			t.Fatalf("PutFrom: %v", err)
+		}
+		payloads, keys = append(payloads, p), append(keys, key)
+	}
+
+	c := New(srv.Addr(), WithChunkSize(1<<10))
+	st, err := store.New("redisc-readers-"+connector.NewID(), c)
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	defer st.Close()
+	cli := c.Client()
+	poolWaits := func() uint64 { return cli.Telemetry().Snapshot().Counters["kvc.pool.waits"] }
+
+	// Open readers one at a time until one has to wait: every earlier one
+	// has dialed a pooled connection and stalls on its unread pipe.
+	var readers []io.ReadCloser
+	for poolWaits() == 0 {
+		if len(readers) == len(keys) {
+			t.Fatalf("%d readers open and none waited for a connection", len(readers))
+		}
+		r, err := st.GetReader(ctx, keys[len(readers)])
+		if err != nil {
+			t.Fatalf("GetReader: %v", err)
+		}
+		defer r.Close()
+		readers = append(readers, r)
+		deadline := time.Now().Add(10 * time.Second)
+		for cli.Dials()+poolWaits() < uint64(len(readers)) {
+			if time.Now().After(deadline) {
+				t.Fatalf("reader %d neither dialed nor waited", len(readers)-1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	last := len(readers) - 1
+
+	type result struct {
+		data []byte
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		data, err := io.ReadAll(readers[last])
+		done <- result{data, err}
+	}()
+	select {
+	case res := <-done:
+		t.Fatalf("reader beyond the pool returned %d bytes, %v while every connection was held", len(res.data), res.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	for i := last - 1; i >= 0; i-- {
+		data, err := io.ReadAll(readers[i])
+		if err != nil || !bytes.Equal(data, payloads[i]) {
+			t.Fatalf("reader %d: %d bytes, %v", i, len(data), err)
+		}
+		if i == last-1 {
+			select {
+			case res := <-done:
+				if res.err != nil || !bytes.Equal(res.data, payloads[last]) {
+					t.Fatalf("reader %d: %d bytes, %v", last, len(res.data), res.err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("reader %d still waits after reader %d freed its connection", last, i)
+			}
+		}
 	}
 }

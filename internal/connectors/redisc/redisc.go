@@ -10,7 +10,11 @@
 // values are copied from the connection straight into the writer, and an
 // eviction is one multi-key DEL. Each transfer holds one pooled kv
 // connection while it runs, so a stalled reader or writer stalls that
-// connection.
+// connection. The kv client pools 4 connections: 4 stalled transfers hold
+// them all, and every other operation on the connector waits until one
+// moves. A caller that opens more streams than that before reading any
+// (store.GetReader is pipe-backed), or copies objects between two stores
+// on the same connector 4 at a time, can wait forever.
 package redisc
 
 import (
@@ -199,7 +203,9 @@ func (c *Connector) Get(ctx context.Context, key connector.Key) ([]byte, error) 
 // connection straight into w, so the client holds no shard in memory. A
 // missing shard fails with ErrNotFound before any later shard reaches w.
 // The transfer holds one pooled kv connection until w has taken the last
-// byte, so a stalled w stalls that connection.
+// byte, so a stalled w stalls that connection (see the package doc for
+// what that does once the pool is held), and a canceled ctx does not end
+// a transfer blocked in w until w fails.
 func (c *Connector) GetTo(ctx context.Context, key connector.Key, w io.Writer) error {
 	n := key.ChunkCount()
 	if n == 0 {

@@ -116,7 +116,11 @@ func (c *Client) SetChunks(ctx context.Context, r io.Reader, buf []byte, key fun
 // once and the connection is discarded, since a reply is left half read.
 //
 // The transfer holds one pooled connection until the last value has been
-// written, so a stalled w stalls that connection.
+// written, so a stalled w stalls that connection, and with the pool's
+// every connection held so, any further command on the client waits for
+// one. ctx is checked between replies only: a transfer blocked inside
+// w.Write ends when w fails. The kvc.rtt.ns round trip it records leaves
+// out the time spent in w.
 func (c *Client) GetTo(ctx context.Context, keys []string, w io.Writer) (found int, err error) {
 	if len(keys) == 0 {
 		return 0, nil
@@ -145,6 +149,7 @@ func (c *Client) GetTo(ctx context.Context, keys []string, w io.Writer) (found i
 			}
 		}
 		start := time.Now()
+		var writing time.Duration // spent in w, left out of the round trip
 		if err := cc.w.Flush(); err != nil {
 			c.release(cc, true)
 			return found, fmt.Errorf("kvstore: sending pipelined GET: %w", err)
@@ -174,7 +179,9 @@ func (c *Client) GetTo(ctx context.Context, keys []string, w io.Writer) (found i
 			if stopped {
 				dst = nil
 			}
-			if err := copyBulk(cc.r, n, dst); err != nil {
+			d, err := copyBulk(cc.r, n, dst)
+			writing += d
+			if err != nil {
 				c.release(cc, true)
 				return found, err
 			}
@@ -183,7 +190,7 @@ func (c *Client) GetTo(ctx context.Context, keys []string, w io.Writer) (found i
 			}
 			respSize += n
 		}
-		c.mRTT.Since(start)
+		c.mRTT.Observe(int64(time.Since(start) - writing))
 	}
 	c.release(cc, false)
 	if stopErr != nil {
@@ -223,18 +230,22 @@ func readBulkHeader(r *bufio.Reader) (int, error) {
 
 // copyBulk moves an n-byte bulk payload and its CRLF terminator out of r,
 // writing the payload to w (or dropping it when w is nil) straight from
-// r's buffer.
-func copyBulk(r *bufio.Reader, n int, w io.Writer) error {
+// r's buffer. writing is the time spent inside w.Write, which is the
+// consumer's, not the round trip's.
+func copyBulk(r *bufio.Reader, n int, w io.Writer) (writing time.Duration, err error) {
 	for n > 0 {
 		if r.Buffered() == 0 {
 			if _, err := r.Peek(1); err != nil {
-				return fmt.Errorf("kvstore: reading bulk payload: %w", err)
+				return writing, fmt.Errorf("kvstore: reading bulk payload: %w", err)
 			}
 		}
 		b, _ := r.Peek(min(n, r.Buffered()))
 		if w != nil {
-			if _, err := w.Write(b); err != nil {
-				return fmt.Errorf("kvstore: writing bulk payload: %w", err)
+			start := time.Now()
+			_, err := w.Write(b)
+			writing += time.Since(start)
+			if err != nil {
+				return writing, fmt.Errorf("kvstore: writing bulk payload: %w", err)
 			}
 		}
 		r.Discard(len(b))
@@ -242,11 +253,11 @@ func copyBulk(r *bufio.Reader, n int, w io.Writer) error {
 	}
 	crlf, err := r.Peek(2)
 	if err != nil {
-		return fmt.Errorf("kvstore: reading bulk payload: %w", err)
+		return writing, fmt.Errorf("kvstore: reading bulk payload: %w", err)
 	}
 	if crlf[0] != '\r' || crlf[1] != '\n' {
-		return fmt.Errorf("kvstore: bulk string missing CRLF terminator")
+		return writing, fmt.Errorf("kvstore: bulk string missing CRLF terminator")
 	}
 	r.Discard(2)
-	return nil
+	return writing, nil
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // pattern returns n bytes that differ from every other (seed, offset).
@@ -190,6 +191,37 @@ func TestGetToWriterErrorDiscardsConnection(t *testing.T) {
 	if got := cli.Dials(); got != dials+1 {
 		t.Fatalf("Dials = %d, want %d: the broken connection must be replaced", got, dials+1)
 	}
+}
+
+// kvc.rtt.ns times the kv round trip, flush to last reply: the time GetTo
+// spends waiting on its writer belongs to the consumer and stays out.
+func TestGetToRoundTripLeavesOutWriterTime(t *testing.T) {
+	_, cli := newPair(t, nil, nil)
+	ctx := context.Background()
+	if _, _, err := cli.SetChunks(ctx, bytes.NewReader(pattern(5, 3*1024)), make([]byte, 1024), chunkKeyFunc("slow")); err != nil {
+		t.Fatalf("SetChunks: %v", err)
+	}
+	rtt := func() uint64 { return cli.Telemetry().Snapshot().Histograms["kvc.rtt.ns"].Sum }
+	before := rtt()
+	w := &slowWriter{pause: 30 * time.Millisecond}
+	if found, err := cli.GetTo(ctx, chunkKeyList("slow", 3), w); err != nil || found != 3 {
+		t.Fatalf("GetTo = %d found, %v", found, err)
+	}
+	if got, in := time.Duration(rtt()-before), time.Duration(w.writes)*w.pause; got >= in {
+		t.Fatalf("kvc.rtt.ns grew by %v, no less than the %v spent in the writer", got, in)
+	}
+}
+
+// slowWriter takes pause over every Write.
+type slowWriter struct {
+	pause  time.Duration
+	writes int
+}
+
+func (w *slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(w.pause)
+	w.writes++
+	return len(p), nil
 }
 
 // Concurrent SetChunks calls recycling chunk buffers through a pool must

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sync"
 )
 
 // The gob serializer moves a []byte without encoding/gob's staging
@@ -20,11 +19,10 @@ import (
 // after U(L); 0x10 is the interface type id (8) as a gob int; 00 is the
 // singleton field delta; "[]uint8" is the name registered for []byte in
 // init and 0x0a its wire type id (5); m = 1+|U(n)|+n is the length of the
-// concrete value that follows. Encoding writes those bytes by hand, with a
-// payload over gobOneWriteMax straight from the slice, and decoding
-// recognizes them and reads the payload into one allocation, so the wire
-// bytes, and the serializer ID, are those of encoding/gob in both
-// directions.
+// concrete value that follows. Encoding writes those bytes by hand and the
+// payload straight from the slice, and decoding recognizes them and reads
+// the payload into one allocation, so the wire bytes, and the serializer
+// ID, are those of encoding/gob in both directions.
 
 // gobBytesType is the fixed part of the header between U(L) and U(m).
 const gobBytesType = "\x10\x00\x07[]uint8\x0a"
@@ -53,43 +51,43 @@ func appendGobUint(b []byte, x uint64) []byte {
 }
 
 // appendGobBytesHeader appends the bytes gob writes ahead of an n-byte
-// []byte payload.
-func appendGobBytesHeader(b []byte, n int) []byte {
+// []byte payload. It refuses n over binMaxLen, the most readGobBytes reads
+// back, so a value too large to get fails at put.
+func appendGobBytesHeader(b []byte, n int) ([]byte, error) {
+	if err := checkGobBytesLen(uint64(n)); err != nil {
+		return nil, err
+	}
 	m := uint64(1 + gobUintLen(uint64(n)) + n)
 	l := uint64(len(gobBytesType)+gobUintLen(m)) + m
 	b = appendGobUint(b, l)
 	b = append(b, gobBytesType...)
 	b = appendGobUint(b, m)
 	b = append(b, 0)
-	return appendGobUint(b, uint64(n))
+	return appendGobUint(b, uint64(n)), nil
 }
 
-// gobOneWriteMax is the largest payload encodeGobBytes copies behind its
-// header to write the message in one Write, as encoding/gob does. Over an
-// io.Pipe every Write is a hand-off between goroutines, which costs more
-// than copying a few KiB. A larger payload is written straight from the
-// slice, after the header.
-const gobOneWriteMax = 4 << 10
-
-// gobWriteBufs recycles the buffers of one-Write messages.
-var gobWriteBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, gobBytesMaxHeader+gobOneWriteMax)
-	return &b
-}}
+// checkGobBytesLen refuses a []byte payload of more than binMaxLen bytes.
+func checkGobBytesLen(n uint64) error {
+	if n > binMaxLen {
+		return fmt.Errorf("[]byte of %d bytes exceeds the %d cap", n, binMaxLen)
+	}
+	return nil
+}
 
 // encodeGobBytes writes the gob encoding of an interface holding p.
 func encodeGobBytes(w io.Writer, p []byte) error {
-	bp := gobWriteBufs.Get().(*[]byte)
-	defer gobWriteBufs.Put(bp)
-	msg := appendGobBytesHeader((*bp)[:0], len(p))
-	if len(p) <= gobOneWriteMax {
-		_, err := w.Write(append(msg, p...))
+	var hdr [gobBytesMaxHeader]byte
+	h, err := appendGobBytesHeader(hdr[:0], len(p))
+	if err != nil {
 		return err
 	}
-	if _, err := w.Write(msg); err != nil {
+	if _, err := w.Write(h); err != nil {
 		return err
 	}
-	_, err := w.Write(p)
+	if len(p) == 0 {
+		return nil
+	}
+	_, err = w.Write(p)
 	return err
 }
 
@@ -125,8 +123,8 @@ func readGobBytes(br *bufio.Reader) (payload []byte, ok bool, err error) {
 	if !ok || m != 1+uint64(gobUintLen(n))+n || l != uint64(len(gobBytesType)+gobUintLen(m))+m {
 		return nil, false, nil
 	}
-	if n > binMaxLen {
-		return nil, true, fmt.Errorf("[]byte of %d bytes exceeds the %d cap", n, binMaxLen)
+	if err := checkGobBytesLen(n); err != nil {
+		return nil, true, err
 	}
 	br.Discard(hdrLen)
 	if n == 0 {

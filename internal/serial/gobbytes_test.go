@@ -108,8 +108,13 @@ func TestGobNonBytesStillRoundTrip(t *testing.T) {
 // A header declaring more than the cap is refused before anything of that
 // size is allocated.
 func TestGobBytesRefusesOversizedHeader(t *testing.T) {
-	n := binMaxLen + 1
-	hdr := appendGobBytesHeader(nil, n)
+	n := uint64(binMaxLen + 1)
+	// The header gob would write for an n-byte []byte, built without the
+	// encoder's own cap.
+	m := 1 + uint64(gobUintLen(n)) + n
+	hdr := appendGobUint(nil, uint64(len(gobBytesType)+gobUintLen(m))+m)
+	hdr = appendGobUint(append(hdr, gobBytesType...), m)
+	hdr = appendGobUint(append(hdr, 0), n)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := Default().Decode(hdr)
@@ -119,6 +124,19 @@ func TestGobBytesRefusesOversizedHeader(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("refusing a %d-byte header allocated %d bytes", n, got)
+	}
+}
+
+// Encoding refuses a []byte the decoder would refuse, so an oversized value
+// fails at put rather than at every later get. The header builder both
+// encode paths go through is checked at the boundary, with no payload of
+// that size allocated.
+func TestGobBytesEncodeRefusesOversizedLength(t *testing.T) {
+	if _, err := appendGobBytesHeader(nil, binMaxLen); err != nil {
+		t.Fatalf("header for a %d-byte []byte: %v", binMaxLen, err)
+	}
+	if _, err := appendGobBytesHeader(nil, binMaxLen+1); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("header for a %d-byte []byte = %v, want the cap refusal", binMaxLen+1, err)
 	}
 }
 
@@ -134,59 +152,6 @@ func TestGobBytesDecodeFromSplitAndTruncatedInput(t *testing.T) {
 	if _, err := Default().Decode(enc[:len(enc)-1]); err == nil {
 		t.Fatal("Decode of a truncated payload succeeded")
 	}
-}
-
-// Across an io.Pipe every Write and Read is a hand-off between goroutines,
-// so a small []byte leaves EncodeTo in one Write, as encoding/gob's message
-// does, and comes back through DecodeFrom in one Read. A larger payload is
-// written after its header straight from the caller's slice.
-func TestGobBytesSmallMessageIsOneWriteAndOneRead(t *testing.T) {
-	s := Default().(gobSerializer)
-	for _, n := range []int{0, 1, 64, gobOneWriteMax, gobOneWriteMax + 1} {
-		p := bytes.Repeat([]byte{0xa5}, n)
-		w := &recordingWriter{}
-		if err := s.EncodeTo(w, p); err != nil {
-			t.Fatalf("n=%d: EncodeTo: %v", n, err)
-		}
-		want := gobReference(t, p)
-		if got := bytes.Join(w.writes, nil); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: EncodeTo differs from encoding/gob", n)
-		}
-		if n <= gobOneWriteMax {
-			if len(w.writes) != 1 {
-				t.Fatalf("n=%d: EncodeTo made %d Writes, want 1", n, len(w.writes))
-			}
-		} else if last := w.writes[len(w.writes)-1]; len(w.writes) != 2 || &last[0] != &p[0] {
-			t.Fatalf("n=%d: EncodeTo made %d Writes, want the header and then p itself", n, len(w.writes))
-		}
-
-		r := &countingReader{r: bytes.NewReader(want)}
-		got, err := s.DecodeFrom(r)
-		if err != nil || (n > 0 && !bytes.Equal(got.([]byte), p)) {
-			t.Fatalf("n=%d: DecodeFrom = %v", n, err)
-		}
-		if len(want) <= gobReadSize && r.reads != 1 {
-			t.Fatalf("n=%d: DecodeFrom made %d Reads of a %d-byte message, want 1", n, r.reads, len(want))
-		}
-	}
-}
-
-// recordingWriter keeps each Write's slice as given, without copying it.
-type recordingWriter struct{ writes [][]byte }
-
-func (w *recordingWriter) Write(p []byte) (int, error) {
-	w.writes = append(w.writes, p)
-	return len(p), nil
-}
-
-type countingReader struct {
-	r     io.Reader
-	reads int
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	c.reads++
-	return c.r.Read(p)
 }
 
 type oneByteAtATime struct{ b []byte }

@@ -95,7 +95,12 @@ func (gobSerializer) ID() string { return GobID }
 
 func (gobSerializer) Encode(v any) ([]byte, error) {
 	if p, ok := v.([]byte); ok {
-		return append(appendGobBytesHeader(make([]byte, 0, gobBytesMaxHeader+len(p)), len(p)), p...), nil
+		var hdr [gobBytesMaxHeader]byte
+		h, err := appendGobBytesHeader(hdr[:0], len(p))
+		if err != nil {
+			return nil, fmt.Errorf("serial: gob encode: %w", err)
+		}
+		return append(append(make([]byte, 0, len(h)+len(p)), h...), p...), nil
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
@@ -108,9 +113,9 @@ func (s gobSerializer) Decode(data []byte) (any, error) {
 	return s.DecodeFrom(bytes.NewReader(data))
 }
 
-// EncodeTo implements StreamEncoder. A []byte payload over gobOneWriteMax
-// is written straight from the slice; a smaller one goes out with its
-// header in one Write.
+// EncodeTo implements StreamEncoder. A []byte payload is written straight
+// from the slice; one over the 1 GiB cap is refused, as Encode refuses it,
+// since DecodeFrom would not read it back.
 func (gobSerializer) EncodeTo(w io.Writer, v any) error {
 	if p, ok := v.([]byte); ok {
 		if err := encodeGobBytes(w, p); err != nil {
@@ -124,25 +129,15 @@ func (gobSerializer) EncodeTo(w io.Writer, v any) error {
 	return nil
 }
 
-// gobReadSize is the read buffer DecodeFrom puts in front of its reader,
-// the size encoding/gob gives its own. A message of up to that size that
-// arrives in one write, such as a small object through an io.Pipe, is
-// taken in one read; a longer payload is read past the buffer, straight
-// into its allocation.
-const gobReadSize = 4 << 10
-
-// gobReaders recycles DecodeFrom's read buffers.
-var gobReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, gobReadSize) }}
+// gobPeekSize is the read buffer DecodeFrom puts in front of its reader to
+// recognize a []byte header. It holds the whole header, so an input that
+// delivers the header in one piece is peeked with one read.
+const gobPeekSize = 64
 
 // DecodeFrom implements StreamDecoder. A []byte payload is read into one
 // allocation; any other message goes to encoding/gob.
 func (gobSerializer) DecodeFrom(r io.Reader) (any, error) {
-	br := gobReaders.Get().(*bufio.Reader)
-	br.Reset(r)
-	defer func() {
-		br.Reset(nil)
-		gobReaders.Put(br)
-	}()
+	br := bufio.NewReaderSize(r, gobPeekSize)
 	if p, ok, err := readGobBytes(br); ok {
 		if err != nil {
 			return nil, fmt.Errorf("serial: gob decode: %w", err)

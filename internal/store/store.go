@@ -428,7 +428,9 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // PutReader streams raw bytes from r into the connector, bypassing the
 // serializer. It is the byte-stream half of the data plane: peak memory is
-// O(chunk) when the connector streams natively.
+// O(chunk) when the connector streams natively. A connector that streams
+// over a connection pool, as redisc does, may hold one pooled connection
+// for as long as r takes to deliver the stream.
 func (s *Store) PutReader(ctx context.Context, r io.Reader) (connector.Key, error) {
 	start := time.Now()
 	key, err := connector.PutFrom(ctx, s.conn, r)
@@ -444,6 +446,13 @@ func (s *Store) PutReader(ctx context.Context, r io.Reader) (connector.Key, erro
 // GetReader streams the raw stored bytes of key, bypassing the serializer
 // and the deserialized-object cache. The caller must Close the reader; a
 // transfer failure (including ErrNotFound) surfaces as a read error.
+//
+// The transfer starts at once and feeds the reader through a pipe, so it
+// runs at the pace the caller reads. A connector that streams over a
+// connection pool, as redisc does, holds one pooled connection until the
+// reader is drained or closed: with as many readers open and unread as
+// the pool has connections, every other operation on that connector,
+// another GetReader included, waits until one of them is read or closed.
 func (s *Store) GetReader(ctx context.Context, key connector.Key) (io.ReadCloser, error) {
 	start := time.Now()
 	pr, pw := io.Pipe()
