@@ -1,0 +1,11 @@
+package pstream
+
+// ClaimedCount reports how many claim records a KVBroker group
+// subscription remembers for claims it won and has not acked, or -1 for
+// any other subscription.
+func ClaimedCount(sub Subscription) int {
+	if s, ok := sub.(*kvGroupSub); ok {
+		return len(s.claimed)
+	}
+	return -1
+}

@@ -392,7 +392,7 @@ func (b *KVBroker) SubscribeGroup(ctx context.Context, topic, group, member stri
 	if err != nil {
 		return nil, err
 	}
-	s := &kvGroupSub{b: b, topic: topic, group: group, member: member, endCursor: floor}
+	s := &kvGroupSub{b: b, topic: topic, group: group, member: member, endCursor: floor, floorHint: floor}
 	if b.hbTTL > 0 {
 		hb, err := b.Membership(topic, group).Join(ctx, member)
 		if err != nil {
@@ -420,11 +420,17 @@ func (b *KVBroker) committedOffset(ctx context.Context, topic, consumer string) 
 
 // counter reads an unsigned decimal counter key, treating absence as 0.
 func (b *KVBroker) counter(ctx context.Context, key string) (uint64, error) {
-	raw, ok, err := b.client.Get(ctx, key)
+	raw, _, err := b.client.Get(ctx, key)
 	if err != nil {
 		return 0, fmt.Errorf("pstream: reading %s: %w", key, err)
 	}
-	if !ok {
+	return parseCounter(key, raw)
+}
+
+// parseCounter decodes the unsigned decimal counter read from key; a nil
+// raw (a missing key) is 0.
+func parseCounter(key string, raw []byte) (uint64, error) {
+	if raw == nil {
 		return 0, nil
 	}
 	n, err := strconv.ParseUint(string(raw), 10, 64)
@@ -452,44 +458,77 @@ func (b *KVBroker) RoundTrips() uint64 { return b.client.RoundTrips() }
 // kvScanWindow is how many adjacent slots one batched scan read fetches.
 const kvScanWindow = 32
 
-// kvWindow is a batched read-through view over a run of indexed keys —
+// kvWindow is a batched read-through view over runs of indexed keys —
 // event slots, claim records, ack counters. at() serves single-slot reads
 // from a window fetched with one MGET, collapsing the O(slots) GET walks
-// of group scans and truncation passes into O(slots/window) commands. The
-// window is a snapshot: a slot that fills (or settles) after its window
-// was fetched still reads as missing/stale, which every caller already
-// treats conservatively — stop the walk, park, rescan — because the
-// per-slot GETs it replaces were just as racy against concurrent writers.
-// All mutation points remain CAS-guarded, so batching changes command
-// counts, never outcomes.
+// of group scans and truncation passes into O(slots/window) commands. A
+// window may carry several key families read at the same indices (a group
+// scan's event slots and claim records): one MGET then fetches the run of
+// every family at once.
+//
+// The window is a snapshot: a slot that fills (or settles) after its
+// window was fetched still reads as missing/stale. Callers treat that
+// conservatively — stop the walk, park, rescan — and every mutation point
+// is CAS-guarded, so a stale view costs a lost CAS, never a wrong outcome.
+// A group scan relies on when the snapshot was taken: it reads its window
+// before the counters that bound the walk (see kvGroupSub.scan).
 type kvWindow struct {
 	b    *KVBroker
-	key  func(uint64) string
+	keys []func(uint64) string
 	base uint64
+	// raws holds family k's value at index base+j at k*kvScanWindow+j.
 	raws [][]byte
 }
 
-// at returns the value at index i, fetching a fresh window when i falls
-// outside the current one; ok is false for a missing key.
-func (w *kvWindow) at(ctx context.Context, i uint64) ([]byte, bool, error) {
-	if w.raws == nil || i < w.base || i >= w.base+uint64(len(w.raws)) {
-		keys := make([]string, kvScanWindow)
-		for j := range keys {
-			keys[j] = w.key(i + uint64(j))
+// window returns an empty window over the given key families; family k is
+// read with at(ctx, k, i), and event() reads family 0.
+func (b *KVBroker) window(keys ...func(uint64) string) kvWindow {
+	return kvWindow{b: b, keys: keys}
+}
+
+// fetch reads the window of every family starting at index base, in one
+// MGET.
+func (w *kvWindow) fetch(ctx context.Context, base uint64) error {
+	keys := make([]string, 0, len(w.keys)*kvScanWindow)
+	for _, key := range w.keys {
+		for j := uint64(0); j < kvScanWindow; j++ {
+			keys = append(keys, key(base+j))
 		}
-		raws, err := w.b.client.MGet(ctx, keys...)
-		if err != nil {
+	}
+	raws, err := w.b.mget(ctx, keys...)
+	if err != nil {
+		return err
+	}
+	w.base, w.raws = base, raws
+	return nil
+}
+
+// mget is MGet with its reply checked to hold one value per key, so
+// callers may index it by key position.
+func (b *KVBroker) mget(ctx context.Context, keys ...string) ([][]byte, error) {
+	raws, err := b.client.MGet(ctx, keys...)
+	if err == nil && len(raws) != len(keys) {
+		err = fmt.Errorf("pstream: MGET of %d keys returned %d values", len(keys), len(raws))
+	}
+	return raws, err
+}
+
+// at returns family k's value at index i, fetching a fresh window when i
+// falls outside the current one; ok is false for a missing key.
+func (w *kvWindow) at(ctx context.Context, k int, i uint64) ([]byte, bool, error) {
+	if w.raws == nil || i < w.base || i >= w.base+kvScanWindow {
+		if err := w.fetch(ctx, i); err != nil {
 			return nil, false, err
 		}
-		w.base, w.raws = i, raws
 	}
-	raw := w.raws[i-w.base]
+	raw := w.raws[k*kvScanWindow+int(i-w.base)]
 	return raw, raw != nil, nil
 }
 
-// event decodes the event at index i; ok is false for an unfilled slot.
+// event decodes the event at index i from family 0; ok is false for an
+// unfilled slot.
 func (w *kvWindow) event(ctx context.Context, i uint64) (Event, bool, error) {
-	raw, ok, err := w.at(ctx, i)
+	raw, ok, err := w.at(ctx, 0, i)
 	if err != nil || !ok {
 		return Event{}, false, err
 	}
@@ -752,11 +791,11 @@ func (b *KVBroker) truncatePass(ctx context.Context, topic string) bool {
 	if err != nil {
 		return false
 	}
-	ackWin := kvWindow{b: b, key: func(i uint64) string { return kvAckKey(topic, i) }}
-	evWin := kvWindow{b: b, key: func(i uint64) string { return kvEventKey(topic, i) }}
+	ackWin := b.window(func(i uint64) string { return kvAckKey(topic, i) })
+	evWin := b.window(func(i uint64) string { return kvEventKey(topic, i) })
 	f := floor
 	for f < length && f-floor < truncChunk {
-		raw, ok, err := ackWin.at(ctx, f)
+		raw, ok, err := ackWin.at(ctx, 0, f)
 		if err != nil {
 			return false
 		}
@@ -895,7 +934,7 @@ func (b *KVBroker) sweepPass(ctx context.Context, topic string, limit uint64, li
 	if floor >= limit {
 		return 0, false, nil
 	}
-	evWin := kvWindow{b: b, key: func(i uint64) string { return kvEventKey(topic, i) }}
+	evWin := b.window(func(i uint64) string { return kvEventKey(topic, i) })
 	f := floor
 	for f < limit && f-floor < truncChunk {
 		ev, ok, err := evWin.event(ctx, f)
@@ -956,7 +995,8 @@ func parseClaim(raw []byte) (member string, deadline time.Time, ok bool) {
 
 // kvGroupSub is one group member's view of a topic work queue. All claim
 // state lives on the server as CAS-guarded claim records; the
-// subscription only carries the member's private End-broadcast cursor.
+// subscription carries the member's private End-broadcast cursor and
+// hints that save round trips, never decide outcomes.
 type kvGroupSub struct {
 	b      *KVBroker
 	topic  string
@@ -978,6 +1018,14 @@ type kvGroupSub struct {
 	// floor can sweep), not just an append, and the blocking watch widens
 	// from a single log slot to the whole topic keyspace.
 	endPending bool
+	// floorHint is the group floor as the latest scan left it (seeded at
+	// the truncation floor): where the next scan fetches its window. The
+	// floor never moves back, so it is a lower bound of the real floor.
+	floorHint uint64
+	// claimed maps each slot this member won and has not acked to the
+	// exact claim record it wrote, so Ack settles it with one CAS. Entries
+	// leave on Ack, when a scan's floor passes them, and on Close.
+	claimed map[uint64][]byte
 	// parkSlot is where the latest scan stopped: the first unfilled log
 	// slot. A park watches exactly that slot with WaitGet — new
 	// claimable work cannot appear anywhere earlier.
@@ -1091,43 +1139,48 @@ func (s *kvGroupSub) trackLeaseDeadline(deadline time.Time) {
 // payload slot with a CAS-guarded lease. As a side effect it refreshes
 // nextLease with the earliest live claim deadline encountered.
 //
-// All three walks read through MGET windows (kvWindow), so a scan over a
-// deep backlog costs O(slots/kvScanWindow) commands instead of O(slots).
-// Claim mutations (tryClaim) still read the record fresh right before the
-// CAS — only the walk reads are batched.
+// A scan reads in two MGETs. The first fetches the event and claim-record
+// windows (kvWindow) at floorHint, the floor the previous scan left. The
+// second reads the log length, the group floor and the truncation floor,
+// in that order. The counters are read after the windows on purpose: the
+// floor moves before a sweep deletes claim records, so a record missing
+// from the window at an index at or above the floor read was not
+// collected by a sweep — the scan never mistakes a swept, settled slot
+// for a free one. (Merged into one MGET the counters would be as old as
+// the window, and that guarantee would be gone.) Likewise length and the
+// truncation floor are at least as new as every event slot in the
+// window. A walk that leaves the window refetches it; such a read is
+// newer than the counters, and tryClaim's floor guard covers it. Over a
+// deep backlog the walks cost O(slots/kvScanWindow) commands, not
+// O(slots).
 func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 	s.nextLease = time.Time{}
 	s.endPending = false
 	if err := s.flushPendingIncr(ctx); err != nil {
 		return Event{}, false, err
 	}
-	evWin := kvWindow{b: s.b, key: func(i uint64) string { return kvEventKey(s.topic, i) }}
-	clWin := kvWindow{b: s.b, key: func(i uint64) string { return kvClaimKey(s.topic, s.group, i) }}
-	length, err := s.b.counter(ctx, kvLenKey(s.topic))
-	if err != nil {
+	win := s.b.window(
+		func(i uint64) string { return kvEventKey(s.topic, i) },
+		func(i uint64) string { return kvClaimKey(s.topic, s.group, i) })
+	if err := win.fetch(ctx, s.floorHint); err != nil {
 		return Event{}, false, err
 	}
 	floorKey := kvGroupFloorKey(s.topic, s.group)
-	floor, err := s.b.counter(ctx, floorKey)
+	keys := [...]string{kvLenKey(s.topic), floorKey, kvTruncKey(s.topic)}
+	raws, err := s.b.mget(ctx, keys[:]...)
 	if err != nil {
 		return Event{}, false, err
 	}
-
+	var counters [len(keys)]uint64
+	for j, key := range keys {
+		if counters[j], err = parseCounter(key, raws[j]); err != nil {
+			return Event{}, false, err
+		}
+	}
 	// A missing event slot is ambiguous: either a producer is mid-append
 	// (a hole — stop and wait) or log truncation collected a fully-acked
-	// slot (resolved — skip it). The truncation floor, fetched lazily on
-	// the first miss, tells them apart.
-	trunc, truncKnown := uint64(0), false
-	truncated := func(i uint64) (bool, error) {
-		if !truncKnown {
-			v, err := s.b.counter(ctx, kvTruncKey(s.topic))
-			if err != nil {
-				return false, err
-			}
-			trunc, truncKnown = v, true
-		}
-		return i < trunc, nil
-	}
+	// slot (resolved — skip it). The truncation floor tells them apart.
+	length, floor, trunc := counters[0], counters[1], counters[2]
 
 	// 1. Sweep the shared floor: gaps, Ends and truncated slots resolve on
 	// contact, payload slots once their claim record reads acked. The
@@ -1137,23 +1190,19 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 	// server's cap.
 	f := floor
 	for f < length && f-floor < truncChunk {
-		ev, ok, err := evWin.event(ctx, f)
+		ev, ok, err := win.event(ctx, f)
 		if err != nil {
 			return Event{}, false, err
 		}
 		if !ok {
-			tr, err := truncated(f)
-			if err != nil {
-				return Event{}, false, err
-			}
-			if tr {
+			if f < trunc {
 				f++
 				continue
 			}
 			break // unfilled slot: a producer is mid-append
 		}
 		if !ev.isGap() && !ev.End {
-			raw, held, err := clWin.at(ctx, f)
+			raw, held, err := win.at(ctx, 1, f)
 			if err != nil {
 				return Event{}, false, err
 			}
@@ -1166,15 +1215,24 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 		}
 		f++
 	}
+	s.floorHint = floor
 	if f > floor {
 		var old []byte
 		if floor > 0 {
 			old = []byte(strconv.FormatUint(floor, 10))
 		}
 		if ok, err := s.b.client.CAS(ctx, floorKey, old, []byte(strconv.FormatUint(f, 10))); err == nil && ok {
+			s.floorHint = f
 			// Claim records below the floor are garbage now; a failed
 			// delete is queued and retried with the truncation ranges.
 			s.b.deleteRange(ctx, kvClaimPrefix(s.topic, s.group), floor, f)
+		}
+	}
+	// Every slot below f is settled, so no claim of ours there can still be
+	// acked with the record we wrote.
+	for off := range s.claimed {
+		if off < f {
+			delete(s.claimed, off)
 		}
 	}
 
@@ -1183,16 +1241,12 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 	// slots cannot hold Ends — truncation stops at them — so they just
 	// advance the cursor.
 	for s.endCursor < length {
-		ev, ok, err := evWin.event(ctx, s.endCursor)
+		ev, ok, err := win.event(ctx, s.endCursor)
 		if err != nil {
 			return Event{}, false, err
 		}
 		if !ok {
-			tr, err := truncated(s.endCursor)
-			if err != nil {
-				return Event{}, false, err
-			}
-			if tr {
+			if s.endCursor < trunc {
 				s.endCursor++
 				continue
 			}
@@ -1215,16 +1269,12 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 	// which is where park points its blocking watch.
 	s.parkSlot = length
 	for i := f; i < length; i++ {
-		ev, ok, err := evWin.event(ctx, i)
+		ev, ok, err := win.event(ctx, i)
 		if err != nil {
 			return Event{}, false, err
 		}
 		if !ok {
-			tr, err := truncated(i)
-			if err != nil {
-				return Event{}, false, err
-			}
-			if tr {
+			if i < trunc {
 				continue
 			}
 			s.parkSlot = i
@@ -1233,7 +1283,11 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 		if ev.isGap() || ev.End {
 			continue
 		}
-		won, err := s.tryClaim(ctx, i)
+		raw, held, err := win.at(ctx, 1, i)
+		if err != nil {
+			return Event{}, false, err
+		}
+		won, err := s.tryClaim(ctx, i, raw, held)
 		if err != nil {
 			return Event{}, false, err
 		}
@@ -1245,36 +1299,40 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 	return Event{}, false, nil
 }
 
-// tryClaim attempts to lease payload slot i: SETNX-CAS for a fresh claim,
-// exact-record CAS to reclaim an expired lease — or, under the membership
-// layer, a live lease whose holder's heartbeat has expired (the crashed
-// member's work is stolen in O(heartbeat), not O(lease)) — and the floor
-// guard against resurrecting a settled slot — if the slot was acked and
-// its record GC'd between the read and the CAS, a fresh claim would
-// redeliver an event whose payload may already be evicted. The floor
-// cannot pass a live claim, so if it is still at or below i it stays
-// there until we ack or our lease expires; if it already moved past, the
-// claim is undone. Live peer leases observed along the way feed
-// nextLease. A self-fenced member — its own heartbeat unrefreshable, so
-// peers may already be stealing its claims — takes no new work at all.
-func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64) (bool, error) {
+// tryClaim attempts to lease payload slot i, going straight to a CAS on
+// the claim record as the caller last read it (raw, held): held false —
+// a scan window's missing record, or park's freshly filled slot — means
+// nil→record, a fresh claim; an expired lease, or under the membership
+// layer a live lease whose holder's heartbeat has expired (the crashed
+// member's work is stolen in O(heartbeat), not O(lease)), means an
+// exact-record CAS, so two reclaimers can never both win; a live lease or
+// the acked marker means skip, with no CAS. There is no read of the record
+// here, so a stale view costs a lost CAS. After a win, the floor guard protects against resurrecting a
+// settled slot — if the slot was acked and its record GC'd before the
+// CAS, a fresh claim would redeliver an event whose payload may already be
+// evicted. The floor cannot pass a live claim, so if it is still at or
+// below i it stays there until we ack or our lease expires; if it already
+// moved past, the claim is undone. A kept claim's record is remembered in
+// claimed, so Ack can settle it with one CAS. Live peer leases observed
+// along the way feed nextLease. A self-fenced member — its own heartbeat
+// unrefreshable, so peers may already be stealing its claims — takes no
+// new work at all.
+func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64, raw []byte, held bool) (bool, error) {
 	if s.hb != nil && s.hb.Fenced() {
 		return false, nil
 	}
 	key := kvClaimKey(s.topic, s.group, i)
-	raw, held, err := s.b.client.Get(ctx, key)
-	if err != nil {
-		return false, err
-	}
 	now := time.Now()
 	record := claimRecord(s.member, now.Add(s.b.lease))
 	var win, reclaimed bool
+	var err error
 	if !held {
 		if win, err = s.b.client.CAS(ctx, key, nil, record); err != nil {
 			return false, err
 		}
 		if !win {
-			// Lost the race to a peer whose lease starts about now.
+			// A peer holds the slot, most likely with a lease that starts
+			// about now.
 			s.trackLeaseDeadline(now.Add(s.b.lease))
 		}
 	} else {
@@ -1311,6 +1369,10 @@ func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64) (bool, error) {
 		s.b.client.Del(guardCtx, key)
 		return false, nil
 	}
+	if s.claimed == nil {
+		s.claimed = make(map[uint64][]byte)
+	}
+	s.claimed[i] = record
 	if reclaimed {
 		s.b.mReclaims.Inc()
 	} else {
@@ -1378,7 +1440,7 @@ func (s *kvGroupSub) park(ctx context.Context) (Event, bool, error) {
 		if ev.End {
 			return Event{}, false, nil
 		}
-		won, err := s.tryClaim(ctx, ev.Offset)
+		won, err := s.tryClaim(ctx, ev.Offset, nil, false)
 		if err != nil {
 			return Event{}, false, err
 		}
@@ -1414,36 +1476,48 @@ func (s *kvGroupSub) Poll(ctx context.Context) (Event, bool, error) {
 
 // Ack implements Subscription: settle the claim by CASing the exact claim
 // record to the acked marker, then bump the topic-level ack counter once
-// for the whole group. A stale ack — the record was reclaimed (different
-// member) or already settled — reports the current count without
-// inflating it, so a redelivered event is never double-counted.
+// for the whole group. The record is the one tryClaim remembered writing,
+// so a live claim settles in two commands, CAS and INCR. Only when that
+// CAS loses (or nothing is remembered) does Ack read the record: a stale
+// ack — the record was reclaimed (different member) or already settled —
+// reports the current count without inflating it, so a redelivered event
+// is never double-counted.
 func (s *kvGroupSub) Ack(ctx context.Context, ev Event) (int, error) {
 	if err := s.flushPendingIncr(ctx); err != nil {
 		return 0, err
 	}
 	key := kvClaimKey(s.topic, s.group, ev.Offset)
-	raw, held, err := s.b.client.Get(ctx, key)
-	if err != nil {
-		return 0, err
-	}
-	stale := func() (int, error) {
-		n, err := s.b.ackCount(ctx, s.topic, ev.Offset)
-		return int(n), err
-	}
-	if !held || string(raw) == claimAcked {
-		// Settled (possibly by us, possibly GC'd below the floor).
-		return stale()
-	}
-	member, _, ok := parseClaim(raw)
-	if !ok || member != s.member {
-		return stale()
-	}
-	win, err := s.b.client.CAS(ctx, key, raw, []byte(claimAcked))
-	if err != nil {
-		return 0, err
+	win := false
+	if record, ok := s.claimed[ev.Offset]; ok {
+		delete(s.claimed, ev.Offset)
+		var err error
+		if win, err = s.b.client.CAS(ctx, key, record, []byte(claimAcked)); err != nil {
+			return 0, err
+		}
 	}
 	if !win {
-		return stale() // reclaimed between the Get and the CAS
+		stale := func() (int, error) {
+			n, err := s.b.ackCount(ctx, s.topic, ev.Offset)
+			return int(n), err
+		}
+		raw, held, err := s.b.client.Get(ctx, key)
+		if err != nil {
+			return 0, err
+		}
+		if !held || string(raw) == claimAcked {
+			// Settled (possibly by us, possibly GC'd below the floor).
+			return stale()
+		}
+		member, _, ok := parseClaim(raw)
+		if !ok || member != s.member {
+			return stale()
+		}
+		if win, err = s.b.client.CAS(ctx, key, raw, []byte(claimAcked)); err != nil {
+			return 0, err
+		}
+		if !win {
+			return stale() // reclaimed between the Get and the CAS
+		}
 	}
 	n, err := s.b.client.Incr(ctx, kvAckKey(s.topic, ev.Offset))
 	if err != nil {
@@ -1463,6 +1537,7 @@ func (s *kvGroupSub) Ack(ctx context.Context, ev Event) (int, error) {
 // for them — the heartbeat key is gone, which proves nothing about a
 // crash; only an expired heartbeat does).
 func (s *kvGroupSub) Close() error {
+	s.claimed = nil
 	if s.hb != nil {
 		return s.hb.Leave(context.Background())
 	}

@@ -109,8 +109,9 @@ const (
 // --- Fixture 1: claim undone under a dying context ------------------------
 
 // TestClaimRaceUndoLive reproduces, deterministically and on every run,
-// the race the heartbeat-reclaim work fixed in tryClaim: member A reads
-// the claim key of slot 0 as free and pauses; member B claims the slot,
+// the race the heartbeat-reclaim work fixed in tryClaim: member A's scan
+// reads its window (slot 0 filled, its claim record missing) and then its
+// counters (group floor 0), and pauses; member B claims the slot,
 // acks it, and sweeps the floor past it (GC'ing the claim record); A
 // resumes and its create-CAS wins on the swept slot — a claim stranded
 // below the floor, invisible to every future sweep — and A's context is
@@ -127,6 +128,7 @@ func TestClaimRaceUndoLive(t *testing.T) {
 
 	const topic, group = "fx", "g"
 	claimKey := "ps:" + topic + ":g:" + group + ":c:0"
+	floorKey := "ps:" + topic + ":g:" + group + ":f"
 
 	ctxA, cancelA := context.WithCancel(ctx)
 	defer cancelA()
@@ -134,9 +136,9 @@ func TestClaimRaceUndoLive(t *testing.T) {
 	resume := make(chan struct{})
 	sawPause := false
 	hook := func(name string, args [][]byte, reply [][]byte, err error) {
-		if name == "GET" && len(args) == 1 && string(args[0]) == claimKey &&
-			len(reply) == 1 && string(reply[0]) == "n" && !sawPause {
-			// A observed slot 0 unclaimed; freeze it here, pre-CAS.
+		if name == "MGET" && err == nil && !sawPause && argsHold(args, floorKey) {
+			// A's scan has read its counters (floor 0) after a window
+			// that showed slot 0 unclaimed; freeze it here, pre-CAS.
 			sawPause = true
 			close(paused)
 			<-resume
@@ -183,10 +185,10 @@ func TestClaimRaceUndoLive(t *testing.T) {
 	select {
 	case <-paused:
 	case <-time.After(10 * time.Second):
-		t.Fatal("member A never reached the claim-key read")
+		t.Fatal("member A never reached the scan's counter read")
 	}
-	// A is frozen between its GET and its CAS. B takes the slot, acks it,
-	// and sweeps the floor past it — deleting the claim record.
+	// A is frozen between its counter read and its CAS. B takes the slot,
+	// acks it, and sweeps the floor past it — deleting the claim record.
 	evB, ok, err := subB.Poll(ctx)
 	if err != nil || !ok || evB.Offset != 0 {
 		t.Fatalf("B Poll = %+v, %v, %v; want offset 0", evB, ok, err)
@@ -226,7 +228,7 @@ func TestClaimRaceUndoLive(t *testing.T) {
 	} else if held {
 		t.Fatalf("claim record %q stranded below the floor: the guard-context undo did not run", raw)
 	}
-	if floor, held, err := probe.Get(ctx, "ps:"+topic+":g:"+group+":f"); err != nil || !held || string(floor) != "1" {
+	if floor, held, err := probe.Get(ctx, floorKey); err != nil || !held || string(floor) != "1" {
 		t.Fatalf("floor = %q, %v, %v; want 1", floor, held, err)
 	}
 
@@ -235,6 +237,16 @@ func TestClaimRaceUndoLive(t *testing.T) {
 	if updateFixtures() {
 		saveFixture(t, tr, claimRaceFixture)
 	}
+}
+
+// argsHold reports whether a command's arguments include key.
+func argsHold(args [][]byte, key string) bool {
+	for _, a := range args {
+		if string(a) == key {
+			return true
+		}
+	}
+	return false
 }
 
 // assertClaimUndoInTrace finds the race's signature in a trace: a winning
