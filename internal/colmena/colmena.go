@@ -11,13 +11,14 @@
 //
 // Two task servers share the Submit/Results API. Server dispatches to an
 // in-process workflow.Engine over its modeled hub-spoke channel.
-// StreamServer rebuilds the same loop on pstream: Submit publishes a task
-// event on the server's task topic, a pool of workers claims events as a
-// consumer group (leases reclaim a crashed worker's tasks), and completed
-// results flow back on a result topic feeding the Results channel — so
-// bulk inputs/outputs ride the store data plane while the broker moves
-// only O(100 B) per task, and the steering loop runs unchanged across
-// processes or sites wherever a Broker reaches.
+// StreamServer rebuilds the same loop on a pstream task stream — the one
+// faas's stream executor runs on, described in internal/pstream/README.md
+// ("Task streams"): Submit publishes a task event, a pool of workers
+// claims events as a consumer group, and results flow back on a shared
+// result topic feeding the Results channel. Bulk inputs and outputs ride
+// the store data plane while the broker moves only O(100 B) per task, so
+// the steering loop runs unchanged across processes or sites wherever a
+// Broker reaches.
 package colmena
 
 import (

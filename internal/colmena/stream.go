@@ -1,10 +1,10 @@
 package colmena
 
-// The stream-backed Task Server: Submit/Results become a pstream
-// producer/consumer pair. Task inputs and outputs ride the store data
-// plane; the broker moves only compact task/result events, so the
-// steering loop works unchanged over MemBroker (in-process) or KVBroker
-// (cross-process, push delivery).
+// The stream-backed Task Server: both halves of a pstream task stream
+// (pstream.TaskClient and pstream.TaskWorkers; see pstream's README, "Task
+// streams") in one instance. This file holds only what is colmena's own:
+// the wire names, the method registry with its store policies, and the
+// Results channel.
 
 import (
 	"context"
@@ -13,30 +13,17 @@ import (
 	"sync"
 	"time"
 
-	"proxystore/internal/connector"
 	"proxystore/internal/proxy"
 	"proxystore/internal/pstream"
 	"proxystore/internal/serial"
 	"proxystore/internal/store"
 )
 
-// streamGroup is the consumer group StreamServer workers join on the task
-// topic: each task is claimed by exactly one live worker. thinkerGroup is
-// the membership group instances join on the shared result topic (KVBroker
-// with heartbeats only), backing the orphaned-result sweep.
+// Wire names of a server's task stream, in the roles of
+// pstream.TaskPlane's Group, Clients, AttrID, AttrReply and AttrClient.
 const (
-	streamGroup  = "workers"
-	thinkerGroup = "thinkers"
-)
-
-// attrStreamID carries the task ID on task and result events so the
-// results loop routes without resolving bulk payloads. attrStreamReply is
-// the routing tag: on task events the shared result topic, on result
-// events the submitting instance's ID — what each instance's result loop
-// filters on and the orphan sweep checks against the live set.
-// attrStreamInstance carries the submitting instance's ID on task events
-// so a worker can address a resolution-failure report without the payload.
-const (
+	streamGroup        = "workers"
+	thinkerGroup       = "thinkers"
 	attrStreamID       = "colmena.id"
 	attrStreamReply    = "colmena.rt"
 	attrStreamInstance = "colmena.in"
@@ -49,14 +36,10 @@ type streamTask struct {
 	// Input is the gob-encoded input value (see encodeAny); empty for a
 	// nil input.
 	Input []byte
-	// ResultTopic is the server's shared result topic. Tasks from several
-	// instances of one server name share the task topic (one worker
-	// group) and the result topic; Instance tags whose pending map holds
-	// the submission, so results flow home by filtering, not by topic.
+	// ResultTopic is the server's shared result topic; Instance is the
+	// submitting instance's ID, its results' colmena.rt routing tag.
 	ResultTopic string
-	// Instance is the submitting instance's ID — echoed back as the
-	// result event's colmena.rt routing tag.
-	Instance string
+	Instance    string
 }
 
 // streamResult is the bulk payload of one completed task.
@@ -91,17 +74,15 @@ func decodeAny(data []byte) (any, error) {
 	return serial.Default().Decode(data)
 }
 
-// evictProxyTarget best-effort reclaims a proxy's stored payload —
-// cleanup for proxies minted into policy stores that will never reach a
-// consumer. Detached from the caller's cancellation, which may be the
-// very reason the proxy is being abandoned.
-func evictProxyTarget(ctx context.Context, p *proxy.Proxy[[]byte]) {
-	if p == nil {
-		return
+// embeddedProxy returns the policy-store proxy a ProxyResults result
+// carries, if any.
+func embeddedProxy(r streamResult) *proxy.Proxy[[]byte] {
+	v, err := decodeAny(r.Value)
+	if err != nil {
+		return nil
 	}
-	if st, key, ok, err := store.KeyOf(p); err == nil && ok {
-		_ = st.Evict(context.WithoutCancel(ctx), key)
-	}
+	p, _ := v.(*proxy.Proxy[[]byte])
+	return p
 }
 
 // pendingTask is the Thinker-side state kept per in-flight submission, so
@@ -122,32 +103,12 @@ type pendingTask struct {
 // A StreamServer is safe for concurrent use.
 type StreamServer struct {
 	registry
-	st       *store.Store
-	b        pstream.Broker
-	name     string
-	instance string // this instance's ID: result routing tag + member-name suffix
-	reply    string // the server's shared result topic
-	results  chan Result
-	prod     *pstream.Producer[streamTask]
-	sem      chan struct{} // in-flight window; one slot per pending task
-	stop     chan struct{} // closed by Close; unblocks Submit waiters
-
-	// kb/hb/mem: KVBroker-only machinery — membership on the shared
-	// result topic and the orphaned-result sweep.
-	kb  *pstream.KVBroker
-	hb  *pstream.Heartbeat
-	mem *pstream.Membership
+	results chan Result
+	c       *pstream.TaskClient[streamTask, streamResult]
+	w       *pstream.TaskWorkers[streamTask, streamResult]
 
 	pmu     sync.Mutex
 	pending map[string]pendingTask
-	closed  bool
-
-	// resolveStrikes bounds redelivery of tasks whose payloads cannot be
-	// resolved (pstream.SettleAfterStrikes, shared with faas).
-	resolveStrikes *pstream.Strikes
-
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
 }
 
 // taskTopic names the shared task stream for a server name; resultTopic
@@ -158,151 +119,55 @@ type StreamServer struct {
 func taskTopic(name string) string   { return "colmena.t." + name }
 func resultTopic(name string) string { return "colmena.r." + name }
 
-// defaultStreamInFlight bounds a StreamServer's pending submissions when
-// WithStreamMaxInFlight is not given.
-const defaultStreamInFlight = 4096
-
-// StreamServerOption configures a StreamServer.
-type StreamServerOption func(*streamServerConfig)
-
-type streamServerConfig struct {
-	maxInFlight int
-}
-
-// WithStreamMaxInFlight caps the server's in-flight window: Submit blocks
-// while that many submissions are pending (no result delivered yet), so a
-// steering loop that outruns its fleet backs off instead of flooding the
-// broker. n < 1 keeps the default.
-func WithStreamMaxInFlight(n int) StreamServerOption {
-	return func(c *streamServerConfig) {
-		if n >= 1 {
-			c.maxInFlight = n
-		}
-	}
-}
-
 // NewStreamServer starts a stream-backed task server with the given
 // worker-pool size. st stores task and result payloads (its serializer
 // must handle gob — the default does); b carries the O(100 B) events.
 // When b unwraps to a KVBroker with heartbeats enabled, the instance
 // joins the result topic's "thinkers" membership group and sweeps the
 // topic for results addressed to dead instances.
-func NewStreamServer(st *store.Store, b pstream.Broker, name string, workers, resultDepth int, opts ...StreamServerOption) (*StreamServer, error) {
-	cfg := streamServerConfig{maxInFlight: defaultStreamInFlight}
-	for _, o := range opts {
-		o(&cfg)
-	}
+func NewStreamServer(st *store.Store, b pstream.Broker, name string, workers, resultDepth int) (*StreamServer, error) {
 	if workers < 1 {
 		workers = 4
 	}
 	if resultDepth < 1 {
 		resultDepth = 4096
 	}
-	// The instance ID keeps same-named server processes apart everywhere
-	// identity matters: result routing (each instance keeps only results
-	// tagged with its ID), the result-topic consumer name, and worker
-	// member names (a stale ack from one process must not settle a
-	// same-named peer's live claim).
-	instance := connector.NewID()
-	ctx, cancel := context.WithCancel(context.Background())
-	reply := resultTopic(name)
-	cons, err := pstream.NewConsumer[streamResult](ctx, b, reply, instance,
-		pstream.WithEndCount(0))
-	if err != nil {
-		cancel()
-		return nil, err
-	}
 	s := &StreamServer{
 		registry: newRegistry(),
-		st:       st,
-		b:        b,
-		name:     name,
-		instance: instance,
-		reply:    reply,
 		results:  make(chan Result, resultDepth),
-		// One logical consumer — the worker group — reads each task, so
-		// claim settlement reclaims the task payload from the store.
-		prod:           pstream.NewProducer[streamTask](st, b, taskTopic(name), pstream.WithEvictOnAck(1)),
-		sem:            make(chan struct{}, cfg.maxInFlight),
-		stop:           make(chan struct{}),
-		pending:        make(map[string]pendingTask),
-		resolveStrikes: pstream.NewStrikes(),
-		cancel:         cancel,
+		pending:  make(map[string]pendingTask),
 	}
-	if kb, ok := pstream.AsKV(b); ok {
-		s.kb = kb
-		if kb.Heartbeats() {
-			s.mem = kb.Membership(reply, thinkerGroup)
-			hb, err := s.mem.Join(ctx, instance)
-			if err != nil {
-				cancel()
-				cons.Close()
-				return nil, err
-			}
-			s.hb = hb
-			s.wg.Add(1)
-			go s.janitor(ctx)
-		}
+	plane := pstream.TaskPlane{
+		Tasks: taskTopic(name), Results: resultTopic(name),
+		Group: streamGroup, Clients: thinkerGroup,
+		AttrID: attrStreamID, AttrReply: attrStreamReply, AttrClient: attrStreamInstance,
 	}
-	s.wg.Add(1)
-	go s.resultLoop(ctx, cons)
-	for i := 0; i < workers; i++ {
-		s.wg.Add(1)
-		go s.worker(ctx, fmt.Sprintf("%s-%s-w%d", name, instance[:8], i))
+	hooks := pstream.TaskHooks[streamTask, streamResult]{
+		Execute: s.execute,
+		Failed:  func(id string, err error) streamResult { return streamResult{ID: id, Err: err.Error()} },
+		Deliver: s.deliver,
+		// A result nobody will consume — a duplicate, one swept after its
+		// instance died, one whose publish failed — may embed a
+		// ProxyResults proxy whose policy-store payload has no other
+		// pointer to it.
+		Orphan: func(ctx context.Context, r streamResult) { pstream.EvictPayload(ctx, embeddedProxy(r)) },
 	}
+	c, err := pstream.NewTaskClient(st, b, plane, hooks)
+	if err != nil {
+		return nil, err
+	}
+	s.c = c
+	s.w = pstream.StartTaskWorkers(st, b, plane, hooks, name, workers)
 	return s, nil
 }
 
-// janitor periodically sweeps the shared result topic for results whose
-// submitting instance's heartbeat expired before it consumed them.
-func (s *StreamServer) janitor(ctx context.Context) {
-	defer s.wg.Done()
-	tick := time.NewTicker(s.kb.HeartbeatTTL())
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			_, _ = s.SweepResults(ctx)
-		}
-	}
-}
-
 // SweepResults runs one orphan sweep over the server's shared result
-// topic: dead instances are reaped from the membership group, fully
-// consumed result slots are truncated, and results addressed to a dead
+// topic (pstream.TaskWorkers.SweepResults): results addressed to a dead
 // instance have their payloads — including any embedded ProxyResults
 // proxy target — evicted from the store. Returns the number of log slots
 // reclaimed. No-op on brokers without heartbeats.
 func (s *StreamServer) SweepResults(ctx context.Context) (int, error) {
-	if s.kb == nil || s.mem == nil {
-		return 0, nil
-	}
-	return s.kb.SweepTopic(ctx, s.reply, s.mem, func(ev pstream.Event, live map[string]bool) bool {
-		if live[ev.Attr(attrStreamReply)] {
-			return false // addressee is alive; it evicts its own payloads
-		}
-		pxy := new(proxy.Proxy[streamResult])
-		if err := pxy.UnmarshalBinary(ev.ProxyData); err != nil {
-			return false
-		}
-		// Resolve before evicting: a ProxyResults result embeds a second
-		// proxy whose policy-store payload would otherwise be orphaned
-		// with no remaining pointer to it.
-		if r, err := pxy.Value(ctx); err == nil {
-			if v, err := decodeAny(r.Value); err == nil {
-				if p, isProxy := v.(*proxy.Proxy[[]byte]); isProxy {
-					evictProxyTarget(ctx, p)
-				}
-			}
-		}
-		st, key, ok, err := store.KeyOf(pxy)
-		if err != nil || !ok {
-			return false
-		}
-		return st.Evict(context.WithoutCancel(ctx), key) == nil
-	})
+	return s.w.SweepResults(ctx)
 }
 
 // Results is the stream of completed tasks.
@@ -312,24 +177,13 @@ func (s *StreamServer) Results() <-chan Result { return s.results }
 // inputs are proxied into the method's registered policy store first, so
 // they land in the store the user chose for that task type; either way
 // the broker carries only the task event. Submit blocks while the
-// in-flight window (WithStreamMaxInFlight) is full — backpressure instead
-// of an unbounded broker backlog — and errors if the server closes while
-// it waits.
+// in-flight window (pstream.TaskWindow) is full, and errors once the
+// server closes.
 func (s *StreamServer) Submit(ctx context.Context, method string, input any, tag any) error {
 	_, policy, hasPolicy, ok := s.lookup(method)
 	if !ok {
 		return fmt.Errorf("colmena: method %q not registered", method)
 	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-s.stop:
-		return fmt.Errorf("colmena: stream server closed")
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	release := func() { <-s.sem }
-	submitted := time.Now()
-
 	arg := input
 	var proxied *proxy.Proxy[[]byte]
 	if hasPolicy && policy.Store != nil {
@@ -341,205 +195,100 @@ func (s *StreamServer) Submit(ctx context.Context, method string, input any, tag
 			arg, proxied = p, p
 		}
 	}
-	// unproxy reclaims the policy-store payload when the task never makes
-	// it onto the topic — no worker could ever learn the key, so leaving
-	// it would leak on persistent stores.
-	unproxy := func() { evictProxyTarget(ctx, proxied) }
+	// A task that never makes it onto the topic leaves the policy-store
+	// key unknown to every worker: reclaim it or it leaks on persistent
+	// stores.
 	inputGob, err := encodeAny(arg)
 	if err != nil {
-		release()
-		unproxy()
+		pstream.EvictPayload(ctx, proxied)
 		return err
 	}
-
-	id := connector.NewID()
-	s.pmu.Lock()
-	if s.closed {
+	id, err := s.c.Submit(ctx, func(id string, attrs map[string]string) streamTask {
+		s.pmu.Lock()
+		s.pending[id] = pendingTask{method: method, tag: tag, submitted: time.Now()}
 		s.pmu.Unlock()
-		release()
-		unproxy()
-		return fmt.Errorf("colmena: stream server closed")
-	}
-	s.pending[id] = pendingTask{method: method, tag: tag, submitted: submitted}
-	s.pmu.Unlock()
-
-	tk := streamTask{ID: id, Method: method, Input: inputGob, ResultTopic: s.reply, Instance: s.instance}
-	attrs := map[string]string{attrStreamID: id, attrStreamReply: s.reply, attrStreamInstance: s.instance}
-	if err := s.prod.Send(ctx, tk, attrs); err != nil {
-		s.removePending(id)
-		unproxy()
-		return err
-	}
-	return nil
-}
-
-// removePending drops id's pending entry and frees its in-flight slot,
-// exactly once per submission (the entry is in the map exactly once).
-func (s *StreamServer) removePending(id string) bool {
-	s.pmu.Lock()
-	_, ok := s.pending[id]
-	delete(s.pending, id)
-	s.pmu.Unlock()
-	if ok {
-		<-s.sem
-	}
-	return ok
-}
-
-// worker claims tasks from the task topic, executes methods, and publishes
-// results. The claim is settled only after the result publish succeeds, so
-// a crashed worker's tasks are re-executed by survivors on lease expiry.
-func (s *StreamServer) worker(ctx context.Context, member string) {
-	defer s.wg.Done()
-	pstream.ConsumeLoop(ctx, 0, func() (*pstream.Consumer[streamTask], error) {
-		return pstream.NewConsumer[streamTask](ctx, s.b, taskTopic(s.name), member,
-			pstream.WithGroup(streamGroup), pstream.WithEndCount(0), pstream.WithWindow(1))
-	}, s.execute)
-}
-
-// replyProducer builds the producer for the shared result topic. Per-task
-// construction (producers are tiny stateless handles). No evict-on-ack:
-// every instance on the shared topic acks every result (including its
-// peers'), so an ack-count policy would let one instance's ack evict
-// another's unread payload — instead the addressee evicts its own
-// payloads as its result loop consumes them, and the orphan sweep
-// reclaims those whose addressee died.
-func (s *StreamServer) replyProducer(topic string) *pstream.Producer[streamResult] {
-	return pstream.NewProducer[streamResult](s.st, s.b, topic)
-}
-
-// failResolve handles a payload-resolution failure inside a claimed task
-// via the shared poison-task policy (pstream.SettleAfterStrikes): leases
-// retry transient failures, strikes bound the poison case. reply is the
-// task's result topic and instance the addressee tag — both from the
-// event attrs, which exist precisely so a worker can report when the
-// payload itself is what failed to resolve.
-func (s *StreamServer) failResolve(ctx context.Context, it *pstream.Item[streamTask], reply, instance, id string, cause error) {
-	if reply == "" {
-		return
-	}
-	pstream.SettleAfterStrikes(ctx, s.resolveStrikes, it, pstream.DefaultSettleStrikes, func() error {
-		res := streamResult{ID: id, Err: fmt.Sprintf("resolving task payload: %v", cause)}
-		return s.replyProducer(reply).Send(ctx, res, map[string]string{attrStreamID: id, attrStreamReply: instance})
+		// The routing attrs already name the result topic and this instance.
+		return streamTask{ID: id, Method: method, Input: inputGob,
+			ResultTopic: attrs[attrStreamReply], Instance: attrs[attrStreamInstance]}
 	})
-}
-
-func (s *StreamServer) execute(ctx context.Context, it *pstream.Item[streamTask]) {
-	tk, err := it.Value(ctx)
 	if err != nil {
-		s.failResolve(ctx, it, it.Event.Attr(attrStreamReply), it.Event.Attr(attrStreamInstance), it.Event.Attr(attrStreamID), err)
-		return
+		s.takePending(id)
+		pstream.EvictPayload(ctx, proxied)
 	}
-	res := streamResult{ID: tk.ID}
-	var resultProxy *proxy.Proxy[[]byte] // minted under ProxyResults; ours until the result ships
-	m, policy, hasPolicy, ok := s.lookup(tk.Method)
-	if !ok {
-		res.Err = fmt.Sprintf("method %q not registered", tk.Method)
-	} else if in, err := decodeAny(tk.Input); err != nil {
-		res.Err = err.Error()
-	} else {
-		// Transparent resolution on the worker: a proxied input resolves
-		// to its target before the method runs, exactly as on Server.
-		if p, isProxy := in.(*proxy.Proxy[[]byte]); isProxy {
-			data, err := p.Value(ctx)
-			if err != nil {
-				s.failResolve(ctx, it, tk.ResultTopic, tk.Instance, tk.ID, err)
-				return
-			}
-			in = data
-		}
-		out, err := m(ctx, in)
-		if err != nil {
-			res.Err = err.Error()
-		} else {
-			if hasPolicy && policy.ProxyResults && policy.Store != nil {
-				if data, isBytes := out.([]byte); isBytes && len(data) >= policy.Threshold {
-					p, err := store.NewProxy(ctx, policy.Store, data)
-					if err != nil {
-						res.Err = fmt.Sprintf("proxying result: %v", err)
-						out = nil
-					} else {
-						out = p
-						resultProxy = p
-					}
-				}
-			}
-			if res.Err == "" {
-				if res.Value, err = encodeAny(out); err != nil {
-					res.Err = err.Error()
-					res.Value = nil
-				}
-			}
-		}
-	}
-	if res.Err != "" {
-		// Any failure after the result proxy was minted (encode error)
-		// orphans it — the error result ships without it.
-		evictProxyTarget(ctx, resultProxy)
-		resultProxy = nil
-	}
-	if err := s.replyProducer(tk.ResultTopic).Send(ctx, res, map[string]string{attrStreamID: res.ID, attrStreamReply: tk.Instance}); err != nil {
-		// The result never shipped: the lease will re-run the task, which
-		// mints a fresh proxy — reclaim this one or it leaks.
-		evictProxyTarget(ctx, resultProxy)
-		return
-	}
-	s.resolveStrikes.Clear(it.Event.Offset)
-	_ = it.Ack(ctx)
+	return err
 }
 
-// resultLoop feeds the Results channel from the result topic.
-func (s *StreamServer) resultLoop(ctx context.Context, cons *pstream.Consumer[streamResult]) {
-	defer s.wg.Done()
-	pstream.ConsumeLoop(ctx, 0,
-		func() (*pstream.Consumer[streamResult], error) { return cons, nil },
-		s.handleResult)
-}
-
-// handleResult correlates one result item with its pending submission by
-// task ID and emits it on Results. Events addressed to other instances
-// of the server name (the shared topic carries everyone's results) are
-// acked and skipped without touching their payloads. Duplicate results
-// (a worker died between publish and claim settlement, and the task
-// re-ran) are acked and dropped.
-func (s *StreamServer) handleResult(ctx context.Context, it *pstream.Item[streamResult]) {
-	if it.Event.Attr(attrStreamReply) != s.instance {
-		// A peer's result: ack so this consumer's offset advances (and
-		// truncation can compact the log), nothing else — evicting the
-		// payload here would race the addressee's own resolve.
-		_ = it.Ack(ctx)
-		return
-	}
-	id := it.Event.Attr(attrStreamID)
-	r, resolveErr := it.Value(ctx)
-	if resolveErr == nil {
-		id = r.ID
-	}
-	v, decErr := decodeAny(r.Value)
-	_ = it.Ack(ctx)
-	// This instance is the addressee and has extracted what it needs (or
-	// failed terminally): reclaim the result payload. The shared topic
-	// carries no evict-on-ack, so the addressee evicts explicitly.
-	if st, key, ok, err := store.KeyOf(it.Proxy); err == nil && ok {
-		_ = st.Evict(context.WithoutCancel(ctx), key)
-	}
+// takePending removes and returns id's pending entry, freeing its
+// in-flight slot exactly once per submission (the entry is in the map
+// exactly once).
+func (s *StreamServer) takePending(id string) (pendingTask, bool) {
 	s.pmu.Lock()
 	p, ok := s.pending[id]
 	delete(s.pending, id)
 	s.pmu.Unlock()
 	if ok {
-		<-s.sem // free the submission's in-flight slot
+		s.c.Release()
 	}
+	return p, ok
+}
+
+// execute runs one resolved task on a worker. Method and encoding errors
+// become the result's Err; only a proxied input that fails to resolve is
+// returned as an error (the core's poison-task policy).
+func (s *StreamServer) execute(ctx context.Context, tk streamTask) (streamResult, error) {
+	res := streamResult{ID: tk.ID}
+	m, policy, hasPolicy, ok := s.lookup(tk.Method)
 	if !ok {
-		// A duplicate (the task re-ran after a worker died post-publish)
-		// or a stray: the Thinker never sees it, so an embedded
-		// ProxyResults proxy must be reclaimed here — each execution
-		// minted its own copy in the policy store.
-		if p, isProxy := v.(*proxy.Proxy[[]byte]); isProxy {
-			evictProxyTarget(ctx, p)
-		}
-		return
+		res.Err = fmt.Sprintf("method %q not registered", tk.Method)
+		return res, nil
 	}
+	in, err := decodeAny(tk.Input)
+	if err != nil {
+		res.Err = err.Error()
+		return res, nil
+	}
+	// Transparent resolution on the worker: a proxied input resolves to
+	// its target before the method runs, exactly as on Server.
+	if p, isProxy := in.(*proxy.Proxy[[]byte]); isProxy {
+		if in, err = p.Value(ctx); err != nil {
+			return res, err
+		}
+	}
+	out, err := m(ctx, in)
+	if err != nil {
+		res.Err = err.Error()
+		return res, nil
+	}
+	var minted *proxy.Proxy[[]byte] // ours until the result ships
+	if hasPolicy && policy.ProxyResults && policy.Store != nil {
+		if data, isBytes := out.([]byte); isBytes && len(data) >= policy.Threshold {
+			if minted, err = store.NewProxy(ctx, policy.Store, data); err != nil {
+				res.Err = fmt.Sprintf("proxying result: %v", err)
+				return res, nil
+			}
+			out = minted
+		}
+	}
+	if res.Value, err = encodeAny(out); err != nil {
+		// The error result ships without the minted proxy, orphaning it.
+		pstream.EvictPayload(ctx, minted)
+		return streamResult{ID: tk.ID, Err: err.Error()}, nil
+	}
+	return res, nil
+}
+
+// deliver correlates a result addressed to this instance with its pending
+// submission and emits it on Results, reclaiming the result payload (the
+// shared topic carries no evict-on-ack, so the addressee evicts). It
+// reports false for a duplicate or stray, which the core reclaims.
+func (s *StreamServer) deliver(ctx context.Context, it *pstream.Item[streamResult]) bool {
+	p, ok := s.takePending(it.Event.Attr(attrStreamID))
+	if !ok {
+		return false
+	}
+	r, resolveErr := it.Value(ctx)
+	v, decErr := decodeAny(r.Value)
+	pstream.EvictPayload(ctx, it.Proxy)
 	result := Result{
 		Method:      p.method,
 		Value:       v,
@@ -560,35 +309,17 @@ func (s *StreamServer) handleResult(ctx context.Context, it *pstream.Item[stream
 	case s.results <- result:
 	case <-ctx.Done():
 	}
+	return true
 }
 
 // Close stops the workers and the results loop. Tasks already claimed but
 // unsettled expire with their leases; submissions still pending never
 // complete (their producers should drain Results before Close). On a
-// KVBroker with heartbeats, Close also leaves the result topic's
-// membership group and forgets the instance's committed offset, so a
-// clean instance churn leaves no per-instance keys on the server.
+// KVBroker, Close also removes the instance's keys from the server
+// (pstream.TaskClient.Close), so a clean instance churn leaves none.
 func (s *StreamServer) Close() error {
-	s.pmu.Lock()
-	already := s.closed
-	s.closed = true
-	s.pmu.Unlock()
-	if !already {
-		close(s.stop)
-	}
-	s.cancel()
-	s.wg.Wait()
-	ctx := context.Background()
-	var err error
-	if s.hb != nil {
-		err = s.hb.Leave(ctx)
-	}
-	if s.kb != nil {
-		if ferr := s.kb.ForgetConsumer(ctx, s.reply, s.instance); err == nil {
-			err = ferr
-		}
-	}
-	return err
+	s.w.Close()
+	return s.c.Close()
 }
 
 // Kill simulates the instance's process dying: workers, result loop, and
@@ -597,16 +328,6 @@ func (s *StreamServer) Close() error {
 // until heartbeat expiry and a surviving instance's orphan sweep reclaim
 // them. Test and bench hook for churn scenarios.
 func (s *StreamServer) Kill() {
-	s.pmu.Lock()
-	already := s.closed
-	s.closed = true
-	s.pmu.Unlock()
-	if !already {
-		close(s.stop)
-	}
-	if s.hb != nil {
-		s.hb.Kill()
-	}
-	s.cancel()
-	s.wg.Wait()
+	s.c.Kill()
+	s.w.Close()
 }

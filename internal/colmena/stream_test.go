@@ -3,6 +3,7 @@ package colmena
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -278,5 +279,244 @@ func TestStreamOverKVBrokerPushDelivery(t *testing.T) {
 	brokerBytes := cb.BytesPublished() + cb.BytesDelivered()
 	if brokerBytes > 128<<10 {
 		t.Fatalf("broker moved %d bytes for %d tasks of %d-byte inputs", brokerBytes, tasks, len(payload))
+	}
+}
+
+// refusingPuts is a connector whose puts fail at once.
+type refusingPuts struct{ connector.Connector }
+
+func (refusingPuts) Put(context.Context, []byte) (connector.Key, error) {
+	return connector.Key{}, errors.New("put refused")
+}
+
+func TestStreamSubmitFailureReleasesInFlightSlot(t *testing.T) {
+	// Regression: a Submit whose input could not be proxied into the
+	// method's policy store kept its in-flight slot, so once a window's
+	// worth of such failures had piled up every later Submit blocked.
+	s := newStreamServer(t, pstream.NewMem(), 1)
+	id := connector.NewID()[:8]
+	bad, err := store.New("colmena-refuse-"+id, refusingPuts{local.New("colmena-refuse-conn-" + id)})
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	t.Cleanup(func() { store.Unregister("colmena-refuse-" + id) })
+	s.RegisterMethod("echo", func(_ context.Context, in any) (any, error) { return in, nil })
+	s.RegisterMethod("refused", func(_ context.Context, in any) (any, error) { return in, nil })
+	s.RegisterStore("refused", StorePolicy{Store: bad, Threshold: 1})
+
+	submit := func(method string) error {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		return s.Submit(ctx, method, []byte("input"), method)
+	}
+	for i := 0; i <= pstream.TaskWindow; i++ {
+		if err := submit("refused"); err == nil {
+			t.Fatalf("Submit #%d into a refusing policy store succeeded", i)
+		} else if errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Submit #%d blocked on a full in-flight window: %v", i, err)
+		}
+	}
+	if err := submit("echo"); err != nil {
+		t.Fatalf("healthy Submit after %d failures: %v", pstream.TaskWindow+1, err)
+	}
+	if res := awaitResult(t, s); res.Err != nil || res.Tag != "echo" {
+		t.Fatalf("result = %+v", res)
+	}
+}
+
+func TestStreamServerChurnSweepsKilledInstanceResults(t *testing.T) {
+	// An instance killed with a ProxyResults result still owed to it
+	// leaves that result on the shared result topic with no addressee.
+	// A surviving instance's sweep must evict both the result payload and
+	// the policy-store target of the proxy embedded in it.
+	srv, err := kvstore.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	b := pstream.NewKV(srv.Addr(),
+		pstream.WithKVLease(time.Second),
+		pstream.WithKVHeartbeat(200*time.Millisecond))
+	t.Cleanup(func() { b.Close() })
+	id := connector.NewID()[:8]
+	st, err := store.New("colmena-kill-"+id, local.New("colmena-kill-conn-"+id))
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	t.Cleanup(func() { store.Unregister("colmena-kill-" + id) })
+	pst, err := store.New("colmena-kill-p-"+id, local.New("colmena-kill-p-conn-"+id))
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	t.Cleanup(func() { store.Unregister("colmena-kill-p-" + id) })
+
+	// Both instances' workers hold the task until release, so the
+	// submitter is dead before any result exists.
+	release := make(chan struct{})
+	name := "kill-" + id
+	mk := func() *StreamServer {
+		s, err := NewStreamServer(st, b, name, 1, 64)
+		if err != nil {
+			t.Fatalf("NewStreamServer: %v", err)
+		}
+		t.Cleanup(func() { s.Close() })
+		s.RegisterMethod("produce", func(context.Context, any) (any, error) {
+			<-release
+			return make([]byte, 50_000), nil
+		})
+		s.RegisterStore("produce", StorePolicy{Store: pst, Threshold: 1024, ProxyResults: true})
+		return s
+	}
+	doomed, survivor := mk(), mk()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	// An observer outside the membership group sees the result event
+	// without committing an offset, so it neither consumes nor pins it.
+	obs, err := pstream.NewConsumer[streamResult](ctx, b, resultTopic(name), "observer")
+	if err != nil {
+		t.Fatalf("NewConsumer: %v", err)
+	}
+	t.Cleanup(func() { obs.Close() })
+
+	if err := doomed.Submit(ctx, "produce", nil, nil); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	killed := make(chan struct{})
+	go func() {
+		doomed.Kill()
+		close(killed)
+	}()
+	<-doomed.c.Done() // its result loop is gone; its worker may still run
+	close(release)
+	<-killed
+
+	// Whichever worker ran the task, a result carrying a policy-store
+	// proxy ends up addressed to the dead instance. Every result for it
+	// must be reclaimed.
+	type target struct {
+		st  *store.Store
+		key connector.Key
+	}
+	var targets []target
+	keep := func(st *store.Store, key connector.Key, ok bool, err error) {
+		if err != nil || !ok {
+			t.Fatalf("store.KeyOf: ok=%v err=%v", ok, err)
+		}
+		targets = append(targets, target{st, key})
+	}
+	for proxied := false; !proxied; {
+		it, err := obs.Next(ctx)
+		if err != nil {
+			t.Fatalf("observer Next: %v", err)
+		}
+		if it.Event.Attr(attrStreamReply) != doomed.c.ID() {
+			t.Fatalf("result addressed to %q, want the killed instance", it.Event.Attr(attrStreamReply))
+		}
+		keep(store.KeyOf(it.Proxy))
+		r, err := it.Value(ctx)
+		if err != nil {
+			t.Fatalf("resolving result: %v", err)
+		}
+		if p := embeddedProxy(r); p != nil {
+			keep(store.KeyOf(p))
+			proxied = true
+		}
+	}
+
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		if _, err := survivor.SweepResults(ctx); err != nil {
+			t.Fatalf("SweepResults: %v", err)
+		}
+		left := 0
+		for _, tg := range targets {
+			if ok, err := tg.st.Exists(ctx, tg.key); err != nil {
+				t.Fatalf("Exists: %v", err)
+			} else if ok {
+				left++
+			}
+		}
+		if left == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d orphaned payloads still stored after sweeps", left, len(targets))
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+func TestStreamServerCloseReturnsServerKeysToBaseline(t *testing.T) {
+	// The twin of faas's executor test: generations of instances that
+	// submit, drain their results and Close cleanly must leave no
+	// per-instance keys on the kv server — Close leaves the thinkers
+	// group and forgets the instance's offset, and its workers leave the
+	// worker group. One instance lives at a time: WithKVTruncate(1)
+	// compacts the task topic (one logical reader, the group) and is only
+	// safe on the shared result topic while a single instance reads it.
+	srv, err := kvstore.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	b := pstream.NewKV(srv.Addr(),
+		pstream.WithKVTruncate(1),
+		pstream.WithKVLease(2*time.Second),
+		pstream.WithKVHeartbeat(200*time.Millisecond))
+	t.Cleanup(func() { b.Close() })
+
+	id := connector.NewID()[:8]
+	st, err := store.New("colmena-leak-"+id, local.New("colmena-leak-conn-"+id))
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	t.Cleanup(func() { store.Unregister("colmena-leak-" + id) })
+
+	ctx := context.Background()
+	cli := kvstore.NewClient(srv.Addr())
+	t.Cleanup(func() { cli.Close() })
+
+	// The count is polled briefly: a group member's floor sweep may still
+	// be collecting the last task's claim record just after its ack.
+	generation := func(ceiling int64) int64 {
+		s, err := NewStreamServer(st, b, "leak-"+id, 2, 64)
+		if err != nil {
+			t.Fatalf("NewStreamServer: %v", err)
+		}
+		s.RegisterMethod("echo", func(_ context.Context, in any) (any, error) { return in, nil })
+		for i := 0; i < 8; i++ {
+			if err := s.Submit(ctx, "echo", i, i); err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			if res := awaitResult(t, s); res.Err != nil {
+				t.Fatalf("result error: %v", res.Err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		var n int64
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			if n, err = cli.DBSize(ctx); err != nil {
+				t.Fatalf("DBSize: %v", err)
+			}
+			if n <= ceiling || time.Now().After(deadline) {
+				return n
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	// The baseline is the topics' counters and floors, the group's floor
+	// and the two groups' emptied rosters: 7 keys, however many tasks or
+	// instances have been through.
+	first := generation(8)
+	second := generation(first)
+	if second > first {
+		t.Fatalf("server keys grew across instance generations: %d -> %d", first, second)
+	}
+	if first > 8 {
+		t.Fatalf("baseline server key count = %d, want <= 8", first)
 	}
 }

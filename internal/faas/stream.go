@@ -1,15 +1,10 @@
 package faas
 
-// The stream-backed task plane: submissions are pstream events on a task
-// topic, claimed by endpoint worker pools as a consumer group; results
-// flow back on a shared per-endpoint result topic, with each executor
-// filtering for its own results by the faas.rt routing attr. Bulk
-// arguments and results ride the store data plane, so the broker moves
-// only O(100 B) of metadata per task and there is no service payload
-// limit to bypass. Over a KVBroker with heartbeats enabled, executors
-// join the result topic's "clients" membership group, and the endpoint
-// periodically sweeps the result topic, reclaiming results whose
-// submitting client died before resolving them.
+// The stream-backed task plane: StreamExecutor and StreamEndpoint are the
+// two halves of a pstream task stream (pstream.TaskClient and
+// pstream.TaskWorkers; see pstream's README, "Task streams"). This file
+// holds only what is faas's own: the wire names, the args codec and
+// function registry, and futures.
 
 import (
 	"context"
@@ -18,53 +13,39 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"proxystore/internal/connector"
-	"proxystore/internal/proxy"
 	"proxystore/internal/pstream"
 	"proxystore/internal/store"
-	"proxystore/internal/telemetry"
 )
 
 // TaskTopic returns the pstream topic on which the named endpoint's
 // worker pool claims task submissions.
 func TaskTopic(endpoint string) string { return "faas.t." + endpoint }
 
-// ResultTopic returns the shared topic the named endpoint's results flow
-// back on. Every executor of the endpoint reads it as an independent
-// fan-out consumer (named by its client ID) and keeps only the results
-// addressed to it by the faas.rt attr — one topic per endpoint, not one
-// per client, so a churn of short-lived executors leaves no per-client
-// topics behind.
+// ResultTopic returns the topic all of the named endpoint's executors read
+// their results from, each keeping those its faas.rt attr addresses to it.
 func ResultTopic(endpoint string) string { return "faas.r." + endpoint }
 
-// TaskGroup is the consumer group endpoint workers join on a task topic:
-// one group per endpoint, so each submission is executed by exactly one
-// live worker and a crashed worker's claims are reclaimed on lease expiry.
-const TaskGroup = "workers"
-
-// ClientGroup is the membership group executors join on their endpoint's
-// result topic (KVBroker with heartbeats only): its live set is what the
-// endpoint's orphan sweep trusts when deciding a result's addressee is
-// gone for good.
-const ClientGroup = "clients"
+// TaskGroup is the consumer group endpoint workers claim tasks as, and
+// ClientGroup the membership group executors join on the result topic
+// (pstream.TaskPlane's Group and Clients).
+const (
+	TaskGroup   = "workers"
+	ClientGroup = "clients"
+)
 
 // Event attributes carried on task and result events. They duplicate
-// fields of the stored payload so that dispatchers and observers can route
-// without resolving the bulk payload.
+// fields of the stored payload so that workers, executors and observers
+// can route without resolving the bulk payload.
 const (
 	// AttrTaskID is the task's ID, on both task and result events.
 	AttrTaskID = "faas.id"
 	// AttrTaskFunction is the registered function name, on task events.
 	AttrTaskFunction = "faas.fn"
 	// AttrResultTopic is the routing tag: on task events it names the
-	// endpoint's shared result topic; on result events it carries the
-	// submitting client's ID, which executors filter on and the orphan
-	// sweep checks against the live-client set.
+	// result topic, on result events it carries the addressee's client ID.
 	AttrResultTopic = "faas.rt"
-	// AttrTaskClient is the submitting client's ID, on task events — what
-	// the executing worker echoes back as the result's faas.rt tag.
+	// AttrTaskClient is the submitting client's ID, on task events.
 	AttrTaskClient = "faas.cl"
 )
 
@@ -102,182 +83,76 @@ func init() {
 	gob.Register(TaskResult{})
 }
 
+// plane returns the endpoint's task stream.
+func plane(endpoint string) pstream.TaskPlane {
+	return pstream.TaskPlane{
+		Tasks: TaskTopic(endpoint), Results: ResultTopic(endpoint),
+		Group: TaskGroup, Clients: ClientGroup,
+		AttrID: AttrTaskID, AttrReply: AttrResultTopic, AttrClient: AttrTaskClient,
+	}
+}
+
 // ErrExecutorClosed is returned by Submit after Close, and by pending
 // futures whose executor shuts down before their result arrives.
 var ErrExecutorClosed = errors.New("faas: stream executor closed")
 
-// DefaultMaxInFlight bounds an executor's unresolved submissions when
-// WithMaxInFlight is not given: generous enough that joins over large
-// fan-outs never notice it, small enough that a runaway submit loop hits
-// backpressure before flooding the broker log.
-const DefaultMaxInFlight = 4096
-
-// StreamExecutorOption configures a StreamExecutor.
-type StreamExecutorOption func(*streamExecutorConfig)
-
-type streamExecutorConfig struct {
-	maxInFlight int
-}
-
-// WithMaxInFlight caps the executor's in-flight window: Submit blocks
-// while maxInFlight submissions are pending (submitted, result not yet
-// consumed), so a producer that outruns the fleet backs off instead of
-// flooding the broker. n < 1 keeps the default.
-func WithMaxInFlight(n int) StreamExecutorOption {
-	return func(c *streamExecutorConfig) {
-		if n >= 1 {
-			c.maxInFlight = n
-		}
-	}
-}
-
 // StreamExecutor submits tasks as pstream events instead of routing them
-// through a Cloud. Each Submit stores a TaskRequest through the store
-// (bulk plane) and publishes a compact event on the endpoint's task topic
-// (metadata plane); a background dispatcher consumes the endpoint's
-// shared result topic — keeping only events whose faas.rt tag matches
-// this executor — and completes futures by task ID. There is no payload
-// limit: arguments of any size ride the store.
+// through a Cloud: it is a pstream.TaskClient whose results complete
+// futures. Each Submit stores a TaskRequest through the store (bulk
+// plane) and publishes a compact event on the endpoint's task topic
+// (metadata plane). There is no payload limit: arguments of any size ride
+// the store.
 //
 // A StreamExecutor is safe for concurrent use.
 type StreamExecutor struct {
-	id    string
-	topic string // the endpoint's shared result topic
-	prod  *pstream.Producer[TaskRequest]
-	sem   chan struct{} // in-flight window; one slot per pending task
-
-	kb *pstream.KVBroker  // non-nil when b unwraps to a KVBroker
-	hb *pstream.Heartbeat // non-nil when heartbeats are on
+	c *pstream.TaskClient[TaskRequest, TaskResult]
 
 	mu      sync.Mutex
 	pending map[string]*pendingResult
-	closed  bool
-
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	submitted atomic.Uint64
 }
 
 // pendingResult tracks one in-flight submission from Submit until its
 // future consumes the result (or Close reclaims it). delivered flips when
-// the dispatcher hands the item to ch, so later results with the same ID
+// the result loop hands the item to ch, so later results with the same ID
 // are recognized as duplicates.
 type pendingResult struct {
 	ch        chan *pstream.Item[TaskResult]
 	delivered bool
 }
 
-// evictResult best-effort reclaims a result item's stored payload without
-// touching its subscription, so it is safe from any goroutine. Detached
-// from the caller's cancellation — cleanup runs on paths where that
-// context is dying (Close, expired Result calls).
-func evictResult(ctx context.Context, it *pstream.Item[TaskResult]) {
-	if st, key, ok, err := store.KeyOf(it.Proxy); err == nil && ok {
-		_ = st.Evict(context.WithoutCancel(ctx), key)
-	}
-}
-
 // NewStreamExecutor returns an executor submitting to the named endpoint's
 // task topic, storing payloads in st and events through b. The store must
 // use a serializer that can encode TaskRequest/TaskResult (the default gob
-// serializer does). The executor owns a fan-out consumer (named by its
-// client ID) on the endpoint's shared result topic until Close. When b
-// unwraps to a KVBroker with heartbeats enabled (pstream.WithKVHeartbeat),
-// the executor also joins the result topic's "clients" membership group,
-// so the endpoint's orphan sweep can tell a slow client from a dead one.
-func NewStreamExecutor(st *store.Store, b pstream.Broker, endpoint string, opts ...StreamExecutorOption) (*StreamExecutor, error) {
-	cfg := streamExecutorConfig{maxInFlight: DefaultMaxInFlight}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	id := connector.NewID()
-	topic := ResultTopic(endpoint)
-	ctx, cancel := context.WithCancel(context.Background())
-	// Window 1: prefetch would eagerly batch-resolve bulk result payloads
-	// into executor memory; result bytes must move only when a future's
-	// Result asks for them.
-	cons, err := pstream.NewConsumer[TaskResult](ctx, b, topic, id,
-		pstream.WithEndCount(0), pstream.WithWindow(1))
+// serializer does). On a KVBroker with heartbeats (pstream.WithKVHeartbeat)
+// the executor joins the result topic's "clients" membership group, so the
+// endpoint's orphan sweep can tell a slow client from a dead one.
+func NewStreamExecutor(st *store.Store, b pstream.Broker, endpoint string) (*StreamExecutor, error) {
+	e := &StreamExecutor{pending: make(map[string]*pendingResult)}
+	c, err := pstream.NewTaskClient(st, b, plane(endpoint), pstream.TaskHooks[TaskRequest, TaskResult]{Deliver: e.deliver})
 	if err != nil {
-		cancel()
 		return nil, err
 	}
-	e := &StreamExecutor{
-		id:    id,
-		topic: topic,
-		// Exactly one consumer (the claiming worker's group) reads each
-		// task, so its ack reclaims the request payload from the store.
-		prod:    pstream.NewProducer[TaskRequest](st, b, TaskTopic(endpoint), pstream.WithEvictOnAck(1)),
-		sem:     make(chan struct{}, cfg.maxInFlight),
-		pending: make(map[string]*pendingResult),
-		cancel:  cancel,
-		done:    make(chan struct{}),
-	}
-	if kb, ok := pstream.AsKV(b); ok {
-		e.kb = kb
-		if kb.Heartbeats() {
-			hb, err := kb.Membership(topic, ClientGroup).Join(ctx, id)
-			if err != nil {
-				cancel()
-				cons.Close()
-				return nil, err
-			}
-			e.hb = hb
-		}
-	}
-	go e.dispatch(ctx, cons)
+	e.c = c
 	return e, nil
 }
 
-// ID returns the executor's client identity (its result topic suffix).
-func (e *StreamExecutor) ID() string { return e.id }
+// ID returns the executor's client identity (its results' faas.rt tag).
+func (e *StreamExecutor) ID() string { return e.c.ID() }
 
-// Submitted returns the number of tasks published to the task topic.
-func (e *StreamExecutor) Submitted() uint64 { return e.submitted.Load() }
-
-// dispatch routes result items to pending futures by task ID, retrying
-// transient broker errors (ConsumeLoop) — results are durable in the log,
-// so a broker hiccup must never condemn the executor. Duplicate results —
-// a worker died after publishing but before settling its claim, and the
-// task was re-executed — are dropped and their payloads evicted, so
-// re-execution is invisible to callers and leaks nothing.
-func (e *StreamExecutor) dispatch(ctx context.Context, cons *pstream.Consumer[TaskResult]) {
-	defer close(e.done)
-	pstream.ConsumeLoop(ctx, 0,
-		func() (*pstream.Consumer[TaskResult], error) { return cons, nil },
-		e.handleResult)
-}
-
-func (e *StreamExecutor) handleResult(ctx context.Context, it *pstream.Item[TaskResult]) {
-	// Ack here, on the goroutine that owns the subscription: it commits
-	// the offset so KVBroker truncation can compact the result log, and —
-	// result producers setting no evict-on-ack — has no payload side
-	// effect (addressees evict payloads themselves as they consume).
-	_ = it.Ack(ctx)
-	// The result topic is shared by every executor of the endpoint; the
-	// faas.rt tag names the addressee. Events for other clients are acked
-	// (so this consumer's offset keeps advancing) and otherwise untouched —
-	// evicting a peer's payload here would race its own resolve.
-	if it.Event.Attr(AttrResultTopic) != e.id {
-		return
-	}
-	// "deliver" closes the trace the submit opened: the result event is
-	// back on the submitting client, about to complete its future.
-	if trace := it.Event.Attr(telemetry.AttrTrace); trace != "" {
-		defer telemetry.Default().StartSpan(trace, it.Event.Attr(telemetry.AttrSpan), "deliver").End()
-	}
+// deliver hands a result to its future without resolving it: bulk result
+// bytes move only when (and if) Result asks for them.
+func (e *StreamExecutor) deliver(_ context.Context, it *pstream.Item[TaskResult]) bool {
 	id := it.Event.Attr(AttrTaskID)
 	e.mu.Lock()
 	p := e.pending[id]
 	if p == nil || p.delivered {
 		e.mu.Unlock()
-		evictResult(ctx, it)
-		return
+		return false
 	}
 	p.delivered = true
 	e.mu.Unlock()
 	p.ch <- it // buffered; exactly one delivery per ID
+	return true
 }
 
 // removePending drops id's pending entry and frees its in-flight slot.
@@ -290,70 +165,48 @@ func (e *StreamExecutor) removePending(id string) {
 	delete(e.pending, id)
 	e.mu.Unlock()
 	if ok {
-		<-e.sem
+		e.c.Release()
 	}
 }
 
 // Submit publishes the task to the endpoint's topic. Unlike the classic
 // executor there is no service payload limit: serialized arguments of any
 // size ride the data plane, and the broker carries O(100 B). Submit
-// blocks while the executor's in-flight window (WithMaxInFlight) is full
-// — backpressure instead of an unbounded broker backlog — and fails with
-// ErrExecutorClosed if the executor closes while it waits.
+// blocks while the executor's in-flight window (pstream.TaskWindow) is
+// full, and fails with ErrExecutorClosed once the executor closes.
 func (e *StreamExecutor) Submit(ctx context.Context, function string, args ...any) (*Future, error) {
 	payload, err := encodeArgs(args)
 	if err != nil {
 		return nil, err
 	}
-	select {
-	case e.sem <- struct{}{}:
-	case <-e.done:
-		return nil, ErrExecutorClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	id := connector.NewID()
 	pr := &pendingResult{ch: make(chan *pstream.Item[TaskResult], 1)}
-	e.mu.Lock()
-	if e.closed {
+	id, err := e.c.Submit(ctx, func(id string, attrs map[string]string) TaskRequest {
+		e.mu.Lock()
+		e.pending[id] = pr
 		e.mu.Unlock()
-		<-e.sem
-		return nil, ErrExecutorClosed
-	}
-	e.pending[id] = pr
-	e.mu.Unlock()
-
-	req := TaskRequest{ID: id, Function: function, Args: payload, ResultTopic: e.topic, Client: e.id}
-	// Every submission roots a trace. The span context rides the task
-	// event's attrs, so each later hop — producer publish, endpoint
-	// execute, result delivery — continues the same trace.
-	sp := telemetry.Default().StartSpan("", "", "submit")
-	attrs := map[string]string{
-		AttrTaskID:       id,
-		AttrTaskFunction: function,
-		AttrResultTopic:  e.topic,
-		AttrTaskClient:   e.id,
-	}
-	sp.Inject(attrs)
-	err = e.prod.Send(ctx, req, attrs)
-	sp.End()
+		attrs[AttrTaskFunction] = function
+		// The routing attrs already name the result topic and this client.
+		return TaskRequest{ID: id, Function: function, Args: payload,
+			ResultTopic: attrs[AttrResultTopic], Client: attrs[AttrTaskClient]}
+	})
 	if err != nil {
 		e.removePending(id)
+		if errors.Is(err, pstream.ErrTaskClientClosed) {
+			err = ErrExecutorClosed
+		}
 		return nil, err
 	}
-	e.submitted.Add(1)
 	// resolve runs on the CALLER's goroutine, so it must never touch the
-	// dispatcher's subscription (Subscriptions are single-goroutine; a
-	// concurrent Ack races Next) — the dispatcher already acked the event,
-	// so all that is left here is the payload, which the addressee owns.
+	// result loop's subscription (Subscriptions are single-goroutine) — the
+	// loop already acked the event, so all that is left here is the
+	// payload, which the addressee owns.
 	resolve := func(ctx context.Context, it *pstream.Item[TaskResult]) (any, error) {
 		res, err := it.Value(ctx)
 		e.removePending(id)
 		// Reclaim the payload either way: on success it has been copied
 		// out; on failure Result caches the error, so the value is
-		// unreachable regardless (evictResult detaches from ctx, which
-		// may be the very reason it.Value died).
-		evictResult(ctx, it)
+		// unreachable regardless.
+		pstream.EvictPayload(ctx, it.Proxy)
 		if err != nil {
 			return nil, fmt.Errorf("faas: resolving result for task %s: %w", id, err)
 		}
@@ -366,10 +219,10 @@ func (e *StreamExecutor) Submit(ctx context.Context, function string, args ...an
 		select {
 		case it := <-pr.ch:
 			return resolve(ctx, it)
-		case <-e.done:
+		case <-e.c.Done():
 			// A result delivered before shutdown still wins. The
 			// delivered flag is the authority: if set, the item is in
-			// pr.ch now or is transiently held by Close's prime-and-ack
+			// pr.ch now or is transiently held by Close's prime-and-evict
 			// drain, which always puts it back — so block on the channel,
 			// not on a racy non-blocking peek.
 			e.mu.Lock()
@@ -390,24 +243,16 @@ func (e *StreamExecutor) Submit(ctx context.Context, function string, args ...an
 	}}, nil
 }
 
-// Close stops the result dispatcher. Futures whose result never arrived
-// fail with ErrExecutorClosed; futures whose result was already
+// Close stops the result loop (pstream.TaskClient.Close, which also
+// removes the executor's keys from a KVBroker). Futures whose result never
+// arrived fail with ErrExecutorClosed; futures whose result was already
 // delivered still resolve it after Close. Delivered-but-unconsumed
 // results — abandoned futures, Result calls whose context expired — are
 // resolved into their proxies here and their stored payloads evicted, so
-// nothing leaks either way. On a KVBroker, Close also deletes the
-// executor's footprint on the server: it leaves the result topic's
-// membership group (heartbeat + roster entry) and forgets its committed
-// offset, so a clean churn of executors leaves the server's key count at
-// its baseline. Close does not close the store or broker, which the
-// executor borrows, and publishes no End on the task topic — the endpoint
-// is long-lived and may serve other executors.
+// nothing leaks either way. Close does not close the store or broker,
+// which the executor borrows.
 func (e *StreamExecutor) Close() error {
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
-	e.cancel()
-	<-e.done
+	err := e.c.Close()
 	e.mu.Lock()
 	remaining := e.pending
 	e.pending = make(map[string]*pendingResult)
@@ -420,223 +265,48 @@ func (e *StreamExecutor) Close() error {
 			// Result call issued after Close must still find the value.
 			// The item goes back in the buffered channel for that call.
 			_, _ = it.Proxy.Value(ctx)
-			evictResult(ctx, it)
+			pstream.EvictPayload(ctx, it.Proxy)
 			pr.ch <- it
 		default:
-		}
-	}
-	var err error
-	if e.hb != nil {
-		err = e.hb.Leave(ctx)
-	}
-	if e.kb != nil {
-		if ferr := e.kb.ForgetConsumer(ctx, e.topic, e.id); err == nil {
-			err = ferr
 		}
 	}
 	return err
 }
 
-// Kill simulates the executor's process dying: the dispatcher and
+// Kill simulates the executor's process dying: the result loop and
 // heartbeat stop immediately, with none of Close's cleanup — the
 // committed offset, membership entries, and unconsumed results stay on
 // the server until heartbeat expiry and the endpoint's orphan sweep
 // reclaim them. Test and bench hook for churn scenarios.
-func (e *StreamExecutor) Kill() {
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
-	if e.hb != nil {
-		e.hb.Kill()
-	}
-	e.cancel()
-	<-e.done
-}
+func (e *StreamExecutor) Kill() { e.c.Kill() }
 
 // StreamEndpoint is a compute endpoint whose workers claim tasks from the
-// endpoint's task topic as a consumer group, replacing the classic
-// per-endpoint channel queue. A worker resolves the request's bulk payload
-// from the data plane, executes the registered function, publishes the
-// result on the submitting client's result topic, and only then settles
-// its claim — so a worker that dies mid-task loses its lease and the task
-// is re-executed by a surviving member (at-least-once execution,
-// exactly-once result delivery via the client's dedup).
+// endpoint's task topic as a consumer group (a pstream.TaskWorkers pool),
+// replacing the classic per-endpoint channel queue. A worker resolves the
+// request's bulk payload from the data plane, executes the registered
+// function, publishes the result, and only then settles its claim — so a
+// worker that dies mid-task loses its lease and the task is re-executed
+// by a surviving member (at-least-once execution, exactly-once result
+// delivery via the client's dedup).
 type StreamEndpoint struct {
-	st   *store.Store
-	b    pstream.Broker
-	name string
-
-	// kb/mem drive the orphaned-result sweep (KVBroker with heartbeats
-	// only): mem is the result topic's client membership domain.
-	kb  *pstream.KVBroker
-	mem *pstream.Membership
-
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-
-	// resolveStrikes tracks per-offset payload-resolution failures, so a
-	// poison task is eventually reported as an error result instead of
-	// cycling through the group's leases forever (SettleAfterStrikes).
-	resolveStrikes *pstream.Strikes
-
+	w        *pstream.TaskWorkers[TaskRequest, TaskResult]
 	executed atomic.Uint64
-	swept    atomic.Uint64
 }
 
 // StartStreamEndpoint subscribes a pool of workers to the named endpoint's
 // task topic. st stores result payloads (and must use a serializer that
 // can encode TaskResult — the default gob serializer does).
 func StartStreamEndpoint(st *store.Store, b pstream.Broker, name string, workers int) *StreamEndpoint {
-	if workers < 1 {
-		workers = 1
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ep := &StreamEndpoint{
-		st:             st,
-		b:              b,
-		name:           name,
-		cancel:         cancel,
-		resolveStrikes: pstream.NewStrikes(),
-	}
-	// Member names carry a fresh ID: two processes running the same
-	// endpoint must not collide on member identity, or a stale ack from
-	// one could settle a same-named peer's live claim.
-	instance := connector.NewID()[:8]
-	for i := 0; i < workers; i++ {
-		ep.wg.Add(1)
-		go ep.worker(ctx, fmt.Sprintf("%s-%s-w%d", name, instance, i))
-	}
-	if kb, ok := pstream.AsKV(b); ok && kb.Heartbeats() {
-		ep.kb = kb
-		ep.mem = kb.Membership(ResultTopic(name), ClientGroup)
-		ep.wg.Add(1)
-		go ep.janitor(ctx)
-	}
+	ep := &StreamEndpoint{}
+	ep.w = pstream.StartTaskWorkers(st, b, plane(name), pstream.TaskHooks[TaskRequest, TaskResult]{
+		Execute: ep.execute,
+		Failed:  func(id string, err error) TaskResult { return TaskResult{ID: id, Err: err.Error()} },
+	}, name, workers)
 	return ep
 }
 
-// janitor periodically sweeps the endpoint's result topic, reclaiming
-// results whose submitting client's heartbeat expired before it resolved
-// them. Cadence is one heartbeat TTL: a dead client is detected within
-// one TTL, so its orphans linger at most ~two.
-func (ep *StreamEndpoint) janitor(ctx context.Context) {
-	defer ep.wg.Done()
-	tick := time.NewTicker(ep.kb.HeartbeatTTL())
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			_, _ = ep.SweepResults(ctx)
-		}
-	}
-}
-
-// SweepResults runs one orphan sweep over the endpoint's result topic:
-// dead clients (expired heartbeats) are reaped from the membership group
-// and their committed offsets deleted, result events every live client
-// has consumed are truncated from the log, and among them any result
-// addressed to a dead client has its stored payload evicted — the
-// heartbeat-driven GC of results nobody will ever resolve. Returns the
-// number of log slots reclaimed. Safe to call directly (tests, benches);
-// the endpoint also runs it on a heartbeat-TTL cadence.
-func (ep *StreamEndpoint) SweepResults(ctx context.Context) (int, error) {
-	if ep.kb == nil {
-		return 0, nil
-	}
-	n, err := ep.kb.SweepTopic(ctx, ResultTopic(ep.name), ep.mem, func(ev pstream.Event, live map[string]bool) bool {
-		if live[ev.Attr(AttrResultTopic)] {
-			return false // addressee is alive; it evicts its own payloads
-		}
-		pxy := new(proxy.Proxy[TaskResult])
-		if err := pxy.UnmarshalBinary(ev.ProxyData); err != nil {
-			return false
-		}
-		st, key, ok, err := store.KeyOf(pxy)
-		if err != nil || !ok {
-			return false
-		}
-		return st.Evict(context.WithoutCancel(ctx), key) == nil
-	})
-	if err == nil {
-		ep.swept.Add(uint64(n))
-	}
-	return n, err
-}
-
-// Swept returns the cumulative number of result-log slots reclaimed by
-// the endpoint's orphan sweeps.
-func (ep *StreamEndpoint) Swept() uint64 { return ep.swept.Load() }
-
-// Executed returns the number of tasks whose function this endpoint ran,
-// like the classic Endpoint's counter. A task whose result publish fails
-// is still counted (and re-executed elsewhere after its lease expires).
-func (ep *StreamEndpoint) Executed() uint64 { return ep.executed.Load() }
-
-// Close stops the endpoint's workers. Unsettled claims are not released;
-// they expire with their leases and are reclaimed by surviving members of
-// the endpoint's group (possibly in another process).
-func (ep *StreamEndpoint) Close() error {
-	ep.cancel()
-	ep.wg.Wait()
-	return nil
-}
-
-// producer builds a producer for the shared result topic. Producers are
-// tiny stateless handles, so one per task beats caching them. No
-// evict-on-ack: every executor on the shared topic acks every result
-// (including its peers'), so an ack-count policy would let one client's
-// ack evict another's unread payload — instead the addressee evicts its
-// own payloads as futures consume them, and the endpoint's orphan sweep
-// reclaims those whose addressee died.
-func (ep *StreamEndpoint) producer(topic string) *pstream.Producer[TaskResult] {
-	return pstream.NewProducer[TaskResult](ep.st, ep.b, topic)
-}
-
-func (ep *StreamEndpoint) worker(ctx context.Context, member string) {
-	defer ep.wg.Done()
-	pstream.ConsumeLoop(ctx, 0, func() (*pstream.Consumer[TaskRequest], error) {
-		// Window 1: a group member should never claim work it cannot start
-		// within its lease.
-		return pstream.NewConsumer[TaskRequest](ctx, ep.b, TaskTopic(ep.name), member,
-			pstream.WithGroup(TaskGroup), pstream.WithEndCount(0), pstream.WithWindow(1))
-	}, ep.execute)
-}
-
-// execute runs one claimed task. The claim is settled only after the
-// result publish succeeds; any earlier failure leaves the claim to expire
-// so another member retries the task.
-func (ep *StreamEndpoint) execute(ctx context.Context, it *pstream.Item[TaskRequest]) {
-	req, err := it.Value(ctx)
-	if err != nil {
-		if ctx.Err() != nil {
-			return
-		}
-		// Bulk payload unresolvable. Transient store failures heal across
-		// lease redeliveries, so the claim is normally left to expire —
-		// but a poison task is eventually reported as the task's result,
-		// routed via the event attrs (which exist precisely so a worker
-		// can report without the payload).
-		id, rt := it.Event.Attr(AttrTaskID), it.Event.Attr(AttrResultTopic)
-		cl := it.Event.Attr(AttrTaskClient)
-		if rt == "" {
-			return // nowhere to report; keep the lease cadence
-		}
-		pstream.SettleAfterStrikes(ctx, ep.resolveStrikes, it, pstream.DefaultSettleStrikes, func() error {
-			res := TaskResult{ID: id, Err: fmt.Sprintf("resolving task payload: %v", err)}
-			return ep.producer(rt).Send(ctx, res, map[string]string{AttrTaskID: id, AttrResultTopic: cl})
-		})
-		return
-	}
-	ep.resolveStrikes.Clear(it.Event.Offset)
-	// Continue the submitter's trace: "execute" parents under the task
-	// event's span and is in turn the parent the result event carries, so
-	// the result publish and delivery hops stay on the same trace.
-	var sp *telemetry.Span
-	if trace := it.Event.Attr(telemetry.AttrTrace); trace != "" {
-		sp = telemetry.Default().StartSpan(trace, it.Event.Attr(telemetry.AttrSpan), "execute")
-	}
+// execute runs one resolved task. Function errors become the result's Err.
+func (ep *StreamEndpoint) execute(ctx context.Context, req TaskRequest) (TaskResult, error) {
 	res := TaskResult{ID: req.ID}
 	if args, err := decodeArgs(req.Args); err != nil {
 		res.Err = err.Error()
@@ -649,23 +319,35 @@ func (ep *StreamEndpoint) execute(ctx context.Context, it *pstream.Item[TaskRequ
 	} else {
 		res.Value = payload
 	}
-	// Count before publishing: the instant Send returns, the client's
-	// future can resolve on another goroutine, and callers joining on
-	// futures legitimately expect Executed to cover their tasks.
+	// Count before publishing: the instant the result is sent, the
+	// client's future can resolve on another goroutine, and callers joining
+	// on futures legitimately expect Executed to cover their tasks.
 	ep.executed.Add(1)
-	prod := ep.producer(req.ResultTopic)
-	// faas.rt on a result event is the addressee tag: the submitting
-	// client's ID, which its dispatcher filters on and the orphan sweep
-	// checks against the live set.
-	resAttrs := map[string]string{AttrTaskID: res.ID, AttrResultTopic: req.Client}
-	sp.Inject(resAttrs)
-	err = prod.Send(ctx, res, resAttrs)
-	sp.End()
-	if err != nil {
-		return
-	}
-	// Task payload was resolved and the result is durable: settle the
-	// claim. The ack reclaims the request payload (evict-on-ack, one
-	// logical consumer — the group).
-	_ = it.Ack(ctx)
+	return res, nil
+}
+
+// SweepResults runs one orphan sweep over the endpoint's result topic
+// (pstream.TaskWorkers.SweepResults): results addressed to dead clients
+// have their payloads evicted. Returns the number of log slots reclaimed.
+// Safe to call directly (tests, benches); the endpoint also runs it on a
+// heartbeat-TTL cadence.
+func (ep *StreamEndpoint) SweepResults(ctx context.Context) (int, error) {
+	return ep.w.SweepResults(ctx)
+}
+
+// Swept returns the cumulative number of result-log slots reclaimed by
+// the endpoint's orphan sweeps.
+func (ep *StreamEndpoint) Swept() uint64 { return ep.w.Swept() }
+
+// Executed returns the number of tasks whose function this endpoint ran,
+// like the classic Endpoint's counter. A task whose result publish fails
+// is still counted (and re-executed elsewhere after its lease expires).
+func (ep *StreamEndpoint) Executed() uint64 { return ep.executed.Load() }
+
+// Close stops the endpoint's workers. Unsettled claims are not released;
+// they expire with their leases and are reclaimed by surviving members of
+// the endpoint's group (possibly in another process).
+func (ep *StreamEndpoint) Close() error {
+	ep.w.Close()
+	return nil
 }

@@ -9,3 +9,11 @@ func ClaimedCount(sub Subscription) int {
 	}
 	return -1
 }
+
+// TaskStrikes reports how many task-log offsets a worker pool is holding
+// strikes for.
+func TaskStrikes[Req, Res any](w *TaskWorkers[Req, Res]) int {
+	w.strikeMu.Lock()
+	defer w.strikeMu.Unlock()
+	return len(w.strikes)
+}
