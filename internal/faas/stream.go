@@ -335,10 +335,6 @@ func (ep *StreamEndpoint) SweepResults(ctx context.Context) (int, error) {
 	return ep.w.SweepResults(ctx)
 }
 
-// Swept returns the cumulative number of result-log slots reclaimed by
-// the endpoint's orphan sweeps.
-func (ep *StreamEndpoint) Swept() uint64 { return ep.w.Swept() }
-
 // Executed returns the number of tasks whose function this endpoint ran,
 // like the classic Endpoint's counter. A task whose result publish fails
 // is still counted (and re-executed elsewhere after its lease expires).

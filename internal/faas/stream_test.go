@@ -451,4 +451,60 @@ func TestStreamExecutorCloseReturnsServerKeysToBaseline(t *testing.T) {
 	if first > 24 {
 		t.Fatalf("baseline server key count = %d, want <= 24", first)
 	}
+
+	// A third generation crashes with work in flight: its two results land
+	// on the shared result topic addressed to a client whose heartbeat is
+	// about to expire, and only the endpoint's sweeps can reclaim them.
+	// The loop waits for both the reclaimed slots and the key baseline:
+	// the key count alone is already at baseline before the results exist.
+	release := make(chan struct{})
+	fnName := "held-" + id
+	RegisterFunction(fnName, func(fctx context.Context, args []any) (any, error) {
+		select {
+		case <-release:
+		case <-fctx.Done(): // the endpoint closed after a failed Submit
+		}
+		return args[0], nil
+	})
+	exec, err := NewStreamExecutor(st, b, epName)
+	if err != nil {
+		t.Fatalf("NewStreamExecutor: %v", err)
+	}
+	before := ep.Executed()
+	for i := 0; i < 2; i++ {
+		if _, err := exec.Submit(ctx, fnName, i); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	exec.Kill()
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for ep.Executed() < before+2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("executed %d of 2 held tasks", ep.Executed()-before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	var reclaimed int
+	var n int64
+	for {
+		swept, err := ep.SweepResults(ctx)
+		if err != nil {
+			t.Fatalf("SweepResults: %v", err)
+		}
+		reclaimed += swept
+		if n, err = cli.DBSize(ctx); err != nil {
+			t.Fatalf("DBSize: %v", err)
+		}
+		if (reclaimed >= 2 && n <= first) || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if reclaimed < 2 {
+		t.Fatalf("sweeps reclaimed %d result slots after a killed executor, want >= 2", reclaimed)
+	}
+	if n > first {
+		t.Fatalf("server keys after a killed executor = %d, want <= baseline %d", n, first)
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"strconv"
-	"time"
 )
 
 // --- Append-only persistence (and the replication log) --------------------
@@ -213,9 +212,6 @@ func (s *Server) appendAOF(op byte, key string, val []byte) {
 		// Wake replication feeds so they notice the log will not advance.
 		s.aofCond.Broadcast()
 		return
-	}
-	if s.commitLatency > 0 {
-		time.Sleep(s.commitLatency)
 	}
 	s.aofSize += int64(len(buf))
 	s.aofCond.Broadcast()

@@ -36,20 +36,6 @@ func WithAOFSync() ServerOption {
 	return func(s *Server) { s.aofSync = true }
 }
 
-// WithModeledCommitLatency makes every local AOF append hold the log for d
-// before acknowledging, modeling a commit device with a fixed flush time —
-// in the spirit of the netsim package: the bytes, the file, and the
-// serialization are all real, only the device timing comes from the model.
-// Benchmarking a sharded tier on one machine needs this, because there the
-// shards' fsyncs share a single disk and journal and largely serialize,
-// hiding exactly the scaling that sharding exists to provide; in a real
-// deployment each shard owns its own commit device. Replicated applies are
-// not delayed (the replica replays an already-committed log). No-op
-// without WithPersistence.
-func WithModeledCommitLatency(d time.Duration) ServerOption {
-	return func(s *Server) { s.commitLatency = d }
-}
-
 // WithLogger routes server diagnostics; the default discards them.
 func WithLogger(l *log.Logger) ServerOption {
 	return func(s *Server) { s.logger = l }
@@ -63,11 +49,10 @@ func WithTelemetry(reg *telemetry.Registry) ServerOption {
 
 // Server is a RESP2 key-value server.
 type Server struct {
-	ln            net.Listener
-	aofPath       string
-	aofSync       bool
-	commitLatency time.Duration
-	logger        *log.Logger
+	ln      net.Listener
+	aofPath string
+	aofSync bool
+	logger  *log.Logger
 
 	// notify parks blocked TWAITGET/TWAITPREFIX handlers and is poked by
 	// every mutation. It has its own lock: waiters never hold (or block

@@ -277,7 +277,6 @@ type TaskWorkers[Req, Res any] struct {
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	swept  atomic.Uint64
 }
 
 // StartTaskWorkers starts n workers of plane named for name, storing
@@ -420,7 +419,7 @@ func (w *TaskWorkers[Req, Res]) SweepResults(ctx context.Context) (int, error) {
 	if w.mem == nil {
 		return 0, nil
 	}
-	n, err := w.kb.SweepTopic(ctx, w.plane.Results, w.mem, func(ev Event, live map[string]bool) bool {
+	return w.kb.SweepTopic(ctx, w.plane.Results, w.mem, func(ev Event, live map[string]bool) bool {
 		if live[ev.Attr(w.plane.AttrReply)] {
 			return false // the addressee is alive and evicts its own payloads
 		}
@@ -430,15 +429,7 @@ func (w *TaskWorkers[Req, Res]) SweepResults(ctx context.Context) (int, error) {
 		}
 		return w.hooks.reclaim(ctx, pxy)
 	})
-	if err == nil {
-		w.swept.Add(uint64(n))
-	}
-	return n, err
 }
-
-// Swept returns the cumulative number of result-log slots the sweeps
-// reclaimed.
-func (w *TaskWorkers[Req, Res]) Swept() uint64 { return w.swept.Load() }
 
 // Close stops the workers and the janitor. Unsettled claims are not
 // released; they expire with their leases and are reclaimed by surviving
