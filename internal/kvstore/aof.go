@@ -18,8 +18,11 @@ import (
 //
 // with ops aofSet (key gains val), aofDel (key removed), aofDelRange
 // (key holds the prefix, val holds two LE uint64s [start,end) — one record
-// for a whole DELRANGE sweep), and aofFlush (keyspace cleared; empty key
-// and val). Records are appended in APPLY order — every mutation appends
+// for a whole DELRANGE sweep), aofFlush (keyspace cleared; empty key and
+// val), and aofMulti (empty key; val is itself a sequence of aofSet
+// records, applied together — one record for a whole MSET or LAPPEND, so
+// neither a torn tail nor a replication chunk boundary can persist or ship
+// part of one). Records are appended in APPLY order — every mutation appends
 // while still holding the data mutex — so replaying a prefix of the file
 // always reconstructs a state the server actually passed through. That
 // property is what lets the same byte stream double as the replication
@@ -31,6 +34,7 @@ const (
 	aofDel      byte = 2
 	aofDelRange byte = 3
 	aofFlush    byte = 4
+	aofMulti    byte = 5
 )
 
 const aofHeaderLen = 9
@@ -53,7 +57,7 @@ func (rec aofRecord) encodedLen() int { return aofHeaderLen + len(rec.key) + len
 // checkAOFHeader validates a record header's lengths, distinguishing
 // corruption (absurd lengths) from a merely torn record.
 func checkAOFHeader(op byte, keyLen, valLen uint32) error {
-	if op < aofSet || op > aofFlush {
+	if op < aofSet || op > aofMulti {
 		return fmt.Errorf("kvstore: corrupt persistence record op=%d", op)
 	}
 	if keyLen > maxBulkLen || valLen > maxBulkLen {
@@ -119,13 +123,29 @@ func splitAOFRecords(raw []byte) ([]aofRecord, int, error) {
 // and the server latches the file broken — a torn middle is never written
 // by a live server (only a crash can tear the final record).
 func encodeAOFRecord(op byte, key string, val []byte) []byte {
-	buf := make([]byte, aofHeaderLen+len(key)+len(val))
-	buf[0] = op
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(key)))
-	binary.LittleEndian.PutUint32(buf[5:9], uint32(len(val)))
-	copy(buf[aofHeaderLen:], key)
-	copy(buf[aofHeaderLen+len(key):], val)
-	return buf
+	return appendAOFRecord(make([]byte, 0, aofHeaderLen+len(key)+len(val)), op, key, val)
+}
+
+// appendAOFRecord appends one encoded record to buf.
+func appendAOFRecord(buf []byte, op byte, key string, val []byte) []byte {
+	buf = append(buf, op)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
+	return append(append(buf, key...), val...)
+}
+
+// multiRecords decodes an aofMulti record value into its aofSet records.
+func multiRecords(val []byte) ([]aofRecord, error) {
+	recs, span, err := splitAOFRecords(val)
+	if err == nil && span != len(val) {
+		err = fmt.Errorf("kvstore: corrupt persistence multi record: %d trailing bytes", len(val)-span)
+	}
+	for _, rec := range recs {
+		if err == nil && rec.op != aofSet {
+			err = fmt.Errorf("kvstore: corrupt persistence multi record: nested op=%d", rec.op)
+		}
+	}
+	return recs, err
 }
 
 // delRangeVal encodes a DELRANGE's [start,end) bounds as an aofDelRange
@@ -163,6 +183,14 @@ func (s *Server) applyRecordLocked(rec aofRecord) error {
 		}
 	case aofFlush:
 		s.data = make(map[string][]byte)
+	case aofMulti:
+		recs, err := multiRecords(rec.val)
+		if err != nil {
+			return err
+		}
+		for _, r := range recs {
+			s.data[string(r.key)] = r.val
+		}
 	default:
 		return fmt.Errorf("kvstore: corrupt persistence record op=%d", rec.op)
 	}
@@ -179,6 +207,11 @@ func (s *Server) notifyRecord(rec aofRecord) {
 		s.notify.publishedRange(string(rec.key))
 	case aofFlush:
 		s.notify.publishedAll()
+	case aofMulti:
+		recs, _ := multiRecords(rec.val) // validated by the apply
+		for _, r := range recs {
+			s.notify.published(string(r.key))
+		}
 	}
 }
 

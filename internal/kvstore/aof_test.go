@@ -109,7 +109,8 @@ func TestAOFConcurrentSetDelRestart(t *testing.T) {
 }
 
 // writeAOFRun produces a small but representative log: sets, overwrites,
-// deletes, an INCR, a DELRANGE sweep, a FLUSHALL, and writes after it.
+// deletes, an INCR, a DELRANGE sweep, an LAPPEND, an MSET, a FLUSHALL, and
+// writes after it.
 func writeAOFRun(t *testing.T, aof string) []byte {
 	t.Helper()
 	srv, err := NewServer("127.0.0.1:0", WithPersistence(aof))
@@ -134,6 +135,10 @@ func writeAOFRun(t *testing.T, aof string) []byte {
 	}
 	if _, err := cli.DelRange(ctx, "ps:t:e:", 1, 4); err != nil {
 		t.Fatalf("DelRange: %v", err)
+	}
+	lappend(t, cli, "ps:t:len", "ps:t:e:", "x", "y")
+	if err := cli.MSet(ctx, map[string][]byte{"m1": []byte("1"), "m2": []byte("2")}); err != nil {
+		t.Fatalf("MSet: %v", err)
 	}
 	if err := cli.FlushAll(ctx); err != nil {
 		t.Fatalf("FlushAll: %v", err)
@@ -352,5 +357,66 @@ func TestDelRangeSingleAOFRecord(t *testing.T) {
 	// And the record replays to an empty keyspace.
 	if state := aofStateAfter(t, raw); len(state) != 0 {
 		t.Fatalf("replayed state not empty: %q", state)
+	}
+}
+
+// TestMultiKeyWritesAreSingleAOFRecords: an n-value LAPPEND and a
+// multi-pair MSET each persist as one record, and a file cut anywhere
+// inside one reloads with none of its keys — never a log length without
+// its slots, nor half an MSET.
+func TestMultiKeyWritesAreSingleAOFRecords(t *testing.T) {
+	dir := t.TempDir()
+	aof := filepath.Join(dir, "kv.aof")
+	srv, err := NewServer("127.0.0.1:0", WithPersistence(aof))
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	cli := NewClient(srv.Addr())
+	defer cli.Close()
+	ctx := context.Background()
+	if n := lappend(t, cli, "ps:t:len", "ps:t:e:", "a", "b", "c"); n != 3 {
+		t.Fatalf("LAPPEND = %d, want 3", n)
+	}
+	if err := cli.MSet(ctx, map[string][]byte{"x": []byte("1"), "y": []byte("2")}); err != nil {
+		t.Fatalf("MSet: %v", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	raw, err := os.ReadFile(aof)
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	recs, span, err := splitAOFRecords(raw)
+	if err != nil || span != len(raw) || len(recs) != 2 || recs[0].op != aofMulti || recs[1].op != aofMulti {
+		t.Fatalf("LAPPEND and MSET persisted as %d records (err %v); want one multi record each", len(recs), err)
+	}
+	appended := map[string][]byte{"ps:t:len": []byte("3"),
+		"ps:t:e:0": []byte("a"), "ps:t:e:1": []byte("b"), "ps:t:e:2": []byte("c")}
+	all := map[string][]byte{"x": []byte("1"), "y": []byte("2")}
+	for k, v := range appended {
+		all[k] = v
+	}
+	first := recs[0].encodedLen()
+	for cut := 0; cut <= len(raw); cut++ {
+		path := filepath.Join(dir, fmt.Sprintf("cut-%d.aof", cut))
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		srv, err := NewServer("127.0.0.1:0", WithPersistence(path))
+		if err != nil {
+			t.Fatalf("cut %d: load: %v", cut, err)
+		}
+		got := snapshotData(srv)
+		srv.Close()
+		want := map[string][]byte{}
+		if cut == len(raw) {
+			want = all
+		} else if cut >= first {
+			want = appended
+		}
+		if !sameState(want, got) {
+			t.Fatalf("cut %d: reloaded %q, want %q", cut, got, want)
+		}
 	}
 }

@@ -532,8 +532,7 @@ func (c *Client) Incr(ctx context.Context, key string) (int64, error) {
 }
 
 // IncrBy atomically adds delta to the integer at key (missing keys start
-// at 0) and returns the new value — one round trip to reserve a range of
-// delta log slots.
+// at 0) and returns the new value.
 func (c *Client) IncrBy(ctx context.Context, key string, delta int64) (int64, error) {
 	v, err := c.do(ctx, "INCRBY", []byte(key), []byte(strconv.FormatInt(delta, 10)))
 	if err != nil {

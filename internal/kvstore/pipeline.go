@@ -77,6 +77,22 @@ func (r *PipeReply) Int() (int64, error) {
 	return r.v.num, nil
 }
 
+// Array returns an array reply's elements, each readable like a reply of
+// its own.
+func (r *PipeReply) Array() ([]PipeReply, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.v.kind != respArray {
+		return nil, fmt.Errorf("kvstore: reply is not an array")
+	}
+	out := make([]PipeReply, len(r.v.arr))
+	for i, v := range r.v.arr {
+		out[i].v = v
+	}
+	return out, nil
+}
+
 // Pipeline returns an empty command pipeline.
 func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
 
@@ -123,6 +139,24 @@ func (p *Pipeline) IncrBy(key string, delta int64) *PipeReply {
 // CAS queues a CAS (see Client.CAS for semantics).
 func (p *Pipeline) CAS(key string, old, new []byte) *PipeReply {
 	return p.Do("CAS", []byte(key), old, new)
+}
+
+// LAppend queues an LAPPEND: vals take the next len(vals) slots of the log
+// whose length is kept at lenKey, landing at prefix+<slot>, in one server
+// step with the length's growth. The reply is the new length, so the
+// values' slots end just below it.
+func (p *Pipeline) LAppend(lenKey, prefix string, vals ...[]byte) *PipeReply {
+	return p.Do("LAPPEND", append([][]byte{[]byte(lenKey), []byte(prefix)}, vals...)...)
+}
+
+// LRead queues an LREAD, one snapshot of a log window. Its reply is an
+// array: the log length at lenKey, then each key's value, then per prefix
+// an array of the values at prefix+<slot> for the slots in
+// [start, min(start+count, length)).
+func (p *Pipeline) LRead(lenKey string, start, count uint64, prefixes []string, keys ...string) *PipeReply {
+	args := append([][]byte{[]byte(lenKey), []byte(strconv.FormatUint(start, 10)),
+		[]byte(strconv.FormatUint(count, 10)), []byte(strconv.Itoa(len(prefixes)))}, keysArgs(prefixes)...)
+	return p.Do("LREAD", append(args, keysArgs(keys)...)...)
 }
 
 // transportErr reports a transport failure to the routing layer, if any.

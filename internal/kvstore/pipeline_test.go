@@ -128,3 +128,82 @@ func TestPipelineEmptyExecIsNoop(t *testing.T) {
 		t.Fatalf("empty Exec: %v", err)
 	}
 }
+
+// lappend appends vals to the log at lenKey through a pipeline and
+// returns the new length.
+func lappend(t *testing.T, cli *Client, lenKey, prefix string, vals ...string) int64 {
+	t.Helper()
+	p := cli.Pipeline()
+	args := make([][]byte, len(vals))
+	for i, v := range vals {
+		args[i] = []byte(v)
+	}
+	r := p.LAppend(lenKey, prefix, args...)
+	p.Exec(context.Background())
+	n, err := r.Int()
+	if err != nil {
+		t.Fatalf("LAPPEND: %v", err)
+	}
+	return n
+}
+
+// TestLogAppendAndRead pins the two log commands: LAPPEND takes the next
+// slots past the length and returns the new length; LREAD returns the
+// length, the named keys and each prefix's values from start up to the
+// length, never past it.
+func TestLogAppendAndRead(t *testing.T) {
+	_, cli := newPair(t, nil, nil)
+	ctx := context.Background()
+	if n := lappend(t, cli, "L", "e:", "a", "b"); n != 2 {
+		t.Fatalf("first LAPPEND = %d, want 2", n)
+	}
+	if n := lappend(t, cli, "L", "e:", "c"); n != 3 {
+		t.Fatalf("second LAPPEND = %d, want 3", n)
+	}
+	if err := cli.MSet(ctx, map[string][]byte{"c:1": []byte("claim"), "e:3": []byte("beyond"), "f": []byte("7")}); err != nil {
+		t.Fatal(err)
+	}
+	p := cli.Pipeline()
+	r := p.LRead("L", 1, 32, []string{"e:", "c:"}, "f", "ghost")
+	p.Exec(ctx)
+	arr, err := r.Array()
+	if err != nil || len(arr) != 5 {
+		t.Fatalf("LREAD = %d values, %v; want 5", len(arr), err)
+	}
+	if n, _ := arr[0].Int(); n != 3 {
+		t.Fatalf("LREAD length = %d, want 3", n)
+	}
+	if v, ok, _ := arr[1].Bytes(); !ok || string(v) != "7" {
+		t.Fatalf("LREAD key f = %q, %v", v, ok)
+	}
+	if _, ok, _ := arr[2].Bytes(); ok {
+		t.Fatal("LREAD returned a value for a missing key")
+	}
+	var got []string
+	for _, fam := range arr[3:] {
+		vals, err := fam.Array()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vals {
+			b, ok, _ := v.Bytes()
+			got = append(got, fmt.Sprintf("%s/%v", b, ok))
+		}
+	}
+	// Slots 1 and 2 of each family; e:3 lies past the length.
+	if want := "[b/true c/true claim/true /false]"; fmt.Sprint(got) != want {
+		t.Fatalf("LREAD families = %v, want %v", got, want)
+	}
+	if err := cli.Set(ctx, "bad", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	p = cli.Pipeline()
+	ra, rr := p.LAppend("bad", "e:", []byte("v")), p.LRead("bad", 0, 1, nil)
+	p.Exec(ctx)
+	if ra.Err() == nil || rr.Err() == nil {
+		t.Fatalf("log commands on a non-integer length = %v, %v; want errors", ra.Err(), rr.Err())
+	}
+	if _, ok, _ := cli.Get(ctx, "e:0"); !ok {
+		t.Fatal("slot 0 lost")
+	}
+}

@@ -68,10 +68,18 @@ func TestReplicationCatchUp(t *testing.T) {
 	if _, err := pc.Del(ctx, "k3"); err != nil {
 		t.Fatalf("Del: %v", err)
 	}
+	// The replica applies records in order, so once it holds a write made
+	// after the Del, the Del has been applied too.
+	if err := pc.Set(ctx, "synced", []byte("1")); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
 	waitFor(t, "replica catch-up", func() bool {
-		v, ok, err := rc.Get(ctx, "k9")
-		return err == nil && ok && string(v) == "v9"
+		_, ok, err := rc.Get(ctx, "synced")
+		return err == nil && ok
 	})
+	if v, ok, _ := rc.Get(ctx, "k9"); !ok || string(v) != "v9" {
+		t.Fatalf("k9 on replica = %q, %v; want v9", v, ok)
+	}
 	if _, ok, _ := rc.Get(ctx, "k3"); ok {
 		t.Fatal("deleted key visible on replica")
 	}
@@ -94,6 +102,12 @@ func TestReplicaRejectsWrites(t *testing.T) {
 	}
 	if _, err := rc.Incr(ctx, "ctr"); err == nil || !strings.Contains(err.Error(), "readonly replica") {
 		t.Fatalf("Incr on replica = %v, want readonly error", err)
+	}
+	p := rc.Pipeline()
+	app := p.LAppend("len", "slot:", []byte("x"))
+	p.Exec(ctx)
+	if err := app.Err(); err == nil || !strings.Contains(err.Error(), "readonly replica") {
+		t.Fatalf("LAPPEND on replica = %v, want readonly error", err)
 	}
 	// Reads are fine.
 	if _, _, err := rc.Get(ctx, "anything"); err != nil {
@@ -273,21 +287,36 @@ func TestReplicaWakesParkedWaits(t *testing.T) {
 		_, ok, _ := rc.Get(ctx, "sync")
 		return ok
 	})
-	done := make(chan error, 1)
-	go func() {
-		v, ok, err := rc.WaitGet(ctx, "parked", 3*time.Second)
-		if err == nil && (!ok || string(v) != "woken") {
-			err = fmt.Errorf("WaitGet = %q, %v", v, ok)
+	// The wait's own timeout would also return the value, so only a wake
+	// well inside it proves the replicated record woke the waiter.
+	wakes := func(key, want string, write func()) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			v, ok, err := rc.WaitGet(ctx, key, 10*time.Second)
+			if err == nil && (!ok || string(v) != want) {
+				err = fmt.Errorf("WaitGet = %q, %v", v, ok)
+			}
+			done <- err
+		}()
+		time.Sleep(20 * time.Millisecond) // let the wait park
+		write()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("wait parked on replica key %s: %v", key, err)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("replicated write did not wake the wait parked on %s", key)
 		}
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the wait park
-	if err := pc.Set(ctx, "parked", []byte("woken")); err != nil {
-		t.Fatalf("Set: %v", err)
 	}
-	if err := <-done; err != nil {
-		t.Fatalf("parked wait on replica: %v", err)
-	}
+	wakes("parked", "woken", func() {
+		if err := pc.Set(ctx, "parked", []byte("woken")); err != nil {
+			t.Errorf("Set: %v", err)
+		}
+	})
+	// A replicated LAPPEND wakes a wait parked on the slot it fills.
+	wakes("slot:0", "appended", func() { lappend(t, pc, "len", "slot:", "appended") })
 }
 
 // TestReplicaAOFIsPrefixOfPrimary: the replica's own log is a

@@ -6,13 +6,21 @@
 // to feel like the real thing. An optional append-only persistence file
 // provides the "hybrid memory/disk" property.
 //
+// Two log commands make a key family a log: LAPPEND lenKey prefix val...
+// grows the length at lenKey and fills the slots prefix+i it took, in one
+// step and one persistence record, returning the new length; LREAD lenKey
+// start count nprefix prefix... key... returns, as one snapshot, the
+// length, each key's value, and per prefix the values at slots
+// [start, min(start+count, length)). pstream's KVBroker publishes and scans
+// with them.
+//
 // # Blocking reads (the wait/notify protocol)
 //
 // Two tagged commands turn the server into a push-delivery substrate — the
 // mechanism behind pstream's KVBroker delivery:
 //
 //   - TWAITGET tag key timeout_ms blocks until key holds a value (any of
-//     SET/MSET/CAS/INCR/INCRBY filling it) and returns that value in the
+//     SET/MSET/LAPPEND/CAS/INCR/INCRBY filling it) and returns that value in the
 //     wait's own reply, so the wake carries the payload and no follow-up
 //     GET is needed. A lapsed timeout returns a null bulk; the connection
 //     stays clean either way.

@@ -475,7 +475,7 @@ func (s *Server) startTaggedWait(cmd command, write func(value) error, cancel <-
 
 func (s *Server) execute(cmd command) value {
 	switch cmd.name {
-	case "SET", "MSET", "DEL", "INCR", "INCRBY", "CAS", "DELRANGE", "FLUSHALL":
+	case "SET", "MSET", "DEL", "INCR", "INCRBY", "CAS", "DELRANGE", "LAPPEND", "FLUSHALL":
 		if s.isReadonlyReplica() {
 			// A following replica's only writer is the primary's record
 			// stream; direct writes would fork its state from the log.
@@ -525,26 +525,36 @@ func (s *Server) execute(cmd command) value {
 		return integerValue(n)
 	case "MGET":
 		out := make([]value, len(cmd.args))
+		s.mu.RLock()
 		for i, a := range cmd.args {
-			if data, ok := s.get(string(a)); ok {
-				out[i] = bulkValue(data)
-			} else {
-				out[i] = nullBulk()
-			}
+			out[i] = s.bulkLocked(string(a))
 		}
+		s.mu.RUnlock()
 		return arrayValue(out)
 	case "MSET":
 		if len(cmd.args) == 0 || len(cmd.args)%2 != 0 {
 			return errorValue("ERR wrong number of arguments for 'mset'")
 		}
-		keys := make([]string, 0, len(cmd.args)/2)
-		for i := 0; i < len(cmd.args); i += 2 {
-			key := string(cmd.args[i])
-			s.set(key, cmd.args[i+1])
-			keys = append(keys, key)
+		s.mu.Lock()
+		keys, err := s.setAllLocked(cmd.args)
+		s.mu.Unlock()
+		if err != nil {
+			return errorValue("ERR " + err.Error())
 		}
 		s.notify.published(keys...)
 		return simpleString("OK")
+	case "LAPPEND":
+		if len(cmd.args) < 3 {
+			return errorValue("ERR wrong number of arguments for 'lappend'")
+		}
+		n, keys, err := s.lappend(cmd.args)
+		if err != nil {
+			return errorValue("ERR " + err.Error())
+		}
+		s.notify.published(keys...)
+		return integerValue(n)
+	case "LREAD":
+		return s.lread(cmd.args)
 	case "INCR":
 		if len(cmd.args) != 1 {
 			return errorValue("ERR wrong number of arguments for 'incr'")
@@ -741,27 +751,127 @@ func (s *Server) get(key string) ([]byte, bool) {
 // incrBy atomically adds delta to the integer stored at key (missing keys
 // count as 0) and returns the new value. The read-modify-write happens
 // under the store lock, so concurrent INCR/INCRBYs of one key never lose
-// updates — the property pstream's log broker relies on to reserve append
-// slots (INCRBY reserves a whole batch's slot range in one command). The
-// AOF record is appended while still holding the store lock: releasing
-// first would let two increments persist in reversed order, replaying to a
-// lower counter after restart (and a reused log slot).
+// updates. The AOF record is appended while still holding the store lock:
+// releasing first would let two increments persist in reversed order,
+// replaying to a lower counter after restart.
 func (s *Server) incrBy(key string, delta int64) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := int64(0)
-	if v, ok := s.data[key]; ok {
-		n, err := strconv.ParseInt(string(v), 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("value is not an integer or out of range")
-		}
-		cur = n
+	cur, err := s.intLocked(key)
+	if err != nil {
+		return 0, err
 	}
 	cur += delta
 	buf := []byte(strconv.FormatInt(cur, 10))
 	s.data[key] = buf
 	s.appendAOF(aofSet, key, buf)
 	return cur, nil
+}
+
+// intLocked reads the integer stored at key, a missing key reading as 0.
+// Callers hold s.mu.
+func (s *Server) intLocked(key string) (int64, error) {
+	v, ok := s.data[key]
+	if !ok {
+		return 0, nil
+	}
+	n, err := strconv.ParseInt(string(v), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("value is not an integer or out of range")
+	}
+	return n, nil
+}
+
+// setAllLocked stores every key/value pair of pairs (k1 v1 k2 v2 ...) and
+// persists them as one aofMulti record, so no reader, restart or replica
+// sees part of the write. It returns the keys. Callers hold s.mu.
+func (s *Server) setAllLocked(pairs [][]byte) ([]string, error) {
+	keys := make([]string, len(pairs)/2)
+	size := 0
+	for i := range keys {
+		keys[i] = string(pairs[2*i])
+		size += aofHeaderLen + len(keys[i]) + len(pairs[2*i+1])
+	}
+	if size > maxBulkLen {
+		return nil, fmt.Errorf("write of %d bytes exceeds limit %d", size, maxBulkLen)
+	}
+	var rec []byte
+	for i, k := range keys {
+		s.data[k] = pairs[2*i+1]
+		if s.aof != nil {
+			rec = appendAOFRecord(rec, aofSet, k, pairs[2*i+1])
+		}
+	}
+	s.appendAOF(aofMulti, "", rec)
+	return keys, nil
+}
+
+// lappend is LAPPEND lenKey prefix val...: the log whose length lives at
+// lenKey grows by the number of values, each landing at prefix+i for the
+// slot i it takes. Length and slots change in one setAllLocked, so no slot
+// is ever taken without its value — the append pstream's KVBroker
+// publishes with. It returns the new length and every key it wrote.
+func (s *Server) lappend(args [][]byte) (int64, []string, error) {
+	prefix, vals := string(args[1]), args[2:]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n, err := s.intLocked(string(args[0]))
+	if err != nil {
+		return 0, nil, err
+	}
+	pairs := make([][]byte, 0, 2*len(vals)+2)
+	for i, v := range vals {
+		pairs = append(pairs, []byte(prefix+strconv.FormatInt(n+int64(i), 10)), v)
+	}
+	n += int64(len(vals))
+	keys, err := s.setAllLocked(append(pairs, args[0], []byte(strconv.FormatInt(n, 10))))
+	return n, keys, err
+}
+
+// lread is LREAD lenKey start count nprefix prefix... key...: under one
+// read lock, the log length at lenKey, then each key's value, then per
+// prefix an array of the values at prefix+i for i in [start, min(start+
+// count, length)) — a log window, the counters that bound it, and the
+// records kept beside each slot, as one snapshot.
+func (s *Server) lread(args [][]byte) value {
+	if len(args) < 4 {
+		return errorValue("ERR wrong number of arguments for 'lread'")
+	}
+	start, err1 := strconv.ParseUint(string(args[1]), 10, 64)
+	count, err2 := strconv.ParseUint(string(args[2]), 10, 64)
+	nprefix, err3 := strconv.Atoi(string(args[3]))
+	if err1 != nil || err2 != nil || err3 != nil || nprefix < 0 || nprefix > len(args)-4 {
+		return errorValue("ERR value is not an integer or out of range")
+	}
+	prefixes, keys := args[4:4+nprefix], args[4+nprefix:]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	length, err := s.intLocked(string(args[0]))
+	if err != nil {
+		return errorValue("ERR " + err.Error())
+	}
+	out := append(make([]value, 0, 1+len(keys)+len(prefixes)), integerValue(length))
+	for _, k := range keys {
+		out = append(out, s.bulkLocked(string(k)))
+	}
+	end := max(start, min(start+count, uint64(length)))
+	for _, p := range prefixes {
+		vals := make([]value, 0, end-start)
+		for i := start; i < end; i++ {
+			vals = append(vals, s.bulkLocked(string(p)+strconv.FormatUint(i, 10)))
+		}
+		out = append(out, arrayValue(vals))
+	}
+	return arrayValue(out)
+}
+
+// bulkLocked returns key's value as a bulk reply, null when missing.
+// Callers hold s.mu.
+func (s *Server) bulkLocked(key string) value {
+	if v, ok := s.data[key]; ok {
+		return bulkValue(v)
+	}
+	return nullBulk()
 }
 
 // cas atomically swaps key from old to new, reporting whether the swap

@@ -210,9 +210,6 @@ func (c *Consumer[T]) Next(ctx context.Context) (*Item[T], error) {
 		if err != nil {
 			return nil, err
 		}
-		if ev.isGap() {
-			continue
-		}
 		if ev.End {
 			done, err := c.handleEnd(ctx, ev)
 			if err != nil {
@@ -241,9 +238,6 @@ func (c *Consumer[T]) Next(ctx context.Context) (*Item[T], error) {
 			ev, ok, err := c.sub.Poll(ctx)
 			if err != nil || !ok {
 				break
-			}
-			if ev.isGap() {
-				continue
 			}
 			if ev.End {
 				done, err := c.handleEnd(ctx, ev)

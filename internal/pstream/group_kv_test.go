@@ -23,10 +23,10 @@ func newGroupServer(t *testing.T) *kvstore.Server {
 }
 
 // TestGroupCommandBudget pins the server commands one group member spends
-// per event, one event per round: Publish is INCR + SET; Next is the
-// scan's two reads (window, counters), the claim CAS and the floor guard;
-// Ack is a CAS of the remembered record plus INCR; the draining Poll after
-// the ack is the two reads, the floor CAS and the claim-record DELRANGE.
+// per event, one event per round: Publish is one LAPPEND in one round
+// trip; Next is the scan's LREAD, the claim CAS and the floor guard; Ack
+// is a CAS of the remembered record plus INCR; the draining Poll after the
+// ack is the LREAD, the floor CAS and the claim-record DELRANGE.
 func TestGroupCommandBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -46,20 +46,24 @@ func TestGroupCommandBudget(t *testing.T) {
 		return srv.Commands() - before
 	}
 	for round := 0; round < 5; round++ {
+		trips := b.RoundTrips()
 		if got := cost(func() {
 			if err := b.Publish(ctx, topic, pstream.Event{Producer: "p", Seq: uint64(round + 1)}); err != nil {
 				t.Fatalf("Publish: %v", err)
 			}
-		}); got != 2 {
-			t.Errorf("round %d: Publish cost %d server commands, want 2", round, got)
+		}); got != 1 {
+			t.Errorf("round %d: Publish cost %d server commands, want 1", round, got)
+		}
+		if got := b.RoundTrips() - trips; got != 1 {
+			t.Errorf("round %d: Publish took %d round trips, want 1", round, got)
 		}
 		var ev pstream.Event
 		if got := cost(func() {
 			if ev, err = sub.Next(ctx); err != nil {
 				t.Fatalf("Next: %v", err)
 			}
-		}); got > 4 {
-			t.Errorf("round %d: Next cost %d server commands, want ≤ 4", round, got)
+		}); got > 3 {
+			t.Errorf("round %d: Next cost %d server commands, want ≤ 3", round, got)
 		}
 		if ev.Offset != uint64(round) {
 			t.Fatalf("round %d: Next delivered offset %d", round, ev.Offset)
@@ -75,8 +79,8 @@ func TestGroupCommandBudget(t *testing.T) {
 			if _, ok, err := sub.Poll(ctx); err != nil || ok {
 				t.Fatalf("drain Poll = %v, %v; want nothing pending", ok, err)
 			}
-		}); got > 4 {
-			t.Errorf("round %d: drain Poll cost %d server commands, want ≤ 4", round, got)
+		}); got > 3 {
+			t.Errorf("round %d: drain Poll cost %d server commands, want ≤ 3", round, got)
 		}
 	}
 
@@ -124,17 +128,18 @@ func TestGroupCommandBudget(t *testing.T) {
 	}
 }
 
-// TestGroupScanReadsFloorAfterClaims holds member A between its scan's
-// window read and its counter read. Meanwhile peer B claims slot 0, acks
-// it and sweeps the floor past it, which deletes the claim record A's
-// window saw missing. Because A reads the floor after the window, it must
-// see slot 0 as settled: no CAS and no DEL on slot 0's claim key.
+// TestGroupScanReadsFloorAfterClaims checks that a scan never reads the
+// group floor before its claim window: both come from one LREAD, one
+// snapshot. Just before member A's read, peer B claims slot 0, acks it and
+// sweeps the floor past it, which deletes the claim record. A must see
+// slot 0 as settled: no CAS and no DEL on slot 0's claim key.
 func TestGroupScanReadsFloorAfterClaims(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	srv := newGroupServer(t)
 	const topic, group = "order", "g"
-	claimKey := "ps:" + topic + ":g:" + group + ":c:0"
+	claimPrefix := "ps:" + topic + ":g:" + group + ":c:"
+	claimKey := claimPrefix + "0"
 	floorKey := "ps:" + topic + ":g:" + group + ":f"
 
 	bB := pstream.NewKV(srv.Addr())
@@ -157,7 +162,7 @@ func TestGroupScanReadsFloorAfterClaims(t *testing.T) {
 		}
 		return false
 	}
-	var sawWindow, injected bool
+	var injected bool
 	var touched []string
 	peer := func() {
 		ev, ok, err := subB.Poll(ctx)
@@ -179,12 +184,10 @@ func TestGroupScanReadsFloorAfterClaims(t *testing.T) {
 	}
 	tap := func(name string, args [][]byte, _ bool) kvstore.TapDone {
 		switch {
-		case name == "MGET" && has(args, claimKey):
-			sawWindow = true
-		case name == "MGET" && has(args, floorKey) && !injected:
+		case has(args, floorKey) && !injected:
 			injected = true
-			if !sawWindow {
-				t.Error("A read its counters before its claim window")
+			if name != "PIPELINE" || !has(args, "LREAD") || !has(args, claimPrefix) {
+				t.Errorf("A read its group floor with %s %q, apart from its claim window", name, args)
 			}
 			peer()
 		case (name == "CAS" || name == "DEL") && has(args, claimKey):
@@ -204,7 +207,7 @@ func TestGroupScanReadsFloorAfterClaims(t *testing.T) {
 		t.Fatalf("A Poll = %v, %v; want nothing on a settled topic", ok, err)
 	}
 	if !injected {
-		t.Fatal("A's scan never read the group floor in an MGET")
+		t.Fatal("A's scan never read the group floor")
 	}
 	if len(touched) > 0 {
 		t.Fatalf("A issued %v on slot 0's swept claim key", touched)

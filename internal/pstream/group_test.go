@@ -273,7 +273,7 @@ func TestGroupPropertyMemberCrash(t *testing.T) {
 
 // --- KVBroker compaction ---------------------------------------------------
 
-func TestKVBrokerPublishBatchIsTwoRoundTrips(t *testing.T) {
+func TestKVBrokerPublishBatchIsOneCommand(t *testing.T) {
 	ctx := context.Background()
 	srv, err := kvstore.NewServer("127.0.0.1:0")
 	if err != nil {
@@ -291,16 +291,21 @@ func TestKVBrokerPublishBatchIsTwoRoundTrips(t *testing.T) {
 	if err := b.PublishBatch(ctx, "rt", evs); err != nil {
 		t.Fatalf("PublishBatch: %v", err)
 	}
-	if got := srv.Commands() - before; got != 2 {
-		t.Fatalf("PublishBatch of 64 events cost %d server commands, want 2 (INCRBY + MSET)", got)
+	if got := srv.Commands() - before; got != 1 {
+		t.Fatalf("PublishBatch of 64 events cost %d server commands, want 1 (LAPPEND)", got)
 	}
-	// Eager Publish pays 2 round trips per event.
+	for i, ev := range evs {
+		if ev.Offset != uint64(i) {
+			t.Fatalf("PublishBatch assigned event %d offset %d", i, ev.Offset)
+		}
+	}
+	// Eager Publish pays 1 command per event.
 	before = srv.Commands()
 	if err := b.Publish(ctx, "rt", pstream.Event{Producer: "p", Seq: 65}); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	if got := srv.Commands() - before; got != 2 {
-		t.Fatalf("single Publish cost %d commands, want 2", got)
+	if got := srv.Commands() - before; got != 1 {
+		t.Fatalf("single Publish cost %d commands, want 1", got)
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 //
 // Layout, per topic T (and group G):
 //
-//	ps:T:len      INCR/INCRBY-maintained append counter (= log length)
-//	ps:T:e:<i>    encoded event at log index i
+//	ps:T:len      log length, grown only by LAPPEND
+//	ps:T:e:<i>    encoded event at log index i (its offset is i)
 //	ps:T:c:<name> consumer name's committed offset
 //	ps:T:a:<i>    INCR-maintained distinct-consumer ack count of event i
 //	ps:T:t        truncation floor: slots below it have been reclaimed
@@ -30,9 +30,12 @@ import (
 //	ps:T:g:G:c:<i> group G's claim record for slot i ("c|member|deadline"
 //	              while leased, "a" once acked)
 //
-// Appends reserve a slot with INCR (atomic on the server) and then SET the
-// event — PublishBatch reserves the whole range with one INCRBY and fills
-// it with one MSET — so concurrent producers never collide; delivery is
+// An append is one LAPPEND, which grows the length and fills the slots it
+// takes in one server step — a Publish or a whole PublishBatch is one
+// command, concurrent producers never collide, and no slot is ever taken
+// without its event. Group scans and truncation passes read the log with
+// LREAD: a window of slots, their claim records or ack counters, the
+// length and the floors, in one snapshot. Delivery is
 // push: a blocked Next parks in one server-side wait on its cursor slot
 // (group members on their first unfilled slot, or over the topic keyspace
 // while an End barrier is pending) and the write that fills it wakes the
@@ -272,95 +275,45 @@ func kvTopicPrefix(topic string) string { return "ps:" + topic + ":" }
 // write) is re-checked at least this often; an idle round costs nothing.
 const kvWaitRound = 15 * time.Second
 
-// Publish implements Broker: INCR reserves the next log index, SET fills it.
-// The two steps are not atomic; if the SET fails, the reserved slot is
-// filled with a gap marker on a cancellation-detached context so consumers
-// skip it instead of polling the hole forever. (A producer that crashes
-// between the two steps still wedges the topic — the price of a log built
-// from plain kv primitives; see the package doc.)
+// Publish implements Broker as a one-event PublishBatch: one LAPPEND.
 func (b *KVBroker) Publish(ctx context.Context, topic string, ev Event) error {
-	start := time.Now()
-	defer b.mPublishNs.Since(start)
-	n, err := b.client.Incr(ctx, kvLenKey(topic))
-	if err != nil {
-		return fmt.Errorf("pstream: reserving log slot: %w", err)
-	}
-	ev.Topic = topic
-	ev.Offset = uint64(n - 1)
-	data, err := EncodeEvent(ev)
-	if err != nil {
-		b.fillGap(ctx, topic, ev.Offset)
-		return err
-	}
-	if err := b.client.Set(ctx, kvEventKey(topic, ev.Offset), data); err != nil {
-		b.fillGap(ctx, topic, ev.Offset)
-		return fmt.Errorf("pstream: appending event: %w", err)
-	}
-	b.mPublished.Inc()
-	return nil
+	return b.PublishBatch(ctx, topic, []Event{ev})
 }
 
-// PublishBatch implements Broker with O(1) round trips per batch: one
-// INCRBY reserves the whole slot range, one MSET fills it. Compare
-// Publish's 2 round trips per event — on WAN-shaped links the difference
-// is the publish path's latency budget.
+// PublishBatch implements Broker with one command per batch: LAPPEND takes
+// the next len(evs) slots and fills them in one server step, so a failed
+// or abandoned append leaves no reserved, unfilled slot behind. An event's
+// offset is the slot it lands in, known only once the append returns; the
+// encoded event does not carry it, and every read sets it from the slot.
 func (b *KVBroker) PublishBatch(ctx context.Context, topic string, evs []Event) error {
 	if len(evs) == 0 {
 		return nil
 	}
 	start := time.Now()
 	defer b.mPublishNs.Since(start)
-	n, err := b.client.IncrBy(ctx, kvLenKey(topic), int64(len(evs)))
-	if err != nil {
-		return fmt.Errorf("pstream: reserving %d log slots: %w", len(evs), err)
-	}
-	base := uint64(n) - uint64(len(evs))
-	pairs := make(map[string][]byte, len(evs))
+	vals := make([][]byte, len(evs))
 	for i := range evs {
 		evs[i].Topic = topic
-		evs[i].Offset = base + uint64(i)
-		data, err := EncodeEvent(evs[i])
+		ev := evs[i]
+		ev.Offset = 0
+		data, err := EncodeEvent(ev)
 		if err != nil {
-			b.fillGapRange(ctx, topic, base, base+uint64(len(evs)))
 			return err
 		}
-		pairs[kvEventKey(topic, evs[i].Offset)] = data
+		vals[i] = data
 	}
-	if err := b.client.MSet(ctx, pairs); err != nil {
-		b.fillGapRange(ctx, topic, base, base+uint64(len(evs)))
-		return fmt.Errorf("pstream: appending batch: %w", err)
+	pipe := b.client.Pipeline()
+	rep := pipe.LAppend(kvLenKey(topic), kvEventPrefix(topic), vals...)
+	pipe.Exec(ctx) // a transport error fails rep too
+	n, err := rep.Int()
+	if err != nil {
+		return fmt.Errorf("pstream: appending %d events: %w", len(evs), err)
+	}
+	for i := range evs {
+		evs[i].Offset = uint64(n) - uint64(len(evs)-i)
 	}
 	b.mPublished.Add(uint64(len(evs)))
 	return nil
-}
-
-// fillGap writes a skip marker into a reserved-but-unfilled log slot so the
-// topic stays consumable after a failed append. The write runs detached
-// from the caller's cancellation: when the failed SET was itself a ctx
-// cancel, the gap must still land.
-func (b *KVBroker) fillGap(ctx context.Context, topic string, offset uint64) error {
-	gap := Event{Topic: topic, Offset: offset, Attrs: map[string]string{attrGap: "1"}}
-	data, err := EncodeEvent(gap)
-	if err != nil {
-		return err
-	}
-	return b.client.Set(context.WithoutCancel(ctx), kvEventKey(topic, offset), data)
-}
-
-// fillGapRange back-fills every slot of a failed batch append with gap
-// markers in one MSET, detached from the caller's cancellation like
-// fillGap.
-func (b *KVBroker) fillGapRange(ctx context.Context, topic string, start, end uint64) error {
-	pairs := make(map[string][]byte, end-start)
-	for i := start; i < end; i++ {
-		gap := Event{Topic: topic, Offset: i, Attrs: map[string]string{attrGap: "1"}}
-		data, err := EncodeEvent(gap)
-		if err != nil {
-			return err
-		}
-		pairs[kvEventKey(topic, i)] = data
-	}
-	return b.client.MSet(context.WithoutCancel(ctx), pairs)
 }
 
 // Subscribe implements Broker, resuming from the committed offset stored on
@@ -458,71 +411,75 @@ func (b *KVBroker) RoundTrips() uint64 { return b.client.RoundTrips() }
 // kvScanWindow is how many adjacent slots one batched scan read fetches.
 const kvScanWindow = 32
 
-// kvWindow is a batched read-through view over runs of indexed keys —
-// event slots, claim records, ack counters. at() serves single-slot reads
-// from a window fetched with one MGET, collapsing the O(slots) GET walks
-// of group scans and truncation passes into O(slots/window) commands. A
-// window may carry several key families read at the same indices (a group
-// scan's event slots and claim records): one MGET then fetches the run of
-// every family at once.
+// kvWindow is a batched read-through view over a topic's log and the
+// records kept beside each slot — claim records, ack counters. at() serves
+// single-slot reads from a window fetched with one LREAD, collapsing the
+// O(slots) GET walks of group scans and truncation passes into
+// O(slots/window) commands. A window may carry several key families read
+// at the same indices (a group scan's event slots and claim records): one
+// LREAD then fetches the run of every family at once, bounded at the log
+// length.
 //
 // The window is a snapshot: a slot that fills (or settles) after its
 // window was fetched still reads as missing/stale. Callers treat that
 // conservatively — stop the walk, park, rescan — and every mutation point
 // is CAS-guarded, so a stale view costs a lost CAS, never a wrong outcome.
-// A group scan relies on when the snapshot was taken: it reads its window
-// before the counters that bound the walk (see kvGroupSub.scan).
 type kvWindow struct {
-	b    *KVBroker
-	keys []func(uint64) string
-	base uint64
-	// raws holds family k's value at index base+j at k*kvScanWindow+j.
-	raws [][]byte
+	b        *KVBroker
+	lenKey   string
+	prefixes []string
+	base     uint64
+	// length is the log length in the latest fetch.
+	length uint64
+	// fams[k][j] is family k's value at index base+j, for indices below
+	// length.
+	fams [][]kvstore.PipeReply
 }
 
-// window returns an empty window over the given key families; family k is
-// read with at(ctx, k, i), and event() reads family 0.
-func (b *KVBroker) window(keys ...func(uint64) string) kvWindow {
-	return kvWindow{b: b, keys: keys}
+// window returns an empty window over topic's log and the given key
+// families (prefixes of per-slot keys); family k is read with at(ctx, k,
+// i), and event() reads family 0.
+func (b *KVBroker) window(topic string, prefixes ...string) kvWindow {
+	return kvWindow{b: b, lenKey: kvLenKey(topic), prefixes: prefixes}
 }
 
-// fetch reads the window of every family starting at index base, in one
-// MGET.
-func (w *kvWindow) fetch(ctx context.Context, base uint64) error {
-	keys := make([]string, 0, len(w.keys)*kvScanWindow)
-	for _, key := range w.keys {
-		for j := uint64(0); j < kvScanWindow; j++ {
-			keys = append(keys, key(base+j))
+// fetch reads, in one LREAD, the window of every family starting at index
+// base, the log length, and the given keys, whose values it returns: all
+// one snapshot.
+func (w *kvWindow) fetch(ctx context.Context, base uint64, keys ...string) ([]kvstore.PipeReply, error) {
+	pipe := w.b.client.Pipeline()
+	rep := pipe.LRead(w.lenKey, base, kvScanWindow, w.prefixes, keys...)
+	pipe.Exec(ctx) // a transport error fails rep too
+	arr, err := rep.Array()
+	if err == nil && len(arr) != 1+len(keys)+len(w.prefixes) {
+		err = fmt.Errorf("%d values, want %d", len(arr), 1+len(keys)+len(w.prefixes))
+	}
+	fams := make([][]kvstore.PipeReply, len(w.prefixes))
+	for k := range fams {
+		if err == nil {
+			fams[k], err = arr[1+len(keys)+k].Array()
 		}
 	}
-	raws, err := w.b.mget(ctx, keys...)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("pstream: reading log window: %w", err)
 	}
-	w.base, w.raws = base, raws
-	return nil
-}
-
-// mget is MGet with its reply checked to hold one value per key, so
-// callers may index it by key position.
-func (b *KVBroker) mget(ctx context.Context, keys ...string) ([][]byte, error) {
-	raws, err := b.client.MGet(ctx, keys...)
-	if err == nil && len(raws) != len(keys) {
-		err = fmt.Errorf("pstream: MGET of %d keys returned %d values", len(keys), len(raws))
-	}
-	return raws, err
+	length, _ := arr[0].Int()
+	w.base, w.length, w.fams = base, uint64(length), fams
+	return arr[1 : 1+len(keys)], nil
 }
 
 // at returns family k's value at index i, fetching a fresh window when i
 // falls outside the current one; ok is false for a missing key.
 func (w *kvWindow) at(ctx context.Context, k int, i uint64) ([]byte, bool, error) {
-	if w.raws == nil || i < w.base || i >= w.base+kvScanWindow {
-		if err := w.fetch(ctx, i); err != nil {
+	if w.fams == nil || i < w.base || i >= w.base+kvScanWindow {
+		if _, err := w.fetch(ctx, i); err != nil {
 			return nil, false, err
 		}
 	}
-	raw := w.raws[k*kvScanWindow+int(i-w.base)]
-	return raw, raw != nil, nil
+	if j := i - w.base; j < uint64(len(w.fams[k])) {
+		return w.fams[k][j].Bytes()
+	}
+	return nil, false, nil
 }
 
 // event decodes the event at index i from family 0; ok is false for an
@@ -532,10 +489,18 @@ func (w *kvWindow) event(ctx context.Context, i uint64) (Event, bool, error) {
 	if err != nil || !ok {
 		return Event{}, false, err
 	}
+	return decodeAt(raw, i)
+}
+
+// decodeAt decodes the event stored in log slot i. The slot index is the
+// event's offset: the encoded event cannot carry it, as the append that
+// placed it chose the slot.
+func decodeAt(raw []byte, i uint64) (Event, bool, error) {
 	ev, err := DecodeEvent(raw)
 	if err != nil {
 		return Event{}, false, err
 	}
+	ev.Offset = i
 	return ev, true, nil
 }
 
@@ -552,12 +517,6 @@ type kvSub struct {
 	dirty     bool
 }
 
-// get returns the event at the cursor, or ok=false when the slot is still
-// empty.
-func (s *kvSub) get(ctx context.Context) (Event, bool, error) {
-	return s.b.eventAt(ctx, s.topic, s.cursor)
-}
-
 // eventAt reads and decodes the event at log index i; ok is false when the
 // slot is unfilled (or truncated).
 func (b *KVBroker) eventAt(ctx context.Context, topic string, i uint64) (Event, bool, error) {
@@ -565,11 +524,7 @@ func (b *KVBroker) eventAt(ctx context.Context, topic string, i uint64) (Event, 
 	if err != nil || !ok {
 		return Event{}, false, err
 	}
-	ev, err := DecodeEvent(raw)
-	if err != nil {
-		return Event{}, false, err
-	}
-	return ev, true, nil
+	return decodeAt(raw, i)
 }
 
 // ackCount reads event i's distinct-consumer ack counter (0 when absent).
@@ -593,7 +548,7 @@ func (s *kvSub) skipTruncated(ctx context.Context) (bool, error) {
 		return false, err
 	}
 	if floor <= s.cursor {
-		return false, nil // genuinely unfilled: a producer is mid-append
+		return false, nil // genuinely unfilled: not appended yet
 	}
 	s.cursor = floor
 	if floor > s.committed {
@@ -623,7 +578,7 @@ func (s *kvSub) Next(ctx context.Context) (Event, error) {
 			}
 			continue // re-arm (at the floor, if the slot was collected)
 		}
-		ev, err := DecodeEvent(raw)
+		ev, _, err := decodeAt(raw, s.cursor)
 		if err != nil {
 			return Event{}, err
 		}
@@ -636,7 +591,7 @@ func (s *kvSub) Next(ctx context.Context) (Event, error) {
 // Poll implements Subscription: one GET round trip, no waiting.
 func (s *kvSub) Poll(ctx context.Context) (Event, bool, error) {
 	for {
-		ev, ok, err := s.get(ctx)
+		ev, ok, err := s.b.eventAt(ctx, s.topic, s.cursor)
 		if err != nil {
 			return Event{}, false, err
 		}
@@ -756,12 +711,12 @@ func (b *KVBroker) retryPendingDeletes(ctx context.Context) {
 
 // maybeTruncate garbage-collects the fully consumed log prefix: starting
 // at the truncation floor, it walks forward while slots have reached the
-// configured ack threshold (gap slots, which nobody acks, pass
-// automatically; End markers stop the walk so rejoining consumers still
-// see them), then CASes the floor forward and deletes the covered event
-// slots and ack counters with two ranged DELs. Each pass collects at most
-// truncChunk slots and passes repeat until the walk stops, so one huge
-// cumulative ack cannot exceed the server's delete-range cap. The CAS
+// configured ack threshold (End markers stop the walk so rejoining
+// consumers still see them), then CASes the floor forward and deletes the
+// covered event slots and ack counters with two ranged DELs. Each pass
+// collects at most truncChunk slots and passes repeat until the walk
+// stops, so one huge cumulative ack cannot exceed the server's
+// delete-range cap. The CAS
 // serializes concurrent truncators — a loser leaves the work to the
 // winner — and failed deletes are queued and retried on later calls (a
 // crash between the CAS and the delete still leaks the range: the price
@@ -777,25 +732,25 @@ func (b *KVBroker) maybeTruncate(ctx context.Context, topic string) {
 }
 
 // truncatePass advances the truncation floor by up to truncChunk slots,
-// reporting whether it advanced (callers loop until it did not). Both
-// per-slot reads — ack counter and event — go through MGET windows, so a
-// full chunk costs 2*truncChunk/kvScanWindow read commands, not
-// 2*truncChunk. A stale window only under-reports acks, which stops the
-// walk early; the CAS on the floor still serializes the actual collect.
+// reporting whether it advanced (callers loop until it did not). The
+// per-slot reads — event and ack counter — and the log length come from
+// LREAD windows, so a full chunk costs truncChunk/kvScanWindow read
+// commands, not 2*truncChunk. A stale window only under-reports acks,
+// which stops the walk early; the CAS on the floor still serializes the
+// actual collect.
 func (b *KVBroker) truncatePass(ctx context.Context, topic string) bool {
 	floor, err := b.counter(ctx, kvTruncKey(topic))
 	if err != nil {
 		return false
 	}
-	length, err := b.counter(ctx, kvLenKey(topic))
-	if err != nil {
+	win := b.window(topic, kvEventPrefix(topic), kvAckPrefix(topic))
+	if _, err := win.fetch(ctx, floor); err != nil {
 		return false
 	}
-	ackWin := b.window(func(i uint64) string { return kvAckKey(topic, i) })
-	evWin := b.window(func(i uint64) string { return kvEventKey(topic, i) })
+	length := win.length
 	f := floor
 	for f < length && f-floor < truncChunk {
-		raw, ok, err := ackWin.at(ctx, 0, f)
+		raw, ok, err := win.at(ctx, 1, f)
 		if err != nil {
 			return false
 		}
@@ -804,22 +759,17 @@ func (b *KVBroker) truncatePass(ctx context.Context, topic string) bool {
 			n, _ = strconv.ParseInt(string(raw), 10, 64)
 		}
 		if n < int64(b.truncAfter) {
-			// Unacked slot: only a gap (which no consumer acks) may pass.
-			ev, ok, err := evWin.event(ctx, f)
-			if err != nil || !ok || !ev.isGap() {
-				break
-			}
-		} else {
-			ev, ok, err := evWin.event(ctx, f)
-			if err != nil {
-				return false
-			}
-			// An End marker survives truncation even once cumulative acks
-			// cover it: it is the only way a late or rejoining consumer
-			// learns the stream is over.
-			if ok && ev.End {
-				break
-			}
+			break
+		}
+		ev, ok, err := win.event(ctx, f)
+		if err != nil {
+			return false
+		}
+		// An End marker survives truncation even once cumulative acks
+		// cover it: it is the only way a late or rejoining consumer
+		// learns the stream is over.
+		if ok && ev.End {
+			break
 		}
 		f++
 	}
@@ -934,7 +884,7 @@ func (b *KVBroker) sweepPass(ctx context.Context, topic string, limit uint64, li
 	if floor >= limit {
 		return 0, false, nil
 	}
-	evWin := b.window(func(i uint64) string { return kvEventKey(topic, i) })
+	evWin := b.window(topic, kvEventPrefix(topic))
 	f := floor
 	for f < limit && f-floor < truncChunk {
 		ev, ok, err := evWin.event(ctx, f)
@@ -944,7 +894,7 @@ func (b *KVBroker) sweepPass(ctx context.Context, topic string, limit uint64, li
 		if ok && ev.End {
 			break
 		}
-		if ok && !ev.isGap() && orphan != nil {
+		if ok && orphan != nil {
 			if orphan(ev, live) {
 				b.mOrphanGC.Inc()
 			}
@@ -1139,50 +1089,43 @@ func (s *kvGroupSub) trackLeaseDeadline(deadline time.Time) {
 // payload slot with a CAS-guarded lease. As a side effect it refreshes
 // nextLease with the earliest live claim deadline encountered.
 //
-// A scan reads in two MGETs. The first fetches the event and claim-record
-// windows (kvWindow) at floorHint, the floor the previous scan left. The
-// second reads the log length, the group floor and the truncation floor,
-// in that order. The counters are read after the windows on purpose: the
+// A scan reads in one LREAD: the event and claim-record windows at
+// floorHint, the floor the previous scan left, together with the log
+// length, the group floor and the truncation floor — one snapshot. The
 // floor moves before a sweep deletes claim records, so a record missing
 // from the window at an index at or above the floor read was not
-// collected by a sweep — the scan never mistakes a swept, settled slot
-// for a free one. (Merged into one MGET the counters would be as old as
-// the window, and that guarantee would be gone.) Likewise length and the
-// truncation floor are at least as new as every event slot in the
-// window. A walk that leaves the window refetches it; such a read is
-// newer than the counters, and tryClaim's floor guard covers it. Over a
-// deep backlog the walks cost O(slots/kvScanWindow) commands, not
-// O(slots).
+// collected by a sweep: the scan never mistakes a swept, settled slot for
+// a free one. Likewise no slot in the window is newer than the length or
+// the truncation floor. A walk that leaves the window refetches it; such
+// a read is newer than the counters, and tryClaim's floor guard covers
+// it. Over a deep backlog the walks cost O(slots/kvScanWindow) commands,
+// not O(slots).
 func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 	s.nextLease = time.Time{}
 	s.endPending = false
 	if err := s.flushPendingIncr(ctx); err != nil {
 		return Event{}, false, err
 	}
-	win := s.b.window(
-		func(i uint64) string { return kvEventKey(s.topic, i) },
-		func(i uint64) string { return kvClaimKey(s.topic, s.group, i) })
-	if err := win.fetch(ctx, s.floorHint); err != nil {
-		return Event{}, false, err
-	}
+	win := s.b.window(s.topic, kvEventPrefix(s.topic), kvClaimPrefix(s.topic, s.group))
 	floorKey := kvGroupFloorKey(s.topic, s.group)
-	keys := [...]string{kvLenKey(s.topic), floorKey, kvTruncKey(s.topic)}
-	raws, err := s.b.mget(ctx, keys[:]...)
+	keys := [...]string{floorKey, kvTruncKey(s.topic)}
+	raws, err := win.fetch(ctx, s.floorHint, keys[:]...)
 	if err != nil {
 		return Event{}, false, err
 	}
 	var counters [len(keys)]uint64
 	for j, key := range keys {
-		if counters[j], err = parseCounter(key, raws[j]); err != nil {
+		raw, _, _ := raws[j].Bytes()
+		if counters[j], err = parseCounter(key, raw); err != nil {
 			return Event{}, false, err
 		}
 	}
-	// A missing event slot is ambiguous: either a producer is mid-append
-	// (a hole — stop and wait) or log truncation collected a fully-acked
-	// slot (resolved — skip it). The truncation floor tells them apart.
-	length, floor, trunc := counters[0], counters[1], counters[2]
+	// A missing event slot is ambiguous: either no append has reached it
+	// yet (stop and wait) or log truncation collected a fully-acked slot
+	// (resolved — skip it). The truncation floor tells them apart.
+	length, floor, trunc := win.length, counters[0], counters[1]
 
-	// 1. Sweep the shared floor: gaps, Ends and truncated slots resolve on
+	// 1. Sweep the shared floor: Ends and truncated slots resolve on
 	// contact, payload slots once their claim record reads acked. The
 	// sweep is opportunistic — a lost CAS means another member advanced it
 	// — and advances at most truncChunk slots per scan, bounding both the
@@ -1199,9 +1142,9 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 				f++
 				continue
 			}
-			break // unfilled slot: a producer is mid-append
+			break // unfilled slot
 		}
-		if !ev.isGap() && !ev.End {
+		if !ev.End {
 			raw, held, err := win.at(ctx, 1, f)
 			if err != nil {
 				return Event{}, false, err
@@ -1278,9 +1221,9 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 				continue
 			}
 			s.parkSlot = i
-			break // hole: preserve log order, wait for the fill
+			break // unfilled: preserve log order, wait for the fill
 		}
-		if ev.isGap() || ev.End {
+		if ev.End {
 			continue
 		}
 		raw, held, err := win.at(ctx, 1, i)
@@ -1429,18 +1372,14 @@ func (s *kvGroupSub) park(ctx context.Context) (Event, bool, error) {
 		if !ok {
 			return Event{}, false, nil // wait round lapsed
 		}
-		ev, err := DecodeEvent(raw)
+		ev, _, err := decodeAt(raw, parkSlot)
 		if err != nil {
 			return Event{}, false, err
-		}
-		if ev.isGap() {
-			parkSlot++
-			continue
 		}
 		if ev.End {
 			return Event{}, false, nil
 		}
-		won, err := s.tryClaim(ctx, ev.Offset, nil, false)
+		won, err := s.tryClaim(ctx, parkSlot, nil, false)
 		if err != nil {
 			return Event{}, false, err
 		}

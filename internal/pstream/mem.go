@@ -49,8 +49,8 @@ type memTopic struct {
 // memGroup is one consumer group's claim state over a topic log.
 type memGroup struct {
 	// floor is the first offset not yet resolved for the group: every
-	// payload event below it is acked (gaps and End markers resolve
-	// automatically once reached). Claim scans start here.
+	// payload event below it is acked (End markers resolve automatically
+	// once reached). Claim scans start here.
 	floor uint64
 	// claims maps offset to the active claim at or above floor.
 	claims map[uint64]memClaim
@@ -297,14 +297,14 @@ func (s *memSub) Close() error { return nil }
 // --- Consumer groups ------------------------------------------------------
 
 // advanceGroupFloor sweeps the group's floor past resolved offsets: acked
-// payload events, gap markers, and End markers (an End resolves once
-// everything below it has — which is exactly when the floor reaches it).
+// payload events and End markers (an End resolves once everything below
+// it has — which is exactly when the floor reaches it).
 // Claim and ack bookkeeping below the floor is dropped as it passes.
 // Callers must hold b.mu.
 func advanceGroupFloor(t *memTopic, g *memGroup) {
 	for g.floor < uint64(len(t.events)) {
 		ev := t.events[g.floor]
-		if !ev.isGap() && !ev.End && !g.acked[g.floor] {
+		if !ev.End && !g.acked[g.floor] {
 			return
 		}
 		delete(g.acked, g.floor)
@@ -356,7 +356,7 @@ func (b *MemBroker) fetchGroup(ctx context.Context, topic, group, member string,
 		var nextExpiry time.Time
 		for i := g.floor; i < uint64(len(t.events)); i++ {
 			ev := t.events[i]
-			if ev.isGap() || ev.End || g.acked[i] {
+			if ev.End || g.acked[i] {
 				continue
 			}
 			if c, held := g.claims[i]; held && now.Before(c.deadline) {

@@ -222,9 +222,8 @@ func (p *Producer[T]) SendBatch(ctx context.Context, values []T, attrs ...[]map[
 		evs[i] = ev
 	}
 	if err := p.b.PublishBatch(ctx, p.topic, evs); err != nil {
-		// None of the values were announced; reclaim them all. (A batch
-		// publish that failed after a partial server-side append leaves
-		// gap-marked slots, never half-announced values.)
+		// None of the values were announced; reclaim them all. (Brokers
+		// append a batch whole or not at all.)
 		unputAll()
 		return err
 	}

@@ -45,14 +45,7 @@ const (
 	// attrEvictAfter is the distinct-consumer ack count after which the
 	// event's object is evicted from its store (the evict-on-ack policy).
 	attrEvictAfter = "ps.evict_after"
-	// attrGap marks a log slot whose append failed and was back-filled so
-	// consumers can skip it (KVBroker). Gap events carry no payload.
-	attrGap = "ps.gap"
 )
-
-// isGap reports whether the event is a back-filled hole in the log rather
-// than a published record.
-func (e Event) isGap() bool { return e.Attr(attrGap) != "" }
 
 // Event is the compact record traveling through the metadata plane: a
 // pointer into the data plane plus ordering metadata. Events are O(100 B)

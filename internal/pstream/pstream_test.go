@@ -663,42 +663,6 @@ func TestKVBrokerWithRedisDataPlane(t *testing.T) {
 	}
 }
 
-func TestConsumerSkipsGapEvents(t *testing.T) {
-	// A failed KVBroker append back-fills its reserved slot with a gap
-	// marker ("ps.gap" attr); consumers must skip it silently.
-	ctx := context.Background()
-	st := newLocalStore(t)
-	b := pstream.NewMem()
-
-	prod := pstream.NewProducer[string](st, b, "gappy")
-	if err := prod.Send(ctx, "before", nil); err != nil {
-		t.Fatal(err)
-	}
-	gap := pstream.Event{Attrs: map[string]string{"ps.gap": "1"}}
-	if err := b.Publish(ctx, "gappy", gap); err != nil {
-		t.Fatal(err)
-	}
-	if err := prod.Send(ctx, "after", nil); err != nil {
-		t.Fatal(err)
-	}
-	prod.Close(ctx)
-
-	cons, err := pstream.NewConsumer[string](ctx, b, "gappy", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cons.Close()
-	for _, want := range []string{"before", "after"} {
-		v, err := cons.NextValue(ctx)
-		if err != nil || v != want {
-			t.Fatalf("NextValue = %q, %v; want %q", v, err, want)
-		}
-	}
-	if _, err := cons.NextValue(ctx); !errors.Is(err, pstream.ErrEnd) {
-		t.Fatalf("want ErrEnd after gap stream, got %v", err)
-	}
-}
-
 func TestMemBrokerCloseWakesBlockedNext(t *testing.T) {
 	ctx := context.Background()
 	b := pstream.NewMem()

@@ -110,8 +110,8 @@ const (
 
 // TestClaimRaceUndoLive reproduces, deterministically and on every run,
 // the race the heartbeat-reclaim work fixed in tryClaim: member A's scan
-// reads its window (slot 0 filled, its claim record missing) and then its
-// counters (group floor 0), and pauses; member B claims the slot,
+// reads its window (slot 0 filled, its claim record missing) and its
+// counters (group floor 0) in one LREAD, and pauses; member B claims the slot,
 // acks it, and sweeps the floor past it (GC'ing the claim record); A
 // resumes and its create-CAS wins on the swept slot — a claim stranded
 // below the floor, invisible to every future sweep — and A's context is
@@ -136,8 +136,8 @@ func TestClaimRaceUndoLive(t *testing.T) {
 	resume := make(chan struct{})
 	sawPause := false
 	hook := func(name string, args [][]byte, reply [][]byte, err error) {
-		if name == "MGET" && err == nil && !sawPause && argsHold(args, floorKey) {
-			// A's scan has read its counters (floor 0) after a window
+		if name == "PIPELINE" && err == nil && !sawPause && argsHold(args, "LREAD") && argsHold(args, floorKey) {
+			// A's scan has read its counters (floor 0) with a window
 			// that showed slot 0 unclaimed; freeze it here, pre-CAS.
 			sawPause = true
 			close(paused)

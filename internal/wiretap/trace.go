@@ -116,7 +116,8 @@ func (t *Trace) OpsByStart() []*Op {
 
 // KVKeys returns every kvstore key the trace touches, sorted — the probe
 // set for comparing final server state across replays. DELRANGE windows
-// are expanded, so swept slot keys are probed too.
+// and the slots an LAPPEND took (read off its reply) are expanded, so
+// swept and appended slot keys are probed too.
 func (t *Trace) KVKeys() []string {
 	set := make(map[string]struct{})
 	for i := range t.Ops {
@@ -124,7 +125,7 @@ func (t *Trace) KVKeys() []string {
 		if op.Plane != PlaneKV {
 			continue
 		}
-		collectKeys(set, op.Name, op.Args)
+		collectKeys(set, op.Name, op.Args, op.Reply)
 	}
 	out := make([]string, 0, len(set))
 	for k := range set {
@@ -134,7 +135,7 @@ func (t *Trace) KVKeys() []string {
 	return out
 }
 
-func collectKeys(set map[string]struct{}, name string, args [][]byte) {
+func collectKeys(set map[string]struct{}, name string, args, reply [][]byte) {
 	addAll := func(from int) {
 		for _, a := range args[from:] {
 			set[string(a)] = struct{}{}
@@ -164,15 +165,54 @@ func collectKeys(set map[string]struct{}, name string, args [][]byte) {
 				}
 			}
 		}
+	case "LAPPEND":
+		// The reply is the new length; the values took the slots below it.
+		if len(args) > 2 && len(reply) > 0 {
+			set[string(args[0])] = struct{}{}
+			n, err := strconv.ParseUint(string(bytes.TrimPrefix(reply[0], []byte("i"))), 10, 64)
+			for i := n - min(n, uint64(len(args)-2)); err == nil && i < n; i++ {
+				set[string(args[1])+strconv.FormatUint(i, 10)] = struct{}{}
+			}
+		}
+	case "LREAD":
+		// The length key, then the counter keys after the nprefix prefixes.
+		if len(args) < 4 {
+			return
+		}
+		if np, err := strconv.Atoi(string(args[3])); err == nil && np >= 0 && 4+np <= len(args) {
+			set[string(args[0])] = struct{}{}
+			addAll(4 + np)
+		}
 	case "PIPELINE":
 		cmds, err := parsePipeArgs(args)
 		if err != nil {
 			return
 		}
 		for _, c := range cmds {
-			collectKeys(set, c.name, c.args)
+			next := min(skipReply(reply, 0), len(reply))
+			collectKeys(set, c.name, c.args, reply[:next])
+			reply = reply[next:]
 		}
 	}
+}
+
+// skipReply returns the index just past the normalized reply value that
+// starts at reply[i] (see kvstore's reply grammar): a "b" tag is followed
+// by its payload, an "a<n>" tag by n values.
+func skipReply(reply [][]byte, i int) int {
+	if i < len(reply) && len(reply[i]) > 0 {
+		switch reply[i][0] {
+		case 'b':
+			return i + 2
+		case 'a':
+			n, _ := strconv.Atoi(string(reply[i][1:]))
+			for i++; n > 0; n-- {
+				i = skipReply(reply, i)
+			}
+			return i
+		}
+	}
+	return i + 1
 }
 
 // pipeSubCmd is one command inside a recorded PIPELINE op.

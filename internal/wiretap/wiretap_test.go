@@ -105,10 +105,16 @@ func TestTraceKVKeys(t *testing.T) {
 		{Plane: wiretap.PlaneKV, Name: "DELRANGE", Args: [][]byte{[]byte("p:"), []byte("1"), []byte("3")}},
 		{Plane: wiretap.PlaneKV, Name: "PIPELINE", Args: [][]byte{
 			[]byte("1"), []byte("INCR"), []byte("1"), []byte("n")}},
+		// An LAPPEND of two values that made the length 5 took slots 3
+		// and 4; an LREAD names its length key and its counter keys.
+		{Plane: wiretap.PlaneKV, Name: "PIPELINE", Args: [][]byte{[]byte("2"),
+			[]byte("LAPPEND"), []byte("4"), []byte("L"), []byte("s:"), []byte("x"), []byte("y"),
+			[]byte("LREAD"), []byte("6"), []byte("L"), []byte("0"), []byte("32"), []byte("1"), []byte("s:"), []byte("f")},
+			Reply: [][]byte{[]byte("i5"), []byte("a3"), []byte("i5"), []byte("n"), []byte("a0")}},
 		{Plane: wiretap.PlaneMsg, Name: "REQUEST", Args: [][]byte{[]byte("ignored")}},
 	}}
 	got := tr.KVKeys()
-	want := []string{"a", "b", "c", "n", "p:1", "p:2"}
+	want := []string{"L", "a", "b", "c", "f", "n", "p:1", "p:2", "s:3", "s:4"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("KVKeys = %v, want %v", got, want)
 	}
@@ -282,13 +288,17 @@ func TestReplayCompressed(t *testing.T) {
 		t.Fatalf("%d stragglers after compressed replay", report.Stragglers)
 	}
 	// Compressed mode races by design: reply divergence and differently-
-	// ordered claim bookkeeping (a GC sweep racing an ack) are expected.
-	// The write-once part of the state — the event log and its length —
-	// must still converge exactly.
+	// ordered claim bookkeeping (a GC sweep racing an ack) are expected,
+	// and so are appends landing in another slot order, as the server
+	// picks each append's slot when it runs. The write-once part of the
+	// state — the log length and the set of events in the log — must
+	// still converge exactly.
 	writeOnce := func(snap map[string]string) map[string]string {
 		out := map[string]string{}
 		for k, v := range snap {
-			if strings.HasPrefix(k, "ps:t:e:") || k == "ps:t:len" {
+			if strings.HasPrefix(k, "ps:t:e:") {
+				out["event "+v] = ""
+			} else if k == "ps:t:len" {
 				out[k] = v
 			}
 		}
