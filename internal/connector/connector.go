@@ -157,15 +157,3 @@ func FromConfig(cfg Config) (Connector, error) {
 	}
 	return b(cfg)
 }
-
-// RegisteredTypes returns the sorted list of known connector types.
-func RegisteredTypes() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for typ := range registry {
-		out = append(out, typ)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -124,15 +124,6 @@ type StreamAdapter struct {
 	conn Connector
 }
 
-// NewStreamAdapter wraps c. Most callers should use Stream instead, which
-// avoids double-wrapping and skips the adapter for native Streamers.
-func NewStreamAdapter(c Connector) *StreamAdapter {
-	return &StreamAdapter{conn: c}
-}
-
-// Unwrap returns the adapted connector.
-func (a *StreamAdapter) Unwrap() Connector { return a.conn }
-
 // Type implements Connector.
 func (a *StreamAdapter) Type() string { return a.conn.Type() }
 

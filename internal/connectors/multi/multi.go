@@ -103,13 +103,6 @@ func New(children ...Child) (*Connector, error) {
 	return c, nil
 }
 
-// Children returns the children in routing order.
-func (c *Connector) Children() []Child {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]Child(nil), c.children...)
-}
-
 // Type implements connector.Connector.
 func (c *Connector) Type() string { return Type }
 

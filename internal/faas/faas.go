@@ -88,16 +88,6 @@ type taskResult struct {
 type Cloud struct {
 	net  *netsim.Network
 	site string
-	// overhead is the nominal control-plane cost per task (dispatch,
-	// storage, result handling inside the service) — the reason baseline
-	// Globus Compute round trips have a ~2 s floor in Figure 5. It is
-	// divided by the network's time scale.
-	overhead time.Duration
-	// payloadBW is the service's effective nominal throughput for task
-	// payloads (serialize, store in the service's Redis/S3, forward) —
-	// a few MB/s in practice, which is why baseline round-trip time grows
-	// with payload size in Figure 5. Divided by the network's time scale.
-	payloadBW float64
 
 	mu     sync.Mutex
 	queues map[string]chan *task
@@ -105,41 +95,33 @@ type Cloud struct {
 	tasks atomic.Uint64
 }
 
-// CloudOption configures a Cloud.
-type CloudOption func(*Cloud)
-
-// WithServiceOverhead overrides the nominal per-task control-plane cost
-// (default 1.5s, scaled by the network's time compression).
-func WithServiceOverhead(d time.Duration) CloudOption {
-	return func(c *Cloud) { c.overhead = d }
-}
-
-// WithPayloadBandwidth overrides the service's nominal payload throughput
-// (default 2 MB/s, scaled by the network's time compression).
-func WithPayloadBandwidth(bytesPerSec float64) CloudOption {
-	return func(c *Cloud) { c.payloadBW = bytesPerSec }
-}
+const (
+	// serviceOverhead is the nominal control-plane cost per task
+	// (dispatch, storage, result handling inside the service) — the reason
+	// baseline Globus Compute round trips have a ~2 s floor in Figure 5.
+	// It is divided by the network's time scale.
+	serviceOverhead = 1500 * time.Millisecond
+	// payloadBW is the service's effective nominal throughput for task
+	// payloads in bytes per second (serialize, store in the service's
+	// Redis/S3, forward) — a few MB/s in practice, which is why baseline
+	// round-trip time grows with payload size in Figure 5. Divided by the
+	// network's time scale.
+	payloadBW = 2e6
+)
 
 // NewCloud creates the service at the given netsim site (usually
 // netsim.SiteCloud).
-func NewCloud(n *netsim.Network, site string, opts ...CloudOption) *Cloud {
-	c := &Cloud{net: n, site: site, overhead: 1500 * time.Millisecond, payloadBW: 2e6, queues: make(map[string]chan *task)}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+func NewCloud(n *netsim.Network, site string) *Cloud {
+	return &Cloud{net: n, site: site, queues: make(map[string]chan *task)}
 }
 
 // serviceDelay pays the scaled control-plane overhead.
 func (c *Cloud) serviceDelay() {
-	if c.overhead <= 0 {
-		return
-	}
 	scale := 1.0
 	if c.net != nil {
 		scale = c.net.Scale()
 	}
-	time.Sleep(time.Duration(float64(c.overhead) / scale))
+	time.Sleep(time.Duration(float64(serviceOverhead) / scale))
 }
 
 // Tasks returns the number of tasks routed through the cloud.
@@ -164,8 +146,8 @@ func (c *Cloud) delay(ctx context.Context, from, to string, size int) error {
 		return err
 	}
 	// Service-side payload handling at the cloud's effective throughput.
-	if c.payloadBW > 0 && size > 0 {
-		d := time.Duration(float64(size) / c.payloadBW * float64(time.Second) / c.net.Scale())
+	if size > 0 {
+		d := time.Duration(float64(size) / payloadBW * float64(time.Second) / c.net.Scale())
 		if d > 0 {
 			t := time.NewTimer(d)
 			defer t.Stop()

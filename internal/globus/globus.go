@@ -74,35 +74,23 @@ type Task struct {
 // A Service is safe for concurrent use.
 type Service struct {
 	net *netsim.Network
-	// serviceLatency is the fixed control-plane overhead per task.
-	serviceLatency time.Duration
 
 	mu        sync.RWMutex
 	endpoints map[string]Endpoint
 	tasks     map[string]*Task
 }
 
-// Option configures a Service.
-type Option func(*Service)
-
-// WithServiceLatency overrides the per-task control-plane overhead
-// (default 2s nominal, scaled by the network's time scale).
-func WithServiceLatency(d time.Duration) Option {
-	return func(s *Service) { s.serviceLatency = d }
-}
+// serviceLatency is the fixed nominal control-plane overhead per task,
+// scaled by the network's time scale.
+const serviceLatency = 2 * time.Second
 
 // NewService creates a transfer service over the given network model.
-func NewService(n *netsim.Network, opts ...Option) *Service {
-	s := &Service{
-		net:            n,
-		serviceLatency: 2 * time.Second,
-		endpoints:      make(map[string]Endpoint),
-		tasks:          make(map[string]*Task),
+func NewService(n *netsim.Network) *Service {
+	return &Service{
+		net:       n,
+		endpoints: make(map[string]Endpoint),
+		tasks:     make(map[string]*Task),
 	}
-	for _, o := range opts {
-		o(s)
-	}
-	return s
 }
 
 // RegisterEndpoint adds an endpoint, creating its directory.
@@ -172,7 +160,7 @@ func (s *Service) run(task *Task, src, dst Endpoint) {
 	if s.net != nil {
 		scale = s.net.Scale()
 	}
-	time.Sleep(time.Duration(float64(s.serviceLatency) / scale))
+	time.Sleep(time.Duration(float64(serviceLatency) / scale))
 
 	// Bulk data movement at the link's full TCP bandwidth (GridFTP uses
 	// parallel streams; model as the full link rate).

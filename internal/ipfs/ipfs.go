@@ -39,36 +39,24 @@ type Node struct {
 	id   string
 	site string
 	net  *netsim.Network
-	// resolveOverhead models content routing (DHT walk) per retrieval.
-	resolveOverhead time.Duration
 
 	mu     sync.RWMutex
 	blocks map[CID][]byte
 	peers  []*Node
 }
 
-// Option configures a Node.
-type Option func(*Node)
-
-// WithResolveOverhead overrides the per-retrieval routing overhead
-// (default 50 ms nominal, scaled by the network's time scale).
-func WithResolveOverhead(d time.Duration) Option {
-	return func(n *Node) { n.resolveOverhead = d }
-}
+// resolveOverhead models content routing (DHT walk) per retrieval: a
+// nominal 50 ms, scaled by the network's time scale.
+const resolveOverhead = 50 * time.Millisecond
 
 // NewNode creates a node at a netsim site.
-func NewNode(id, site string, network *netsim.Network, opts ...Option) *Node {
-	n := &Node{
-		id:              id,
-		site:            site,
-		net:             network,
-		resolveOverhead: 50 * time.Millisecond,
-		blocks:          make(map[CID][]byte),
+func NewNode(id, site string, network *netsim.Network) *Node {
+	return &Node{
+		id:     id,
+		site:   site,
+		net:    network,
+		blocks: make(map[CID][]byte),
 	}
-	for _, o := range opts {
-		o(n)
-	}
-	return n
 }
 
 // ID returns the node identifier.
@@ -160,8 +148,8 @@ func (n *Node) fetchBlock(ctx context.Context, cid CID) ([]byte, error) {
 // peers.
 func (n *Node) Get(ctx context.Context, root CID) ([]byte, error) {
 	// Content routing overhead per retrieval.
-	if n.net != nil && n.resolveOverhead > 0 {
-		d := time.Duration(float64(n.resolveOverhead) / n.net.Scale())
+	if n.net != nil {
+		d := time.Duration(float64(resolveOverhead) / n.net.Scale())
 		t := time.NewTimer(d)
 		select {
 		case <-ctx.Done():

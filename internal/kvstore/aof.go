@@ -241,7 +241,6 @@ func (s *Server) appendAOF(op byte, key string, val []byte) {
 	}
 	if err != nil {
 		s.aofErr = err
-		s.logger.Printf("kvstore: aof broken, appends stopped: %v", err)
 		// Wake replication feeds so they notice the log will not advance.
 		s.aofCond.Broadcast()
 		return
@@ -270,7 +269,6 @@ func (s *Server) appendReplicated(raw []byte) {
 		}
 		if err != nil {
 			s.aofErr = err
-			s.logger.Printf("kvstore: aof broken, appends stopped: %v", err)
 		}
 	}
 	s.aofSize += int64(len(raw))

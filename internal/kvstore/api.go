@@ -25,7 +25,6 @@ type KV interface {
 	MGet(ctx context.Context, keys ...string) ([][]byte, error)
 	MSet(ctx context.Context, pairs map[string][]byte) error
 	Incr(ctx context.Context, key string) (int64, error)
-	IncrBy(ctx context.Context, key string, delta int64) (int64, error)
 	CAS(ctx context.Context, key string, old, new []byte) (bool, error)
 	DelRange(ctx context.Context, prefix string, start, end uint64) (int64, error)
 	WaitGet(ctx context.Context, key string, timeout time.Duration) (val []byte, ok bool, err error)

@@ -531,16 +531,6 @@ func (c *Client) Incr(ctx context.Context, key string) (int64, error) {
 	return v.num, nil
 }
 
-// IncrBy atomically adds delta to the integer at key (missing keys start
-// at 0) and returns the new value.
-func (c *Client) IncrBy(ctx context.Context, key string, delta int64) (int64, error) {
-	v, err := c.do(ctx, "INCRBY", []byte(key), []byte(strconv.FormatInt(delta, 10)))
-	if err != nil {
-		return 0, err
-	}
-	return v.num, nil
-}
-
 // CAS atomically swaps key's value from old to new, reporting whether the
 // swap happened. A nil/empty old means the key must not exist (SETNX).
 func (c *Client) CAS(ctx context.Context, key string, old, new []byte) (bool, error) {

@@ -194,9 +194,6 @@ func (sc *ShardedClient) shardFor(key string) *shard {
 	return sc.shards[sc.ring[i].shard]
 }
 
-// NumShards returns the shard count (for bench/introspection).
-func (sc *ShardedClient) NumShards() int { return len(sc.shards) }
-
 // promote asks c (best-effort, bounded) to start accepting writes.
 func promote(c *kvstore.Client) {
 	ctx, cancel := context.WithTimeout(context.Background(), promoteTimeout)
@@ -260,14 +257,6 @@ func (sc *ShardedClient) Get(ctx context.Context, key string) (val []byte, ok bo
 func (sc *ShardedClient) Incr(ctx context.Context, key string) (n int64, err error) {
 	err = sc.doKey(ctx, key, func(c *kvstore.Client) error {
 		n, err = c.Incr(ctx, key)
-		return err
-	})
-	return n, err
-}
-
-func (sc *ShardedClient) IncrBy(ctx context.Context, key string, delta int64) (n int64, err error) {
-	err = sc.doKey(ctx, key, func(c *kvstore.Client) error {
-		n, err = c.IncrBy(ctx, key, delta)
 		return err
 	})
 	return n, err

@@ -180,66 +180,6 @@ func TestIncrConcurrent(t *testing.T) {
 	}
 }
 
-func TestIncrBy(t *testing.T) {
-	_, cli := newPair(t, nil, nil)
-	ctx := context.Background()
-	n, err := cli.IncrBy(ctx, "ctr", 8)
-	if err != nil || n != 8 {
-		t.Fatalf("IncrBy new key = %d, %v; want 8", n, err)
-	}
-	n, err = cli.IncrBy(ctx, "ctr", 3)
-	if err != nil || n != 11 {
-		t.Fatalf("second IncrBy = %d, %v; want 11", n, err)
-	}
-	// Negative deltas decrement; INCR interoperates with the same counter.
-	n, err = cli.IncrBy(ctx, "ctr", -1)
-	if err != nil || n != 10 {
-		t.Fatalf("negative IncrBy = %d, %v; want 10", n, err)
-	}
-	n, err = cli.Incr(ctx, "ctr")
-	if err != nil || n != 11 {
-		t.Fatalf("Incr after IncrBy = %d, %v; want 11", n, err)
-	}
-	cli.Set(ctx, "str", []byte("not a number"))
-	if _, err := cli.IncrBy(ctx, "str", 2); err == nil {
-		t.Fatal("IncrBy of non-integer value succeeded")
-	}
-}
-
-func TestIncrByConcurrentReservesDisjointRanges(t *testing.T) {
-	_, cli := newPair(t, nil, nil)
-	ctx := context.Background()
-	const goroutines, batch = 8, 16
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	ends := make(map[int64]bool)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n, err := cli.IncrBy(ctx, "slots", batch)
-			if err != nil {
-				t.Errorf("IncrBy: %v", err)
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if ends[n] {
-				t.Errorf("range ending at %d reserved twice", n)
-			}
-			ends[n] = true
-		}()
-	}
-	wg.Wait()
-	// Every reservation end must be a distinct multiple of batch: the
-	// ranges [n-batch, n) tile without overlap.
-	for n := range ends {
-		if n%batch != 0 || n <= 0 || n > goroutines*batch {
-			t.Fatalf("reservation end %d is not a clean batch boundary", n)
-		}
-	}
-}
-
 func TestCAS(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
@@ -348,8 +288,10 @@ func TestNewCommandsPersistAcrossRestart(t *testing.T) {
 	}
 	cli := NewClient(srv.Addr())
 	ctx := context.Background()
-	if _, err := cli.IncrBy(ctx, "ctr", 42); err != nil {
-		t.Fatalf("IncrBy: %v", err)
+	for i := 0; i < 42; i++ {
+		if _, err := cli.Incr(ctx, "ctr"); err != nil {
+			t.Fatalf("Incr: %v", err)
+		}
 	}
 	if _, err := cli.CAS(ctx, "claim", nil, []byte("held")); err != nil {
 		t.Fatalf("CAS: %v", err)

@@ -131,11 +131,6 @@ func (p *Pipeline) Del(key string) *PipeReply { return p.Do("DEL", []byte(key)) 
 // Incr queues an INCR.
 func (p *Pipeline) Incr(key string) *PipeReply { return p.Do("INCR", []byte(key)) }
 
-// IncrBy queues an INCRBY.
-func (p *Pipeline) IncrBy(key string, delta int64) *PipeReply {
-	return p.Do("INCRBY", []byte(key), []byte(strconv.FormatInt(delta, 10)))
-}
-
 // CAS queues a CAS (see Client.CAS for semantics).
 func (p *Pipeline) CAS(key string, old, new []byte) *PipeReply {
 	return p.Do("CAS", []byte(key), old, new)

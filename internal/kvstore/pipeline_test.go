@@ -79,7 +79,7 @@ func TestPipelineLargerThanWindow(t *testing.T) {
 	p := cli.Pipeline()
 	reps := make([]*PipeReply, n)
 	for i := 0; i < n; i++ {
-		reps[i] = p.IncrBy("win-counter", 1)
+		reps[i] = p.Incr("win-counter")
 	}
 	if err := p.Exec(ctx); err != nil {
 		t.Fatalf("Exec: %v", err)

@@ -191,7 +191,6 @@ func (s *Server) serveReplication(cmd command, conn net.Conn, r *bufio.Reader, w
 		}
 		chunk, err := readAOFChunk(f, offset, size)
 		if err != nil {
-			s.logger.Printf("kvstore: replication feed read: %v", err)
 			return
 		}
 		if write(bulkValue(chunk)) != nil {
@@ -263,9 +262,8 @@ func (s *Server) drainFeeds(timeout time.Duration) {
 
 // promote latches the server standalone: it stops following its primary
 // (severing the pull connection) and starts accepting writes.
-func (s *Server) promote(reason string) {
+func (s *Server) promote() {
 	if s.standalone.CompareAndSwap(false, true) && s.replicaOf != "" {
-		s.logger.Printf("kvstore: replica of %s promoted to standalone (%s)", s.replicaOf, reason)
 		s.severUpstream()
 	}
 }
@@ -305,13 +303,12 @@ func (s *Server) replicateLoop() {
 			return
 		}
 		if s.synced.Load() {
-			s.promote(fmt.Sprintf("replication stream broke: %v", err))
+			s.promote()
 			return
 		}
 		var fatal *replFatalError
 		if errors.As(err, &fatal) {
-			s.logger.Printf("kvstore: replication handshake with %s rejected: %v — serving standalone", s.replicaOf, err)
-			s.promote("handshake rejected")
+			s.promote()
 			return
 		}
 		time.Sleep(backoff)

@@ -2,7 +2,7 @@
 // server and client over TCP. It stands in for the Redis/KeyDB servers the
 // paper uses as hybrid intra-site mediated channels (§4.1.2), exposing the
 // subset of commands the RedisConnector needs (GET/SET/DEL/EXISTS/...) plus
-// enough extras (MGET/MSET/INCR/INCRBY/CAS/DELRANGE/DBSIZE/FLUSHALL/PING)
+// enough extras (MGET/MSET/INCR/CAS/DELRANGE/DBSIZE/FLUSHALL/PING)
 // to feel like the real thing. An optional append-only persistence file
 // provides the "hybrid memory/disk" property.
 //
@@ -20,7 +20,7 @@
 // mechanism behind pstream's KVBroker delivery:
 //
 //   - TWAITGET tag key timeout_ms blocks until key holds a value (any of
-//     SET/MSET/LAPPEND/CAS/INCR/INCRBY filling it) and returns that value in the
+//     SET/MSET/LAPPEND/CAS/INCR filling it) and returns that value in the
 //     wait's own reply, so the wake carries the payload and no follow-up
 //     GET is needed. A lapsed timeout returns a null bulk; the connection
 //     stays clean either way.

@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net"
 	"os"
 	"strconv"
@@ -36,11 +34,6 @@ func WithAOFSync() ServerOption {
 	return func(s *Server) { s.aofSync = true }
 }
 
-// WithLogger routes server diagnostics; the default discards them.
-func WithLogger(l *log.Logger) ServerOption {
-	return func(s *Server) { s.logger = l }
-}
-
 // WithTelemetry makes the server record its metrics into reg instead of
 // a private registry — so a daemon can serve one merged /metrics view.
 func WithTelemetry(reg *telemetry.Registry) ServerOption {
@@ -52,7 +45,6 @@ type Server struct {
 	ln      net.Listener
 	aofPath string
 	aofSync bool
-	logger  *log.Logger
 
 	// notify parks blocked TWAITGET/TWAITPREFIX handlers and is poked by
 	// every mutation. It has its own lock: waiters never hold (or block
@@ -161,7 +153,6 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 		data:    make(map[string][]byte),
 		conns:   make(map[net.Conn]bool),
 		feeds:   make(map[*replFeed]struct{}),
-		logger:  log.New(io.Discard, "", 0),
 		notify:  newNotifier(),
 		started: time.Now(),
 	}
@@ -301,9 +292,6 @@ func (s *Server) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			if !s.closed.Load() {
-				s.logger.Printf("kvstore: accept: %v", err)
-			}
 			return
 		}
 		s.connMu.Lock()
@@ -362,9 +350,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	for {
 		v, err := readValue(r)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !s.closed.Load() {
-				s.logger.Printf("kvstore: read: %v", err)
-			}
 			return
 		}
 		cmd, err := parseCommand(v)
@@ -475,7 +460,7 @@ func (s *Server) startTaggedWait(cmd command, write func(value) error, cancel <-
 
 func (s *Server) execute(cmd command) value {
 	switch cmd.name {
-	case "SET", "MSET", "DEL", "INCR", "INCRBY", "CAS", "DELRANGE", "LAPPEND", "FLUSHALL":
+	case "SET", "MSET", "DEL", "INCR", "CAS", "DELRANGE", "LAPPEND", "FLUSHALL":
 		if s.isReadonlyReplica() {
 			// A following replica's only writer is the primary's record
 			// stream; direct writes would fork its state from the log.
@@ -560,22 +545,7 @@ func (s *Server) execute(cmd command) value {
 			return errorValue("ERR wrong number of arguments for 'incr'")
 		}
 		key := string(cmd.args[0])
-		n, err := s.incrBy(key, 1)
-		if err != nil {
-			return errorValue("ERR " + err.Error())
-		}
-		s.notify.published(key)
-		return integerValue(n)
-	case "INCRBY":
-		if len(cmd.args) != 2 {
-			return errorValue("ERR wrong number of arguments for 'incrby'")
-		}
-		delta, err := strconv.ParseInt(string(cmd.args[1]), 10, 64)
-		if err != nil {
-			return errorValue("ERR value is not an integer or out of range")
-		}
-		key := string(cmd.args[0])
-		n, err := s.incrBy(key, delta)
+		n, err := s.incr(key)
 		if err != nil {
 			return errorValue("ERR " + err.Error())
 		}
@@ -630,7 +600,7 @@ func (s *Server) execute(cmd command) value {
 		// Stop following the primary (if any) and serve writes. Idempotent,
 		// and a harmless no-op on a server that never replicated — so a
 		// failover client can send it unconditionally.
-		s.promote("PROMOTE command")
+		s.promote()
 		return simpleString("OK")
 	}
 	return errorValue(fmt.Sprintf("ERR unknown command '%s'", cmd.name))
@@ -748,20 +718,20 @@ func (s *Server) get(key string) ([]byte, bool) {
 	return v, ok
 }
 
-// incrBy atomically adds delta to the integer stored at key (missing keys
+// incr atomically adds one to the integer stored at key (missing keys
 // count as 0) and returns the new value. The read-modify-write happens
-// under the store lock, so concurrent INCR/INCRBYs of one key never lose
+// under the store lock, so concurrent INCRs of one key never lose
 // updates. The AOF record is appended while still holding the store lock:
 // releasing first would let two increments persist in reversed order,
 // replaying to a lower counter after restart.
-func (s *Server) incrBy(key string, delta int64) (int64, error) {
+func (s *Server) incr(key string) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur, err := s.intLocked(key)
 	if err != nil {
 		return 0, err
 	}
-	cur += delta
+	cur++
 	buf := []byte(strconv.FormatInt(cur, 10))
 	s.data[key] = buf
 	s.appendAOF(aofSet, key, buf)

@@ -27,10 +27,9 @@ type TapDone func(reply [][]byte, err error)
 // asynchronously — their replies depend on operations recorded later.
 type TapFunc func(name string, args [][]byte, blocking bool) TapDone
 
-// TapKV wraps a KV and reports every operation to tap. It composes with
-// the other KV implementations the way pstream's broker wrappers compose
-// with AsKV: Unwrap exposes the wrapped client, so AsClient still finds a
-// concrete *Client through any stack of taps.
+// TapKV wraps a KV and reports every operation to tap. A TapKV is itself
+// a KV, so taps stack: each one sees every operation of the taps it
+// wraps.
 type TapKV struct {
 	inner KV
 	tap   TapFunc
@@ -40,28 +39,6 @@ type TapKV struct {
 func NewTap(inner KV, tap TapFunc) *TapKV { return &TapKV{inner: inner, tap: tap} }
 
 var _ KV = (*TapKV)(nil)
-
-// Unwrap returns the wrapped KV, so client-walking helpers (AsClient)
-// see through taps exactly like pstream.AsKV sees through
-// Counting/Jitter broker wrappers.
-func (t *TapKV) Unwrap() KV { return t.inner }
-
-// AsClient unwraps kv to its underlying single-server *Client, walking
-// wrappers (TapKV, test wrappers) via their Unwrap method. ok is false
-// when the chain bottoms out elsewhere (e.g. a sharded client).
-func AsClient(kv KV) (*Client, bool) {
-	for kv != nil {
-		if c, ok := kv.(*Client); ok {
-			return c, true
-		}
-		u, ok := kv.(interface{ Unwrap() KV })
-		if !ok {
-			return nil, false
-		}
-		kv = u.Unwrap()
-	}
-	return nil, false
-}
 
 // Normalized-reply element tags. A reply is a flat [][]byte sequence:
 //
@@ -176,13 +153,6 @@ func (t *TapKV) MSet(ctx context.Context, pairs map[string][]byte) error {
 func (t *TapKV) Incr(ctx context.Context, key string) (int64, error) {
 	done := t.tap("INCR", [][]byte{[]byte(key)}, false)
 	n, err := t.inner.Incr(ctx, key)
-	done(intReply(n), err)
-	return n, err
-}
-
-func (t *TapKV) IncrBy(ctx context.Context, key string, delta int64) (int64, error) {
-	done := t.tap("INCRBY", [][]byte{[]byte(key), []byte(strconv.FormatInt(delta, 10))}, false)
-	n, err := t.inner.IncrBy(ctx, key, delta)
 	done(intReply(n), err)
 	return n, err
 }

@@ -159,20 +159,12 @@ func TestTapRecordsPipeline(t *testing.T) {
 	}
 }
 
-// TestTapComposesAndUnwraps: taps stack like pstream's broker wrappers —
-// the outer tap sees every op the inner one does, and AsClient walks the
-// whole stack down to the concrete client.
-func TestTapComposesAndUnwraps(t *testing.T) {
+// TestTapComposes: taps stack like pstream's broker wrappers — the outer
+// tap sees every op the inner one does.
+func TestTapComposes(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	inner, outer := &tapLog{}, &tapLog{}
 	kv := NewTap(NewTap(cli, inner.fn), outer.fn)
-
-	if got, ok := AsClient(kv); !ok || got != cli {
-		t.Fatalf("AsClient through a tap stack = %v, %v; want the concrete client", got, ok)
-	}
-	if _, ok := AsClient(nil); ok {
-		t.Fatal("AsClient(nil) claimed success")
-	}
 
 	if err := kv.Set(context.Background(), "a", []byte("1")); err != nil {
 		t.Fatal(err)

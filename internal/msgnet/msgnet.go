@@ -180,8 +180,6 @@ func (s *Server) serveConn(conn net.Conn) {
 type Client struct {
 	addr        string
 	dialTimeout time.Duration
-	dialFunc    func(ctx context.Context, network, addr string) (net.Conn, error)
-	tap         TapFunc
 
 	net        *netsim.Network
 	clientSite string
@@ -200,28 +198,6 @@ type poolConn struct {
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// TapDone completes one tapped request with the reply payload (marker
-// byte stripped) and error.
-type TapDone func(resp []byte, err error)
-
-// TapFunc observes the start of one request frame and returns the
-// callback that completes it — the msgnet half of the record/replay wire
-// tap (see internal/wiretap and the kvstore package's TapFunc).
-type TapFunc func(req []byte) TapDone
-
-// WithTap reports every Request to tap: the raw request frame at send,
-// the reply payload (or error) at completion.
-func WithTap(tap TapFunc) ClientOption {
-	return func(c *Client) { c.tap = tap }
-}
-
-// WithDialFunc replaces the client's dialer: every connection — including
-// reconnects after broken pooled connections — flows through fn. The dial
-// timeout is applied as a deadline on ctx, which fn should honor.
-func WithDialFunc(fn func(ctx context.Context, network, addr string) (net.Conn, error)) ClientOption {
-	return func(c *Client) { c.dialFunc = fn }
-}
 
 // WithClientNetwork attaches a netsim model; requests pay modeled transfer
 // time each way.
@@ -267,16 +243,8 @@ func (c *Client) acquire(ctx context.Context) (*poolConn, error) {
 		return pc, nil
 	}
 	c.mu.Unlock()
-	var conn net.Conn
-	var err error
-	if c.dialFunc != nil {
-		dctx, cancel := context.WithTimeout(ctx, c.dialTimeout)
-		conn, err = c.dialFunc(dctx, "tcp", c.addr)
-		cancel()
-	} else {
-		d := net.Dialer{Timeout: c.dialTimeout}
-		conn, err = d.DialContext(ctx, "tcp", c.addr)
-	}
+	d := net.Dialer{Timeout: c.dialTimeout}
+	conn, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("msgnet: dialing %s: %w", c.addr, err)
 	}
@@ -305,18 +273,9 @@ func (c *Client) delay(ctx context.Context, size int) error {
 }
 
 // Request sends req and returns the server's reply. Handler errors surface
-// as errors with the server's message.
+// as errors with the server's message. Request returns once ctx is done,
+// even with the request on the wire: the connection is cut and dropped.
 func (c *Client) Request(ctx context.Context, req []byte) ([]byte, error) {
-	if c.tap != nil {
-		done := c.tap(req)
-		resp, err := c.request(ctx, req)
-		done(resp, err)
-		return resp, err
-	}
-	return c.request(ctx, req)
-}
-
-func (c *Client) request(ctx context.Context, req []byte) ([]byte, error) {
 	if err := c.delay(ctx, len(req)); err != nil {
 		return nil, err
 	}
@@ -324,18 +283,17 @@ func (c *Client) request(ctx context.Context, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := WriteFrame(pc.w, req); err != nil {
+	// An expired deadline unblocks the write or read in flight; stop
+	// reports whether it fired, so the cut connection is never reused.
+	stop := context.AfterFunc(ctx, func() { pc.conn.SetDeadline(time.Now()) })
+	resp, err := roundTrip(pc, req)
+	if !stop() {
 		c.release(pc, true)
-		return nil, fmt.Errorf("msgnet: sending request: %w", err)
+		return nil, ctx.Err()
 	}
-	if err := pc.w.Flush(); err != nil {
-		c.release(pc, true)
-		return nil, fmt.Errorf("msgnet: sending request: %w", err)
-	}
-	resp, err := ReadFrame(pc.r)
 	if err != nil {
 		c.release(pc, true)
-		return nil, fmt.Errorf("msgnet: reading reply: %w", err)
+		return nil, err
 	}
 	c.release(pc, false)
 	if err := c.delay(ctx, len(resp)); err != nil {
@@ -348,4 +306,19 @@ func (c *Client) request(ctx context.Context, req []byte) ([]byte, error) {
 		return nil, fmt.Errorf("msgnet: server error: %s", resp[1:])
 	}
 	return resp[1:], nil
+}
+
+// roundTrip writes one request frame on pc and reads its reply frame.
+func roundTrip(pc *poolConn, req []byte) ([]byte, error) {
+	if err := WriteFrame(pc.w, req); err != nil {
+		return nil, fmt.Errorf("msgnet: sending request: %w", err)
+	}
+	if err := pc.w.Flush(); err != nil {
+		return nil, fmt.Errorf("msgnet: sending request: %w", err)
+	}
+	resp, err := ReadFrame(pc.r)
+	if err != nil {
+		return nil, fmt.Errorf("msgnet: reading reply: %w", err)
+	}
+	return resp, nil
 }

@@ -3,6 +3,7 @@ package msgnet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -166,6 +167,46 @@ func TestCloseCancelsBlockedHandlers(t *testing.T) {
 	go cli.Request(context.Background(), []byte("block"))
 	<-entered
 	closeWithin(t, srv, time.Second)
+}
+
+func TestRequestHonorsContextWhileHandlerStalls(t *testing.T) {
+	release := make(chan struct{})
+	srv, err := NewServer("127.0.0.1:0", func(ctx context.Context, req []byte) ([]byte, error) {
+		if string(req) == "stall" {
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+		}
+		return req, nil
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+	defer close(release)
+	cli := NewClient(srv.Addr())
+	defer cli.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := cli.Request(ctx, []byte("stall"))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Request = %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Request still blocked 10s after its context expired")
+	}
+	got, err := cli.Request(context.Background(), []byte("next"))
+	if err != nil || string(got) != "next" {
+		t.Fatalf("Request after cancel = %q, %v; want \"next\"", got, err)
+	}
 }
 
 func TestNetworkShapedDelay(t *testing.T) {

@@ -106,17 +106,6 @@ func (n *Network) Site(name string) (Site, bool) {
 	return s, ok
 }
 
-// Sites returns the names of all registered sites.
-func (n *Network) Sites() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.sites))
-	for name := range n.sites {
-		out = append(out, name)
-	}
-	return out
-}
-
 // SetLink installs a symmetric link between sites a and b. Both sites must
 // already be registered.
 func (n *Network) SetLink(a, b string, l Link) error {
@@ -130,13 +119,6 @@ func (n *Network) SetLink(a, b string, l Link) error {
 	}
 	n.links[orderedPair(a, b)] = l
 	return nil
-}
-
-// SetLoopback overrides the link used for same-site transfers.
-func (n *Network) SetLoopback(l Link) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.loopback = l
 }
 
 // LinkBetween returns the link between two sites. Same-site pairs get the
@@ -223,11 +205,6 @@ func (n *Network) scaleDuration(d time.Duration) time.Duration {
 // or until ctx is done, returning ctx.Err() in the latter case.
 func (n *Network) Delay(ctx context.Context, src, dst string, size int) error {
 	return sleepCtx(ctx, n.TransferTime(src, dst, size))
-}
-
-// DelayUDP is Delay under the link's UDP throttle.
-func (n *Network) DelayUDP(ctx context.Context, src, dst string, size int) error {
-	return sleepCtx(ctx, n.UDPTransferTime(src, dst, size))
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

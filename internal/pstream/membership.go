@@ -19,7 +19,8 @@ package pstream
 // Consumers of the layer: group subscriptions under WithKVHeartbeat treat
 // an expired heartbeat as early lease reclamation (a crashed member's
 // claims are stolen in O(heartbeat) instead of O(lease)); the task planes
-// (faas, colmena) drive orphan GC of shared result topics from Cull; and
+// (faas, colmena) drive orphan GC of shared result topics from SweepTopic,
+// which reaps the dead and sweeps with the live set in one pass; and
 // producers size evict-on-ack from Sizer's live-member count.
 
 import (
@@ -81,9 +82,6 @@ func (b *KVBroker) Membership(topic, group string) *Membership {
 	}
 	return &Membership{b: b, topic: topic, group: group, ttl: ttl}
 }
-
-// TTL reports the liveness window members of this domain heartbeat under.
-func (m *Membership) TTL() time.Duration { return m.ttl }
 
 // rosterParse decodes a roster value into member names.
 func rosterParse(raw []byte) []string {
@@ -266,13 +264,8 @@ func (m *Membership) Reap(ctx context.Context) ([]string, error) {
 	return dead, err
 }
 
-// Cull is Reap plus the live view in one pass: the dead are reaped, the
-// live are returned. The task planes' orphan-GC sweeps run on it.
-func (m *Membership) Cull(ctx context.Context) (live []string, err error) {
-	live, _, err = m.cull(ctx)
-	return live, err
-}
-
+// cull is Reap plus the live view in one pass: the dead are reaped, the
+// live are returned. SweepTopic runs on it.
 func (m *Membership) cull(ctx context.Context) (live, dead []string, err error) {
 	live, dead, err = m.split(ctx)
 	if err != nil || len(dead) == 0 {
@@ -339,9 +332,6 @@ type Heartbeat struct {
 	done     chan struct{}
 	stopOnce sync.Once
 }
-
-// Member returns the member name this heartbeat maintains.
-func (h *Heartbeat) Member() string { return h.member }
 
 // Fenced reports whether the member is self-fenced: its last landed
 // refresh stamped a deadline that is now less than ttl/3 away (or past),

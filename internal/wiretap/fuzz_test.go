@@ -160,7 +160,7 @@ func FuzzTraceOpRoundTrip(f *testing.F) {
 				{Conn: conn, Idx: 0, Plane: wiretap.PlaneKV, Name: name,
 					Args: [][]byte{arg}, Reply: [][]byte{reply}, Err: errText,
 					Blocking: blocking, Start: start, End: end, Dep: 0},
-				{Conn: conn, Idx: 1, Plane: wiretap.PlaneMsg, Name: "REQUEST",
+				{Conn: conn, Idx: 1, Plane: "msg", Name: "REQUEST",
 					Args: [][]byte{arg, reply}, Reply: nil, Err: "",
 					Start: end, End: start, Dep: 1},
 			},

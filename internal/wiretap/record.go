@@ -5,13 +5,12 @@ import (
 	"time"
 
 	"proxystore/internal/kvstore"
-	"proxystore/internal/msgnet"
 	"proxystore/internal/telemetry"
 )
 
 // Recorder collects tapped operations into a Trace. One Recorder serves
-// any number of logical connections: every WrapKV / MsgTap call mints a
-// fresh connection ID, and all connections append into one
+// any number of logical connections: every WrapKV call mints a fresh
+// connection ID, and all connections append into one
 // completion-ordered log under one mutex — which is what makes each op's
 // Dep prefix an exact happens-before snapshot rather than an
 // approximation (see Op.Dep).
@@ -158,28 +157,4 @@ func (r *Recorder) WrapKV(kv kvstore.KV) kvstore.KV {
 			done(cloneBytess(reply), errText)
 		}
 	})
-}
-
-// MsgTap returns a msgnet tap (pass to msgnet.WithTap) recording every
-// request frame and reply on a fresh logical connection. Ops record as
-// name "REQUEST" with Args[0] the request frame and, on success, Reply[0]
-// the reply payload.
-func (r *Recorder) MsgTap() msgnet.TapFunc {
-	r.mu.Lock()
-	conn := r.nextConn
-	r.nextConn++
-	r.mu.Unlock()
-	return func(req []byte) msgnet.TapDone {
-		done := r.begin(conn, PlaneMsg, "REQUEST", [][]byte{append([]byte(nil), req...)}, false)
-		return func(resp []byte, err error) {
-			errText := ""
-			var reply [][]byte
-			if err != nil {
-				errText = err.Error()
-			} else {
-				reply = [][]byte{append([]byte(nil), resp...)}
-			}
-			done(reply, errText)
-		}
-	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"proxystore/internal/kvstore"
-	"proxystore/internal/msgnet"
 	"proxystore/internal/telemetry"
 )
 
@@ -32,9 +31,7 @@ import (
 //     instead of replaying uniform synthetic ops.
 type Replayer struct {
 	kv    kvstore.KV
-	msg   *msgnet.Client
 	speed float64
-	grace time.Duration
 
 	mOps  *telemetry.Counter
 	mDivs *telemetry.Counter
@@ -50,22 +47,10 @@ func WithKVTarget(kv kvstore.KV) ReplayOption {
 	return func(r *Replayer) { r.kv = kv }
 }
 
-// WithMsgTarget aims msg-plane operations at c. Required when the trace
-// contains msg ops.
-func WithMsgTarget(c *msgnet.Client) ReplayOption {
-	return func(r *Replayer) { r.msg = c }
-}
-
 // WithSpeed sets the time-compression factor; values <= 1 select
 // deterministic mode.
 func WithSpeed(speed float64) ReplayOption {
 	return func(r *Replayer) { r.speed = speed }
-}
-
-// WithGrace bounds how long Run waits for straggling blocking waits
-// after the last dispatch (default 15s).
-func WithGrace(d time.Duration) ReplayOption {
-	return func(r *Replayer) { r.grace = d }
 }
 
 // WithReplayRegistry points the replayer's ps.replay.* metrics at reg
@@ -78,9 +63,9 @@ func WithReplayRegistry(reg *telemetry.Registry) ReplayOption {
 	}
 }
 
-// NewReplayer returns a replayer; aim it with WithKVTarget/WithMsgTarget.
+// NewReplayer returns a replayer; aim it with WithKVTarget.
 func NewReplayer(opts ...ReplayOption) *Replayer {
-	r := &Replayer{speed: 1, grace: 15 * time.Second}
+	r := &Replayer{speed: 1}
 	WithReplayRegistry(telemetry.Default())(r)
 	for _, o := range opts {
 		o(r)
@@ -112,6 +97,10 @@ type Report struct {
 
 const maxDetails = 16
 
+// replayGrace bounds how long Run waits for straggling blocking waits
+// after the last dispatch.
+const replayGrace = 15 * time.Second
+
 // replayRun carries one Run's mutable state.
 type replayRun struct {
 	r  *Replayer
@@ -139,10 +128,6 @@ func (r *Replayer) Run(ctx context.Context, tr *Trace) (*Report, error) {
 		case PlaneKV:
 			if r.kv == nil {
 				return nil, fmt.Errorf("wiretap: trace has kv ops but no kv target (WithKVTarget)")
-			}
-		case PlaneMsg:
-			if r.msg == nil {
-				return nil, fmt.Errorf("wiretap: trace has msg ops but no msg target (WithMsgTarget)")
 			}
 		default:
 			return nil, fmt.Errorf("wiretap: op %d has unknown plane %q", i, op.Plane)
@@ -316,7 +301,7 @@ func (x *replayRun) awaitInFlight() {
 	}()
 	select {
 	case <-finished:
-	case <-time.After(x.r.grace):
+	case <-time.After(replayGrace):
 		x.mu.Lock()
 		x.report.Stragglers = x.report.Ops - x.completedLocked()
 		x.mu.Unlock()
@@ -349,17 +334,7 @@ func (x *replayRun) exec(op *Op, ctx context.Context) {
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	var reply [][]byte
-	var err error
-	if op.Plane == PlaneMsg {
-		var resp []byte
-		resp, err = x.r.msg.Request(ctx, op.Args[0])
-		if err == nil {
-			reply = [][]byte{resp}
-		}
-	} else {
-		reply, err = x.execKV(op, ctx)
-	}
+	reply, err := x.execKV(op, ctx)
 	x.r.mOps.Inc()
 	if reason, ok := diverges(op, reply, err); ok {
 		x.r.mDivs.Inc()
@@ -464,15 +439,6 @@ func (x *replayRun) callKV(kv kvstore.KV, op *Op, ctx context.Context) error {
 			return err
 		}
 		kv.Incr(ctx, string(args[0]))
-	case "INCRBY":
-		if err := need(2); err != nil {
-			return err
-		}
-		delta, err := strconv.ParseInt(string(args[1]), 10, 64)
-		if err != nil {
-			return fmt.Errorf("wiretap: INCRBY op %d.%d delta %q: %w", op.Conn, op.Idx, args[1], err)
-		}
-		kv.IncrBy(ctx, string(args[0]), delta)
 	case "CAS":
 		if err := need(3); err != nil {
 			return err

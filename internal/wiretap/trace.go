@@ -1,11 +1,10 @@
 // Package wiretap records broker and store wire traffic at the client
 // boundary and replays it deterministically — the record/replay harness
-// the ROADMAP names after keploy's design. A Recorder taps the kvstore
-// and msgnet clients (kvstore.TapKV / msgnet.WithTap) and writes every
-// operation — name, arguments, normalized reply, error, timestamps,
-// logical connection ID, and the cross-connection happens-before edges
-// observed at send time — into a length-prefixed trace built on the
-// serial binary codec. A Replayer drives a recorded trace against a
+// the ROADMAP names after keploy's design. A Recorder taps kvstore
+// clients (kvstore.TapKV) and writes every operation — name, arguments,
+// normalized reply, error, timestamps, logical connection ID, and the
+// cross-connection happens-before edges observed at send time — into a
+// length-prefixed trace built on the serial binary codec. A Replayer drives a recorded trace against a
 // fresh server in two modes:
 //
 //   - 1× deterministic: operations issue in recorded global start order,
@@ -39,11 +38,9 @@ import (
 	"proxystore/internal/serial"
 )
 
-// Planes an Op can belong to.
-const (
-	PlaneKV  = "kv"  // kvstore client commands
-	PlaneMsg = "msg" // msgnet request frames
-)
+// PlaneKV is the plane of kvstore client commands, the only plane a
+// Replayer drives.
+const PlaneKV = "kv"
 
 // traceMagic opens every trace file; the trailing digit is the format
 // version.
@@ -67,8 +64,8 @@ type Op struct {
 	// Idx is its position in that connection's recorded order.
 	Conn uint64
 	Idx  uint64
-	// Plane routes replay: PlaneKV ops re-issue as kvstore client calls,
-	// PlaneMsg ops as msgnet request frames (Args[0] is the frame).
+	// Plane routes replay: PlaneKV ops re-issue as kvstore client calls;
+	// Run refuses a trace holding any other plane.
 	Plane string
 	Name  string
 	Args  [][]byte
@@ -142,8 +139,8 @@ func collectKeys(set map[string]struct{}, name string, args, reply [][]byte) {
 		}
 	}
 	switch name {
-	case "SET", "GET", "DEL", "MGET", "INCR", "INCRBY", "CAS", "WAITGET":
-		if name == "SET" || name == "INCRBY" || name == "CAS" || name == "WAITGET" {
+	case "SET", "GET", "DEL", "MGET", "INCR", "CAS", "WAITGET":
+		if name == "SET" || name == "CAS" || name == "WAITGET" {
 			if len(args) > 0 {
 				set[string(args[0])] = struct{}{}
 			}

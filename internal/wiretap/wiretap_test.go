@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"proxystore/internal/kvstore"
-	"proxystore/internal/msgnet"
 	"proxystore/internal/pstream"
 	"proxystore/internal/telemetry"
 	"proxystore/internal/wiretap"
@@ -29,7 +29,7 @@ func sampleTrace() *wiretap.Trace {
 			{Conn: 1, Idx: 1, Plane: wiretap.PlaneKV, Name: "WAITGET", Blocking: true,
 				Args:  [][]byte{[]byte("k2"), []byte("1000000")},
 				Reply: [][]byte{[]byte("n")}, Err: "", Start: 50, End: 1050, Dep: 2},
-			{Conn: 2, Idx: 0, Plane: wiretap.PlaneMsg, Name: "REQUEST",
+			{Conn: 2, Idx: 0, Plane: "msg", Name: "REQUEST",
 				Args:  [][]byte{{0x01, 0x02, 0x00}},
 				Reply: [][]byte{{0x03}}, Start: 60, End: 70, Dep: 2},
 			{Conn: 0, Idx: 1, Plane: wiretap.PlaneKV, Name: "CAS",
@@ -111,7 +111,7 @@ func TestTraceKVKeys(t *testing.T) {
 			[]byte("LAPPEND"), []byte("4"), []byte("L"), []byte("s:"), []byte("x"), []byte("y"),
 			[]byte("LREAD"), []byte("6"), []byte("L"), []byte("0"), []byte("32"), []byte("1"), []byte("s:"), []byte("f")},
 			Reply: [][]byte{[]byte("i5"), []byte("a3"), []byte("i5"), []byte("n"), []byte("a0")}},
-		{Plane: wiretap.PlaneMsg, Name: "REQUEST", Args: [][]byte{[]byte("ignored")}},
+		{Plane: "msg", Name: "REQUEST", Args: [][]byte{[]byte("ignored")}},
 	}}
 	got := tr.KVKeys()
 	want := []string{"L", "a", "b", "c", "f", "n", "p:1", "p:2", "s:3", "s:4"}
@@ -386,59 +386,6 @@ func TestRecorderPipeline(t *testing.T) {
 	}
 }
 
-// TestMsgRecordReplay round-trips the msgnet plane: requests recorded
-// through a tapped client replay against a fresh server with identical
-// replies.
-func TestMsgRecordReplay(t *testing.T) {
-	ctx := context.Background()
-	echo := func(_ context.Context, req []byte) ([]byte, error) {
-		if len(req) > 0 && req[0] == 'x' {
-			return nil, fmt.Errorf("rejected %q", req)
-		}
-		return append([]byte("ok:"), req...), nil
-	}
-	srv, err := msgnet.NewServer("127.0.0.1:0", echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	rec := wiretap.NewRecorder(wiretap.WithRecorderRegistry(telemetry.NewRegistry()))
-	cl := msgnet.NewClient(srv.Addr(), msgnet.WithTap(rec.MsgTap()))
-	defer cl.Close()
-	if _, err := cl.Request(ctx, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Request(ctx, []byte("xfail")); err == nil {
-		t.Fatal("expected handler error")
-	}
-	if _, err := cl.Request(ctx, []byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	tr := rec.Trace()
-	if len(tr.Ops) != 3 {
-		t.Fatalf("recorded %d ops, want 3", len(tr.Ops))
-	}
-
-	srv2, err := msgnet.NewServer("127.0.0.1:0", echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	cl2 := msgnet.NewClient(srv2.Addr())
-	defer cl2.Close()
-	rep := wiretap.NewReplayer(
-		wiretap.WithMsgTarget(cl2),
-		wiretap.WithReplayRegistry(telemetry.NewRegistry()))
-	report, err := rep.Run(ctx, tr)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if report.Divergences != 0 {
-		t.Fatalf("msg replay diverged:\n%s", joinDetails(report))
-	}
-}
-
 // TestReplayRequiresTargets checks the loud-failure stance for traces
 // aimed at missing targets.
 func TestReplayRequiresTargets(t *testing.T) {
@@ -446,6 +393,26 @@ func TestReplayRequiresTargets(t *testing.T) {
 	rep := wiretap.NewReplayer(wiretap.WithReplayRegistry(telemetry.NewRegistry()))
 	if _, err := rep.Run(context.Background(), tr); err == nil {
 		t.Fatal("replay without targets should fail")
+	}
+
+	// A kv target does not cover the trace's msg op: Run refuses the
+	// whole trace, naming the plane, before it issues anything.
+	srv := newServer(t)
+	cli := kvstore.NewClient(srv.Addr())
+	defer cli.Close()
+	var issued atomic.Int64
+	target := kvstore.NewTap(cli, func(string, [][]byte, bool) kvstore.TapDone {
+		issued.Add(1)
+		return func([][]byte, error) {}
+	})
+	rep = wiretap.NewReplayer(wiretap.WithKVTarget(target),
+		wiretap.WithReplayRegistry(telemetry.NewRegistry()))
+	_, err := rep.Run(context.Background(), tr)
+	if err == nil || !strings.Contains(err.Error(), `"msg"`) {
+		t.Fatalf("Run of a trace with a msg op = %v, want an error naming plane \"msg\"", err)
+	}
+	if n := issued.Load(); n != 0 {
+		t.Fatalf("refused replay issued %d ops, want 0", n)
 	}
 }
 
