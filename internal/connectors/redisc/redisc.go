@@ -139,7 +139,7 @@ func chunkKeys(id string, n int) []string {
 // Put implements connector.Connector.
 func (c *Connector) Put(ctx context.Context, data []byte) (connector.Key, error) {
 	key := connector.Key{ID: connector.NewID(), Type: Type, Size: int64(len(data))}
-	if err := c.client.Set(ctx, key.ID, data); err != nil {
+	if err := kvstore.Set(ctx, c.client, key.ID, data); err != nil {
 		return connector.Key{}, err
 	}
 	return key, nil
@@ -174,7 +174,7 @@ func (c *Connector) PutFrom(ctx context.Context, r io.Reader) (connector.Key, er
 // orphaned shards leak on the server forever.
 func (c *Connector) evictChunks(ctx context.Context, id string, n int) {
 	if n > 0 {
-		_, _ = c.client.Del(context.WithoutCancel(ctx), chunkKeys(id, n)...)
+		_, _ = kvstore.Del(context.WithoutCancel(ctx), c.client, chunkKeys(id, n)...)
 	}
 }
 
@@ -182,7 +182,7 @@ func (c *Connector) evictChunks(ctx context.Context, id string, n int) {
 // one buffer of the object's size.
 func (c *Connector) Get(ctx context.Context, key connector.Key) ([]byte, error) {
 	if key.ChunkCount() == 0 {
-		data, ok, err := c.client.Get(ctx, key.ID)
+		data, ok, err := kvstore.Get(ctx, c.client, key.ID)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +209,7 @@ func (c *Connector) Get(ctx context.Context, key connector.Key) ([]byte, error) 
 func (c *Connector) GetTo(ctx context.Context, key connector.Key, w io.Writer) error {
 	n := key.ChunkCount()
 	if n == 0 {
-		data, ok, err := c.client.Get(ctx, key.ID)
+		data, ok, err := kvstore.Get(ctx, c.client, key.ID)
 		if err != nil {
 			return err
 		}
@@ -241,7 +241,7 @@ func (c *Connector) PutBatch(ctx context.Context, blobs [][]byte) ([]connector.K
 		keys[i] = connector.Key{ID: connector.NewID(), Type: Type, Size: int64(len(data))}
 		pairs[keys[i].ID] = data
 	}
-	if err := c.client.MSet(ctx, pairs); err != nil {
+	if err := kvstore.MSet(ctx, c.client, pairs); err != nil {
 		return nil, fmt.Errorf("redisc: batch put: %w", err)
 	}
 	return keys, nil
@@ -267,7 +267,7 @@ func (c *Connector) GetBatch(ctx context.Context, keys []connector.Key) ([][]byt
 		idx = append(idx, i)
 	}
 	if len(ids) > 0 {
-		vals, err := c.client.MGet(ctx, ids...)
+		vals, err := kvstore.MGet(ctx, c.client, ids...)
 		if err != nil {
 			return nil, fmt.Errorf("redisc: batch get: %w", err)
 		}
@@ -287,7 +287,7 @@ func (c *Connector) Exists(ctx context.Context, key connector.Key) (bool, error)
 	if key.ChunkCount() > 0 {
 		anchor = chunkKey(key.ID, 0)
 	}
-	n, err := c.client.Exists(ctx, anchor)
+	n, err := kvstore.Exists(ctx, c.client, anchor)
 	if err != nil {
 		return false, err
 	}
@@ -300,7 +300,7 @@ func (c *Connector) Evict(ctx context.Context, key connector.Key) error {
 	if n := key.ChunkCount(); n > 0 {
 		targets = chunkKeys(key.ID, n)
 	}
-	_, err := c.client.Del(ctx, targets...)
+	_, err := kvstore.Del(ctx, c.client, targets...)
 	return err
 }
 

@@ -92,7 +92,7 @@ func TestShardedGetWindows(t *testing.T) {
 	}
 	// Punch a hole mid-object: the pipelined read must fail NotFound.
 	cli := kvstore.NewClient(srv.Addr())
-	if _, err := cli.Del(ctx, key.ID+":5"); err != nil {
+	if _, err := kvstore.Del(ctx, cli, key.ID+":5"); err != nil {
 		t.Fatalf("Del: %v", err)
 	}
 	cli.Close()
@@ -131,7 +131,7 @@ func TestPutFromReadErrorCleansUp(t *testing.T) {
 	ctx := context.Background()
 	c := New(srv.Addr(), WithChunkSize(64))
 	defer c.Close()
-	if err := c.Client().Ping(ctx); err != nil {
+	if err := c.Client().Do(ctx, "PING").Err(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 	dials := c.Client().Dials()

@@ -91,7 +91,7 @@ func Fig9(cfg Config) (bench.Report, error) {
 				return report, err
 			}
 			seedCli.Close()
-			if err := kvCli.Set(ctx, "f9-obj", payload); err != nil {
+			if err := kvstore.Set(ctx, kvCli, "f9-obj", payload); err != nil {
 				return report, err
 			}
 
@@ -115,10 +115,10 @@ func Fig9(cfg Config) (bench.Report, error) {
 				}},
 				{"Redis+SSH", "SET", func() error {
 					i++
-					return kvCli.Set(ctx, fmt.Sprintf("f9-kset-%d", i), payload)
+					return kvstore.Set(ctx, kvCli, fmt.Sprintf("f9-kset-%d", i), payload)
 				}},
 				{"Redis+SSH", "GET", func() error {
-					_, ok, err := kvCli.Get(ctx, "f9-obj")
+					_, ok, err := kvstore.Get(ctx, kvCli, "f9-obj")
 					if err == nil && !ok {
 						return fmt.Errorf("fig9: redis object missing")
 					}

@@ -73,7 +73,7 @@ func TestAOFConcurrentSetDelRestart(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < ops; i++ {
-			if err := setter.Set(ctx, "contested", []byte(fmt.Sprintf("v%d", i))); err != nil {
+			if err := Set(ctx, setter, "contested", []byte(fmt.Sprintf("v%d", i))); err != nil {
 				t.Errorf("Set: %v", err)
 				return
 			}
@@ -82,7 +82,7 @@ func TestAOFConcurrentSetDelRestart(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < ops; i++ {
-			if _, err := deleter.Del(ctx, "contested"); err != nil {
+			if _, err := Del(ctx, deleter, "contested"); err != nil {
 				t.Errorf("Del: %v", err)
 				return
 			}
@@ -120,30 +120,30 @@ func writeAOFRun(t *testing.T, aof string) []byte {
 	cli := NewClient(srv.Addr())
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
-		if err := cli.Set(ctx, fmt.Sprintf("ps:t:e:%d", i), []byte(fmt.Sprintf("event-%d", i))); err != nil {
+		if err := Set(ctx, cli, fmt.Sprintf("ps:t:e:%d", i), []byte(fmt.Sprintf("event-%d", i))); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
-	if err := cli.Set(ctx, "ps:t:head", []byte("0")); err != nil {
+	if err := Set(ctx, cli, "ps:t:head", []byte("0")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
-	if _, err := cli.Incr(ctx, "ps:t:head"); err != nil {
+	if _, err := Incr(ctx, cli, "ps:t:head"); err != nil {
 		t.Fatalf("Incr: %v", err)
 	}
-	if _, err := cli.Del(ctx, "ps:t:e:0"); err != nil {
+	if _, err := Del(ctx, cli, "ps:t:e:0"); err != nil {
 		t.Fatalf("Del: %v", err)
 	}
-	if _, err := cli.DelRange(ctx, "ps:t:e:", 1, 4); err != nil {
+	if _, err := DelRange(ctx, cli, "ps:t:e:", 1, 4); err != nil {
 		t.Fatalf("DelRange: %v", err)
 	}
 	lappend(t, cli, "ps:t:len", "ps:t:e:", "x", "y")
-	if err := cli.MSet(ctx, map[string][]byte{"m1": []byte("1"), "m2": []byte("2")}); err != nil {
+	if err := MSet(ctx, cli, map[string][]byte{"m1": []byte("1"), "m2": []byte("2")}); err != nil {
 		t.Fatalf("MSet: %v", err)
 	}
-	if err := cli.FlushAll(ctx); err != nil {
+	if err := cli.Do(ctx, "FLUSHALL").Err(); err != nil {
 		t.Fatalf("FlushAll: %v", err)
 	}
-	if err := cli.Set(ctx, "after", []byte("flush")); err != nil {
+	if err := Set(ctx, cli, "after", []byte("flush")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	cli.Close()
@@ -267,14 +267,14 @@ func TestAOFBrokenLatch(t *testing.T) {
 	cli := NewClient(srv.Addr())
 	defer cli.Close()
 	ctx := context.Background()
-	if err := cli.Set(ctx, "ok", []byte("1")); err != nil {
+	if err := Set(ctx, cli, "ok", []byte("1")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	// Break the file behind the server's back: further writes fail.
 	srv.aofMu.Lock()
 	srv.aof.Close()
 	srv.aofMu.Unlock()
-	if err := cli.Set(ctx, "broken", []byte("2")); err != nil {
+	if err := Set(ctx, cli, "broken", []byte("2")); err != nil {
 		t.Fatalf("Set after break (command itself must still succeed): %v", err)
 	}
 	if !srv.AOFBroken() {
@@ -287,7 +287,7 @@ func TestAOFBrokenLatch(t *testing.T) {
 	srv.aofMu.Lock()
 	size := srv.aofSize
 	srv.aofMu.Unlock()
-	if err := cli.Set(ctx, "broken2", []byte("3")); err != nil {
+	if err := Set(ctx, cli, "broken2", []byte("3")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	srv.aofMu.Lock()
@@ -323,11 +323,11 @@ func TestDelRangeSingleAOFRecord(t *testing.T) {
 	defer cli.Close()
 	ctx := context.Background()
 	for i := 0; i < 32; i++ {
-		if err := cli.Set(ctx, fmt.Sprintf("ps:t:e:%d", i), []byte("x")); err != nil {
+		if err := Set(ctx, cli, fmt.Sprintf("ps:t:e:%d", i), []byte("x")); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
-	n, err := cli.DelRange(ctx, "ps:t:e:", 0, 32)
+	n, err := DelRange(ctx, cli, "ps:t:e:", 0, 32)
 	if err != nil || n != 32 {
 		t.Fatalf("DelRange = %d, %v", n, err)
 	}
@@ -377,7 +377,7 @@ func TestMultiKeyWritesAreSingleAOFRecords(t *testing.T) {
 	if n := lappend(t, cli, "ps:t:len", "ps:t:e:", "a", "b", "c"); n != 3 {
 		t.Fatalf("LAPPEND = %d, want 3", n)
 	}
-	if err := cli.MSet(ctx, map[string][]byte{"x": []byte("1"), "y": []byte("2")}); err != nil {
+	if err := MSet(ctx, cli, map[string][]byte{"x": []byte("1"), "y": []byte("2")}); err != nil {
 		t.Fatalf("MSet: %v", err)
 	}
 	if err := srv.Close(); err != nil {

@@ -2,31 +2,25 @@ package kvstore
 
 import (
 	"context"
+	"strconv"
 	"time"
 )
 
 // KV is the client surface the higher planes (pstream's KVBroker, faas,
-// colmena) program against: everything a single-server *Client offers
-// that also makes sense against a sharded, replicated tier. Both *Client
-// and the cluster package's ShardedClient satisfy it, so a broker moves
-// from one box to N primaries with replicas by swapping the constructor,
-// not the call sites.
+// colmena) program against: one command at a time (Do) or in batches
+// (Pipeline), the two blocking waits, and the client's counters. *Client,
+// the cluster package's ShardedClient and TapKV satisfy it, so a broker
+// moves from one box to N primaries with replicas by swapping the
+// constructor, not the call sites. The typed calls (Get, Set, CAS, ...)
+// are functions over KV, written once.
 //
-// The sharded implementation routes each command by its key's topic
-// prefix (see the cluster package); multi-key operations and pipelines
-// whose keys span shards are errors there, but every key a broker derives
-// from one topic shares that topic's prefix, so shard-local is the
-// natural grain.
+// The sharded implementation routes each command by the keys its table
+// row names (see Command and the cluster package); pipelines whose keys
+// span shards are errors there, but every key a broker derives from one
+// topic shares that topic's prefix, so shard-local is the natural grain.
 type KV interface {
-	Ping(ctx context.Context) error
-	Set(ctx context.Context, key string, val []byte) error
-	Get(ctx context.Context, key string) (val []byte, ok bool, err error)
-	Del(ctx context.Context, keys ...string) (int64, error)
-	MGet(ctx context.Context, keys ...string) ([][]byte, error)
-	MSet(ctx context.Context, pairs map[string][]byte) error
-	Incr(ctx context.Context, key string) (int64, error)
-	CAS(ctx context.Context, key string, old, new []byte) (bool, error)
-	DelRange(ctx context.Context, prefix string, start, end uint64) (int64, error)
+	// Do sends one command (see the command table) and returns its reply.
+	Do(ctx context.Context, name string, args ...[]byte) PipeReply
 	WaitGet(ctx context.Context, key string, timeout time.Duration) (val []byte, ok bool, err error)
 	WaitPrefix(ctx context.Context, prefix string, after uint64, timeout time.Duration) (uint64, error)
 	Pipeline() *Pipeline
@@ -36,3 +30,76 @@ type KV interface {
 }
 
 var _ KV = (*Client)(nil)
+
+// Set stores val under key. val is not retained: it has been written out
+// by the time Set returns, so the caller may reuse or mutate it at once.
+func Set(ctx context.Context, kv KV, key string, val []byte) error {
+	return kv.Do(ctx, "SET", []byte(key), val).Err()
+}
+
+// Get fetches key's value; ok is false when the key does not exist.
+func Get(ctx context.Context, kv KV, key string) (val []byte, ok bool, err error) {
+	return kv.Do(ctx, "GET", []byte(key)).Bytes()
+}
+
+// Del removes keys, returning how many existed.
+func Del(ctx context.Context, kv KV, keys ...string) (int64, error) {
+	return kv.Do(ctx, "DEL", keysArgs(keys)...).Int()
+}
+
+// Exists reports how many of the given keys exist.
+func Exists(ctx context.Context, kv KV, keys ...string) (int64, error) {
+	return kv.Do(ctx, "EXISTS", keysArgs(keys)...).Int()
+}
+
+// MGet fetches many keys; missing keys yield nil entries.
+func MGet(ctx context.Context, kv KV, keys ...string) ([][]byte, error) {
+	r := kv.Do(ctx, "MGET", keysArgs(keys)...)
+	if r.err != nil {
+		return nil, r.err
+	}
+	out := make([][]byte, len(r.v.arr))
+	for i, el := range r.v.arr {
+		if !el.null {
+			out[i] = el.bulk
+		}
+	}
+	return out, nil
+}
+
+// MSet stores many key/value pairs atomically.
+func MSet(ctx context.Context, kv KV, pairs map[string][]byte) error {
+	args := make([][]byte, 0, len(pairs)*2)
+	for k, v := range pairs {
+		args = append(args, []byte(k), v)
+	}
+	return kv.Do(ctx, "MSET", args...).Err()
+}
+
+// Incr atomically increments the integer at key (missing keys start at 0)
+// and returns the new value.
+func Incr(ctx context.Context, kv KV, key string) (int64, error) {
+	return kv.Do(ctx, "INCR", []byte(key)).Int()
+}
+
+// CAS atomically swaps key's value from old to new, reporting whether the
+// swap happened. A nil/empty old means the key must not exist (SETNX).
+func CAS(ctx context.Context, kv KV, key string, old, new []byte) (bool, error) {
+	n, err := kv.Do(ctx, "CAS", []byte(key), old, new).Int()
+	return n == 1, err
+}
+
+// DelRange deletes the keys prefix+i for start <= i < end (decimal i),
+// returning how many existed.
+func DelRange(ctx context.Context, kv KV, prefix string, start, end uint64) (int64, error) {
+	return kv.Do(ctx, "DELRANGE", []byte(prefix),
+		[]byte(strconv.FormatUint(start, 10)), []byte(strconv.FormatUint(end, 10))).Int()
+}
+
+func keysArgs(keys []string) [][]byte {
+	args := make([][]byte, len(keys))
+	for i, k := range keys {
+		args[i] = []byte(k)
+	}
+	return args
+}

@@ -330,49 +330,14 @@ func (c *Client) delay(ctx context.Context, size int) error {
 	return c.net.Delay(ctx, c.clientSite, c.serverSite, size)
 }
 
-// do sends one command and reads one reply.
-func (c *Client) do(ctx context.Context, name string, args ...[]byte) (value, error) {
-	reqSize := len(name)
-	for _, a := range args {
-		reqSize += len(a)
+// Do sends one command and reads its reply. A server error reply lands on
+// the reply's Err as a *ReplyError; the arguments are not retained.
+func (c *Client) Do(ctx context.Context, name string, args ...[]byte) PipeReply {
+	var r PipeReply
+	if err := c.roundTrip(ctx, []string{name}, [][][]byte{args}, []*PipeReply{&r}, nil); err != nil {
+		return PipeReply{err: err}
 	}
-	if err := c.delay(ctx, reqSize); err != nil {
-		return value{}, err
-	}
-
-	cc, err := c.acquire(ctx)
-	if err != nil {
-		return value{}, err
-	}
-	if err := encodeCommand(cc.w, name, args...); err != nil {
-		c.release(cc, true)
-		return value{}, fmt.Errorf("kvstore: sending %s: %w", name, err)
-	}
-	sent := time.Now()
-	if err := cc.w.Flush(); err != nil {
-		c.release(cc, true)
-		return value{}, fmt.Errorf("kvstore: sending %s: %w", name, err)
-	}
-	c.trip()
-	v, err := readValue(cc.r)
-	if err != nil {
-		c.release(cc, true)
-		return value{}, fmt.Errorf("kvstore: reading %s reply: %w", name, err)
-	}
-	c.mRTT.Since(sent)
-	c.release(cc, false)
-
-	respSize := len(v.bulk)
-	for _, el := range v.arr {
-		respSize += len(el.bulk)
-	}
-	if err := c.delay(ctx, respSize); err != nil {
-		return value{}, err
-	}
-	if v.kind == respError {
-		return value{}, serverError(v)
-	}
-	return v, nil
+	return r
 }
 
 // ReplyError is an error reply the server deliberately sent (RESP "-ERR
@@ -435,156 +400,7 @@ func waitMillis(timeout time.Duration) []byte {
 	return []byte(strconv.FormatInt(max(timeout.Milliseconds(), 1), 10))
 }
 
-// Ping round-trips a PING.
-func (c *Client) Ping(ctx context.Context) error {
-	v, err := c.do(ctx, "PING")
-	if err != nil {
-		return err
-	}
-	if v.kind != respSimpleString || v.str != "PONG" {
-		return fmt.Errorf("kvstore: unexpected PING reply %+v", v)
-	}
-	return nil
-}
-
-// Set stores val under key. val is not retained: it has been written out
-// by the time Set returns, so the caller may reuse or mutate it at once.
-func (c *Client) Set(ctx context.Context, key string, val []byte) error {
-	_, err := c.do(ctx, "SET", []byte(key), val)
-	return err
-}
-
-// Get fetches key's value; ok is false when the key does not exist.
-func (c *Client) Get(ctx context.Context, key string) (val []byte, ok bool, err error) {
-	v, err := c.do(ctx, "GET", []byte(key))
-	if err != nil {
-		return nil, false, err
-	}
-	if v.null {
-		return nil, false, nil
-	}
-	return v.bulk, true, nil
-}
-
-// Del removes keys, returning how many existed.
-func (c *Client) Del(ctx context.Context, keys ...string) (int64, error) {
-	args := make([][]byte, len(keys))
-	for i, k := range keys {
-		args[i] = []byte(k)
-	}
-	v, err := c.do(ctx, "DEL", args...)
-	if err != nil {
-		return 0, err
-	}
-	return v.num, nil
-}
-
-// Exists reports how many of the given keys exist.
-func (c *Client) Exists(ctx context.Context, keys ...string) (int64, error) {
-	args := make([][]byte, len(keys))
-	for i, k := range keys {
-		args[i] = []byte(k)
-	}
-	v, err := c.do(ctx, "EXISTS", args...)
-	if err != nil {
-		return 0, err
-	}
-	return v.num, nil
-}
-
-// MGet fetches many keys; missing keys yield nil entries.
-func (c *Client) MGet(ctx context.Context, keys ...string) ([][]byte, error) {
-	args := make([][]byte, len(keys))
-	for i, k := range keys {
-		args[i] = []byte(k)
-	}
-	v, err := c.do(ctx, "MGET", args...)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(v.arr))
-	for i, el := range v.arr {
-		if !el.null {
-			out[i] = el.bulk
-		}
-	}
-	return out, nil
-}
-
-// MSet stores many key/value pairs atomically.
-func (c *Client) MSet(ctx context.Context, pairs map[string][]byte) error {
-	args := make([][]byte, 0, len(pairs)*2)
-	for k, v := range pairs {
-		args = append(args, []byte(k), v)
-	}
-	_, err := c.do(ctx, "MSET", args...)
-	return err
-}
-
-// Incr atomically increments the integer at key (missing keys start at 0)
-// and returns the new value.
-func (c *Client) Incr(ctx context.Context, key string) (int64, error) {
-	v, err := c.do(ctx, "INCR", []byte(key))
-	if err != nil {
-		return 0, err
-	}
-	return v.num, nil
-}
-
-// CAS atomically swaps key's value from old to new, reporting whether the
-// swap happened. A nil/empty old means the key must not exist (SETNX).
-func (c *Client) CAS(ctx context.Context, key string, old, new []byte) (bool, error) {
-	v, err := c.do(ctx, "CAS", []byte(key), old, new)
-	if err != nil {
-		return false, err
-	}
-	return v.num == 1, nil
-}
-
-// DelRange deletes the keys prefix+i for start <= i < end (decimal i),
-// returning how many existed.
-func (c *Client) DelRange(ctx context.Context, prefix string, start, end uint64) (int64, error) {
-	v, err := c.do(ctx, "DELRANGE", []byte(prefix),
-		[]byte(strconv.FormatUint(start, 10)), []byte(strconv.FormatUint(end, 10)))
-	if err != nil {
-		return 0, err
-	}
-	return v.num, nil
-}
-
 // DBSize returns the number of keys on the server.
 func (c *Client) DBSize(ctx context.Context) (int64, error) {
-	v, err := c.do(ctx, "DBSIZE")
-	if err != nil {
-		return 0, err
-	}
-	return v.num, nil
-}
-
-// FlushAll removes every key on the server.
-func (c *Client) FlushAll(ctx context.Context) error {
-	_, err := c.do(ctx, "FLUSHALL")
-	return err
-}
-
-// Promote tells a replica server to stop following its primary and start
-// accepting writes (see the package doc's Replication section). On a
-// server that is already standalone it is a no-op.
-func (c *Client) Promote(ctx context.Context) error {
-	_, err := c.do(ctx, "PROMOTE")
-	return err
-}
-
-// Addr returns the server address the client was built with.
-func (c *Client) Addr() string { return c.addr }
-
-// Info returns the server's introspection dump (see the package doc's
-// INFO section): "name value" lines covering uptime, key/connection
-// counts, and the server's full telemetry snapshot.
-func (c *Client) Info(ctx context.Context) (string, error) {
-	v, err := c.do(ctx, "INFO")
-	if err != nil {
-		return "", err
-	}
-	return string(v.bulk), nil
+	return c.Do(ctx, "DBSIZE").Int()
 }

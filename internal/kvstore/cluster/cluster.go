@@ -194,11 +194,25 @@ func (sc *ShardedClient) shardFor(key string) *shard {
 	return sc.shards[sc.ring[i].shard]
 }
 
+// shardOf returns the shard every key places on.
+func (sc *ShardedClient) shardOf(keys [][]byte) (*shard, error) {
+	if len(keys) == 0 {
+		return nil, fmt.Errorf("cluster: no keyed commands to route by")
+	}
+	sh := sc.shardFor(string(keys[0]))
+	for _, key := range keys[1:] {
+		if sc.shardFor(string(key)) != sh {
+			return nil, fmt.Errorf("cluster: spans shards (key %q places off shard of %q)", key, keys[0])
+		}
+	}
+	return sh, nil
+}
+
 // promote asks c (best-effort, bounded) to start accepting writes.
 func promote(c *kvstore.Client) {
 	ctx, cancel := context.WithTimeout(context.Background(), promoteTimeout)
 	defer cancel()
-	c.Promote(ctx) // ignore the error: the retry tells us if it worked
+	c.Do(ctx, "PROMOTE") // ignore the error: the retry tells us if it worked
 }
 
 // doShard runs fn against the shard's current client, failing over
@@ -228,58 +242,69 @@ func doShard(ctx context.Context, sh *shard, fn func(*kvstore.Client) error) err
 	return err
 }
 
-func (sc *ShardedClient) doKey(ctx context.Context, key string, fn func(*kvstore.Client) error) error {
-	return doShard(ctx, sc.shardFor(key), fn)
+// send runs one command on the shard through doShard.
+func send(ctx context.Context, sh *shard, name string, args [][]byte) (r kvstore.PipeReply) {
+	doShard(ctx, sh, func(c *kvstore.Client) error {
+		r = c.Do(ctx, name, args...)
+		return r.Err()
+	})
+	return r
 }
 
-// Ping checks every shard's current member.
-func (sc *ShardedClient) Ping(ctx context.Context) error {
-	for _, sh := range sc.shards {
-		if err := doShard(ctx, sh, func(c *kvstore.Client) error { return c.Ping(ctx) }); err != nil {
-			return err
+// Do routes one command by the keys and key prefixes its command table
+// row names. Keys on one shard send it there whole. A command made of
+// independent key groups (DEL, EXISTS, MGET, MSET) whose keys lie on
+// several shards is split by shard, and the replies merge: integers sum
+// and arrays reassemble in argument order. Any other command spanning
+// shards is refused. A command with no keys goes to every shard.
+func (sc *ShardedClient) Do(ctx context.Context, name string, args ...[]byte) kvstore.PipeReply {
+	cmd, ok := kvstore.LookupCommand(name)
+	if !ok || cmd.CheckArgs(args) != nil {
+		// Let a server give the reason.
+		return send(ctx, sc.shards[0], name, args)
+	}
+	keys, prefixes := cmd.Keys(args)
+	order, at := sc.shards, [][]int(nil)
+	if len(keys)+len(prefixes) > 0 {
+		sh, err := sc.shardOf(append(keys, prefixes...))
+		if err == nil {
+			return send(ctx, sh, name, args)
+		}
+		if cmd.Step == 0 {
+			return kvstore.ErrReply(err)
+		}
+		// Split: group i is args[i*Step : (i+1)*Step], led by keys[i].
+		groups := make(map[*shard][]int)
+		order = nil
+		for i, k := range keys {
+			sh := sc.shardFor(string(k))
+			if groups[sh] == nil {
+				order = append(order, sh)
+			}
+			groups[sh] = append(groups[sh], i)
+		}
+		for _, sh := range order {
+			at = append(at, groups[sh])
 		}
 	}
-	return nil
-}
-
-func (sc *ShardedClient) Set(ctx context.Context, key string, val []byte) error {
-	return sc.doKey(ctx, key, func(c *kvstore.Client) error { return c.Set(ctx, key, val) })
-}
-
-func (sc *ShardedClient) Get(ctx context.Context, key string) (val []byte, ok bool, err error) {
-	err = sc.doKey(ctx, key, func(c *kvstore.Client) error {
-		val, ok, err = c.Get(ctx, key)
-		return err
-	})
-	return val, ok, err
-}
-
-func (sc *ShardedClient) Incr(ctx context.Context, key string) (n int64, err error) {
-	err = sc.doKey(ctx, key, func(c *kvstore.Client) error {
-		n, err = c.Incr(ctx, key)
-		return err
-	})
-	return n, err
-}
-
-func (sc *ShardedClient) CAS(ctx context.Context, key string, old, new []byte) (swapped bool, err error) {
-	err = sc.doKey(ctx, key, func(c *kvstore.Client) error {
-		swapped, err = c.CAS(ctx, key, old, new)
-		return err
-	})
-	return swapped, err
-}
-
-func (sc *ShardedClient) DelRange(ctx context.Context, prefix string, start, end uint64) (n int64, err error) {
-	err = sc.doKey(ctx, prefix, func(c *kvstore.Client) error {
-		n, err = c.DelRange(ctx, prefix, start, end)
-		return err
-	})
-	return n, err
+	parts := make([]kvstore.PipeReply, len(order))
+	for i, sh := range order {
+		sub := args
+		if at != nil {
+			sub = make([][]byte, 0, len(at[i])*cmd.Step)
+			for _, g := range at[i] {
+				sub = append(sub, args[g*cmd.Step:(g+1)*cmd.Step]...)
+			}
+		}
+		if parts[i] = send(ctx, sh, name, sub); parts[i].Err() != nil {
+			return parts[i]
+		}
+	}
+	return kvstore.MergeReplies(parts, at)
 }
 
 func (sc *ShardedClient) WaitGet(ctx context.Context, key string, timeout time.Duration) (val []byte, ok bool, err error) {
-	err = sc.doKey(ctx, key, func(c *kvstore.Client) error {
+	err = doShard(ctx, sc.shardFor(key), func(c *kvstore.Client) error {
 		val, ok, err = c.WaitGet(ctx, key, timeout)
 		return err
 	})
@@ -287,92 +312,11 @@ func (sc *ShardedClient) WaitGet(ctx context.Context, key string, timeout time.D
 }
 
 func (sc *ShardedClient) WaitPrefix(ctx context.Context, prefix string, after uint64, timeout time.Duration) (seq uint64, err error) {
-	err = sc.doKey(ctx, prefix, func(c *kvstore.Client) error {
+	err = doShard(ctx, sc.shardFor(prefix), func(c *kvstore.Client) error {
 		seq, err = c.WaitPrefix(ctx, prefix, after, timeout)
 		return err
 	})
 	return seq, err
-}
-
-// Del deletes keys, grouped and fanned out by shard; returns the total
-// number that existed.
-func (sc *ShardedClient) Del(ctx context.Context, keys ...string) (int64, error) {
-	var total int64
-	for sh, group := range sc.groupKeys(keys) {
-		var n int64
-		err := doShard(ctx, sh, func(c *kvstore.Client) error {
-			var err error
-			n, err = c.Del(ctx, group...)
-			return err
-		})
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// MGet fetches keys grouped by shard, reassembling replies in argument
-// order (nil for missing keys, matching Client.MGet).
-func (sc *ShardedClient) MGet(ctx context.Context, keys ...string) ([][]byte, error) {
-	out := make([][]byte, len(keys))
-	byShard := make(map[*shard][]int)
-	for i, key := range keys {
-		sh := sc.shardFor(key)
-		byShard[sh] = append(byShard[sh], i)
-	}
-	for sh, idxs := range byShard {
-		group := make([]string, len(idxs))
-		for j, i := range idxs {
-			group[j] = keys[i]
-		}
-		var vals [][]byte
-		err := doShard(ctx, sh, func(c *kvstore.Client) error {
-			var err error
-			vals, err = c.MGet(ctx, group...)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if len(vals) != len(idxs) {
-			return nil, fmt.Errorf("cluster: MGET returned %d values for %d keys", len(vals), len(idxs))
-		}
-		for j, i := range idxs {
-			out[i] = vals[j]
-		}
-	}
-	return out, nil
-}
-
-// MSet writes pairs grouped by shard.
-func (sc *ShardedClient) MSet(ctx context.Context, pairs map[string][]byte) error {
-	byShard := make(map[*shard]map[string][]byte)
-	for key, val := range pairs {
-		sh := sc.shardFor(key)
-		group := byShard[sh]
-		if group == nil {
-			group = make(map[string][]byte)
-			byShard[sh] = group
-		}
-		group[key] = val
-	}
-	for sh, group := range byShard {
-		if err := doShard(ctx, sh, func(c *kvstore.Client) error { return c.MSet(ctx, group) }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (sc *ShardedClient) groupKeys(keys []string) map[*shard][]string {
-	groups := make(map[*shard][]string)
-	for _, key := range keys {
-		sh := sc.shardFor(key)
-		groups[sh] = append(groups[sh], key)
-	}
-	return groups
 }
 
 // Pipeline returns a routed pipeline: the target shard is resolved from
@@ -387,14 +331,9 @@ func (sc *ShardedClient) Pipeline() *kvstore.Pipeline {
 		used   *kvstore.Client
 	)
 	pick := func(keys [][]byte) (*kvstore.Client, error) {
-		if len(keys) == 0 {
-			return nil, fmt.Errorf("cluster: pipeline has no keyed commands to route by")
-		}
-		sh := sc.shardFor(string(keys[0]))
-		for _, key := range keys[1:] {
-			if sc.shardFor(string(key)) != sh {
-				return nil, fmt.Errorf("cluster: pipeline spans shards (key %q places off shard of %q)", key, keys[0])
-			}
+		sh, err := sc.shardOf(keys)
+		if err != nil {
+			return nil, err
 		}
 		mu.Lock()
 		defer mu.Unlock()

@@ -128,16 +128,16 @@ func TestShardedOps(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("ps:t%d:e:0", i)
 		keys = append(keys, key)
-		if err := sc.Set(ctx, key, []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := kvstore.Set(ctx, sc, key, []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 		pairs[fmt.Sprintf("ps:t%d:meta", i)] = []byte("m")
 		keys = append(keys, fmt.Sprintf("ps:t%d:meta", i))
 	}
-	if err := sc.MSet(ctx, pairs); err != nil {
+	if err := kvstore.MSet(ctx, sc, pairs); err != nil {
 		t.Fatalf("MSet: %v", err)
 	}
-	vals, err := sc.MGet(ctx, keys...)
+	vals, err := kvstore.MGet(ctx, sc, keys...)
 	if err != nil {
 		t.Fatalf("MGet: %v", err)
 	}
@@ -162,16 +162,16 @@ func TestShardedOps(t *testing.T) {
 		t.Fatalf("key count %d+%d, want %d", n1, n2, len(keys))
 	}
 
-	if n, err := sc.Incr(ctx, "ps:t0:head"); err != nil || n != 1 {
+	if n, err := kvstore.Incr(ctx, sc, "ps:t0:head"); err != nil || n != 1 {
 		t.Fatalf("Incr = %d, %v", n, err)
 	}
-	if swapped, err := sc.CAS(ctx, "ps:t0:e:0", []byte("v0"), []byte("v0'")); err != nil || !swapped {
+	if swapped, err := kvstore.CAS(ctx, sc, "ps:t0:e:0", []byte("v0"), []byte("v0'")); err != nil || !swapped {
 		t.Fatalf("CAS = %v, %v", swapped, err)
 	}
-	if n, err := sc.DelRange(ctx, "ps:t1:e:", 0, 5); err != nil || n != 1 {
+	if n, err := kvstore.DelRange(ctx, sc, "ps:t1:e:", 0, 5); err != nil || n != 1 {
 		t.Fatalf("DelRange = %d, %v", n, err)
 	}
-	if n, err := sc.Del(ctx, keys...); err != nil || n != int64(len(keys)-1) {
+	if n, err := kvstore.Del(ctx, sc, keys...); err != nil || n != int64(len(keys)-1) {
 		t.Fatalf("Del = %d, %v (want %d)", n, err, len(keys)-1)
 	}
 }
@@ -199,7 +199,7 @@ func TestShardedWaits(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
-	if err := sc.Set(ctx, "ps:w:key", []byte("x")); err != nil {
+	if err := kvstore.Set(ctx, sc, "ps:w:key", []byte("x")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	if err := <-done; err != nil {
@@ -217,8 +217,8 @@ func TestShardedPipeline(t *testing.T) {
 	ctx := context.Background()
 
 	pipe := sc.Pipeline()
-	setRep := pipe.Set("ps:p:e:0", []byte("a"))
-	incRep := pipe.Incr("ps:p:head")
+	setRep := pipe.Do("SET", []byte("ps:p:e:0"), []byte("a"))
+	incRep := pipe.Do("INCR", []byte("ps:p:head"))
 	if err := pipe.Exec(ctx); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
@@ -229,20 +229,34 @@ func TestShardedPipeline(t *testing.T) {
 		t.Fatalf("pipelined Incr = %d, %v", n, err)
 	}
 
-	// A batch whose keys place on different shards must be refused.
-	var cross *kvstore.Pipeline
+	// A batch whose keys place on different shards must be refused,
+	// whether the keys are in two commands or in one multi-key command.
+	var other string
 	for i := 1; ; i++ {
-		other := fmt.Sprintf("ps:q%d:e:0", i)
-		if sc.shardFor(other) != sc.shardFor("ps:p:e:0") {
-			cross = sc.Pipeline()
-			cross.Set("ps:p:e:1", []byte("a"))
-			cross.Set(other, []byte("b"))
+		if other = fmt.Sprintf("ps:q%d:e:0", i); sc.shardFor(other) != sc.shardFor("ps:p:e:0") {
 			break
 		}
 	}
+	cross := sc.Pipeline()
+	cross.Do("SET", []byte("ps:p:e:1"), []byte("a"))
+	cross.Do("SET", []byte(other), []byte("b"))
 	err = cross.Exec(ctx)
 	if err == nil || !strings.Contains(err.Error(), "spans shards") {
 		t.Fatalf("cross-shard pipeline Exec = %v, want spans-shards error", err)
+	}
+	if err := kvstore.Set(ctx, sc, other, []byte("b")); err != nil {
+		t.Fatalf("Set: %v", err)
+	}
+	for _, name := range []string{"MGET", "DEL"} {
+		p := sc.Pipeline()
+		rep := p.Do(name, []byte("ps:p:e:0"), []byte(other))
+		if err := p.Exec(ctx); err == nil || !strings.Contains(err.Error(), "spans shards") || rep.Err() == nil {
+			t.Fatalf("pipelined %s across shards: Exec = %v, reply %v; want spans-shards errors", name, err, rep.Err())
+		}
+		vals, err := kvstore.MGet(ctx, sc, "ps:p:e:0", other)
+		if err != nil || vals[0] == nil || vals[1] == nil {
+			t.Fatalf("after pipelined %s across shards: values %q, %v; want both keys kept", name, vals, err)
+		}
 	}
 }
 
@@ -272,7 +286,7 @@ func TestShardedFailover(t *testing.T) {
 	ctx := context.Background()
 
 	for i := 0; i < 50; i++ {
-		if err := sc.Set(ctx, fmt.Sprintf("ps:f:e:%d", i), []byte("v")); err != nil {
+		if err := kvstore.Set(ctx, sc, fmt.Sprintf("ps:f:e:%d", i), []byte("v")); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
@@ -280,11 +294,11 @@ func TestShardedFailover(t *testing.T) {
 		t.Fatalf("primary Close: %v", err)
 	}
 	// Reads and writes keep working via the promoted replica.
-	v, ok, err := sc.Get(ctx, "ps:f:e:49")
+	v, ok, err := kvstore.Get(ctx, sc, "ps:f:e:49")
 	if err != nil || !ok || string(v) != "v" {
 		t.Fatalf("Get after failover = %q, %v, %v", v, ok, err)
 	}
-	if err := sc.Set(ctx, "ps:f:e:50", []byte("post")); err != nil {
+	if err := kvstore.Set(ctx, sc, "ps:f:e:50", []byte("post")); err != nil {
 		t.Fatalf("Set after failover: %v", err)
 	}
 	// Pipelines fail over too: the first Exec may fail (reporting the
@@ -292,7 +306,7 @@ func TestShardedFailover(t *testing.T) {
 	var lastErr error
 	for attempt := 0; attempt < 3; attempt++ {
 		pipe := sc.Pipeline()
-		pipe.Set("ps:f:e:51", []byte("piped"))
+		pipe.Do("SET", []byte("ps:f:e:51"), []byte("piped"))
 		if lastErr = pipe.Exec(ctx); lastErr == nil {
 			break
 		}
@@ -300,7 +314,7 @@ func TestShardedFailover(t *testing.T) {
 	if lastErr != nil {
 		t.Fatalf("pipeline never recovered after failover: %v", lastErr)
 	}
-	v, ok, err = sc.Get(ctx, "ps:f:e:51")
+	v, ok, err = kvstore.Get(ctx, sc, "ps:f:e:51")
 	if err != nil || !ok || string(v) != "piped" {
 		t.Fatalf("piped write lost: %q, %v, %v", v, ok, err)
 	}

@@ -20,13 +20,14 @@ func TestInfo(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
-	if err := c.Set(ctx, "k", []byte("v")); err != nil {
+	if err := Set(ctx, c, "k", []byte("v")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
-	if _, _, err := c.Get(ctx, "k"); err != nil {
+	if _, _, err := Get(ctx, c, "k"); err != nil {
 		t.Fatalf("Get: %v", err)
 	}
-	info, err := c.Info(ctx)
+	raw, _, err := c.Do(ctx, "INFO").Bytes()
+	info := string(raw)
 	if err != nil {
 		t.Fatalf("Info: %v", err)
 	}
@@ -47,7 +48,7 @@ func TestInfo(t *testing.T) {
 	}
 
 	// Wrong arity is an error, not a crash.
-	if _, err := c.do(ctx, "INFO", []byte("x")); err == nil {
+	if err := c.Do(ctx, "INFO", []byte("x")).Err(); err == nil {
 		t.Fatal("INFO with an argument should error")
 	}
 }
@@ -78,7 +79,7 @@ func TestInfoWaitersGauge(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := c.Set(ctx, "wk", []byte("x")); err != nil {
+	if err := Set(ctx, c, "wk", []byte("x")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	if err := <-done; err != nil {

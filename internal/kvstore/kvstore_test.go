@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -27,7 +28,7 @@ func newPair(t *testing.T, sopts []ServerOption, copts []ClientOption) (*Server,
 
 func TestPing(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
-	if err := cli.Ping(context.Background()); err != nil {
+	if err := cli.Do(context.Background(), "PING").Err(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 }
@@ -35,10 +36,10 @@ func TestPing(t *testing.T) {
 func TestSetGet(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.Set(ctx, "k", []byte("v")); err != nil {
+	if err := Set(ctx, cli, "k", []byte("v")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
-	got, ok, err := cli.Get(ctx, "k")
+	got, ok, err := Get(ctx, cli, "k")
 	if err != nil || !ok {
 		t.Fatalf("Get = %v, %v, %v", got, ok, err)
 	}
@@ -57,13 +58,13 @@ func TestSetValueReusedAfterReturn(t *testing.T) {
 	for _, size := range []int{1 << 10, 1 << 20} {
 		buf := bytes.Repeat([]byte{0xAB}, size)
 		key := fmt.Sprintf("reuse-%d", size)
-		if err := cli.Set(ctx, key, buf); err != nil {
+		if err := Set(ctx, cli, key, buf); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 		for i := range buf {
 			buf[i] = 0xCD
 		}
-		got, ok, err := cli.Get(ctx, key)
+		got, ok, err := Get(ctx, cli, key)
 		if err != nil || !ok {
 			t.Fatalf("Get = %v, %v", ok, err)
 		}
@@ -75,7 +76,7 @@ func TestSetValueReusedAfterReturn(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
-	_, ok, err := cli.Get(context.Background(), "ghost")
+	_, ok, err := Get(context.Background(), cli, "ghost")
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -88,10 +89,10 @@ func TestBinarySafety(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
 	val := []byte("embedded\r\nCRLF\x00and nulls\xff")
-	if err := cli.Set(ctx, "bin", val); err != nil {
+	if err := Set(ctx, cli, "bin", val); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
-	got, _, err := cli.Get(ctx, "bin")
+	got, _, err := Get(ctx, cli, "bin")
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -103,17 +104,17 @@ func TestBinarySafety(t *testing.T) {
 func TestDelAndExists(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	cli.Set(ctx, "a", []byte("1"))
-	cli.Set(ctx, "b", []byte("2"))
-	n, err := cli.Exists(ctx, "a", "b", "c")
+	Set(ctx, cli, "a", []byte("1"))
+	Set(ctx, cli, "b", []byte("2"))
+	n, err := Exists(ctx, cli, "a", "b", "c")
 	if err != nil || n != 2 {
 		t.Fatalf("Exists = %d, %v; want 2", n, err)
 	}
-	deleted, err := cli.Del(ctx, "a", "c")
+	deleted, err := Del(ctx, cli, "a", "c")
 	if err != nil || deleted != 1 {
 		t.Fatalf("Del = %d, %v; want 1", deleted, err)
 	}
-	n, _ = cli.Exists(ctx, "a")
+	n, _ = Exists(ctx, cli, "a")
 	if n != 0 {
 		t.Fatal("key a survived Del")
 	}
@@ -122,10 +123,10 @@ func TestDelAndExists(t *testing.T) {
 func TestMGetMSet(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.MSet(ctx, map[string][]byte{"x": []byte("1"), "y": []byte("2")}); err != nil {
+	if err := MSet(ctx, cli, map[string][]byte{"x": []byte("1"), "y": []byte("2")}); err != nil {
 		t.Fatalf("MSet: %v", err)
 	}
-	vals, err := cli.MGet(ctx, "x", "ghost", "y")
+	vals, err := MGet(ctx, cli, "x", "ghost", "y")
 	if err != nil {
 		t.Fatalf("MGet: %v", err)
 	}
@@ -137,18 +138,18 @@ func TestMGetMSet(t *testing.T) {
 func TestIncr(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	n, err := cli.Incr(ctx, "ctr")
+	n, err := Incr(ctx, cli, "ctr")
 	if err != nil || n != 1 {
 		t.Fatalf("Incr new key = %d, %v; want 1", n, err)
 	}
-	n, err = cli.Incr(ctx, "ctr")
+	n, err = Incr(ctx, cli, "ctr")
 	if err != nil || n != 2 {
 		t.Fatalf("second Incr = %d, %v; want 2", n, err)
 	}
-	if err := cli.Set(ctx, "str", []byte("not a number")); err != nil {
+	if err := Set(ctx, cli, "str", []byte("not a number")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
-	if _, err := cli.Incr(ctx, "str"); err == nil {
+	if _, err := Incr(ctx, cli, "str"); err == nil {
 		t.Fatal("Incr of non-integer value succeeded")
 	}
 }
@@ -163,7 +164,7 @@ func TestIncrConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := cli.Incr(ctx, "ctr"); err != nil {
+				if _, err := Incr(ctx, cli, "ctr"); err != nil {
 					t.Errorf("Incr: %v", err)
 					return
 				}
@@ -171,7 +172,7 @@ func TestIncrConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	v, ok, err := cli.Get(ctx, "ctr")
+	v, ok, err := Get(ctx, cli, "ctr")
 	if err != nil || !ok {
 		t.Fatalf("Get: %v ok=%v", err, ok)
 	}
@@ -184,29 +185,29 @@ func TestCAS(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
 	// Empty old = SETNX: first claim wins, second loses.
-	ok, err := cli.CAS(ctx, "claim", nil, []byte("alice"))
+	ok, err := CAS(ctx, cli, "claim", nil, []byte("alice"))
 	if err != nil || !ok {
 		t.Fatalf("CAS on absent key = %v, %v; want true", ok, err)
 	}
-	ok, err = cli.CAS(ctx, "claim", nil, []byte("bob"))
+	ok, err = CAS(ctx, cli, "claim", nil, []byte("bob"))
 	if err != nil || ok {
 		t.Fatalf("second SETNX-CAS = %v, %v; want false", ok, err)
 	}
 	// Swap requires the exact current value.
-	ok, err = cli.CAS(ctx, "claim", []byte("carol"), []byte("bob"))
+	ok, err = CAS(ctx, cli, "claim", []byte("carol"), []byte("bob"))
 	if err != nil || ok {
 		t.Fatalf("CAS with stale old = %v, %v; want false", ok, err)
 	}
-	ok, err = cli.CAS(ctx, "claim", []byte("alice"), []byte("bob"))
+	ok, err = CAS(ctx, cli, "claim", []byte("alice"), []byte("bob"))
 	if err != nil || !ok {
 		t.Fatalf("CAS with matching old = %v, %v; want true", ok, err)
 	}
-	got, _, err := cli.Get(ctx, "claim")
+	got, _, err := Get(ctx, cli, "claim")
 	if err != nil || string(got) != "bob" {
 		t.Fatalf("value after CAS = %q, %v", got, err)
 	}
 	// CAS with old set but key missing must fail.
-	ok, err = cli.CAS(ctx, "ghost", []byte("x"), []byte("y"))
+	ok, err = CAS(ctx, cli, "ghost", []byte("x"), []byte("y"))
 	if err != nil || ok {
 		t.Fatalf("CAS on missing key with old = %v, %v; want false", ok, err)
 	}
@@ -224,7 +225,7 @@ func TestCASConcurrentSingleWinner(t *testing.T) {
 			defer wg.Done()
 			cli := NewClient(srv.Addr())
 			defer cli.Close()
-			ok, err := cli.CAS(ctx, "lease", nil, []byte(fmt.Sprintf("holder-%d", g)))
+			ok, err := CAS(ctx, cli, "lease", nil, []byte(fmt.Sprintf("holder-%d", g)))
 			if err != nil {
 				t.Errorf("CAS: %v", err)
 				return
@@ -249,10 +250,10 @@ func TestDelRange(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		cli.Set(ctx, fmt.Sprintf("log:%d", i), []byte("e"))
+		Set(ctx, cli, fmt.Sprintf("log:%d", i), []byte("e"))
 	}
-	cli.Set(ctx, "log:other", []byte("kept")) // non-numeric suffix untouched
-	n, err := cli.DelRange(ctx, "log:", 2, 7)
+	Set(ctx, cli, "log:other", []byte("kept")) // non-numeric suffix untouched
+	n, err := DelRange(ctx, cli, "log:", 2, 7)
 	if err != nil || n != 5 {
 		t.Fatalf("DelRange = %d, %v; want 5", n, err)
 	}
@@ -261,21 +262,21 @@ func TestDelRange(t *testing.T) {
 		if i >= 2 && i < 7 {
 			want = 0
 		}
-		if got, _ := cli.Exists(ctx, fmt.Sprintf("log:%d", i)); got != want {
+		if got, _ := Exists(ctx, cli, fmt.Sprintf("log:%d", i)); got != want {
 			t.Fatalf("log:%d exists = %d, want %d", i, got, want)
 		}
 	}
-	if got, _ := cli.Exists(ctx, "log:other"); got != 1 {
+	if got, _ := Exists(ctx, cli, "log:other"); got != 1 {
 		t.Fatal("DelRange deleted a key outside the numeric range")
 	}
 	// Empty and inverted ranges are no-ops; oversized ranges are rejected.
-	if n, err := cli.DelRange(ctx, "log:", 7, 7); err != nil || n != 0 {
+	if n, err := DelRange(ctx, cli, "log:", 7, 7); err != nil || n != 0 {
 		t.Fatalf("empty DelRange = %d, %v", n, err)
 	}
-	if n, err := cli.DelRange(ctx, "log:", 9, 2); err != nil || n != 0 {
+	if n, err := DelRange(ctx, cli, "log:", 9, 2); err != nil || n != 0 {
 		t.Fatalf("inverted DelRange = %d, %v", n, err)
 	}
-	if _, err := cli.DelRange(ctx, "log:", 0, 1<<30); err == nil {
+	if _, err := DelRange(ctx, cli, "log:", 0, 1<<30); err == nil {
 		t.Fatal("oversized DelRange did not error")
 	}
 }
@@ -289,17 +290,17 @@ func TestNewCommandsPersistAcrossRestart(t *testing.T) {
 	cli := NewClient(srv.Addr())
 	ctx := context.Background()
 	for i := 0; i < 42; i++ {
-		if _, err := cli.Incr(ctx, "ctr"); err != nil {
+		if _, err := Incr(ctx, cli, "ctr"); err != nil {
 			t.Fatalf("Incr: %v", err)
 		}
 	}
-	if _, err := cli.CAS(ctx, "claim", nil, []byte("held")); err != nil {
+	if _, err := CAS(ctx, cli, "claim", nil, []byte("held")); err != nil {
 		t.Fatalf("CAS: %v", err)
 	}
 	for i := 0; i < 4; i++ {
-		cli.Set(ctx, fmt.Sprintf("log:%d", i), []byte("e"))
+		Set(ctx, cli, fmt.Sprintf("log:%d", i), []byte("e"))
 	}
-	if _, err := cli.DelRange(ctx, "log:", 0, 3); err != nil {
+	if _, err := DelRange(ctx, cli, "log:", 0, 3); err != nil {
 		t.Fatalf("DelRange: %v", err)
 	}
 	cli.Close()
@@ -312,13 +313,13 @@ func TestNewCommandsPersistAcrossRestart(t *testing.T) {
 	defer srv2.Close()
 	cli2 := NewClient(srv2.Addr())
 	defer cli2.Close()
-	if v, _, _ := cli2.Get(ctx, "ctr"); string(v) != "42" {
+	if v, _, _ := Get(ctx, cli2, "ctr"); string(v) != "42" {
 		t.Fatalf("counter after restart = %q, want 42", v)
 	}
-	if v, _, _ := cli2.Get(ctx, "claim"); string(v) != "held" {
+	if v, _, _ := Get(ctx, cli2, "claim"); string(v) != "held" {
 		t.Fatalf("claim after restart = %q, want held", v)
 	}
-	if n, _ := cli2.Exists(ctx, "log:0", "log:1", "log:2", "log:3"); n != 1 {
+	if n, _ := Exists(ctx, cli2, "log:0", "log:1", "log:2", "log:3"); n != 1 {
 		t.Fatalf("%d log keys survived restart, want 1 (only log:3)", n)
 	}
 }
@@ -327,13 +328,13 @@ func TestDBSizeAndFlush(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
-		cli.Set(ctx, fmt.Sprintf("k%d", i), []byte("v"))
+		Set(ctx, cli, fmt.Sprintf("k%d", i), []byte("v"))
 	}
 	n, err := cli.DBSize(ctx)
 	if err != nil || n != 5 {
 		t.Fatalf("DBSize = %d, %v; want 5", n, err)
 	}
-	if err := cli.FlushAll(ctx); err != nil {
+	if err := cli.Do(ctx, "FLUSHALL").Err(); err != nil {
 		t.Fatalf("FlushAll: %v", err)
 	}
 	n, _ = cli.DBSize(ctx)
@@ -349,10 +350,10 @@ func TestLargeValue(t *testing.T) {
 	for i := range val {
 		val[i] = byte(i)
 	}
-	if err := cli.Set(ctx, "big", val); err != nil {
+	if err := Set(ctx, cli, "big", val); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
-	got, _, err := cli.Get(ctx, "big")
+	got, _, err := Get(ctx, cli, "big")
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -373,11 +374,11 @@ func TestConcurrentClients(t *testing.T) {
 			defer cli.Close()
 			for i := 0; i < 20; i++ {
 				key := fmt.Sprintf("g%d-k%d", g, i)
-				if err := cli.Set(ctx, key, []byte(key)); err != nil {
+				if err := Set(ctx, cli, key, []byte(key)); err != nil {
 					t.Errorf("Set: %v", err)
 					return
 				}
-				got, ok, err := cli.Get(ctx, key)
+				got, ok, err := Get(ctx, cli, key)
 				if err != nil || !ok || string(got) != key {
 					t.Errorf("Get(%s) = %q, %v, %v", key, got, ok, err)
 					return
@@ -396,9 +397,9 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 	cli := NewClient(srv.Addr())
 	ctx := context.Background()
-	cli.Set(ctx, "durable", []byte("survives"))
-	cli.Set(ctx, "doomed", []byte("deleted"))
-	cli.Del(ctx, "doomed")
+	Set(ctx, cli, "durable", []byte("survives"))
+	Set(ctx, cli, "doomed", []byte("deleted"))
+	Del(ctx, cli, "doomed")
 	cli.Close()
 	srv.Close()
 
@@ -409,11 +410,11 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	defer srv2.Close()
 	cli2 := NewClient(srv2.Addr())
 	defer cli2.Close()
-	got, ok, err := cli2.Get(ctx, "durable")
+	got, ok, err := Get(ctx, cli2, "durable")
 	if err != nil || !ok || string(got) != "survives" {
 		t.Fatalf("Get after restart = %q, %v, %v", got, ok, err)
 	}
-	if n, _ := cli2.Exists(ctx, "doomed"); n != 0 {
+	if n, _ := Exists(ctx, cli2, "doomed"); n != 0 {
 		t.Fatal("deleted key resurrected after restart")
 	}
 }
@@ -427,7 +428,7 @@ func TestNetworkModelDelaysRequests(t *testing.T) {
 	}
 	_, cli := newPair(t, nil, []ClientOption{WithClientNetwork(n, "client", "server")})
 	start := time.Now()
-	if err := cli.Ping(context.Background()); err != nil {
+	if err := cli.Do(context.Background(), "PING").Err(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
@@ -438,9 +439,9 @@ func TestNetworkModelDelaysRequests(t *testing.T) {
 func TestServerCountsCommands(t *testing.T) {
 	srv, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	cli.Ping(ctx)
-	cli.Set(ctx, "k", []byte("v"))
-	cli.Get(ctx, "k")
+	cli.Do(ctx, "PING")
+	Set(ctx, cli, "k", []byte("v"))
+	Get(ctx, cli, "k")
 	if got := srv.Commands(); got != 3 {
 		t.Fatalf("Commands = %d, want 3", got)
 	}
@@ -448,8 +449,62 @@ func TestServerCountsCommands(t *testing.T) {
 
 func TestUnknownCommandReturnsError(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
-	if _, err := cli.do(context.Background(), "NOSUCHCMD"); err == nil {
+	if err := cli.Do(context.Background(), "NOSUCHCMD").Err(); err == nil {
 		t.Fatal("unknown command did not error")
+	}
+}
+
+// validArgs holds well-formed arguments for every command table row.
+var validArgs = map[string][]string{
+	"PING":     {},
+	"SET":      {"k", "v"},
+	"GET":      {"k"},
+	"DEL":      {"k"},
+	"EXISTS":   {"k"},
+	"MGET":     {"k", "k2"},
+	"MSET":     {"k", "v", "k2", "v2"},
+	"LAPPEND":  {"len", "s:", "x"},
+	"LREAD":    {"len", "0", "8", "1", "s:", "k"},
+	"INCR":     {"n"},
+	"CAS":      {"c", "", "v"},
+	"DELRANGE": {"s:", "0", "4"},
+	"DBSIZE":   {},
+	"INFO":     {},
+	"FLUSHALL": {},
+	"PROMOTE":  {},
+}
+
+// rowArgs returns validArgs' arguments for a row, failing the test when a
+// row has none.
+func rowArgs(t *testing.T, c *Command) [][]byte {
+	t.Helper()
+	a, ok := validArgs[c.Name]
+	if !ok {
+		t.Fatalf("no valid arguments for %s: add them to validArgs", c.Name)
+	}
+	if err := c.CheckArgs(keysArgs(a)); err != nil {
+		t.Fatalf("%s %q: %v", c.Name, a, err)
+	}
+	return keysArgs(a)
+}
+
+// TestEveryCommandRowIsServed: each row of the command table is answered
+// without error for well-formed arguments, and refused with the arity
+// error for one argument too few.
+func TestEveryCommandRowIsServed(t *testing.T) {
+	_, cli := newPair(t, nil, nil)
+	ctx := context.Background()
+	for i := range commandTable {
+		c := &commandTable[i]
+		if err := cli.Do(ctx, c.Name, rowArgs(t, c)...).Err(); err != nil {
+			t.Errorf("%s: %v", c.Name, err)
+		}
+		if min := max(c.Arity, -c.Arity) - 1; min > 0 {
+			err := cli.Do(ctx, c.Name, make([][]byte, min-1)...).Err()
+			if err == nil || !strings.Contains(err.Error(), "wrong number of arguments") {
+				t.Errorf("%s with %d args = %v, want an arity error", c.Name, min-1, err)
+			}
+		}
 	}
 }
 
@@ -460,10 +515,10 @@ func TestPropertyRoundTripArbitraryValues(t *testing.T) {
 	f := func(val []byte) bool {
 		i++
 		key := fmt.Sprintf("prop-%d", i)
-		if err := cli.Set(ctx, key, val); err != nil {
+		if err := Set(ctx, cli, key, val); err != nil {
 			return false
 		}
-		got, ok, err := cli.Get(ctx, key)
+		got, ok, err := Get(ctx, cli, key)
 		if err != nil || !ok {
 			return false
 		}

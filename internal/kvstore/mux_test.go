@@ -37,7 +37,7 @@ func TestManyWaitsShareOneMuxConnection(t *testing.T) {
 		t.Fatalf("%d parked waits dialed %d connections, want 1 (the mux conn)", waiters, got)
 	}
 	for i := 0; i < waiters; i++ {
-		if err := cli.Set(ctx, fmt.Sprintf("mux-%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := Set(ctx, cli, fmt.Sprintf("mux-%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestManyWaitsShareOneMuxConnection(t *testing.T) {
 func TestMuxInterleavesGetAndPrefixWaits(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.Set(ctx, "boot", []byte("x")); err != nil {
+	if err := Set(ctx, cli, "boot", []byte("x")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	seq, err := cli.WaitPrefix(ctx, "log:", 0, time.Second)
@@ -83,7 +83,7 @@ func TestMuxInterleavesGetAndPrefixWaits(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	// Resolve the prefix wait first, then the get: replies come back in
 	// resolution order, not submission order.
-	if err := cli.Set(ctx, "log:1", []byte("x")); err != nil {
+	if err := Set(ctx, cli, "log:1", []byte("x")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	first := <-got
@@ -93,7 +93,7 @@ func TestMuxInterleavesGetAndPrefixWaits(t *testing.T) {
 	if first.what != "prefix" {
 		t.Fatalf("first resolved wait = %s, want prefix", first.what)
 	}
-	if err := cli.Set(ctx, "slow", []byte("later")); err != nil {
+	if err := Set(ctx, cli, "slow", []byte("later")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	second := <-got
@@ -108,7 +108,7 @@ func TestMuxInterleavesGetAndPrefixWaits(t *testing.T) {
 func TestMuxCancelledWaitLeavesConnectionHealthy(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.Ping(ctx); err != nil { // establish the pooled conn up front
+	if err := cli.Do(ctx, "PING").Err(); err != nil { // establish the pooled conn up front
 		t.Fatalf("Ping: %v", err)
 	}
 	cctx, cancel := context.WithCancel(ctx)
@@ -132,7 +132,7 @@ func TestMuxCancelledWaitLeavesConnectionHealthy(t *testing.T) {
 		t.Fatalf("cancelled wait = %v, want context.Canceled", err)
 	}
 	// The surviving wait resolves on the same connection.
-	if err := cli.Set(ctx, "kept", []byte("v")); err != nil {
+	if err := Set(ctx, cli, "kept", []byte("v")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	if err := <-kept; err != nil {
@@ -140,7 +140,7 @@ func TestMuxCancelledWaitLeavesConnectionHealthy(t *testing.T) {
 	}
 	// Fill the abandoned key too: its tagged reply arrives with a tag
 	// nobody claims and must not disturb the next wait.
-	if err := cli.Set(ctx, "abandoned", []byte("late")); err != nil {
+	if err := Set(ctx, cli, "abandoned", []byte("late")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	if val, ok, err := cli.WaitGet(ctx, "kept", time.Second); err != nil || !ok || string(val) != "v" {
@@ -194,7 +194,7 @@ func TestMuxWaitsResumeAcrossServerRestart(t *testing.T) {
 		resumed <- err
 	}()
 	time.Sleep(100 * time.Millisecond)
-	if err := cli.Set(ctx, "k", []byte("back")); err != nil {
+	if err := Set(ctx, cli, "k", []byte("back")); err != nil {
 		t.Fatalf("Set after restart: %v", err)
 	}
 	if err := <-resumed; err != nil {

@@ -3,7 +3,6 @@ package kvstore
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"time"
 )
 
@@ -37,18 +36,18 @@ type Pipeline struct {
 	onTransportErr func(error)
 	// tap, when set (see TapKV.Pipeline), reports Exec as one "PIPELINE"
 	// operation carrying every queued command and reply.
-	tap  TapFunc
-	cmds []pipeCmd
-	reps []*PipeReply
+	tap TapFunc
+	// names[i] and args[i] are the i-th queued command, kept in two
+	// slices rather than one of structs so that roundTrip's writes, which
+	// move names to the heap, leave a Client.Do's argument list on the
+	// stack.
+	names []string
+	args  [][][]byte
+	reps  []*PipeReply
 }
 
-type pipeCmd struct {
-	name string
-	args [][]byte
-}
-
-// PipeReply is the eventual reply to one pipelined command; it is resolved
-// when Exec returns.
+// PipeReply is the reply to one command: Do returns it, and a pipelined
+// command's is resolved when Exec returns.
 type PipeReply struct {
 	v   value
 	err error
@@ -56,30 +55,20 @@ type PipeReply struct {
 
 // Err returns the command's server error, the pipeline's transport error,
 // or nil.
-func (r *PipeReply) Err() error { return r.err }
+func (r PipeReply) Err() error { return r.err }
 
 // Bytes returns a bulk reply; ok is false for a null bulk (missing key).
-func (r *PipeReply) Bytes() ([]byte, bool, error) {
-	if r.err != nil {
-		return nil, false, r.err
-	}
-	if r.v.null {
-		return nil, false, nil
-	}
-	return r.v.bulk, true, nil
+// A failed command holds a zero reply, so its error comes with nil, false.
+func (r PipeReply) Bytes() ([]byte, bool, error) {
+	return r.v.bulk, r.err == nil && !r.v.null, r.err
 }
 
 // Int returns an integer reply.
-func (r *PipeReply) Int() (int64, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	return r.v.num, nil
-}
+func (r PipeReply) Int() (int64, error) { return r.v.num, r.err }
 
 // Array returns an array reply's elements, each readable like a reply of
 // its own.
-func (r *PipeReply) Array() ([]PipeReply, error) {
+func (r PipeReply) Array() ([]PipeReply, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -93,94 +82,78 @@ func (r *PipeReply) Array() ([]PipeReply, error) {
 	return out, nil
 }
 
+// ErrReply returns a reply that carries err.
+func ErrReply(err error) PipeReply { return PipeReply{err: err} }
+
+// MergeReplies joins the replies of one command sent in parts, as the
+// cluster package splits a multi-key command by shard: part i carried the
+// argument groups at[i] of the whole call (at nil: each part carried all
+// of it). The first error wins; integers sum; arrays reassemble in group
+// order; any other reply is the last part's.
+func MergeReplies(parts []PipeReply, at [][]int) PipeReply {
+	var out PipeReply
+	var arr []value
+	for i, p := range parts {
+		switch {
+		case p.err != nil:
+			return p
+		case p.v.kind == respInteger:
+			out.v = integerValue(out.v.num + p.v.num)
+		case p.v.kind == respArray && at != nil:
+			if len(p.v.arr) != len(at[i]) {
+				return ErrReply(fmt.Errorf("kvstore: %d values for %d keys", len(p.v.arr), len(at[i])))
+			}
+			if arr == nil {
+				for _, groups := range at {
+					arr = append(arr, make([]value, len(groups))...)
+				}
+			}
+			for j, g := range at[i] {
+				arr[g] = p.v.arr[j]
+			}
+			out.v = arrayValue(arr)
+		default:
+			out = p
+		}
+	}
+	return out
+}
+
 // Pipeline returns an empty command pipeline.
 func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
 
 // NewRoutedPipeline returns a pipeline whose target server is resolved at
-// Exec time: pick receives the first-argument key of every queued command
-// and returns the client to use (erroring if the keys don't all live on
-// one server). onTransportErr, if non-nil, is called with any transport
-// error so the router can react (e.g. promote a replica); the error is
-// still returned to the caller, whose retry then lands on the new pick.
+// Exec time: pick receives every key and key-prefix argument of the queued
+// commands, as their command table rows name them, and returns the client
+// to use (erroring if the keys don't all live on one server).
+// onTransportErr, if non-nil, is called with any transport error so the
+// router can react (e.g. promote a replica); the error is still returned
+// to the caller, whose retry then lands on the new pick.
 func NewRoutedPipeline(pick func(keys [][]byte) (*Client, error), onTransportErr func(error)) *Pipeline {
 	return &Pipeline{pick: pick, onTransportErr: onTransportErr}
 }
 
 // Len reports how many commands are queued.
-func (p *Pipeline) Len() int { return len(p.cmds) }
+func (p *Pipeline) Len() int { return len(p.names) }
 
 // Do queues an arbitrary command.
 func (p *Pipeline) Do(name string, args ...[]byte) *PipeReply {
 	r := &PipeReply{}
-	p.cmds = append(p.cmds, pipeCmd{name: name, args: args})
+	p.names = append(p.names, name)
+	p.args = append(p.args, args)
 	p.reps = append(p.reps, r)
 	return r
-}
-
-// Get queues a GET.
-func (p *Pipeline) Get(key string) *PipeReply { return p.Do("GET", []byte(key)) }
-
-// Set queues a SET.
-func (p *Pipeline) Set(key string, val []byte) *PipeReply {
-	return p.Do("SET", []byte(key), val)
-}
-
-// Del queues a DEL of one key.
-func (p *Pipeline) Del(key string) *PipeReply { return p.Do("DEL", []byte(key)) }
-
-// Incr queues an INCR.
-func (p *Pipeline) Incr(key string) *PipeReply { return p.Do("INCR", []byte(key)) }
-
-// CAS queues a CAS (see Client.CAS for semantics).
-func (p *Pipeline) CAS(key string, old, new []byte) *PipeReply {
-	return p.Do("CAS", []byte(key), old, new)
-}
-
-// LAppend queues an LAPPEND: vals take the next len(vals) slots of the log
-// whose length is kept at lenKey, landing at prefix+<slot>, in one server
-// step with the length's growth. The reply is the new length, so the
-// values' slots end just below it.
-func (p *Pipeline) LAppend(lenKey, prefix string, vals ...[]byte) *PipeReply {
-	return p.Do("LAPPEND", append([][]byte{[]byte(lenKey), []byte(prefix)}, vals...)...)
-}
-
-// LRead queues an LREAD, one snapshot of a log window. Its reply is an
-// array: the log length at lenKey, then each key's value, then per prefix
-// an array of the values at prefix+<slot> for the slots in
-// [start, min(start+count, length)).
-func (p *Pipeline) LRead(lenKey string, start, count uint64, prefixes []string, keys ...string) *PipeReply {
-	args := append([][]byte{[]byte(lenKey), []byte(strconv.FormatUint(start, 10)),
-		[]byte(strconv.FormatUint(count, 10)), []byte(strconv.Itoa(len(prefixes)))}, keysArgs(prefixes)...)
-	return p.Do("LREAD", append(args, keysArgs(keys)...)...)
-}
-
-// transportErr reports a transport failure to the routing layer, if any.
-// Context cancellation is the caller abandoning the batch, not a sick
-// server — it never triggers failover.
-func (p *Pipeline) transportErr(ctx context.Context, err error) {
-	if p.onTransportErr != nil && ctx.Err() == nil {
-		p.onTransportErr(err)
-	}
-}
-
-// failFrom marks every not-yet-resolved reply (index i on) as failed with
-// err, so a transport error mid-pipeline leaves no reply silently
-// unresolved.
-func (p *Pipeline) failFrom(i int, err error) {
-	for ; i < len(p.reps); i++ {
-		p.reps[i].err = err
-	}
 }
 
 // Exec flushes the queued commands in windows over one pooled connection
 // and resolves every PipeReply. It returns the first transport error, if
 // any; per-command server errors are reported only on their replies.
 func (p *Pipeline) Exec(ctx context.Context) error {
-	if len(p.cmds) == 0 {
+	if len(p.names) == 0 {
 		return nil
 	}
 	if p.tap != nil {
-		done := p.tap("PIPELINE", pipeArgs(p.cmds), false)
+		done := p.tap("PIPELINE", pipeArgs(p.names, p.args), false)
 		err := p.exec(ctx)
 		done(pipeReplies(p.reps), err)
 		return err
@@ -190,82 +163,89 @@ func (p *Pipeline) Exec(ctx context.Context) error {
 
 func (p *Pipeline) exec(ctx context.Context) error {
 	if p.pick != nil {
-		keys := make([][]byte, 0, len(p.cmds))
-		for _, cmd := range p.cmds {
-			if len(cmd.args) > 0 {
-				keys = append(keys, cmd.args[0])
+		var keys [][]byte
+		for i, name := range p.names {
+			if c, ok := commandIndex[name]; ok && c.CheckArgs(p.args[i]) == nil {
+				k, prefixes := c.Keys(p.args[i])
+				keys = append(append(keys, k...), prefixes...)
 			}
 		}
 		c, err := p.pick(keys)
 		if err != nil {
-			p.failFrom(0, err)
+			for _, r := range p.reps {
+				r.err = err
+			}
 			return err
 		}
 		p.c = c
 	}
+	p.c.mPipeDepth.Observe(int64(len(p.names)))
+	return p.c.roundTrip(ctx, p.names, p.args, p.reps, p.onTransportErr)
+}
+
+// roundTrip sends the commands names[i] args[i]... over one pooled
+// connection, flushing and draining replies every pipelineWindow commands,
+// and resolves reps[i] with the reply to command i. It returns the first
+// transport error, which also fails every unresolved reply and is reported
+// to onErr (when set) unless ctx ended: a cancelled caller abandoning the
+// batch is not a sick server, and must not trigger failover.
+func (c *Client) roundTrip(ctx context.Context, names []string, args [][][]byte, reps []*PipeReply, onErr func(error)) error {
+	fail := func(from int, err error, transport bool) error {
+		if transport && onErr != nil && ctx.Err() == nil {
+			onErr(err)
+		}
+		for _, r := range reps[from:] {
+			r.err = err
+		}
+		return err
+	}
 	reqSize := 0
-	for _, cmd := range p.cmds {
-		reqSize += len(cmd.name)
-		for _, a := range cmd.args {
+	for i, name := range names {
+		reqSize += len(name)
+		for _, a := range args[i] {
 			reqSize += len(a)
 		}
 	}
-	if err := p.c.delay(ctx, reqSize); err != nil {
-		p.failFrom(0, err)
-		return err
+	if err := c.delay(ctx, reqSize); err != nil {
+		return fail(0, err, false)
 	}
-	cc, err := p.c.acquire(ctx)
+	cc, err := c.acquire(ctx)
 	if err != nil {
-		p.transportErr(ctx, err)
-		p.failFrom(0, err)
-		return err
+		return fail(0, err, true)
 	}
-	p.c.mPipeDepth.Observe(int64(len(p.cmds)))
 	respSize := 0
-	for base := 0; base < len(p.cmds); base += pipelineWindow {
-		end := base + pipelineWindow
-		if end > len(p.cmds) {
-			end = len(p.cmds)
-		}
+	for base := 0; base < len(names); base += pipelineWindow {
+		end := min(base+pipelineWindow, len(names))
 		for i := base; i < end; i++ {
-			if err := encodeCommand(cc.w, p.cmds[i].name, p.cmds[i].args...); err != nil {
-				p.c.release(cc, true)
-				err = fmt.Errorf("kvstore: sending pipelined %s: %w", p.cmds[i].name, err)
-				p.transportErr(ctx, err)
-				p.failFrom(base, err)
-				return err
+			if err := encodeCommand(cc.w, names[i], args[i]...); err != nil {
+				c.release(cc, true)
+				return fail(base, fmt.Errorf("kvstore: sending %s: %w", names[i], err), true)
 			}
 		}
 		sent := time.Now()
 		if err := cc.w.Flush(); err != nil {
-			p.c.release(cc, true)
-			err = fmt.Errorf("kvstore: sending pipeline: %w", err)
-			p.transportErr(ctx, err)
-			p.failFrom(base, err)
-			return err
+			c.release(cc, true)
+			return fail(base, fmt.Errorf("kvstore: sending %s: %w", names[base], err), true)
 		}
-		p.c.trip()
+		c.trip()
 		for i := base; i < end; i++ {
 			v, err := readValue(cc.r)
 			if err != nil {
-				p.c.release(cc, true)
-				err = fmt.Errorf("kvstore: reading pipelined %s reply: %w", p.cmds[i].name, err)
-				p.transportErr(ctx, err)
-				p.failFrom(i, err)
-				return err
+				c.release(cc, true)
+				return fail(i, fmt.Errorf("kvstore: reading %s reply: %w", names[i], err), true)
 			}
 			if v.kind == respError {
-				p.reps[i].err = serverError(v)
+				reps[i].err = serverError(v)
 			} else {
-				p.reps[i].v = v
+				reps[i].v = v
 			}
 			respSize += len(v.bulk)
 			for _, el := range v.arr {
 				respSize += len(el.bulk)
 			}
 		}
-		p.c.mRTT.Since(sent)
+		c.mRTT.Since(sent)
 	}
-	p.c.release(cc, false)
-	return p.c.delay(ctx, respSize)
+	c.release(cc, false)
+	return c.delay(ctx, respSize)
 }

@@ -9,7 +9,7 @@ import (
 func TestPipelineBatchesCommandsPerRoundTrip(t *testing.T) {
 	srv, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.Ping(ctx); err != nil {
+	if err := cli.Do(ctx, "PING").Err(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 	rtts := cli.RoundTrips()
@@ -19,7 +19,7 @@ func TestPipelineBatchesCommandsPerRoundTrip(t *testing.T) {
 	p := cli.Pipeline()
 	sets := make([]*PipeReply, n)
 	for i := 0; i < n; i++ {
-		sets[i] = p.Set(fmt.Sprintf("p%d", i), []byte(fmt.Sprintf("v%d", i)))
+		sets[i] = p.Do("SET", []byte(fmt.Sprintf("p%d", i)), []byte(fmt.Sprintf("v%d", i)))
 	}
 	if p.Len() != n {
 		t.Fatalf("Len = %d, want %d", p.Len(), n)
@@ -43,10 +43,10 @@ func TestPipelineBatchesCommandsPerRoundTrip(t *testing.T) {
 	p = cli.Pipeline()
 	gets := make([]*PipeReply, n)
 	for i := 0; i < n; i++ {
-		gets[i] = p.Get(fmt.Sprintf("p%d", i))
+		gets[i] = p.Do("GET", []byte(fmt.Sprintf("p%d", i)))
 	}
-	missing := p.Get("p-missing")
-	count := p.Incr("p-counter")
+	missing := p.Do("GET", []byte("p-missing"))
+	count := p.Do("INCR", []byte("p-counter"))
 	if err := p.Exec(ctx); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestPipelineBatchesCommandsPerRoundTrip(t *testing.T) {
 func TestPipelineLargerThanWindow(t *testing.T) {
 	srv, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.Ping(ctx); err != nil {
+	if err := cli.Do(ctx, "PING").Err(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 	rtts := cli.RoundTrips()
@@ -79,7 +79,7 @@ func TestPipelineLargerThanWindow(t *testing.T) {
 	p := cli.Pipeline()
 	reps := make([]*PipeReply, n)
 	for i := 0; i < n; i++ {
-		reps[i] = p.Incr("win-counter")
+		reps[i] = p.Do("INCR", []byte("win-counter"))
 	}
 	if err := p.Exec(ctx); err != nil {
 		t.Fatalf("Exec: %v", err)
@@ -101,13 +101,13 @@ func TestPipelineLargerThanWindow(t *testing.T) {
 func TestPipelineServerErrorIsPerCommand(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.Set(ctx, "text", []byte("not-a-number")); err != nil {
+	if err := Set(ctx, cli, "text", []byte("not-a-number")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	p := cli.Pipeline()
-	before := p.Set("a", []byte("1"))
-	bad := p.Incr("text")
-	after := p.Get("a")
+	before := p.Do("SET", []byte("a"), []byte("1"))
+	bad := p.Do("INCR", []byte("text"))
+	after := p.Do("GET", []byte("a"))
 	if err := p.Exec(ctx); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
@@ -134,11 +134,7 @@ func TestPipelineEmptyExecIsNoop(t *testing.T) {
 func lappend(t *testing.T, cli *Client, lenKey, prefix string, vals ...string) int64 {
 	t.Helper()
 	p := cli.Pipeline()
-	args := make([][]byte, len(vals))
-	for i, v := range vals {
-		args[i] = []byte(v)
-	}
-	r := p.LAppend(lenKey, prefix, args...)
+	r := p.Do("LAPPEND", keysArgs(append([]string{lenKey, prefix}, vals...))...)
 	p.Exec(context.Background())
 	n, err := r.Int()
 	if err != nil {
@@ -160,11 +156,11 @@ func TestLogAppendAndRead(t *testing.T) {
 	if n := lappend(t, cli, "L", "e:", "c"); n != 3 {
 		t.Fatalf("second LAPPEND = %d, want 3", n)
 	}
-	if err := cli.MSet(ctx, map[string][]byte{"c:1": []byte("claim"), "e:3": []byte("beyond"), "f": []byte("7")}); err != nil {
+	if err := MSet(ctx, cli, map[string][]byte{"c:1": []byte("claim"), "e:3": []byte("beyond"), "f": []byte("7")}); err != nil {
 		t.Fatal(err)
 	}
 	p := cli.Pipeline()
-	r := p.LRead("L", 1, 32, []string{"e:", "c:"}, "f", "ghost")
+	r := p.Do("LREAD", keysArgs([]string{"L", "1", "32", "2", "e:", "c:", "f", "ghost"})...)
 	p.Exec(ctx)
 	arr, err := r.Array()
 	if err != nil || len(arr) != 5 {
@@ -194,16 +190,16 @@ func TestLogAppendAndRead(t *testing.T) {
 	if want := "[b/true c/true claim/true /false]"; fmt.Sprint(got) != want {
 		t.Fatalf("LREAD families = %v, want %v", got, want)
 	}
-	if err := cli.Set(ctx, "bad", []byte("x")); err != nil {
+	if err := Set(ctx, cli, "bad", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	p = cli.Pipeline()
-	ra, rr := p.LAppend("bad", "e:", []byte("v")), p.LRead("bad", 0, 1, nil)
+	ra, rr := p.Do("LAPPEND", keysArgs([]string{"bad", "e:", "v"})...), p.Do("LREAD", keysArgs([]string{"bad", "0", "1", "0"})...)
 	p.Exec(ctx)
 	if ra.Err() == nil || rr.Err() == nil {
 		t.Fatalf("log commands on a non-integer length = %v, %v; want errors", ra.Err(), rr.Err())
 	}
-	if _, ok, _ := cli.Get(ctx, "e:0"); !ok {
+	if _, ok, _ := Get(ctx, cli, "e:0"); !ok {
 		t.Fatal("slot 0 lost")
 	}
 }

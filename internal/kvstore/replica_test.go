@@ -61,77 +61,87 @@ func TestReplicationCatchUp(t *testing.T) {
 
 	// Writes made before the replica syncs and after both replicate.
 	for i := 0; i < 10; i++ {
-		if err := pc.Set(ctx, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := Set(ctx, pc, fmt.Sprintf("k%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
-	if _, err := pc.Del(ctx, "k3"); err != nil {
+	if _, err := Del(ctx, pc, "k3"); err != nil {
 		t.Fatalf("Del: %v", err)
 	}
 	// The replica applies records in order, so once it holds a write made
 	// after the Del, the Del has been applied too.
-	if err := pc.Set(ctx, "synced", []byte("1")); err != nil {
+	if err := Set(ctx, pc, "synced", []byte("1")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	waitFor(t, "replica catch-up", func() bool {
-		_, ok, err := rc.Get(ctx, "synced")
+		_, ok, err := Get(ctx, rc, "synced")
 		return err == nil && ok
 	})
-	if v, ok, _ := rc.Get(ctx, "k9"); !ok || string(v) != "v9" {
+	if v, ok, _ := Get(ctx, rc, "k9"); !ok || string(v) != "v9" {
 		t.Fatalf("k9 on replica = %q, %v; want v9", v, ok)
 	}
-	if _, ok, _ := rc.Get(ctx, "k3"); ok {
+	if _, ok, _ := Get(ctx, rc, "k3"); ok {
 		t.Fatal("deleted key visible on replica")
 	}
 	// Live tail: a fresh write flows through the established feed.
-	if err := pc.Set(ctx, "late", []byte("tail")); err != nil {
+	if err := Set(ctx, pc, "late", []byte("tail")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	waitFor(t, "live tail replication", func() bool {
-		v, ok, err := rc.Get(ctx, "late")
+		v, ok, err := Get(ctx, rc, "late")
 		return err == nil && ok && string(v) == "tail"
 	})
 }
 
+// TestReplicaRejectsWrites: a following replica refuses a command of the
+// command table if and only if its row writes, and serves the others.
+// PROMOTE, which ends the following, goes last.
 func TestReplicaRejectsWrites(t *testing.T) {
 	_, _, _, rc := newPrimaryReplica(t)
 	ctx := context.Background()
-	err := rc.Set(ctx, "nope", []byte("x"))
-	if err == nil || !strings.Contains(err.Error(), "readonly replica") {
-		t.Fatalf("Set on replica = %v, want readonly error", err)
-	}
-	if _, err := rc.Incr(ctx, "ctr"); err == nil || !strings.Contains(err.Error(), "readonly replica") {
-		t.Fatalf("Incr on replica = %v, want readonly error", err)
+	var promote *Command
+	for i := range commandTable {
+		c := &commandTable[i]
+		if c.Name == "PROMOTE" {
+			promote = c
+			continue
+		}
+		switch err := rc.Do(ctx, c.Name, rowArgs(t, c)...).Err(); {
+		case c.Writes && (err == nil || !strings.Contains(err.Error(), "readonly replica")):
+			t.Errorf("%s on replica = %v, want readonly error", c.Name, err)
+		case !c.Writes && err != nil:
+			t.Errorf("%s on replica: %v", c.Name, err)
+		}
 	}
 	p := rc.Pipeline()
-	app := p.LAppend("len", "slot:", []byte("x"))
+	app := p.Do("LAPPEND", []byte("len"), []byte("slot:"), []byte("x"))
 	p.Exec(ctx)
 	if err := app.Err(); err == nil || !strings.Contains(err.Error(), "readonly replica") {
-		t.Fatalf("LAPPEND on replica = %v, want readonly error", err)
+		t.Fatalf("pipelined LAPPEND on replica = %v, want readonly error", err)
 	}
-	// Reads are fine.
-	if _, _, err := rc.Get(ctx, "anything"); err != nil {
-		t.Fatalf("Get on replica: %v", err)
+	if err := rc.Do(ctx, promote.Name, rowArgs(t, promote)...).Err(); err != nil {
+		t.Fatalf("PROMOTE on replica: %v", err)
 	}
 }
 
 func TestReplicaPromoteCommand(t *testing.T) {
 	_, _, pc, rc := newPrimaryReplica(t)
 	ctx := context.Background()
-	if err := pc.Set(ctx, "seed", []byte("1")); err != nil {
+	if err := Set(ctx, pc, "seed", []byte("1")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	waitFor(t, "replica sync", func() bool {
-		_, ok, _ := rc.Get(ctx, "seed")
+		_, ok, _ := Get(ctx, rc, "seed")
 		return ok
 	})
-	if _, err := rc.do(ctx, "PROMOTE"); err != nil {
+	if err := rc.Do(ctx, "PROMOTE").Err(); err != nil {
 		t.Fatalf("PROMOTE: %v", err)
 	}
-	if err := rc.Set(ctx, "post", []byte("promoted")); err != nil {
+	if err := Set(ctx, rc, "post", []byte("promoted")); err != nil {
 		t.Fatalf("Set after PROMOTE: %v", err)
 	}
-	info, err := rc.Info(ctx)
+	raw, _, err := rc.Do(ctx, "INFO").Bytes()
+	info := string(raw)
 	if err != nil || !strings.Contains(info, "server.role primary") {
 		t.Fatalf("promoted replica INFO role: %v\n%s", err, info)
 	}
@@ -143,16 +153,16 @@ func TestReplicaPromoteCommand(t *testing.T) {
 func TestReplicationDrainOnClose(t *testing.T) {
 	prim, _, pc, rc := newPrimaryReplica(t)
 	ctx := context.Background()
-	if err := pc.Set(ctx, "sync", []byte("1")); err != nil {
+	if err := Set(ctx, pc, "sync", []byte("1")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	waitFor(t, "replica attach", func() bool {
-		_, ok, _ := rc.Get(ctx, "sync")
+		_, ok, _ := Get(ctx, rc, "sync")
 		return ok
 	})
 	// A burst the replica has likely not applied yet when Close starts.
 	for i := 0; i < 200; i++ {
-		if err := pc.Set(ctx, fmt.Sprintf("burst%d", i), []byte("x")); err != nil {
+		if err := Set(ctx, pc, fmt.Sprintf("burst%d", i), []byte("x")); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
@@ -160,7 +170,7 @@ func TestReplicationDrainOnClose(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	// No waiting: everything acked to the client must already be here.
-	v, ok, err := rc.Get(ctx, "burst199")
+	v, ok, err := Get(ctx, rc, "burst199")
 	if err != nil || !ok || string(v) != "x" {
 		t.Fatalf("drained write missing on replica after primary Close: %v %v %q", ok, err, v)
 	}
@@ -172,11 +182,11 @@ func TestReplicationDrainOnClose(t *testing.T) {
 func TestReplicaAutoPromotes(t *testing.T) {
 	prim, _, pc, rc := newPrimaryReplica(t)
 	ctx := context.Background()
-	if err := pc.Set(ctx, "seed", []byte("1")); err != nil {
+	if err := Set(ctx, pc, "seed", []byte("1")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	waitFor(t, "replica sync", func() bool {
-		_, ok, _ := rc.Get(ctx, "seed")
+		_, ok, _ := Get(ctx, rc, "seed")
 		return ok
 	})
 	pc.Close()
@@ -184,9 +194,9 @@ func TestReplicaAutoPromotes(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	waitFor(t, "auto-promotion", func() bool {
-		return rc.Set(ctx, "failover", []byte("landed")) == nil
+		return Set(ctx, rc, "failover", []byte("landed")) == nil
 	})
-	v, ok, err := rc.Get(ctx, "seed")
+	v, ok, err := Get(ctx, rc, "seed")
 	if err != nil || !ok || string(v) != "1" {
 		t.Fatalf("pre-failover state lost: %v %v %q", ok, err, v)
 	}
@@ -211,11 +221,11 @@ func TestReplicaRestartResumes(t *testing.T) {
 		t.Fatalf("NewServer(replica): %v", err)
 	}
 	rc := NewClient(repl.Addr())
-	if err := pc.Set(ctx, "gen1", []byte("a")); err != nil {
+	if err := Set(ctx, pc, "gen1", []byte("a")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	waitFor(t, "first sync", func() bool {
-		_, ok, _ := rc.Get(ctx, "gen1")
+		_, ok, _ := Get(ctx, rc, "gen1")
 		return ok
 	})
 	rc.Close()
@@ -224,7 +234,7 @@ func TestReplicaRestartResumes(t *testing.T) {
 	}
 
 	// Writes while the replica is down.
-	if err := pc.Set(ctx, "gen2", []byte("b")); err != nil {
+	if err := Set(ctx, pc, "gen2", []byte("b")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 
@@ -237,10 +247,10 @@ func TestReplicaRestartResumes(t *testing.T) {
 	rc2 := NewClient(repl2.Addr())
 	defer rc2.Close()
 	waitFor(t, "resume catch-up", func() bool {
-		_, ok, _ := rc2.Get(ctx, "gen2")
+		_, ok, _ := Get(ctx, rc2, "gen2")
 		return ok
 	})
-	if _, ok, _ := rc2.Get(ctx, "gen1"); !ok {
+	if _, ok, _ := Get(ctx, rc2, "gen1"); !ok {
 		t.Fatal("state from first generation lost across replica restart")
 	}
 	// Resume means the second session shipped only the delta, not the log.
@@ -270,7 +280,7 @@ func TestReplicateRequiresPersistence(t *testing.T) {
 	defer rc.Close()
 	ctx := context.Background()
 	waitFor(t, "standalone latch after rejection", func() bool {
-		return rc.Set(ctx, "k", []byte("v")) == nil
+		return Set(ctx, rc, "k", []byte("v")) == nil
 	})
 }
 
@@ -280,11 +290,11 @@ func TestReplicateRequiresPersistence(t *testing.T) {
 func TestReplicaWakesParkedWaits(t *testing.T) {
 	_, _, pc, rc := newPrimaryReplica(t)
 	ctx := context.Background()
-	if err := pc.Set(ctx, "sync", []byte("1")); err != nil {
+	if err := Set(ctx, pc, "sync", []byte("1")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	waitFor(t, "replica sync", func() bool {
-		_, ok, _ := rc.Get(ctx, "sync")
+		_, ok, _ := Get(ctx, rc, "sync")
 		return ok
 	})
 	// The wait's own timeout would also return the value, so only a wake
@@ -311,7 +321,7 @@ func TestReplicaWakesParkedWaits(t *testing.T) {
 		}
 	}
 	wakes("parked", "woken", func() {
-		if err := pc.Set(ctx, "parked", []byte("woken")); err != nil {
+		if err := Set(ctx, pc, "parked", []byte("woken")); err != nil {
 			t.Errorf("Set: %v", err)
 		}
 	})
@@ -326,11 +336,11 @@ func TestReplicaAOFIsPrefixOfPrimary(t *testing.T) {
 	prim, repl, pc, rc := newPrimaryReplica(t)
 	ctx := context.Background()
 	for i := 0; i < 50; i++ {
-		if err := pc.Set(ctx, fmt.Sprintf("k%d", i), []byte(strings.Repeat("x", i))); err != nil {
+		if err := Set(ctx, pc, fmt.Sprintf("k%d", i), []byte(strings.Repeat("x", i))); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}
-	if _, err := pc.DelRange(ctx, "k", 10, 20); err != nil {
+	if _, err := DelRange(ctx, pc, "k", 10, 20); err != nil {
 		t.Fatalf("DelRange: %v", err)
 	}
 	waitFor(t, "full catch-up", func() bool {

@@ -1,18 +1,15 @@
 // Package kvstore implements a miniature Redis: a RESP2-protocol key-value
 // server and client over TCP. It stands in for the Redis/KeyDB servers the
-// paper uses as hybrid intra-site mediated channels (§4.1.2), exposing the
-// subset of commands the RedisConnector needs (GET/SET/DEL/EXISTS/...) plus
-// enough extras (MGET/MSET/INCR/CAS/DELRANGE/DBSIZE/FLUSHALL/PING)
-// to feel like the real thing. An optional append-only persistence file
-// provides the "hybrid memory/disk" property.
+// paper uses as hybrid intra-site mediated channels (§4.1.2). An optional
+// append-only persistence file provides the "hybrid memory/disk" property.
 //
-// Two log commands make a key family a log: LAPPEND lenKey prefix val...
-// grows the length at lenKey and fills the slots prefix+i it took, in one
-// step and one persistence record, returning the new length; LREAD lenKey
-// start count nprefix prefix... key... returns, as one snapshot, the
-// length, each key's value, and per prefix the values at slots
-// [start, min(start+count, length)). pstream's KVBroker publishes and scans
-// with them.
+// The synchronous commands are the rows of one table, commandTable in
+// commands.go: each row gives the command's arity, whether it writes,
+// which arguments are keys, and its handler. Beside the Redis basics it
+// holds CAS, DELRANGE and two log commands, LAPPEND and LREAD, which
+// pstream's KVBroker publishes and scans with. Clients send a command
+// with KV.Do or queue it on a Pipeline; the typed calls (Get, Set, CAS,
+// ...) are functions over KV.
 //
 // # Blocking reads (the wait/notify protocol)
 //
@@ -120,8 +117,8 @@
 // per-command counters/latency histograms (kv.cmd.<NAME>.count/.ns/.bytes),
 // byte totals (kv.bytes_in/out), live and peak parked waiters
 // (kv.waiters/.peak), and open connections (kv.conns) — the same text
-// format the -metrics-addr HTTP endpoint serves at /metrics. Clients call
-// it via Client.Info; cmd/kvserver prints it as its shutdown summary.
+// format the -metrics-addr HTTP endpoint serves at /metrics. Clients send
+// it with Do; cmd/kvserver prints it as its shutdown summary.
 package kvstore
 
 import (

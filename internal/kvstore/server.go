@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -458,152 +457,21 @@ func (s *Server) startTaggedWait(cmd command, write func(value) error, cancel <-
 	}
 }
 
+// execute runs one synchronous command from the command table.
 func (s *Server) execute(cmd command) value {
-	switch cmd.name {
-	case "SET", "MSET", "DEL", "INCR", "CAS", "DELRANGE", "LAPPEND", "FLUSHALL":
-		if s.isReadonlyReplica() {
-			// A following replica's only writer is the primary's record
-			// stream; direct writes would fork its state from the log.
-			return errorValue("ERR readonly replica")
-		}
+	c, ok := commandIndex[cmd.name]
+	if !ok {
+		return errorValue(fmt.Sprintf("ERR unknown command '%s'", cmd.name))
 	}
-	switch cmd.name {
-	case "PING":
-		if len(cmd.args) == 1 {
-			return bulkValue(cmd.args[0])
-		}
-		return simpleString("PONG")
-	case "SET":
-		if len(cmd.args) != 2 {
-			return errorValue("ERR wrong number of arguments for 'set'")
-		}
-		key := string(cmd.args[0])
-		s.set(key, cmd.args[1])
-		s.notify.published(key)
-		return simpleString("OK")
-	case "GET":
-		if len(cmd.args) != 1 {
-			return errorValue("ERR wrong number of arguments for 'get'")
-		}
-		data, ok := s.get(string(cmd.args[0]))
-		if !ok {
-			return nullBulk()
-		}
-		return bulkValue(data)
-	case "DEL":
-		var n int64
-		for _, a := range cmd.args {
-			key := string(a)
-			if s.del(key) {
-				n++
-				s.notify.published(key)
-			}
-		}
-		return integerValue(n)
-	case "EXISTS":
-		var n int64
-		for _, a := range cmd.args {
-			if _, ok := s.get(string(a)); ok {
-				n++
-			}
-		}
-		return integerValue(n)
-	case "MGET":
-		out := make([]value, len(cmd.args))
-		s.mu.RLock()
-		for i, a := range cmd.args {
-			out[i] = s.bulkLocked(string(a))
-		}
-		s.mu.RUnlock()
-		return arrayValue(out)
-	case "MSET":
-		if len(cmd.args) == 0 || len(cmd.args)%2 != 0 {
-			return errorValue("ERR wrong number of arguments for 'mset'")
-		}
-		s.mu.Lock()
-		keys, err := s.setAllLocked(cmd.args)
-		s.mu.Unlock()
-		if err != nil {
-			return errorValue("ERR " + err.Error())
-		}
-		s.notify.published(keys...)
-		return simpleString("OK")
-	case "LAPPEND":
-		if len(cmd.args) < 3 {
-			return errorValue("ERR wrong number of arguments for 'lappend'")
-		}
-		n, keys, err := s.lappend(cmd.args)
-		if err != nil {
-			return errorValue("ERR " + err.Error())
-		}
-		s.notify.published(keys...)
-		return integerValue(n)
-	case "LREAD":
-		return s.lread(cmd.args)
-	case "INCR":
-		if len(cmd.args) != 1 {
-			return errorValue("ERR wrong number of arguments for 'incr'")
-		}
-		key := string(cmd.args[0])
-		n, err := s.incr(key)
-		if err != nil {
-			return errorValue("ERR " + err.Error())
-		}
-		s.notify.published(key)
-		return integerValue(n)
-	case "CAS":
-		if len(cmd.args) != 3 {
-			return errorValue("ERR wrong number of arguments for 'cas'")
-		}
-		key := string(cmd.args[0])
-		if s.cas(key, cmd.args[1], cmd.args[2]) {
-			s.notify.published(key)
-			return integerValue(1)
-		}
-		return integerValue(0)
-	case "DELRANGE":
-		if len(cmd.args) != 3 {
-			return errorValue("ERR wrong number of arguments for 'delrange'")
-		}
-		start, err1 := strconv.ParseUint(string(cmd.args[1]), 10, 64)
-		end, err2 := strconv.ParseUint(string(cmd.args[2]), 10, 64)
-		if err1 != nil || err2 != nil {
-			return errorValue("ERR value is not an integer or out of range")
-		}
-		prefix := string(cmd.args[0])
-		n, err := s.delRange(prefix, start, end)
-		if err != nil {
-			return errorValue("ERR " + err.Error())
-		}
-		if n > 0 {
-			s.notify.publishedRange(prefix)
-		}
-		return integerValue(n)
-	case "DBSIZE":
-		s.mu.RLock()
-		n := int64(len(s.data))
-		s.mu.RUnlock()
-		return integerValue(n)
-	case "INFO":
-		if len(cmd.args) != 0 {
-			return errorValue("ERR wrong number of arguments for 'info'")
-		}
-		return bulkValue([]byte(s.InfoText()))
-	case "FLUSHALL":
-		s.mu.Lock()
-		s.data = make(map[string][]byte)
-		s.appendAOF(aofFlush, "", nil)
-		s.mu.Unlock()
-		s.notify.publishedAll()
-		return simpleString("OK")
-	case "PROMOTE":
-		// Stop following the primary (if any) and serve writes. Idempotent,
-		// and a harmless no-op on a server that never replicated — so a
-		// failover client can send it unconditionally.
-		s.promote()
-		return simpleString("OK")
+	if c.Writes && s.isReadonlyReplica() {
+		// A following replica's only writer is the primary's record
+		// stream; direct writes would fork its state from the log.
+		return errorValue("ERR readonly replica")
 	}
-	return errorValue(fmt.Sprintf("ERR unknown command '%s'", cmd.name))
+	if err := c.CheckArgs(cmd.args); err != nil {
+		return errorValue("ERR " + err.Error())
+	}
+	return c.run(s, cmd.args)
 }
 
 // maxWaitMS caps a server-side blocking wait at one minute: clients
@@ -700,42 +568,11 @@ func (s *Server) waitPrefix(prefix string, after uint64, timeout time.Duration, 
 	return integerValue(int64(s.notify.currentSeq()))
 }
 
-// set stores the value and appends its AOF record while still holding the
-// data mutex: releasing first would let two writes of one key persist in
-// reversed order, replaying (or replicating) to the older value. val is
-// kept as is: readValue gives every bulk argument its own allocation.
-func (s *Server) set(key string, val []byte) {
-	s.mu.Lock()
-	s.data[key] = val
-	s.appendAOF(aofSet, key, val)
-	s.mu.Unlock()
-}
-
 func (s *Server) get(key string) ([]byte, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	v, ok := s.data[key]
 	return v, ok
-}
-
-// incr atomically adds one to the integer stored at key (missing keys
-// count as 0) and returns the new value. The read-modify-write happens
-// under the store lock, so concurrent INCRs of one key never lose
-// updates. The AOF record is appended while still holding the store lock:
-// releasing first would let two increments persist in reversed order,
-// replaying to a lower counter after restart.
-func (s *Server) incr(key string) (int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, err := s.intLocked(key)
-	if err != nil {
-		return 0, err
-	}
-	cur++
-	buf := []byte(strconv.FormatInt(cur, 10))
-	s.data[key] = buf
-	s.appendAOF(aofSet, key, buf)
-	return cur, nil
 }
 
 // intLocked reads the integer stored at key, a missing key reading as 0.
@@ -776,65 +613,6 @@ func (s *Server) setAllLocked(pairs [][]byte) ([]string, error) {
 	return keys, nil
 }
 
-// lappend is LAPPEND lenKey prefix val...: the log whose length lives at
-// lenKey grows by the number of values, each landing at prefix+i for the
-// slot i it takes. Length and slots change in one setAllLocked, so no slot
-// is ever taken without its value — the append pstream's KVBroker
-// publishes with. It returns the new length and every key it wrote.
-func (s *Server) lappend(args [][]byte) (int64, []string, error) {
-	prefix, vals := string(args[1]), args[2:]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n, err := s.intLocked(string(args[0]))
-	if err != nil {
-		return 0, nil, err
-	}
-	pairs := make([][]byte, 0, 2*len(vals)+2)
-	for i, v := range vals {
-		pairs = append(pairs, []byte(prefix+strconv.FormatInt(n+int64(i), 10)), v)
-	}
-	n += int64(len(vals))
-	keys, err := s.setAllLocked(append(pairs, args[0], []byte(strconv.FormatInt(n, 10))))
-	return n, keys, err
-}
-
-// lread is LREAD lenKey start count nprefix prefix... key...: under one
-// read lock, the log length at lenKey, then each key's value, then per
-// prefix an array of the values at prefix+i for i in [start, min(start+
-// count, length)) — a log window, the counters that bound it, and the
-// records kept beside each slot, as one snapshot.
-func (s *Server) lread(args [][]byte) value {
-	if len(args) < 4 {
-		return errorValue("ERR wrong number of arguments for 'lread'")
-	}
-	start, err1 := strconv.ParseUint(string(args[1]), 10, 64)
-	count, err2 := strconv.ParseUint(string(args[2]), 10, 64)
-	nprefix, err3 := strconv.Atoi(string(args[3]))
-	if err1 != nil || err2 != nil || err3 != nil || nprefix < 0 || nprefix > len(args)-4 {
-		return errorValue("ERR value is not an integer or out of range")
-	}
-	prefixes, keys := args[4:4+nprefix], args[4+nprefix:]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	length, err := s.intLocked(string(args[0]))
-	if err != nil {
-		return errorValue("ERR " + err.Error())
-	}
-	out := append(make([]value, 0, 1+len(keys)+len(prefixes)), integerValue(length))
-	for _, k := range keys {
-		out = append(out, s.bulkLocked(string(k)))
-	}
-	end := max(start, min(start+count, uint64(length)))
-	for _, p := range prefixes {
-		vals := make([]value, 0, end-start)
-		for i := start; i < end; i++ {
-			vals = append(vals, s.bulkLocked(string(p)+strconv.FormatUint(i, 10)))
-		}
-		out = append(out, arrayValue(vals))
-	}
-	return arrayValue(out)
-}
-
 // bulkLocked returns key's value as a bulk reply, null when missing.
 // Callers hold s.mu.
 func (s *Server) bulkLocked(key string) value {
@@ -842,77 +620,6 @@ func (s *Server) bulkLocked(key string) value {
 		return bulkValue(v)
 	}
 	return nullBulk()
-}
-
-// cas atomically swaps key from old to new, reporting whether the swap
-// happened. An empty old means "key must not exist", so CAS doubles as
-// SETNX — the primitive pstream's consumer groups build claim leases on:
-// claim (absent → claim record), reclaim an expired lease (old record →
-// new record), and settle (claim record → acked marker) are all single
-// server-side CAS commands that can never hand one event to two members.
-func (s *Server) cas(key string, old, new []byte) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur, ok := s.data[key]
-	if len(old) == 0 {
-		if ok {
-			return false
-		}
-	} else if !ok || !bytes.Equal(cur, old) {
-		return false
-	}
-	s.data[key] = new // its own allocation, as in set
-	s.appendAOF(aofSet, key, new)
-	return true
-}
-
-// delRangeMax bounds one DELRANGE sweep so a corrupt range argument cannot
-// pin the server in a near-endless delete loop.
-const delRangeMax = 1 << 20
-
-// delRange deletes the keys prefix+i for start <= i < end (decimal i) and
-// returns how many existed — the ranged DEL behind pstream's log
-// truncation, which reclaims a fully-acked log prefix and its ack counters
-// with one round trip instead of one DEL per slot.
-func (s *Server) delRange(prefix string, start, end uint64) (int64, error) {
-	if end < start {
-		return 0, nil
-	}
-	if end-start > delRangeMax {
-		return 0, fmt.Errorf("range of %d keys exceeds limit %d", end-start, delRangeMax)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for i := start; i < end; i++ {
-		key := prefix + strconv.FormatUint(i, 10)
-		if _, ok := s.data[key]; ok {
-			delete(s.data, key)
-			n++
-		}
-	}
-	// One range record for the whole sweep instead of one DEL record per
-	// key: the sweep holds the data mutex, and a thousand-key truncation
-	// must not pay a thousand file writes under it. Replaying the full
-	// range is equivalent — deleting an absent key is a no-op.
-	if n > 0 {
-		s.appendAOF(aofDelRange, prefix, delRangeVal(start, end))
-	}
-	return n, nil
-}
-
-// del removes the key, appending the AOF record inside the data mutex for
-// the same reason as set: a DEL racing a SET of the same key must persist
-// in the order it applied, or a restart resurrects (or loses) the key.
-func (s *Server) del(key string) bool {
-	s.mu.Lock()
-	_, ok := s.data[key]
-	delete(s.data, key)
-	if ok {
-		s.appendAOF(aofDel, key, nil)
-	}
-	s.mu.Unlock()
-	return ok
 }
 
 // AOFBroken reports whether a failed append latched the persistence file

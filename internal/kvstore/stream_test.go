@@ -40,7 +40,7 @@ func chunkKeyList(prefix string, n int) []string {
 func TestSetChunksAndGetToRoundTrips(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.Ping(ctx); err != nil {
+	if err := cli.Do(ctx, "PING").Err(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 	const chunk = 16
@@ -84,7 +84,7 @@ func TestSetChunksEmptyStreamSendsChunkZero(t *testing.T) {
 	if err != nil || sent != 1 || total != 0 {
 		t.Fatalf("SetChunks(empty) = %d, %d, %v; want 1, 0, nil", sent, total, err)
 	}
-	val, ok, err := cli.Get(ctx, "empty:0")
+	val, ok, err := Get(ctx, cli, "empty:0")
 	if err != nil || !ok || len(val) != 0 {
 		t.Fatalf("Get(empty:0) = %q, %v, %v", val, ok, err)
 	}
@@ -109,7 +109,7 @@ func (f *failingReader) Read(p []byte) (int, error) {
 func TestSetChunksReadErrorLeavesConnectionClean(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.Ping(ctx); err != nil {
+	if err := cli.Do(ctx, "PING").Err(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 	dials := cli.Dials()
@@ -122,7 +122,7 @@ func TestSetChunksReadErrorLeavesConnectionClean(t *testing.T) {
 	if sent != 3 {
 		t.Fatalf("SetChunks sent %d chunks, want 3", sent)
 	}
-	if n, err := cli.Del(ctx, chunkKeyList("fail", sent)...); err != nil || n != 3 {
+	if n, err := Del(ctx, cli, chunkKeyList("fail", sent)...); err != nil || n != 3 {
 		t.Fatalf("Del = %d, %v; want 3", n, err)
 	}
 	if got := cli.Dials(); got != dials {
@@ -139,7 +139,7 @@ func TestGetToMissingMiddleKey(t *testing.T) {
 	if _, _, err := cli.SetChunks(ctx, bytes.NewReader(payload), make([]byte, 8), chunkKeyFunc("hole")); err != nil {
 		t.Fatalf("SetChunks: %v", err)
 	}
-	if _, err := cli.Del(ctx, "hole:2"); err != nil {
+	if _, err := Del(ctx, cli, "hole:2"); err != nil {
 		t.Fatalf("Del: %v", err)
 	}
 	dials := cli.Dials()
@@ -151,7 +151,7 @@ func TestGetToMissingMiddleKey(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), payload[:16]) {
 		t.Fatalf("GetTo wrote %d bytes, want the first two chunks only", buf.Len())
 	}
-	if val, ok, err := cli.Get(ctx, "hole:4"); err != nil || !ok || !bytes.Equal(val, payload[32:]) {
+	if val, ok, err := Get(ctx, cli, "hole:4"); err != nil || !ok || !bytes.Equal(val, payload[32:]) {
 		t.Fatalf("Get after GetTo = %q, %v, %v", val, ok, err)
 	}
 	if got := cli.Dials(); got != dials {
@@ -184,7 +184,7 @@ func TestGetToWriterErrorDiscardsConnection(t *testing.T) {
 	if _, err := cli.GetTo(ctx, chunkKeyList("w", 4), &errWriter{limit: 1500}); err == nil {
 		t.Fatal("GetTo into a failing writer succeeded")
 	}
-	val, ok, err := cli.Get(ctx, "w:3")
+	val, ok, err := Get(ctx, cli, "w:3")
 	if err != nil || !ok || len(val) != 1024 {
 		t.Fatalf("Get after a failed GetTo = %d bytes, %v, %v", len(val), ok, err)
 	}
@@ -268,7 +268,7 @@ func TestServerAnswersAPipelineWrittenInOneWrite(t *testing.T) {
 	ctx := context.Background()
 	const n = 1000
 	for i := 0; i < 10; i++ {
-		if err := cli.Set(ctx, fmt.Sprintf("raw%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := Set(ctx, cli, fmt.Sprintf("raw%d", i), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("Set: %v", err)
 		}
 	}

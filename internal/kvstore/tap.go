@@ -75,101 +75,25 @@ func appendValue(out [][]byte, v value, err error) [][]byte {
 	}
 }
 
-func intReply(n int64) [][]byte   { return [][]byte{[]byte("i" + strconv.FormatInt(n, 10))} }
-func boolReply(ok bool) [][]byte  { return intReply(map[bool]int64{false: 0, true: 1}[ok]) }
-func bulkReply(b []byte) [][]byte { return [][]byte{[]byte("b"), b} }
-
-var nullReply = [][]byte{[]byte("n")}
-
-func optBulkReply(b []byte, ok bool) [][]byte {
-	if !ok {
-		return nullReply
-	}
-	return bulkReply(b)
-}
-
-func (t *TapKV) Ping(ctx context.Context) error {
-	done := t.tap("PING", nil, false)
-	err := t.inner.Ping(ctx)
-	done(nil, err)
-	return err
-}
-
-func (t *TapKV) Set(ctx context.Context, key string, val []byte) error {
-	done := t.tap("SET", [][]byte{[]byte(key), val}, false)
-	err := t.inner.Set(ctx, key, val)
-	done(nil, err)
-	return err
-}
-
-func (t *TapKV) Get(ctx context.Context, key string) ([]byte, bool, error) {
-	done := t.tap("GET", [][]byte{[]byte(key)}, false)
-	val, ok, err := t.inner.Get(ctx, key)
-	done(optBulkReply(val, ok), err)
-	return val, ok, err
-}
-
-func keysArgs(keys []string) [][]byte {
-	args := make([][]byte, len(keys))
-	for i, k := range keys {
-		args[i] = []byte(k)
-	}
-	return args
-}
-
-func (t *TapKV) Del(ctx context.Context, keys ...string) (int64, error) {
-	done := t.tap("DEL", keysArgs(keys), false)
-	n, err := t.inner.Del(ctx, keys...)
-	done(intReply(n), err)
-	return n, err
-}
-
-func (t *TapKV) MGet(ctx context.Context, keys ...string) ([][]byte, error) {
-	done := t.tap("MGET", keysArgs(keys), false)
-	vals, err := t.inner.MGet(ctx, keys...)
+// Do reports the command under its own name with its wire args. The reply
+// is appendValue's encoding of the command's, except that a status reply
+// (SET, MSET, PING) records no element and a top-level array (MGET,
+// LREAD) records its elements with no "a<n>" header.
+func (t *TapKV) Do(ctx context.Context, name string, args ...[]byte) PipeReply {
+	done := t.tap(name, args, false)
+	r := t.inner.Do(ctx, name, args...)
 	var reply [][]byte
-	for _, v := range vals {
-		if v == nil {
-			reply = append(reply, []byte("n"))
-		} else {
-			reply = append(reply, []byte("b"), v)
+	switch {
+	case r.err != nil, r.v.kind == respSimpleString:
+	case r.v.kind == respArray:
+		for _, el := range r.v.arr {
+			reply = appendValue(reply, el, nil)
 		}
+	default:
+		reply = appendValue(nil, r.v, nil)
 	}
-	done(reply, err)
-	return vals, err
-}
-
-func (t *TapKV) MSet(ctx context.Context, pairs map[string][]byte) error {
-	args := make([][]byte, 0, len(pairs)*2)
-	for k, v := range pairs {
-		args = append(args, []byte(k), v)
-	}
-	done := t.tap("MSET", args, false)
-	err := t.inner.MSet(ctx, pairs)
-	done(nil, err)
-	return err
-}
-
-func (t *TapKV) Incr(ctx context.Context, key string) (int64, error) {
-	done := t.tap("INCR", [][]byte{[]byte(key)}, false)
-	n, err := t.inner.Incr(ctx, key)
-	done(intReply(n), err)
-	return n, err
-}
-
-func (t *TapKV) CAS(ctx context.Context, key string, old, new []byte) (bool, error) {
-	done := t.tap("CAS", [][]byte{[]byte(key), old, new}, false)
-	won, err := t.inner.CAS(ctx, key, old, new)
-	done(boolReply(won), err)
-	return won, err
-}
-
-func (t *TapKV) DelRange(ctx context.Context, prefix string, start, end uint64) (int64, error) {
-	done := t.tap("DELRANGE", [][]byte{[]byte(prefix),
-		[]byte(strconv.FormatUint(start, 10)), []byte(strconv.FormatUint(end, 10))}, false)
-	n, err := t.inner.DelRange(ctx, prefix, start, end)
-	done(intReply(n), err)
-	return n, err
+	done(reply, r.err)
+	return r
 }
 
 // WaitGet records the timeout in nanoseconds so a time-compressing
@@ -178,7 +102,7 @@ func (t *TapKV) WaitGet(ctx context.Context, key string, timeout time.Duration) 
 	done := t.tap("WAITGET", [][]byte{[]byte(key),
 		[]byte(strconv.FormatInt(int64(timeout), 10))}, true)
 	val, ok, err := t.inner.WaitGet(ctx, key, timeout)
-	done(optBulkReply(val, ok), err)
+	done(appendValue(nil, value{kind: respBulkString, bulk: val, null: !ok}, nil), err)
 	return val, ok, err
 }
 
@@ -187,7 +111,7 @@ func (t *TapKV) WaitPrefix(ctx context.Context, prefix string, after uint64, tim
 		[]byte(strconv.FormatUint(after, 10)),
 		[]byte(strconv.FormatInt(int64(timeout), 10))}, true)
 	seq, err := t.inner.WaitPrefix(ctx, prefix, after, timeout)
-	done(intReply(int64(seq)), err)
+	done([][]byte{[]byte("i" + strconv.FormatUint(seq, 10))}, err)
 	return seq, err
 }
 
@@ -208,11 +132,11 @@ func (t *TapKV) Close() error       { return t.inner.Close() }
 
 // pipeArgs flattens a pipeline's queued commands into tap args:
 // ["<ncmds>", then per command: name, "<nargs>", args...].
-func pipeArgs(cmds []pipeCmd) [][]byte {
-	args := [][]byte{[]byte(strconv.Itoa(len(cmds)))}
-	for _, cmd := range cmds {
-		args = append(args, []byte(cmd.name), []byte(strconv.Itoa(len(cmd.args))))
-		args = append(args, cmd.args...)
+func pipeArgs(names []string, cmdArgs [][][]byte) [][]byte {
+	args := [][]byte{[]byte(strconv.Itoa(len(names)))}
+	for i, name := range names {
+		args = append(args, []byte(name), []byte(strconv.Itoa(len(cmdArgs[i]))))
+		args = append(args, cmdArgs[i]...)
 	}
 	return args
 }

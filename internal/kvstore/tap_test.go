@@ -58,19 +58,19 @@ func TestTapRecordsOperations(t *testing.T) {
 	kv := NewTap(cli, log.fn)
 	ctx := context.Background()
 
-	if err := kv.Set(ctx, "k", []byte("v")); err != nil {
+	if err := Set(ctx, kv, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, err := kv.Get(ctx, "k"); err != nil || !ok || string(v) != "v" {
+	if v, ok, err := Get(ctx, kv, "k"); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("Get = %q, %v, %v", v, ok, err)
 	}
-	if _, ok, err := kv.Get(ctx, "missing"); err != nil || ok {
+	if _, ok, err := Get(ctx, kv, "missing"); err != nil || ok {
 		t.Fatalf("Get missing = %v, %v", ok, err)
 	}
-	if n, err := kv.Incr(ctx, "ctr"); err != nil || n != 1 {
+	if n, err := Incr(ctx, kv, "ctr"); err != nil || n != 1 {
 		t.Fatalf("Incr = %d, %v", n, err)
 	}
-	if won, err := kv.CAS(ctx, "cas", nil, []byte("x")); err != nil || !won {
+	if won, err := CAS(ctx, kv, "cas", nil, []byte("x")); err != nil || !won {
 		t.Fatalf("CAS = %v, %v", won, err)
 	}
 	if _, ok, err := kv.WaitGet(ctx, "never", 20*time.Millisecond); err != nil || ok {
@@ -112,6 +112,47 @@ func TestTapRecordsOperations(t *testing.T) {
 	}
 }
 
+// TestTapRecordsDoUnderCommandName: a Do is reported under its command's
+// name with its wire args. A status reply (SET, MSET, PING) records no
+// element, and an array reply (MGET, LREAD) records its elements with no
+// "a<n>" header, the shapes the committed traces hold.
+func TestTapRecordsDoUnderCommandName(t *testing.T) {
+	_, cli := newPair(t, nil, nil)
+	log := &tapLog{}
+	kv := NewTap(cli, log.fn)
+	ctx := context.Background()
+	cases := []struct {
+		name  string
+		args  []string
+		reply []string
+	}{
+		{"SET", []string{"k", "v"}, nil},
+		{"MSET", []string{"k2", "v2", "k3", "v3"}, nil},
+		{"PING", nil, nil},
+		{"MGET", []string{"k", "missing"}, []string{"b", "v", "n"}},
+		{"LAPPEND", []string{"len", "s:", "x"}, []string{"i1"}},
+		{"LREAD", []string{"len", "0", "8", "1", "s:", "k"}, []string{"i1", "b", "v", "a1", "b", "x"}},
+	}
+	for _, c := range cases {
+		if err := kv.Do(ctx, c.name, keysArgs(c.args)...).Err(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+	ops := log.snapshot()
+	if len(ops) != len(cases) {
+		t.Fatalf("tapped %d ops, want %d: %+v", len(ops), len(cases), ops)
+	}
+	for i, c := range cases {
+		op := ops[i]
+		if op.name != c.name || fmt.Sprintf("%q", op.args) != fmt.Sprintf("%q", keysArgs(c.args)) {
+			t.Errorf("op %d tapped as %s %q, want %s %q", i, op.name, op.args, c.name, c.args)
+		}
+		if fmt.Sprintf("%q", op.reply) != fmt.Sprintf("%q", keysArgs(c.reply)) {
+			t.Errorf("%s reply = %q, want %q", c.name, op.reply, c.reply)
+		}
+	}
+}
+
 // TestTapRecordsPipeline: a batched round trip is tapped as one PIPELINE
 // operation carrying every queued command and every per-command reply —
 // including per-command errors, which surface as "e..." reply elements
@@ -123,8 +164,8 @@ func TestTapRecordsPipeline(t *testing.T) {
 	ctx := context.Background()
 
 	p := kv.Pipeline()
-	p.Set("pk", []byte("pv"))
-	p.Get("pk")
+	p.Do("SET", []byte("pk"), []byte("pv"))
+	p.Do("GET", []byte("pk"))
 	p.Do("BOGUS", []byte("arg"))
 	if err := p.Exec(ctx); err != nil {
 		t.Fatalf("Exec: %v", err)
@@ -166,7 +207,7 @@ func TestTapComposes(t *testing.T) {
 	inner, outer := &tapLog{}, &tapLog{}
 	kv := NewTap(NewTap(cli, inner.fn), outer.fn)
 
-	if err := kv.Set(context.Background(), "a", []byte("1")); err != nil {
+	if err := Set(context.Background(), kv, "a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	for name, log := range map[string]*tapLog{"inner": inner, "outer": outer} {
@@ -211,7 +252,7 @@ func TestDialFuncCarriesEveryConnection(t *testing.T) {
 	_, cli := newPair(t, nil, []ClientOption{WithDialFunc(dialer.dial)})
 	ctx := context.Background()
 
-	if err := cli.Set(ctx, "k", []byte("v")); err != nil {
+	if err := Set(ctx, cli, "k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, err := cli.WaitGet(ctx, "parked", 20*time.Millisecond); err != nil || ok {
@@ -241,7 +282,7 @@ func TestDialFuncHonorsDialTimeout(t *testing.T) {
 	defer cli.Close()
 
 	start := time.Now()
-	err := cli.Set(context.Background(), "k", []byte("v"))
+	err := Set(context.Background(), cli, "k", []byte("v"))
 	if err == nil {
 		t.Fatal("Set succeeded through a black-holed dial")
 	}
@@ -275,7 +316,7 @@ func TestMuxReconnectRedialsThroughDialFunc(t *testing.T) {
 	dialer.mu.Unlock()
 
 	// The next waits must re-dial (through the hook) and then succeed.
-	if err := cli.Set(ctx, "wake", []byte("v")); err != nil {
+	if err := Set(ctx, cli, "wake", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -14,7 +14,7 @@ import (
 func TestWaitGetReturnsExistingValueImmediately(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	cli.Set(ctx, "k", []byte("v"))
+	Set(ctx, cli, "k", []byte("v"))
 	start := time.Now()
 	val, ok, err := cli.WaitGet(ctx, "k", 5*time.Second)
 	if err != nil || !ok || string(val) != "v" {
@@ -40,7 +40,7 @@ func TestWaitGetWakesOnSet(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond) // let the wait park server-side
 	start := time.Now()
-	if err := cli.Set(ctx, "late", []byte("arrived")); err != nil {
+	if err := Set(ctx, cli, "late", []byte("arrived")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	select {
@@ -60,14 +60,14 @@ func TestWaitGetWakesOnSet(t *testing.T) {
 func TestWaitGetWakesOnEveryWriteCommand(t *testing.T) {
 	writes := map[string]func(cli *Client, ctx context.Context, key string) error{
 		"mset": func(cli *Client, ctx context.Context, key string) error {
-			return cli.MSet(ctx, map[string][]byte{key: []byte("x")})
+			return MSet(ctx, cli, map[string][]byte{key: []byte("x")})
 		},
 		"cas": func(cli *Client, ctx context.Context, key string) error {
-			_, err := cli.CAS(ctx, key, nil, []byte("x"))
+			_, err := CAS(ctx, cli, key, nil, []byte("x"))
 			return err
 		},
 		"incr": func(cli *Client, ctx context.Context, key string) error {
-			_, err := cli.Incr(ctx, key)
+			_, err := Incr(ctx, cli, key)
 			return err
 		},
 	}
@@ -104,7 +104,7 @@ func TestWaitGetTimeoutKeepsConnectionClean(t *testing.T) {
 	// it must keep the dial count flat.
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.Ping(ctx); err != nil { // establish the one pooled conn
+	if err := cli.Do(ctx, "PING").Err(); err != nil { // establish the one pooled conn
 		t.Fatalf("Ping: %v", err)
 	}
 	var dials uint64
@@ -128,7 +128,7 @@ func TestWaitGetTimeoutKeepsConnectionClean(t *testing.T) {
 		t.Fatalf("dials rose from %d to %d across timed-out waits", dials, got)
 	}
 	// And the pooled connection still works for ordinary traffic.
-	if err := cli.Set(ctx, "after", []byte("ok")); err != nil {
+	if err := Set(ctx, cli, "after", []byte("ok")); err != nil {
 		t.Fatalf("Set after timeouts: %v", err)
 	}
 	if got := cli.Dials(); got != dials {
@@ -202,7 +202,7 @@ func TestWaitPrefixWakesOnPrefixWrite(t *testing.T) {
 	ctx := context.Background()
 	// Advance the mutation sequence past zero, then seed: after=0 is the
 	// defined seed case and returns the current sequence without waiting.
-	if err := cli.Set(ctx, "boot", []byte("x")); err != nil {
+	if err := Set(ctx, cli, "boot", []byte("x")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	start := time.Now()
@@ -225,7 +225,7 @@ func TestWaitPrefixWakesOnPrefixWrite(t *testing.T) {
 	}()
 	time.Sleep(50 * time.Millisecond)
 	// A write outside the prefix must not wake the watch...
-	if err := cli.Set(ctx, "other:1", []byte("x")); err != nil {
+	if err := Set(ctx, cli, "other:1", []byte("x")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	select {
@@ -234,7 +234,7 @@ func TestWaitPrefixWakesOnPrefixWrite(t *testing.T) {
 	case <-time.After(150 * time.Millisecond):
 	}
 	// ...but one under it must, with a sequence past the watched one.
-	if err := cli.Set(ctx, "log:1", []byte("x")); err != nil {
+	if err := Set(ctx, cli, "log:1", []byte("x")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	select {
@@ -252,14 +252,14 @@ func TestWaitPrefixMissedWriteFiresImmediately(t *testing.T) {
 	// fire the wait immediately — the recent-writes ring closes the race.
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
-	if err := cli.Set(ctx, "boot", []byte("x")); err != nil {
+	if err := Set(ctx, cli, "boot", []byte("x")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	seq, err := cli.WaitPrefix(ctx, "log:", 0, time.Second)
 	if err != nil {
 		t.Fatalf("seed WaitPrefix: %v", err)
 	}
-	if err := cli.Set(ctx, "log:racy", []byte("x")); err != nil {
+	if err := Set(ctx, cli, "log:racy", []byte("x")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	start := time.Now()
@@ -279,7 +279,7 @@ func TestWaitPrefixWakesOnRangedDelete(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		cli.Set(ctx, fmt.Sprintf("log:%d", i), []byte("e"))
+		Set(ctx, cli, fmt.Sprintf("log:%d", i), []byte("e"))
 	}
 	seq, err := cli.WaitPrefix(ctx, "log:", 0, time.Second)
 	if err != nil {
@@ -292,7 +292,7 @@ func TestWaitPrefixWakesOnRangedDelete(t *testing.T) {
 		}
 	}()
 	time.Sleep(50 * time.Millisecond)
-	if _, err := cli.DelRange(ctx, "log:", 0, 3); err != nil {
+	if _, err := DelRange(ctx, cli, "log:", 0, 3); err != nil {
 		t.Fatalf("DelRange: %v", err)
 	}
 	select {
@@ -312,7 +312,7 @@ func TestWaitCommandsLeaveAOFUntouched(t *testing.T) {
 	}
 	cli := NewClient(srv.Addr())
 	ctx := context.Background()
-	cli.Set(ctx, "k", []byte("v"))
+	Set(ctx, cli, "k", []byte("v"))
 	stat, err := os.Stat(aof)
 	if err != nil {
 		t.Fatalf("Stat: %v", err)
@@ -344,7 +344,7 @@ func TestWaitCommandsLeaveAOFUntouched(t *testing.T) {
 	defer srv2.Close()
 	cli2 := NewClient(srv2.Addr())
 	defer cli2.Close()
-	if v, ok, err := cli2.Get(ctx, "k"); err != nil || !ok || string(v) != "v" {
+	if v, ok, err := Get(ctx, cli2, "k"); err != nil || !ok || string(v) != "v" {
 		t.Fatalf("replayed Get = %q, %v, %v", v, ok, err)
 	}
 }
@@ -374,7 +374,7 @@ func TestWaitGetManyWaitersAllWake(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	writer := NewClient(srv.Addr())
 	defer writer.Close()
-	if err := writer.Set(ctx, "shared", []byte("fan")); err != nil {
+	if err := Set(ctx, writer, "shared", []byte("fan")); err != nil {
 		t.Fatalf("Set: %v", err)
 	}
 	wg.Wait()

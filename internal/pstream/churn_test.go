@@ -33,7 +33,7 @@ func TestKVBrokerChurn(t *testing.T) {
 		brokertest.ChurnOptions{
 			DBSize: func() (int64, error) { return cli.DBSize(context.Background()) },
 			DebugMGet: func(keys ...string) [][]byte {
-				raws, _ := cli.MGet(context.Background(), keys...)
+				raws, _ := kvstore.MGet(context.Background(), cli, keys...)
 				return raws
 			},
 		})

@@ -302,10 +302,8 @@ func (b *KVBroker) PublishBatch(ctx context.Context, topic string, evs []Event) 
 		}
 		vals[i] = data
 	}
-	pipe := b.client.Pipeline()
-	rep := pipe.LAppend(kvLenKey(topic), kvEventPrefix(topic), vals...)
-	pipe.Exec(ctx) // a transport error fails rep too
-	n, err := rep.Int()
+	args := append([][]byte{[]byte(kvLenKey(topic)), []byte(kvEventPrefix(topic))}, vals...)
+	n, err := b.client.Do(ctx, "LAPPEND", args...).Int()
 	if err != nil {
 		return fmt.Errorf("pstream: appending %d events: %w", len(evs), err)
 	}
@@ -357,7 +355,7 @@ func (b *KVBroker) SubscribeGroup(ctx context.Context, topic, group, member stri
 }
 
 func (b *KVBroker) committedOffset(ctx context.Context, topic, consumer string) (uint64, error) {
-	raw, ok, err := b.client.Get(ctx, kvOffsetKey(topic, consumer))
+	raw, ok, err := kvstore.Get(ctx, b.client, kvOffsetKey(topic, consumer))
 	if err != nil {
 		return 0, fmt.Errorf("pstream: reading committed offset: %w", err)
 	}
@@ -373,7 +371,7 @@ func (b *KVBroker) committedOffset(ctx context.Context, topic, consumer string) 
 
 // counter reads an unsigned decimal counter key, treating absence as 0.
 func (b *KVBroker) counter(ctx context.Context, key string) (uint64, error) {
-	raw, _, err := b.client.Get(ctx, key)
+	raw, _, err := kvstore.Get(ctx, b.client, key)
 	if err != nil {
 		return 0, fmt.Errorf("pstream: reading %s: %w", key, err)
 	}
@@ -447,10 +445,16 @@ func (b *KVBroker) window(topic string, prefixes ...string) kvWindow {
 // base, the log length, and the given keys, whose values it returns: all
 // one snapshot.
 func (w *kvWindow) fetch(ctx context.Context, base uint64, keys ...string) ([]kvstore.PipeReply, error) {
-	pipe := w.b.client.Pipeline()
-	rep := pipe.LRead(w.lenKey, base, kvScanWindow, w.prefixes, keys...)
-	pipe.Exec(ctx) // a transport error fails rep too
-	arr, err := rep.Array()
+	// LREAD lenKey start count nprefix prefix... key...
+	args := [][]byte{[]byte(w.lenKey), []byte(strconv.FormatUint(base, 10)),
+		[]byte(strconv.Itoa(kvScanWindow)), []byte(strconv.Itoa(len(w.prefixes)))}
+	for _, p := range w.prefixes {
+		args = append(args, []byte(p))
+	}
+	for _, k := range keys {
+		args = append(args, []byte(k))
+	}
+	arr, err := w.b.client.Do(ctx, "LREAD", args...).Array()
 	if err == nil && len(arr) != 1+len(keys)+len(w.prefixes) {
 		err = fmt.Errorf("%d values, want %d", len(arr), 1+len(keys)+len(w.prefixes))
 	}
@@ -520,7 +524,7 @@ type kvSub struct {
 // eventAt reads and decodes the event at log index i; ok is false when the
 // slot is unfilled (or truncated).
 func (b *KVBroker) eventAt(ctx context.Context, topic string, i uint64) (Event, bool, error) {
-	raw, ok, err := b.client.Get(ctx, kvEventKey(topic, i))
+	raw, ok, err := kvstore.Get(ctx, b.client, kvEventKey(topic, i))
 	if err != nil || !ok {
 		return Event{}, false, err
 	}
@@ -529,7 +533,7 @@ func (b *KVBroker) eventAt(ctx context.Context, topic string, i uint64) (Event, 
 
 // ackCount reads event i's distinct-consumer ack counter (0 when absent).
 func (b *KVBroker) ackCount(ctx context.Context, topic string, i uint64) (int64, error) {
-	raw, ok, err := b.client.Get(ctx, kvAckKey(topic, i))
+	raw, ok, err := kvstore.Get(ctx, b.client, kvAckKey(topic, i))
 	if err != nil || !ok {
 		return 0, err
 	}
@@ -638,9 +642,9 @@ func (s *kvSub) Ack(ctx context.Context, ev Event) (int, error) {
 	pipe := s.b.client.Pipeline()
 	incrs := make([]*kvstore.PipeReply, 0, ev.Offset-committed+1)
 	for i := committed; i <= ev.Offset; i++ {
-		incrs = append(incrs, pipe.Incr(kvAckKey(s.topic, i)))
+		incrs = append(incrs, pipe.Do("INCR", []byte(kvAckKey(s.topic, i))))
 	}
-	offRep := pipe.Set(kvOffsetKey(s.topic, s.consumer), []byte(strconv.FormatUint(ev.Offset+1, 10)))
+	offRep := pipe.Do("SET", []byte(kvOffsetKey(s.topic, s.consumer)), []byte(strconv.FormatUint(ev.Offset+1, 10)))
 	if err := pipe.Exec(ctx); err != nil {
 		return 0, fmt.Errorf("pstream: counting ack: %w", err)
 	}
@@ -664,7 +668,7 @@ func (s *kvSub) Ack(ctx context.Context, ev Event) (int, error) {
 
 func (s *kvSub) commitOffset(ctx context.Context, off uint64) error {
 	raw := []byte(strconv.FormatUint(off, 10))
-	if err := s.b.client.Set(ctx, kvOffsetKey(s.topic, s.consumer), raw); err != nil {
+	if err := kvstore.Set(ctx, s.b.client, kvOffsetKey(s.topic, s.consumer), raw); err != nil {
 		return fmt.Errorf("pstream: committing offset: %w", err)
 	}
 	return nil
@@ -690,7 +694,7 @@ type pendingDel struct {
 // failure: the truncation floor has already moved past it, so no other
 // pass would ever revisit those keys.
 func (b *KVBroker) deleteRange(ctx context.Context, prefix string, start, end uint64) {
-	if _, err := b.client.DelRange(ctx, prefix, start, end); err != nil {
+	if _, err := kvstore.DelRange(ctx, b.client, prefix, start, end); err != nil {
 		b.truncMu.Lock()
 		b.truncPending = append(b.truncPending, pendingDel{prefix: prefix, start: start, end: end})
 		b.truncMu.Unlock()
@@ -780,7 +784,7 @@ func (b *KVBroker) truncatePass(ctx context.Context, topic string) bool {
 	if floor > 0 {
 		old = []byte(strconv.FormatUint(floor, 10))
 	}
-	ok, err := b.client.CAS(ctx, kvTruncKey(topic), old, []byte(strconv.FormatUint(f, 10)))
+	ok, err := kvstore.CAS(ctx, b.client, kvTruncKey(topic), old, []byte(strconv.FormatUint(f, 10)))
 	if err != nil || !ok {
 		return false
 	}
@@ -798,7 +802,7 @@ func (b *KVBroker) truncatePass(ctx context.Context, topic string) bool {
 // clients with UUID identities) call it on clean shutdown; crashed ones
 // are covered by SweepTopic's dead-consumer cleanup.
 func (b *KVBroker) ForgetConsumer(ctx context.Context, topic, consumer string) error {
-	_, err := b.client.Del(ctx, kvOffsetKey(topic, consumer))
+	_, err := kvstore.Del(ctx, b.client, kvOffsetKey(topic, consumer))
 	return err
 }
 
@@ -835,7 +839,7 @@ func (b *KVBroker) SweepTopic(ctx context.Context, topic string, m *Membership, 
 		for i, d := range dead {
 			keys[i] = kvOffsetKey(topic, d)
 		}
-		if _, err := b.client.Del(ctx, keys...); err != nil {
+		if _, err := kvstore.Del(ctx, b.client, keys...); err != nil {
 			return 0, err
 		}
 	}
@@ -847,7 +851,7 @@ func (b *KVBroker) SweepTopic(ctx context.Context, topic string, m *Membership, 
 			liveSet[c] = true
 			keys[i] = kvOffsetKey(topic, c)
 		}
-		raws, err := b.client.MGet(ctx, keys...)
+		raws, err := kvstore.MGet(ctx, b.client, keys...)
 		if err != nil {
 			return 0, err
 		}
@@ -908,7 +912,7 @@ func (b *KVBroker) sweepPass(ctx context.Context, topic string, limit uint64, li
 	if floor > 0 {
 		old = []byte(strconv.FormatUint(floor, 10))
 	}
-	ok, err := b.client.CAS(ctx, kvTruncKey(topic), old, []byte(strconv.FormatUint(f, 10)))
+	ok, err := kvstore.CAS(ctx, b.client, kvTruncKey(topic), old, []byte(strconv.FormatUint(f, 10)))
 	if err != nil || !ok {
 		return 0, false, nil // another sweeper or truncator won; let it work
 	}
@@ -1008,7 +1012,7 @@ func (s *kvGroupSub) flushPendingIncr(ctx context.Context) error {
 	pipe := s.b.client.Pipeline()
 	reps := make([]*kvstore.PipeReply, len(s.pendingIncr))
 	for i, off := range s.pendingIncr {
-		reps[i] = pipe.Incr(kvAckKey(s.topic, off))
+		reps[i] = pipe.Do("INCR", []byte(kvAckKey(s.topic, off)))
 	}
 	if err := pipe.Exec(ctx); err != nil {
 		return fmt.Errorf("pstream: retrying group ack count: %w", err)
@@ -1039,7 +1043,7 @@ func (s *kvGroupSub) hbAlive(ctx context.Context, member string, now time.Time) 
 	if cached, ok := s.hbSeen[member]; ok && cached.After(now) {
 		return true
 	}
-	raw, ok, err := s.b.client.Get(ctx, kvHeartbeatKey(s.topic, s.group, member))
+	raw, ok, err := kvstore.Get(ctx, s.b.client, kvHeartbeatKey(s.topic, s.group, member))
 	if err != nil || !ok {
 		return true // unknown: fall back to lease timing
 	}
@@ -1164,7 +1168,7 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 		if floor > 0 {
 			old = []byte(strconv.FormatUint(floor, 10))
 		}
-		if ok, err := s.b.client.CAS(ctx, floorKey, old, []byte(strconv.FormatUint(f, 10))); err == nil && ok {
+		if ok, err := kvstore.CAS(ctx, s.b.client, floorKey, old, []byte(strconv.FormatUint(f, 10))); err == nil && ok {
 			s.floorHint = f
 			// Claim records below the floor are garbage now; a failed
 			// delete is queued and retried with the truncation ranges.
@@ -1270,7 +1274,7 @@ func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64, raw []byte, held bo
 	var win, reclaimed bool
 	var err error
 	if !held {
-		if win, err = s.b.client.CAS(ctx, key, nil, record); err != nil {
+		if win, err = kvstore.CAS(ctx, s.b.client, key, nil, record); err != nil {
 			return false, err
 		}
 		if !win {
@@ -1288,7 +1292,7 @@ func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64, raw []byte, held bo
 			// expired (hbAlive re-reads the heartbeat fresh before the dead
 			// verdict). Reclaim with a CAS against the exact stale record,
 			// so two reclaimers can never both win.
-			if win, err = s.b.client.CAS(ctx, key, raw, record); err != nil {
+			if win, err = kvstore.CAS(ctx, s.b.client, key, raw, record); err != nil {
 				return false, err
 			}
 			reclaimed = win
@@ -1309,7 +1313,7 @@ func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64, raw []byte, held bo
 		return false, err
 	}
 	if i < cur {
-		s.b.client.Del(guardCtx, key)
+		kvstore.Del(guardCtx, s.b.client, key)
 		return false, nil
 	}
 	if s.claimed == nil {
@@ -1430,7 +1434,7 @@ func (s *kvGroupSub) Ack(ctx context.Context, ev Event) (int, error) {
 	if record, ok := s.claimed[ev.Offset]; ok {
 		delete(s.claimed, ev.Offset)
 		var err error
-		if win, err = s.b.client.CAS(ctx, key, record, []byte(claimAcked)); err != nil {
+		if win, err = kvstore.CAS(ctx, s.b.client, key, record, []byte(claimAcked)); err != nil {
 			return 0, err
 		}
 	}
@@ -1439,7 +1443,7 @@ func (s *kvGroupSub) Ack(ctx context.Context, ev Event) (int, error) {
 			n, err := s.b.ackCount(ctx, s.topic, ev.Offset)
 			return int(n), err
 		}
-		raw, held, err := s.b.client.Get(ctx, key)
+		raw, held, err := kvstore.Get(ctx, s.b.client, key)
 		if err != nil {
 			return 0, err
 		}
@@ -1451,14 +1455,14 @@ func (s *kvGroupSub) Ack(ctx context.Context, ev Event) (int, error) {
 		if !ok || member != s.member {
 			return stale()
 		}
-		if win, err = s.b.client.CAS(ctx, key, raw, []byte(claimAcked)); err != nil {
+		if win, err = kvstore.CAS(ctx, s.b.client, key, raw, []byte(claimAcked)); err != nil {
 			return 0, err
 		}
 		if !win {
 			return stale() // reclaimed between the Get and the CAS
 		}
 	}
-	n, err := s.b.client.Incr(ctx, kvAckKey(s.topic, ev.Offset))
+	n, err := kvstore.Incr(ctx, s.b.client, kvAckKey(s.topic, ev.Offset))
 	if err != nil {
 		// The claim is settled but the count is owed: a retried Ack would
 		// take the stale() path and never increment, so remember the debt

@@ -34,6 +34,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"proxystore/internal/kvstore"
 )
 
 // DefaultHeartbeatTTL is the liveness window used when WithKVHeartbeat is
@@ -102,7 +104,7 @@ func rosterEncode(names []string) []byte {
 
 // roster reads the current member list (live and dead alike).
 func (m *Membership) roster(ctx context.Context) ([]string, error) {
-	raw, _, err := m.b.client.Get(ctx, kvRosterKey(m.topic, m.group))
+	raw, _, err := kvstore.Get(ctx, m.b.client, kvRosterKey(m.topic, m.group))
 	if err != nil {
 		return nil, fmt.Errorf("pstream: reading member roster: %w", err)
 	}
@@ -114,7 +116,7 @@ func (m *Membership) roster(ctx context.Context) ([]string, error) {
 func (m *Membership) rosterEdit(ctx context.Context, edit func([]string) ([]string, bool)) error {
 	key := kvRosterKey(m.topic, m.group)
 	for attempt := 0; attempt < rosterCASAttempts; attempt++ {
-		raw, _, err := m.b.client.Get(ctx, key)
+		raw, _, err := kvstore.Get(ctx, m.b.client, key)
 		if err != nil {
 			return fmt.Errorf("pstream: reading member roster: %w", err)
 		}
@@ -122,7 +124,7 @@ func (m *Membership) rosterEdit(ctx context.Context, edit func([]string) ([]stri
 		if !changed {
 			return nil
 		}
-		ok, err := m.b.client.CAS(ctx, key, raw, rosterEncode(names))
+		ok, err := kvstore.CAS(ctx, m.b.client, key, raw, rosterEncode(names))
 		if err != nil {
 			return fmt.Errorf("pstream: updating member roster: %w", err)
 		}
@@ -170,14 +172,14 @@ func (m *Membership) Join(ctx context.Context, member string) (*Heartbeat, error
 	}
 	h := &Heartbeat{m: m, member: member, done: make(chan struct{})}
 	deadline := time.Now().Add(m.ttl)
-	if err := m.b.client.Set(ctx, kvHeartbeatKey(m.topic, m.group, member),
+	if err := kvstore.Set(ctx, m.b.client, kvHeartbeatKey(m.topic, m.group, member),
 		stampDeadline(deadline)); err != nil {
 		return nil, fmt.Errorf("pstream: writing heartbeat: %w", err)
 	}
 	if err := m.rosterEdit(ctx, func(names []string) ([]string, bool) {
 		return rosterAdd(names, member)
 	}); err != nil {
-		m.b.client.Del(context.WithoutCancel(ctx), kvHeartbeatKey(m.topic, m.group, member))
+		kvstore.Del(context.WithoutCancel(ctx), m.b.client, kvHeartbeatKey(m.topic, m.group, member))
 		return nil, err
 	}
 	h.deadline.Store(deadline.UnixNano())
@@ -226,7 +228,7 @@ func (m *Membership) split(ctx context.Context) (live, dead []string, err error)
 	for i, n := range names {
 		keys[i] = kvHeartbeatKey(m.topic, m.group, n)
 	}
-	raws, err := m.b.client.MGet(ctx, keys...)
+	raws, err := kvstore.MGet(ctx, m.b.client, keys...)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pstream: reading heartbeats: %w", err)
 	}
@@ -277,7 +279,7 @@ func (m *Membership) cull(ctx context.Context) (live, dead []string, err error) 
 		gone[n] = true
 		keys = append(keys, kvHeartbeatKey(m.topic, m.group, n))
 	}
-	if _, err := m.b.client.Del(ctx, keys...); err != nil {
+	if _, err := kvstore.Del(ctx, m.b.client, keys...); err != nil {
 		return live, nil, fmt.Errorf("pstream: reaping heartbeats: %w", err)
 	}
 	if err := m.rosterEdit(ctx, func(names []string) ([]string, bool) {
@@ -364,7 +366,7 @@ func (h *Heartbeat) run(ctx context.Context) {
 		case <-time.After(jittered):
 		}
 		deadline := time.Now().Add(m.ttl)
-		err := m.b.client.Set(ctx, key, stampDeadline(deadline))
+		err := kvstore.Set(ctx, m.b.client, key, stampDeadline(deadline))
 		if err != nil {
 			if ctx.Err() != nil {
 				return
@@ -395,7 +397,7 @@ func (h *Heartbeat) stop() {
 func (h *Heartbeat) Leave(ctx context.Context) error {
 	h.stop()
 	m := h.m
-	if _, err := m.b.client.Del(ctx, kvHeartbeatKey(m.topic, m.group, h.member)); err != nil {
+	if _, err := kvstore.Del(ctx, m.b.client, kvHeartbeatKey(m.topic, m.group, h.member)); err != nil {
 		return fmt.Errorf("pstream: deleting heartbeat: %w", err)
 	}
 	return m.rosterEdit(ctx, func(names []string) ([]string, bool) {

@@ -173,15 +173,15 @@ type stallingKV struct {
 	release chan struct{}
 }
 
-func (s *stallingKV) Set(ctx context.Context, key string, val []byte) error {
-	if key == s.key && s.stall.Load() {
+func (s *stallingKV) Do(ctx context.Context, name string, args ...[]byte) kvstore.PipeReply {
+	if name == "SET" && string(args[0]) == s.key && s.stall.Load() {
 		select {
 		case <-s.release:
 		case <-ctx.Done():
-			return ctx.Err()
+			return kvstore.ErrReply(ctx.Err())
 		}
 	}
-	return s.KV.Set(ctx, key, val)
+	return s.KV.Do(ctx, name, args...)
 }
 
 func TestMembershipFencesWhenRefreshStallsWithoutError(t *testing.T) {

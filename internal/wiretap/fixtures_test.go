@@ -136,7 +136,7 @@ func TestClaimRaceUndoLive(t *testing.T) {
 	resume := make(chan struct{})
 	sawPause := false
 	hook := func(name string, args [][]byte, reply [][]byte, err error) {
-		if name == "PIPELINE" && err == nil && !sawPause && argsHold(args, "LREAD") && argsHold(args, floorKey) {
+		if name == "LREAD" && err == nil && !sawPause && argsHold(args, floorKey) {
 			// A's scan has read its counters (floor 0) with a window
 			// that showed slot 0 unclaimed; freeze it here, pre-CAS.
 			sawPause = true
@@ -203,7 +203,7 @@ func TestClaimRaceUndoLive(t *testing.T) {
 		if _, _, err := subB.Poll(ctx); err != nil {
 			t.Fatalf("B sweep Poll: %v", err)
 		}
-		if _, held, err := probe.Get(ctx, claimKey); err != nil {
+		if _, held, err := kvstore.Get(ctx, probe, claimKey); err != nil {
 			t.Fatal(err)
 		} else if !held {
 			break
@@ -223,12 +223,12 @@ func TestClaimRaceUndoLive(t *testing.T) {
 	}
 	_ = res.err // canceled-context errors after the undo are acceptable
 
-	if raw, held, err := probe.Get(ctx, claimKey); err != nil {
+	if raw, held, err := kvstore.Get(ctx, probe, claimKey); err != nil {
 		t.Fatal(err)
 	} else if held {
 		t.Fatalf("claim record %q stranded below the floor: the guard-context undo did not run", raw)
 	}
-	if floor, held, err := probe.Get(ctx, floorKey); err != nil || !held || string(floor) != "1" {
+	if floor, held, err := kvstore.Get(ctx, probe, floorKey); err != nil || !held || string(floor) != "1" {
 		t.Fatalf("floor = %q, %v, %v; want 1", floor, held, err)
 	}
 

@@ -399,7 +399,10 @@ func (x *replayRun) execKV(op *Op, ctx context.Context) (reply [][]byte, err err
 	return reply, err
 }
 
-// callKV decodes op's recorded args and invokes the matching KV method.
+// callKV decodes op's recorded args and issues it: the two waits and a
+// PIPELINE through their KV methods, and every other op as the command it
+// names, after checking its args against the command table so a
+// malformed op from a trace file never reaches the target.
 func (x *replayRun) callKV(kv kvstore.KV, op *Op, ctx context.Context) error {
 	args := op.Args
 	need := func(n int) error {
@@ -409,51 +412,6 @@ func (x *replayRun) callKV(kv kvstore.KV, op *Op, ctx context.Context) error {
 		return nil
 	}
 	switch op.Name {
-	case "PING":
-		kv.Ping(ctx)
-	case "SET":
-		if err := need(2); err != nil {
-			return err
-		}
-		kv.Set(ctx, string(args[0]), args[1])
-	case "GET":
-		if err := need(1); err != nil {
-			return err
-		}
-		kv.Get(ctx, string(args[0]))
-	case "DEL":
-		kv.Del(ctx, argStrings(args)...)
-	case "MGET":
-		kv.MGet(ctx, argStrings(args)...)
-	case "MSET":
-		if len(args)%2 != 0 {
-			return fmt.Errorf("wiretap: MSET op %d.%d has odd arg count %d", op.Conn, op.Idx, len(args))
-		}
-		pairs := make(map[string][]byte, len(args)/2)
-		for i := 0; i+1 < len(args); i += 2 {
-			pairs[string(args[i])] = args[i+1]
-		}
-		kv.MSet(ctx, pairs)
-	case "INCR":
-		if err := need(1); err != nil {
-			return err
-		}
-		kv.Incr(ctx, string(args[0]))
-	case "CAS":
-		if err := need(3); err != nil {
-			return err
-		}
-		kv.CAS(ctx, string(args[0]), args[1], args[2])
-	case "DELRANGE":
-		if err := need(3); err != nil {
-			return err
-		}
-		start, err1 := strconv.ParseUint(string(args[1]), 10, 64)
-		end, err2 := strconv.ParseUint(string(args[2]), 10, 64)
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("wiretap: DELRANGE op %d.%d window %q..%q", op.Conn, op.Idx, args[1], args[2])
-		}
-		kv.DelRange(ctx, string(args[0]), start, end)
 	case "WAITGET":
 		if err := need(2); err != nil {
 			return err
@@ -484,7 +442,14 @@ func (x *replayRun) callKV(kv kvstore.KV, op *Op, ctx context.Context) error {
 		}
 		p.Exec(ctx)
 	default:
-		return fmt.Errorf("wiretap: op %d.%d has unknown kv command %q", op.Conn, op.Idx, op.Name)
+		cmd, ok := kvstore.LookupCommand(op.Name)
+		if !ok {
+			return fmt.Errorf("wiretap: op %d.%d has unknown kv command %q", op.Conn, op.Idx, op.Name)
+		}
+		if err := cmd.CheckArgs(args); err != nil {
+			return fmt.Errorf("wiretap: op %s/%d.%d: %w", op.Name, op.Conn, op.Idx, err)
+		}
+		kv.Do(ctx, op.Name, args...)
 	}
 	return nil
 }
@@ -501,14 +466,6 @@ func (x *replayRun) waitTimeout(arg []byte) (time.Duration, error) {
 		d = time.Millisecond
 	}
 	return d, nil
-}
-
-func argStrings(args [][]byte) []string {
-	out := make([]string, len(args))
-	for i, a := range args {
-		out[i] = string(a)
-	}
-	return out
 }
 
 // diverges reports whether a replayed reply differs from the recording,
@@ -600,7 +557,7 @@ func KVSnapshot(ctx context.Context, kv kvstore.KV, keys []string) (map[string]s
 		if end > len(keys) {
 			end = len(keys)
 		}
-		vals, err := kv.MGet(ctx, keys[base:end]...)
+		vals, err := kvstore.MGet(ctx, kv, keys[base:end]...)
 		if err != nil {
 			return nil, err
 		}

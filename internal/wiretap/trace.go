@@ -35,6 +35,7 @@ import (
 	"sort"
 	"strconv"
 
+	"proxystore/internal/kvstore"
 	"proxystore/internal/serial"
 )
 
@@ -132,54 +133,16 @@ func (t *Trace) KVKeys() []string {
 	return out
 }
 
+// collectKeys adds the keys an op names, as its command table row gives
+// them, plus the two expansions a row cannot give: the slots a DELRANGE
+// window swept and the slots an LAPPEND took.
 func collectKeys(set map[string]struct{}, name string, args, reply [][]byte) {
-	addAll := func(from int) {
-		for _, a := range args[from:] {
-			set[string(a)] = struct{}{}
-		}
-	}
 	switch name {
-	case "SET", "GET", "DEL", "MGET", "INCR", "CAS", "WAITGET":
-		if name == "SET" || name == "CAS" || name == "WAITGET" {
-			if len(args) > 0 {
-				set[string(args[0])] = struct{}{}
-			}
-		} else {
-			addAll(0)
-		}
-	case "MSET":
-		for i := 0; i+1 < len(args); i += 2 {
-			set[string(args[i])] = struct{}{}
-		}
-	case "DELRANGE":
-		if len(args) == 3 {
-			start, err1 := strconv.ParseUint(string(args[1]), 10, 64)
-			end, err2 := strconv.ParseUint(string(args[2]), 10, 64)
-			// Cap the expansion: a corrupt window must not allocate the moon.
-			if err1 == nil && err2 == nil && end >= start && end-start <= 1<<16 {
-				for i := start; i < end; i++ {
-					set[string(args[0])+strconv.FormatUint(i, 10)] = struct{}{}
-				}
-			}
-		}
-	case "LAPPEND":
-		// The reply is the new length; the values took the slots below it.
-		if len(args) > 2 && len(reply) > 0 {
+	case "WAITGET":
+		if len(args) > 0 {
 			set[string(args[0])] = struct{}{}
-			n, err := strconv.ParseUint(string(bytes.TrimPrefix(reply[0], []byte("i"))), 10, 64)
-			for i := n - min(n, uint64(len(args)-2)); err == nil && i < n; i++ {
-				set[string(args[1])+strconv.FormatUint(i, 10)] = struct{}{}
-			}
 		}
-	case "LREAD":
-		// The length key, then the counter keys after the nprefix prefixes.
-		if len(args) < 4 {
-			return
-		}
-		if np, err := strconv.Atoi(string(args[3])); err == nil && np >= 0 && 4+np <= len(args) {
-			set[string(args[0])] = struct{}{}
-			addAll(4 + np)
-		}
+		return
 	case "PIPELINE":
 		cmds, err := parsePipeArgs(args)
 		if err != nil {
@@ -189,6 +152,34 @@ func collectKeys(set map[string]struct{}, name string, args, reply [][]byte) {
 			next := min(skipReply(reply, 0), len(reply))
 			collectKeys(set, c.name, c.args, reply[:next])
 			reply = reply[next:]
+		}
+		return
+	}
+	cmd, ok := kvstore.LookupCommand(name)
+	if !ok || cmd.CheckArgs(args) != nil {
+		return
+	}
+	keys, _ := cmd.Keys(args)
+	for _, k := range keys {
+		set[string(k)] = struct{}{}
+	}
+	switch name {
+	case "DELRANGE":
+		start, err1 := strconv.ParseUint(string(args[1]), 10, 64)
+		end, err2 := strconv.ParseUint(string(args[2]), 10, 64)
+		// Cap the expansion: a corrupt window must not allocate the moon.
+		if err1 == nil && err2 == nil && end >= start && end-start <= 1<<16 {
+			for i := start; i < end; i++ {
+				set[string(args[0])+strconv.FormatUint(i, 10)] = struct{}{}
+			}
+		}
+	case "LAPPEND":
+		// The reply is the new length; the values took the slots below it.
+		if len(reply) > 0 {
+			n, err := strconv.ParseUint(string(bytes.TrimPrefix(reply[0], []byte("i"))), 10, 64)
+			for i := n - min(n, uint64(len(args)-2)); err == nil && i < n; i++ {
+				set[string(args[1])+strconv.FormatUint(i, 10)] = struct{}{}
+			}
 		}
 	}
 }

@@ -327,13 +327,13 @@ func TestRecorderDepPrefix(t *testing.T) {
 	kv := rec.WrapKV(kvstore.NewClient(srv.Addr()))
 	defer kv.Close()
 
-	if err := kv.Set(ctx, "a", []byte("1")); err != nil {
+	if err := kvstore.Set(ctx, kv, "a", []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := kv.Get(ctx, "a"); err != nil {
+	if _, _, err := kvstore.Get(ctx, kv, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := kv.Incr(ctx, "n"); err != nil {
+	if _, err := kvstore.Incr(ctx, kv, "n"); err != nil {
 		t.Fatal(err)
 	}
 	tr := rec.Trace()
@@ -366,9 +366,9 @@ func TestRecorderPipeline(t *testing.T) {
 	defer kv.Close()
 
 	p := kv.Pipeline()
-	p.Set("pk1", []byte("v1"))
-	p.Incr("pn")
-	p.Get("pk1")
+	p.Do("SET", []byte("pk1"), []byte("v1"))
+	p.Do("INCR", []byte("pn"))
+	p.Do("GET", []byte("pk1"))
 	if err := p.Exec(ctx); err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
@@ -437,7 +437,7 @@ func TestReplayBlockedWaitWakes(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
-	if err := setter.Set(ctx, "wake", []byte("up")); err != nil {
+	if err := kvstore.Set(ctx, setter, "wake", []byte("up")); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
