@@ -9,15 +9,10 @@ import (
 // KV is the client surface the higher planes (pstream's KVBroker, faas,
 // colmena) program against: one command at a time (Do) or in batches
 // (Pipeline), the two blocking waits, and the client's counters. *Client,
-// the cluster package's ShardedClient and TapKV satisfy it, so a broker
-// moves from one box to N primaries with replicas by swapping the
+// the cluster package's FailoverClient and TapKV satisfy it, so a broker
+// moves from one box to a primary with replicas by swapping the
 // constructor, not the call sites. The typed calls (Get, Set, CAS, ...)
 // are functions over KV, written once.
-//
-// The sharded implementation routes each command by the keys its table
-// row names (see Command and the cluster package); pipelines whose keys
-// span shards are errors there, but every key a broker derives from one
-// topic shares that topic's prefix, so shard-local is the natural grain.
 type KV interface {
 	// Do sends one command (see the command table) and returns its reply.
 	Do(ctx context.Context, name string, args ...[]byte) PipeReply

@@ -342,7 +342,7 @@ func (c *Client) Do(ctx context.Context, name string, args ...[]byte) PipeReply 
 
 // ReplyError is an error reply the server deliberately sent (RESP "-ERR
 // ..."), as opposed to a transport failure. The distinction drives
-// failover: a sharded client retries transport errors on a replica, but a
+// failover: a failover client retries transport errors on a replica, but a
 // reply error means the server is alive and said no — retrying elsewhere
 // would be wrong.
 type ReplyError struct{ Msg string }

@@ -8,10 +8,10 @@ import (
 )
 
 // Command is one row of the server's command table. The server executes
-// from the table, and the sharded router, the pipeline's routing and the
-// wiretap replayer read it, so a command is written once. Tagged waits
-// (TWAITGET, TWAITPREFIX) and REPLICATE are not rows: they take over
-// their connection rather than answer in line.
+// from the table, and wiretap's key set and replayer read it, so a
+// command is written once. Tagged waits (TWAITGET, TWAITPREFIX) and
+// REPLICATE are not rows: they take over their connection rather than
+// answer in line.
 type Command struct {
 	Name string
 	// Arity counts the name too, as Redis's COMMAND table does: n means
@@ -19,20 +19,17 @@ type Command struct {
 	Arity int
 	// Step > 0 marks a command whose arguments are independent groups of
 	// Step, each led by its key (DEL, EXISTS, MGET, MSET): the argument
-	// count must be a multiple of Step, and a call whose keys lie on
-	// several shards can be split group by group.
+	// count must be a multiple of Step.
 	Step int
 	// Writes marks a command that changes data; a following replica
 	// refuses it.
 	Writes bool
-	// keys returns, for a command with Step 0, its key arguments and its
-	// key-prefix arguments.
-	keys func(args [][]byte) (keys, prefixes [][]byte)
+	// keys returns, for a command with Step 0, its key arguments.
+	keys func(args [][]byte) [][]byte
 	run  func(s *Server, args [][]byte) value
 }
 
-func firstKey(a [][]byte) (keys, prefixes [][]byte)    { return a[:1:1], nil }
-func firstPrefix(a [][]byte) (keys, prefixes [][]byte) { return nil, a[:1:1] }
+func firstKey(a [][]byte) [][]byte { return a[:1:1] }
 
 // commandTable is every synchronous command the server answers.
 var commandTable = []Command{
@@ -43,12 +40,11 @@ var commandTable = []Command{
 	{Name: "EXISTS", Arity: -1, Step: 1, run: (*Server).cmdExists},
 	{Name: "MGET", Arity: -1, Step: 1, run: (*Server).cmdMGet},
 	{Name: "MSET", Arity: -3, Step: 2, Writes: true, run: (*Server).cmdMSet},
-	{Name: "LAPPEND", Arity: -4, Writes: true, run: (*Server).cmdLAppend,
-		keys: func(a [][]byte) ([][]byte, [][]byte) { return a[:1:1], a[1:2:2] }},
+	{Name: "LAPPEND", Arity: -4, Writes: true, keys: firstKey, run: (*Server).cmdLAppend},
 	{Name: "LREAD", Arity: -5, keys: lreadKeys, run: (*Server).cmdLRead},
 	{Name: "INCR", Arity: 2, Writes: true, keys: firstKey, run: (*Server).cmdIncr},
 	{Name: "CAS", Arity: 4, Writes: true, keys: firstKey, run: (*Server).cmdCAS},
-	{Name: "DELRANGE", Arity: 4, Writes: true, keys: firstPrefix, run: (*Server).cmdDelRange},
+	{Name: "DELRANGE", Arity: 4, Writes: true, run: (*Server).cmdDelRange},
 	{Name: "DBSIZE", Arity: 1, run: (*Server).cmdDBSize},
 	{Name: "INFO", Arity: 1, run: func(s *Server, _ [][]byte) value { return bulkValue([]byte(s.InfoText())) }},
 	{Name: "FLUSHALL", Arity: 1, Writes: true, run: (*Server).cmdFlushAll},
@@ -81,31 +77,31 @@ func (c *Command) CheckArgs(args [][]byte) error {
 	return fmt.Errorf("wrong number of arguments for '%s'", strings.ToLower(c.Name))
 }
 
-// Keys returns the arguments that name keys and those that name key
-// prefixes (DELRANGE's, LAPPEND's and LREAD's slot families), which place
-// on a shard the way keys do; appending to either never writes into args.
-// Call it only on arguments CheckArgs accepts.
-func (c *Command) Keys(args [][]byte) (keys, prefixes [][]byte) {
+// Keys returns the arguments that name keys. Key-prefix arguments (the
+// slot families of DELRANGE, LAPPEND and LREAD) are not keys; appending
+// to the result never writes into args. Call it only on arguments
+// CheckArgs accepts.
+func (c *Command) Keys(args [][]byte) (keys [][]byte) {
 	if c.Step == 0 {
 		if c.keys == nil {
-			return nil, nil
+			return nil
 		}
 		return c.keys(args)
 	}
 	for i := 0; i < len(args); i += c.Step {
 		keys = append(keys, args[i])
 	}
-	return keys, nil
+	return keys
 }
 
-// lreadKeys splits LREAD lenKey start count nprefix prefix... key...
-// into its length key and trailing keys, and its prefixes.
-func lreadKeys(a [][]byte) (keys, prefixes [][]byte) {
+// lreadKeys returns LREAD lenKey start count nprefix prefix... key...'s
+// length key and trailing keys.
+func lreadKeys(a [][]byte) [][]byte {
 	np, err := strconv.Atoi(string(a[3]))
 	if err != nil || np < 0 || np > len(a)-4 {
-		return a[:1:1], nil
+		return a[:1:1]
 	}
-	return append(a[:1:1], a[4+np:]...), a[4 : 4+np : 4+np]
+	return append(a[:1:1], a[4+np:]...)
 }
 
 // Every write below appends its AOF record while still holding the data

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -50,6 +51,36 @@ func TestInfo(t *testing.T) {
 	// Wrong arity is an error, not a crash.
 	if err := c.Do(ctx, "INFO", []byte("x")).Err(); err == nil {
 		t.Fatal("INFO with an argument should error")
+	}
+}
+
+// TestInfoUnknownCommandsShareOneBucket: the command names clients send
+// cannot grow the server's registry. Every name the server does not
+// answer counts under kv.cmd.unknown, one bucket of at most nine lines
+// (two counters and a histogram's seven).
+func TestInfoUnknownCommandsShareOneBucket(t *testing.T) {
+	srv, err := NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	defer srv.Close()
+	c := NewClient(srv.Addr())
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	lines := func() int { return strings.Count(srv.Telemetry().Snapshot().Text(), "\n") }
+	before := lines()
+	for i := 0; i < 100; i++ {
+		if err := c.Do(ctx, fmt.Sprintf("NOSUCH%d", i)).Err(); err == nil {
+			t.Fatalf("NOSUCH%d: no error reply", i)
+		}
+	}
+	if added := lines() - before; added > 9 {
+		t.Fatalf("100 unknown command names added %d metric lines, want at most 9", added)
+	}
+	if n := srv.Telemetry().Snapshot().Counters["kv.cmd.unknown.count"]; n != 100 {
+		t.Fatalf("kv.cmd.unknown.count = %d, want 100", n)
 	}
 }
 

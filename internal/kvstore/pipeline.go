@@ -29,10 +29,10 @@ const pipelineWindow = 128
 type Pipeline struct {
 	c *Client
 	// pick, when set (see NewRoutedPipeline), resolves which client the
-	// batch goes to from the queued commands' keys at Exec time.
-	pick func(keys [][]byte) (*Client, error)
+	// batch goes to at Exec time.
+	pick func() *Client
 	// onTransportErr, when set, observes Exec's transport failures (not
-	// per-command server errors) so a routing layer can fail over.
+	// per-command server errors) so a failover client can move on.
 	onTransportErr func(error)
 	// tap, when set (see TapKV.Pipeline), reports Exec as one "PIPELINE"
 	// operation carrying every queued command and reply.
@@ -85,51 +85,15 @@ func (r PipeReply) Array() ([]PipeReply, error) {
 // ErrReply returns a reply that carries err.
 func ErrReply(err error) PipeReply { return PipeReply{err: err} }
 
-// MergeReplies joins the replies of one command sent in parts, as the
-// cluster package splits a multi-key command by shard: part i carried the
-// argument groups at[i] of the whole call (at nil: each part carried all
-// of it). The first error wins; integers sum; arrays reassemble in group
-// order; any other reply is the last part's.
-func MergeReplies(parts []PipeReply, at [][]int) PipeReply {
-	var out PipeReply
-	var arr []value
-	for i, p := range parts {
-		switch {
-		case p.err != nil:
-			return p
-		case p.v.kind == respInteger:
-			out.v = integerValue(out.v.num + p.v.num)
-		case p.v.kind == respArray && at != nil:
-			if len(p.v.arr) != len(at[i]) {
-				return ErrReply(fmt.Errorf("kvstore: %d values for %d keys", len(p.v.arr), len(at[i])))
-			}
-			if arr == nil {
-				for _, groups := range at {
-					arr = append(arr, make([]value, len(groups))...)
-				}
-			}
-			for j, g := range at[i] {
-				arr[g] = p.v.arr[j]
-			}
-			out.v = arrayValue(arr)
-		default:
-			out = p
-		}
-	}
-	return out
-}
-
 // Pipeline returns an empty command pipeline.
 func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
 
 // NewRoutedPipeline returns a pipeline whose target server is resolved at
-// Exec time: pick receives every key and key-prefix argument of the queued
-// commands, as their command table rows name them, and returns the client
-// to use (erroring if the keys don't all live on one server).
-// onTransportErr, if non-nil, is called with any transport error so the
-// router can react (e.g. promote a replica); the error is still returned
-// to the caller, whose retry then lands on the new pick.
-func NewRoutedPipeline(pick func(keys [][]byte) (*Client, error), onTransportErr func(error)) *Pipeline {
+// Exec time: pick returns the client to use. onTransportErr, if non-nil,
+// is called with any transport error so the caller can react (e.g.
+// promote a replica); the error is still returned to the caller, whose
+// retry then lands on the new pick.
+func NewRoutedPipeline(pick func() *Client, onTransportErr func(error)) *Pipeline {
 	return &Pipeline{pick: pick, onTransportErr: onTransportErr}
 }
 
@@ -163,21 +127,7 @@ func (p *Pipeline) Exec(ctx context.Context) error {
 
 func (p *Pipeline) exec(ctx context.Context) error {
 	if p.pick != nil {
-		var keys [][]byte
-		for i, name := range p.names {
-			if c, ok := commandIndex[name]; ok && c.CheckArgs(p.args[i]) == nil {
-				k, prefixes := c.Keys(p.args[i])
-				keys = append(append(keys, k...), prefixes...)
-			}
-		}
-		c, err := p.pick(keys)
-		if err != nil {
-			for _, r := range p.reps {
-				r.err = err
-			}
-			return err
-		}
-		p.c = c
+		p.c = p.pick()
 	}
 	p.c.mPipeDepth.Observe(int64(len(p.names)))
 	return p.c.roundTrip(ctx, p.names, p.args, p.reps, p.onTransportErr)

@@ -193,10 +193,12 @@ func (s *Server) serveReplication(cmd command, conn net.Conn, r *bufio.Reader, w
 		if err != nil {
 			return
 		}
+		// Counted before the write: once the replica has applied a chunk,
+		// kv.repl.bytes_out already includes it.
+		shipped.Add(uint64(len(chunk)))
 		if write(bulkValue(chunk)) != nil {
 			return
 		}
-		shipped.Add(uint64(len(chunk)))
 		offset += int64(len(chunk))
 	}
 }

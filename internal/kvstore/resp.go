@@ -106,7 +106,7 @@
 // (reads, waits and INFO work; INFO reports server.role, the offset and
 // feed counts). PROMOTE — or the feed breaking after a completed sync, or
 // a fatal handshake rejection — flips it standalone and writable. Clients
-// (the cluster router's failover, or any caller) treat that reply as the
+// (the cluster package's failover, or any caller) treat that reply as the
 // cue to retry against the promoted side.
 //
 // # Introspection (INFO)
@@ -114,8 +114,9 @@
 // INFO (no arguments) returns a bulk string of "name value" lines: a few
 // server-level facts (server.uptime_ns, server.keys, server.conns,
 // server.commands) followed by the server's full telemetry snapshot —
-// per-command counters/latency histograms (kv.cmd.<NAME>.count/.ns/.bytes),
-// byte totals (kv.bytes_in/out), live and peak parked waiters
+// per-command counters/latency histograms (kv.cmd.<NAME>.count/.ns/.bytes,
+// every name the server does not answer counted as kv.cmd.unknown), byte
+// totals (kv.bytes_in/out), live and peak parked waiters
 // (kv.waiters/.peak), and open connections (kv.conns) — the same text
 // format the -metrics-addr HTTP endpoint serves at /metrics. Clients send
 // it with Do; cmd/kvserver prints it as its shutdown summary.

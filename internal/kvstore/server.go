@@ -25,10 +25,8 @@ func WithPersistence(path string) ServerOption {
 
 // WithAOFSync makes the server fsync the persistence file after every
 // append: a write is acknowledged only once it is durable on disk. This
-// turns each shard's append-only log into a true commit point — and makes
-// the log, not the CPU, the throughput bound, which is exactly the regime
-// where adding shards buys aggregate write throughput. No-op without
-// WithPersistence.
+// turns the append-only log into a true commit point, and makes the log,
+// not the CPU, the throughput bound. No-op without WithPersistence.
 func WithAOFSync() ServerOption {
 	return func(s *Server) { s.aofSync = true }
 }
@@ -93,11 +91,12 @@ type Server struct {
 	commands atomic.Uint64
 
 	// reg collects the server's metrics (metric names in the package
-	// doc); cmdMetrics caches per-command metric handles so the hot path
-	// pays one sync.Map load instead of three registry lookups plus a
-	// name concatenation per command.
+	// doc); cmdMetrics holds per-command metric handles, resolved once in
+	// NewServer and read-only after, so the hot path pays one map read
+	// instead of three registry lookups plus a name concatenation per
+	// command.
 	reg        *telemetry.Registry
-	cmdMetrics sync.Map // command name -> *cmdMetrics
+	cmdMetrics map[string]*cmdMetrics
 	started    time.Time
 
 	// Server-wide metric handles, resolved once in NewServer so the hot
@@ -117,23 +116,35 @@ type cmdMetrics struct {
 	bytes *telemetry.Counter
 }
 
-func (s *Server) metricsFor(name string) *cmdMetrics {
-	if m, ok := s.cmdMetrics.Load(name); ok {
-		return m.(*cmdMetrics)
+// unknownCommand is the metrics name every command outside the command
+// table and the tagged waits counts under, so the names a client sends
+// cannot grow the registry.
+const unknownCommand = "unknown"
+
+// registerCmdMetrics resolves the handles of every command the server
+// answers, the tagged waits and unknownCommand.
+func (s *Server) registerCmdMetrics() {
+	names := []string{"TWAITGET", "TWAITPREFIX", unknownCommand}
+	for _, c := range commandTable {
+		names = append(names, c.Name)
 	}
-	m := &cmdMetrics{
-		count: s.reg.Counter("kv.cmd." + name + ".count"),
-		ns:    s.reg.Histogram("kv.cmd." + name + ".ns"),
-		bytes: s.reg.Counter("kv.cmd." + name + ".bytes"),
+	s.cmdMetrics = make(map[string]*cmdMetrics, len(names))
+	for _, name := range names {
+		s.cmdMetrics[name] = &cmdMetrics{
+			count: s.reg.Counter("kv.cmd." + name + ".count"),
+			ns:    s.reg.Histogram("kv.cmd." + name + ".ns"),
+			bytes: s.reg.Counter("kv.cmd." + name + ".bytes"),
+		}
 	}
-	actual, _ := s.cmdMetrics.LoadOrStore(name, m)
-	return actual.(*cmdMetrics)
 }
 
 // observe records one served command: count, latency, and bytes (request
 // payload plus encoded reply size).
 func (s *Server) observe(cmd command, start time.Time, reply value) {
-	m := s.metricsFor(cmd.name)
+	m, ok := s.cmdMetrics[cmd.name]
+	if !ok {
+		m = s.cmdMetrics[unknownCommand]
+	}
 	m.count.Inc()
 	m.ns.Since(start)
 	n := len(cmd.name)
@@ -166,6 +177,7 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 	s.bytesOut = s.reg.Counter("kv.bytes_out")
 	s.connGauge = s.reg.Gauge("kv.conns")
 	s.waiters = s.reg.Gauge("kv.waiters")
+	s.registerCmdMetrics()
 	if s.aofPath != "" {
 		if err := s.loadAOF(); err != nil {
 			return nil, err

@@ -10,10 +10,10 @@ import (
 // internal/wiretap): a TapKV wraps any KV and reports every operation —
 // name, arguments, normalized reply, error, and whether the call blocks
 // server-side — to a TapFunc. The tap sits at the KV interface, above
-// pooling, pipelining windows, the wait multiplexer and sharded routing,
-// so one recorded operation means one logical client call regardless of
-// how the transport carried it, and a trace recorded against a sharded
-// tier replays unchanged against a single server.
+// pooling, pipelining windows, the wait multiplexer and failover, so one
+// recorded operation means one logical client call regardless of how the
+// transport carried it, and a trace recorded against a replica set
+// replays unchanged against a single server.
 
 // TapDone completes one tapped operation with its normalized reply (see
 // the reply grammar on normalizeValue) and error. The tap may block: the

@@ -45,14 +45,12 @@ import (
 type KVBroker struct {
 	addr string
 	// client is the command path: a single-server *kvstore.Client, or a
-	// cluster.ShardedClient when addr is a cluster spec (shards separated
-	// by commas, replicas within a shard by pipes — see the cluster
-	// package doc). Every key the broker derives from one topic shares the
-	// topic's "ps:T" placement prefix, so sharding is invisible up here:
-	// appends, waits, acks, and truncation sweeps all stay shard-local.
-	// Blocking waits park on the client's wait multiplexer, a connection
-	// outside the command pool, so parked subscriptions can never starve
-	// the Publish whose write is supposed to wake them.
+	// cluster.FailoverClient when addr is a replica-set spec (replicas
+	// separated by pipes — see the cluster package doc), which fails over
+	// invisibly to everything up here. Blocking waits park on the
+	// client's wait multiplexer, a connection outside the command pool, so
+	// parked subscriptions can never starve the Publish whose write is
+	// supposed to wake them.
 	client kvstore.KV
 	// wrap, when set, interposes on the client at construction (see
 	// WithKVWrap) — the record/replay tap's entry point into the broker.
@@ -170,22 +168,22 @@ func NewKV(addr string, opts ...KVOption) *KVBroker {
 // WithKVWrap interposes wrap on the broker's kvstore client at
 // construction, so a wire tap (kvstore.NewTap over a wiretap recorder) can
 // record every command the broker issues without a TCP proxy. The wrapper
-// sees the KV interface above pooling, pipelining and sharded routing;
+// sees the KV interface above pooling, pipelining and failover;
 // taps compose with the broker's own wrappers the way CountingBroker and
 // JitterBroker compose with AsKV.
 func WithKVWrap(wrap func(kvstore.KV) kvstore.KV) KVOption {
 	return func(b *KVBroker) { b.wrap = wrap }
 }
 
-// newKVClient builds the broker's client for addr: a sharded client when
-// addr is a cluster spec, a plain one otherwise. A malformed spec
-// degrades to a plain client on the raw string, whose first dial fails
-// with the offending spec in the error — NewKV has no error return to
-// surface it earlier.
+// newKVClient builds the broker's client for addr: a failover client when
+// addr is a replica-set spec, a plain one otherwise. A malformed spec
+// (or one naming several shards) degrades to a plain client on the raw
+// string, whose first dial fails with the offending spec in the error —
+// NewKV has no error return to surface it earlier.
 func newKVClient(addr string, opts ...kvstore.ClientOption) kvstore.KV {
 	if cluster.IsSpec(addr) {
-		if sc, err := cluster.New(addr, opts...); err == nil {
-			return sc
+		if fc, err := cluster.New(addr, opts...); err == nil {
+			return fc
 		}
 	}
 	return kvstore.NewClient(addr, opts...)

@@ -10,11 +10,10 @@ package pstream
 //	ps:m.T:G:r          roster: member names joined by "\n" ("-" when empty)
 //	ps:m.T:G:h:<member> heartbeat: the member's deadline (UnixNano, decimal)
 //
-// The "ps:m.T" placement prefix keeps a group's roster, heartbeats, and
-// WaitPrefix watches on one shard under the cluster client. The roster key
-// is never deleted — an empty roster holds the "-" tombstone — because the
-// kv CAS treats an empty expected value as "key must not exist": deleting
-// the key on last-leave would race a concurrent join's create-CAS.
+// The roster key is never deleted — an empty roster holds the "-"
+// tombstone — because the kv CAS treats an empty expected value as "key
+// must not exist": deleting the key on last-leave would race a concurrent
+// join's create-CAS.
 //
 // Consumers of the layer: group subscriptions under WithKVHeartbeat treat
 // an expired heartbeat as early lease reclamation (a crashed member's

@@ -19,8 +19,7 @@
 // implementations ship behind one conformance battery (brokertest):
 // MemBroker (in-process, for tests and benches) and KVBroker (append-to-log
 // over the kvstore RESP server, with push delivery through the server's
-// tagged waits — the one remote broker, shardable and replicated for
-// cross-site use).
+// tagged waits — the one remote broker, replicated for cross-site use).
 package pstream
 
 import (

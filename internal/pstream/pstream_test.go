@@ -105,68 +105,19 @@ func waitReplicaAttached(t *testing.T, prim *kvstore.Server) {
 	}
 }
 
-// TestKVBrokerShardedConformance runs the full battery against a broker
-// whose kvstore tier is two shards, each a replicated primary/replica
-// pair — the production shape. Every topic's keys stay shard-local, so
-// the whole conformance surface (groups, leases, truncation, push
-// delivery) must behave exactly as on one box; the failover battery
-// kills both primaries at once and the stream finishes on the promoted
-// replicas.
-func TestKVBrokerShardedConformance(t *testing.T) {
-	dir := t.TempDir()
-	var shards []string
-	var srvs []*kvstore.Server
-	for i := 0; i < 2; i++ {
-		srv, err := kvstore.NewServer("127.0.0.1:0",
-			kvstore.WithPersistence(filepath.Join(dir, fmt.Sprintf("shard%d.aof", i))))
-		if err != nil {
-			t.Fatalf("kvstore shard %d: %v", i, err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		srvs = append(srvs, srv)
-		shards = append(shards, srv.Addr())
+// TestKVBrokerMultiShardSpecFailsOnFirstUse: the kv tier is one replica
+// set, so a spec naming several shards is refused, and the broker's first
+// command fails with the spec in its error.
+func TestKVBrokerMultiShardSpecFailsOnFirstUse(t *testing.T) {
+	spec := "127.0.0.1:1,127.0.0.1:2"
+	b := pstream.NewKV(spec)
+	defer b.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := b.Publish(ctx, "t", pstream.Event{Producer: "p", Seq: 1})
+	if err == nil || !strings.Contains(err.Error(), spec) {
+		t.Fatalf("Publish over %q = %v, want an error naming the spec", spec, err)
 	}
-	spec := shards[0] + "," + shards[1]
-	brokertest.Run(t, func(t *testing.T) pstream.Broker {
-		return pstream.NewKV(spec, pstream.WithKVLease(conformanceLease))
-	}, brokertest.Options{
-		ClaimLease: conformanceLease,
-		Commands:   func() uint64 { return srvs[0].Commands() + srvs[1].Commands() },
-		NewFailoverEnv: func(t *testing.T) (pstream.Broker, func() error) {
-			dir := t.TempDir()
-			var specs []string
-			var prims []*kvstore.Server
-			for i := 0; i < 2; i++ {
-				prim, err := kvstore.NewServer("127.0.0.1:0",
-					kvstore.WithPersistence(filepath.Join(dir, fmt.Sprintf("p%d.aof", i))))
-				if err != nil {
-					t.Fatalf("kvstore primary %d: %v", i, err)
-				}
-				t.Cleanup(func() { prim.Close() })
-				repl, err := kvstore.NewServer("127.0.0.1:0",
-					kvstore.WithPersistence(filepath.Join(dir, fmt.Sprintf("r%d.aof", i))),
-					kvstore.WithReplicaOf(prim.Addr()))
-				if err != nil {
-					t.Fatalf("kvstore replica %d: %v", i, err)
-				}
-				t.Cleanup(func() { repl.Close() })
-				waitReplicaAttached(t, prim)
-				prims = append(prims, prim)
-				specs = append(specs, prim.Addr()+"|"+repl.Addr())
-			}
-			b := pstream.NewKV(specs[0]+","+specs[1], pstream.WithKVLease(conformanceLease))
-			kill := func() error {
-				var firstErr error
-				for _, prim := range prims {
-					if err := prim.Close(); err != nil && firstErr == nil {
-						firstErr = err
-					}
-				}
-				return firstErr
-			}
-			return b, kill
-		},
-	})
 }
 
 // TestKVBrokerIdleGroupHoldsOneWaitConnection is the connection-scaling

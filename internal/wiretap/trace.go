@@ -159,8 +159,7 @@ func collectKeys(set map[string]struct{}, name string, args, reply [][]byte) {
 	if !ok || cmd.CheckArgs(args) != nil {
 		return
 	}
-	keys, _ := cmd.Keys(args)
-	for _, k := range keys {
+	for _, k := range cmd.Keys(args) {
 		set[string(k)] = struct{}{}
 	}
 	switch name {
