@@ -14,11 +14,11 @@
 // StreamServer rebuilds the same loop on a pstream task stream — the one
 // faas's stream executor runs on, described in internal/pstream/README.md
 // ("Task streams"): Submit publishes a task event, a pool of workers
-// claims events as a consumer group, and results flow back on a shared
-// result topic feeding the Results channel. Bulk inputs and outputs ride
-// the store data plane while the broker moves only O(100 B) per task, so
-// the steering loop runs unchanged across processes or sites wherever a
-// Broker reaches.
+// claims events as a consumer group, and each result is set in a future
+// of its own — one key per task — whose waiter feeds the Results channel.
+// Bulk inputs and outputs ride the store data plane while the broker moves
+// only O(100 B) per task, so the steering loop runs unchanged across
+// processes or sites wherever a Broker reaches.
 package colmena
 
 import (

@@ -9,6 +9,7 @@ package colmena
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -20,13 +21,12 @@ import (
 )
 
 // Wire names of a server's task stream, in the roles of
-// pstream.TaskPlane's Group, Clients, AttrID, AttrReply and AttrClient.
+// pstream.TaskPlane's Group, Clients, AttrID and AttrReply.
 const (
-	streamGroup        = "workers"
-	thinkerGroup       = "thinkers"
-	attrStreamID       = "colmena.id"
-	attrStreamReply    = "colmena.rt"
-	attrStreamInstance = "colmena.in"
+	streamGroup     = "workers"
+	thinkerGroup    = "thinkers"
+	attrStreamID    = "colmena.id"
+	attrStreamReply = "colmena.rt"
 )
 
 // streamTask is the bulk payload of one submission.
@@ -36,10 +36,6 @@ type streamTask struct {
 	// Input is the gob-encoded input value (see encodeAny); empty for a
 	// nil input.
 	Input []byte
-	// ResultTopic is the server's shared result topic; Instance is the
-	// submitting instance's ID, its results' colmena.rt routing tag.
-	ResultTopic string
-	Instance    string
 }
 
 // streamResult is the bulk payload of one completed task.
@@ -85,20 +81,13 @@ func embeddedProxy(r streamResult) *proxy.Proxy[[]byte] {
 	return p
 }
 
-// pendingTask is the Thinker-side state kept per in-flight submission, so
-// tags and timestamps never cross the wire.
-type pendingTask struct {
-	method    string
-	tag       any
-	submitted time.Time
-}
-
 // StreamServer is the Colmena Task Server rebuilt on pstream: Submit is a
 // producer on the server's task topic, the worker pool is a consumer
-// group on that topic, and the Results channel is fed by a consumer on
-// the server's result topic. Method registration and store policies work
-// exactly as on Server; with ProxyResults the Result.Value delivered to
-// the Thinker is a lazy proxy, resolved (if ever) via ResolveResult.
+// group on that topic, and the Results channel is fed by one waiter per
+// submission on the task's result future. Method registration and store
+// policies work exactly as on Server; with ProxyResults the Result.Value
+// delivered to the Thinker is a lazy proxy, resolved (if ever) via
+// ResolveResult.
 //
 // A StreamServer is safe for concurrent use.
 type StreamServer struct {
@@ -107,15 +96,18 @@ type StreamServer struct {
 	c       *pstream.TaskClient[streamTask, streamResult]
 	w       *pstream.TaskWorkers[streamTask, streamResult]
 
-	pmu     sync.Mutex
-	pending map[string]pendingTask
+	// life ends the waiters; waiters counts them. wmu orders each count
+	// before the stop, so Close never waits while one can still be added.
+	life    context.Context
+	stop    context.CancelFunc
+	wmu     sync.Mutex
+	waiters sync.WaitGroup
 }
 
 // taskTopic names the shared task stream for a server name; resultTopic
-// names its shared result stream. Every instance of the name reads the
-// result topic as an independent fan-out consumer and keeps only results
-// tagged with its own instance ID — one topic per server name, not one
-// per instance, so an instance churn leaves no private topics behind.
+// names its results: every instance of the name keeps its result futures
+// under it, one key per task, so an instance churn leaves no private
+// topics behind.
 func taskTopic(name string) string   { return "colmena.t." + name }
 func resultTopic(name string) string { return "colmena.r." + name }
 
@@ -123,8 +115,8 @@ func resultTopic(name string) string { return "colmena.r." + name }
 // worker-pool size. st stores task and result payloads (its serializer
 // must handle gob — the default does); b carries the O(100 B) events.
 // When b unwraps to a KVBroker with heartbeats enabled, the instance
-// joins the result topic's "thinkers" membership group and sweeps the
-// topic for results addressed to dead instances.
+// joins the server name's "thinkers" membership group and sweeps the
+// result futures of instances that are gone.
 func NewStreamServer(st *store.Store, b pstream.Broker, name string, workers, resultDepth int) (*StreamServer, error) {
 	if workers < 1 {
 		workers = 4
@@ -135,37 +127,36 @@ func NewStreamServer(st *store.Store, b pstream.Broker, name string, workers, re
 	s := &StreamServer{
 		registry: newRegistry(),
 		results:  make(chan Result, resultDepth),
-		pending:  make(map[string]pendingTask),
 	}
 	plane := pstream.TaskPlane{
 		Tasks: taskTopic(name), Results: resultTopic(name),
 		Group: streamGroup, Clients: thinkerGroup,
-		AttrID: attrStreamID, AttrReply: attrStreamReply, AttrClient: attrStreamInstance,
+		AttrID: attrStreamID, AttrReply: attrStreamReply,
 	}
-	hooks := pstream.TaskHooks[streamTask, streamResult]{
-		Execute: s.execute,
-		Failed:  func(id string, err error) streamResult { return streamResult{ID: id, Err: err.Error()} },
-		Deliver: s.deliver,
-		// A result nobody will consume — a duplicate, one swept after its
-		// instance died, one whose publish failed — may embed a
-		// ProxyResults proxy whose policy-store payload has no other
-		// pointer to it.
-		Orphan: func(ctx context.Context, r streamResult) { pstream.EvictPayload(ctx, embeddedProxy(r)) },
-	}
-	c, err := pstream.NewTaskClient(st, b, plane, hooks)
+	c, err := pstream.NewTaskClient[streamTask, streamResult](st, b, plane)
 	if err != nil {
 		return nil, err
 	}
 	s.c = c
-	s.w = pstream.StartTaskWorkers(st, b, plane, hooks, name, workers)
+	s.life, s.stop = context.WithCancel(context.Background())
+	s.w = pstream.StartTaskWorkers(st, b, plane, pstream.TaskHooks[streamTask, streamResult]{
+		Execute: s.execute,
+		Failed:  func(id string, err error) streamResult { return streamResult{ID: id, Err: err.Error()} },
+		// A result nobody will consume — a duplicate, one swept after its
+		// instance died, one that was never set — may embed a
+		// ProxyResults proxy whose policy-store payload has no other
+		// pointer to it.
+		Orphan: func(ctx context.Context, r streamResult) { pstream.EvictPayload(ctx, embeddedProxy(r)) },
+	}, name, workers)
 	return s, nil
 }
 
-// SweepResults runs one orphan sweep over the server's shared result
-// topic (pstream.TaskWorkers.SweepResults): results addressed to a dead
-// instance have their payloads — including any embedded ProxyResults
-// proxy target — evicted from the store. Returns the number of log slots
-// reclaimed. No-op on brokers without heartbeats.
+// SweepResults runs one orphan sweep over the server's result futures
+// (pstream.TaskWorkers.SweepResults): results owed to an instance that is
+// gone have their payloads — including any embedded ProxyResults proxy
+// target — evicted from the store, and their futures deleted. Returns the
+// futures reclaimed since the last call, by it or the instance's janitor.
+// No-op on brokers without heartbeats.
 func (s *StreamServer) SweepResults(ctx context.Context) (int, error) {
 	return s.w.SweepResults(ctx)
 }
@@ -203,33 +194,49 @@ func (s *StreamServer) Submit(ctx context.Context, method string, input any, tag
 		pstream.EvictPayload(ctx, proxied)
 		return err
 	}
-	id, err := s.c.Submit(ctx, func(id string, attrs map[string]string) streamTask {
-		s.pmu.Lock()
-		s.pending[id] = pendingTask{method: method, tag: tag, submitted: time.Now()}
-		s.pmu.Unlock()
-		// The routing attrs already name the result topic and this instance.
-		return streamTask{ID: id, Method: method, Input: inputGob,
-			ResultTopic: attrs[attrStreamReply], Instance: attrs[attrStreamInstance]}
+	s.wmu.Lock()
+	if s.life.Err() != nil {
+		s.wmu.Unlock()
+		pstream.EvictPayload(ctx, proxied)
+		return pstream.ErrTaskClientClosed
+	}
+	s.waiters.Add(1)
+	s.wmu.Unlock()
+	submitted := time.Now()
+	id, err := s.c.Submit(ctx, func(id string, _ map[string]string) streamTask {
+		return streamTask{ID: id, Method: method, Input: inputGob}
 	})
 	if err != nil {
-		s.takePending(id)
+		s.waiters.Done()
 		pstream.EvictPayload(ctx, proxied)
+		return err
 	}
-	return err
+	go s.await(id, Result{Method: method, SubmittedAt: submitted, Tag: tag})
+	return nil
 }
 
-// takePending removes and returns id's pending entry, freeing its
-// in-flight slot exactly once per submission (the entry is in the map
-// exactly once).
-func (s *StreamServer) takePending(id string) (pendingTask, bool) {
-	s.pmu.Lock()
-	p, ok := s.pending[id]
-	delete(s.pending, id)
-	s.pmu.Unlock()
-	if ok {
-		s.c.Release()
+// await is a submission's waiter: it resolves the task's result future
+// and emits the result on Results. Tags and timestamps never cross the
+// wire: they ride in result from Submit.
+func (s *StreamServer) await(id string, result Result) {
+	defer s.waiters.Done()
+	r, err := s.c.Await(s.life, id)
+	if err != nil && (s.life.Err() != nil || errors.Is(err, pstream.ErrTaskClientClosed)) {
+		return // the server closed first: the submission never completes
 	}
-	return p, ok
+	result.CompletedAt = time.Now()
+	if err != nil {
+		result.Err = fmt.Errorf("colmena: resolving result: %w", err)
+	} else if r.Err != "" {
+		result.Err = fmt.Errorf("colmena: %s", r.Err)
+	} else {
+		result.Value, result.Err = decodeAny(r.Value)
+	}
+	select {
+	case s.results <- result:
+	case <-s.life.Done():
+		pstream.EvictPayload(s.life, embeddedProxy(r))
+	}
 }
 
 // execute runs one resolved task on a worker. Method and encoding errors
@@ -259,7 +266,7 @@ func (s *StreamServer) execute(ctx context.Context, tk streamTask) (streamResult
 		res.Err = err.Error()
 		return res, nil
 	}
-	var minted *proxy.Proxy[[]byte] // ours until the result ships
+	var minted *proxy.Proxy[[]byte] // ours until the result is set
 	if hasPolicy && policy.ProxyResults && policy.Store != nil {
 		if data, isBytes := out.([]byte); isBytes && len(data) >= policy.Threshold {
 			if minted, err = store.NewProxy(ctx, policy.Store, data); err != nil {
@@ -277,57 +284,33 @@ func (s *StreamServer) execute(ctx context.Context, tk streamTask) (streamResult
 	return res, nil
 }
 
-// deliver correlates a result addressed to this instance with its pending
-// submission and emits it on Results, reclaiming the result payload (the
-// shared topic carries no evict-on-ack, so the addressee evicts). It
-// reports false for a duplicate or stray, which the core reclaims.
-func (s *StreamServer) deliver(ctx context.Context, it *pstream.Item[streamResult]) bool {
-	p, ok := s.takePending(it.Event.Attr(attrStreamID))
-	if !ok {
-		return false
-	}
-	r, resolveErr := it.Value(ctx)
-	v, decErr := decodeAny(r.Value)
-	pstream.EvictPayload(ctx, it.Proxy)
-	result := Result{
-		Method:      p.method,
-		Value:       v,
-		SubmittedAt: p.submitted,
-		CompletedAt: time.Now(),
-		Tag:         p.tag,
-	}
-	switch {
-	case resolveErr != nil:
-		result.Value = nil
-		result.Err = fmt.Errorf("colmena: resolving result: %w", resolveErr)
-	case r.Err != "":
-		result.Err = fmt.Errorf("colmena: %s", r.Err)
-	case decErr != nil:
-		result.Err = decErr
-	}
-	select {
-	case s.results <- result:
-	case <-ctx.Done():
-	}
-	return true
-}
-
-// Close stops the workers and the results loop. Tasks already claimed but
+// Close stops the workers and the waiters. Tasks already claimed but
 // unsettled expire with their leases; submissions still pending never
 // complete (their producers should drain Results before Close). On a
-// KVBroker, Close also removes the instance's keys from the server
-// (pstream.TaskClient.Close), so a clean instance churn leaves none.
+// KVBroker with heartbeats, Close also leaves the thinkers group
+// (pstream.TaskClient.Close), so a surviving instance's sweep reclaims
+// results that land later, and a clean instance churn leaves no keys.
 func (s *StreamServer) Close() error {
+	s.stopWaiters()
 	s.w.Close()
 	return s.c.Close()
 }
 
-// Kill simulates the instance's process dying: workers, result loop, and
-// heartbeat stop immediately with none of Close's cleanup — the committed
-// offset, membership entries, and unconsumed results stay on the server
-// until heartbeat expiry and a surviving instance's orphan sweep reclaim
-// them. Test and bench hook for churn scenarios.
+// stopWaiters ends the waiters and waits for them to return.
+func (s *StreamServer) stopWaiters() {
+	s.wmu.Lock()
+	s.stop()
+	s.wmu.Unlock()
+	s.waiters.Wait()
+}
+
+// Kill simulates the instance's process dying: workers, waiters and
+// heartbeat stop immediately with none of Close's cleanup — membership
+// entries and unawaited results stay on the server until heartbeat expiry
+// and a surviving instance's orphan sweep reclaim them. Test and bench
+// hook for churn scenarios.
 func (s *StreamServer) Kill() {
+	s.stopWaiters()
 	s.c.Kill()
 	s.w.Close()
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -324,20 +325,31 @@ func TestStreamSubmitFailureReleasesInFlightSlot(t *testing.T) {
 	}
 }
 
+// futureTap shows seen the value of every result future set through it,
+// before the set reaches the server.
+type futureTap struct {
+	kvstore.KV
+	prefix string
+	seen   func(val []byte)
+}
+
+func (f *futureTap) Do(ctx context.Context, name string, args ...[]byte) kvstore.PipeReply {
+	if name == "CAS" && strings.HasPrefix(string(args[0]), f.prefix) {
+		f.seen(args[2])
+	}
+	return f.KV.Do(ctx, name, args...)
+}
+
 func TestStreamServerChurnSweepsKilledInstanceResults(t *testing.T) {
 	// An instance killed with a ProxyResults result still owed to it
-	// leaves that result on the shared result topic with no addressee.
-	// A surviving instance's sweep must evict both the result payload and
-	// the policy-store target of the proxy embedded in it.
+	// leaves that result in a future nobody will await. A surviving
+	// instance's sweep must evict both the result payload and the
+	// policy-store target of the proxy embedded in it.
 	srv, err := kvstore.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	b := pstream.NewKV(srv.Addr(),
-		pstream.WithKVLease(time.Second),
-		pstream.WithKVHeartbeat(200*time.Millisecond))
-	t.Cleanup(func() { b.Close() })
 	id := connector.NewID()[:8]
 	st, err := store.New("colmena-kill-"+id, local.New("colmena-kill-conn-"+id))
 	if err != nil {
@@ -350,10 +362,50 @@ func TestStreamServerChurnSweepsKilledInstanceResults(t *testing.T) {
 	}
 	t.Cleanup(func() { store.Unregister("colmena-kill-p-" + id) })
 
+	// The tap reads each result as it is set, before any sweep can reach
+	// it, and reports the stored payload and the embedded proxy's target.
+	type target struct {
+		st  *store.Store
+		key connector.Key
+	}
+	name := "kill-" + id
+	found := make(chan []target, 1)
+	tap := &futureTap{prefix: "ps:" + resultTopic(name) + ":f:", seen: func(val []byte) {
+		var targets []target
+		defer func() {
+			select {
+			case found <- targets:
+			default: // a re-run's set: the first one is the case under test
+			}
+		}()
+		ev, err := pstream.DecodeEvent(val)
+		if err != nil {
+			return
+		}
+		pxy := new(proxy.Proxy[streamResult])
+		if pxy.UnmarshalBinary(ev.ProxyData) != nil {
+			return
+		}
+		if rst, key, ok, err := store.KeyOf(pxy); err == nil && ok {
+			targets = append(targets, target{rst, key})
+		}
+		if r, err := pxy.Value(context.Background()); err == nil {
+			if p := embeddedProxy(r); p != nil {
+				if pst, key, ok, err := store.KeyOf(p); err == nil && ok {
+					targets = append(targets, target{pst, key})
+				}
+			}
+		}
+	}}
+	b := pstream.NewKV(srv.Addr(),
+		pstream.WithKVLease(time.Second),
+		pstream.WithKVHeartbeat(200*time.Millisecond),
+		pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { tap.KV = inner; return tap }))
+	t.Cleanup(func() { b.Close() })
+
 	// Both instances' workers hold the task until release, so the
 	// submitter is dead before any result exists.
 	release := make(chan struct{})
-	name := "kill-" + id
 	mk := func() *StreamServer {
 		s, err := NewStreamServer(st, b, name, 1, 64)
 		if err != nil {
@@ -371,57 +423,30 @@ func TestStreamServerChurnSweepsKilledInstanceResults(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	// An observer outside the membership group sees the result event
-	// without committing an offset, so it neither consumes nor pins it.
-	obs, err := pstream.NewConsumer[streamResult](ctx, b, resultTopic(name), "observer")
-	if err != nil {
-		t.Fatalf("NewConsumer: %v", err)
-	}
-	t.Cleanup(func() { obs.Close() })
-
 	if err := doomed.Submit(ctx, "produce", nil, nil); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
+	// The client half dies first; the worker pool's Close waits for the
+	// held task, which may be running on either instance.
+	doomed.c.Kill()
 	killed := make(chan struct{})
 	go func() {
 		doomed.Kill()
 		close(killed)
 	}()
-	<-doomed.c.Done() // its result loop is gone; its worker may still run
 	close(release)
 	<-killed
 
-	// Whichever worker ran the task, a result carrying a policy-store
-	// proxy ends up addressed to the dead instance. Every result for it
-	// must be reclaimed.
-	type target struct {
-		st  *store.Store
-		key connector.Key
-	}
+	// Whichever worker ran the task, its result, carrying a policy-store
+	// proxy, is set in the dead instance's future.
 	var targets []target
-	keep := func(st *store.Store, key connector.Key, ok bool, err error) {
-		if err != nil || !ok {
-			t.Fatalf("store.KeyOf: ok=%v err=%v", ok, err)
-		}
-		targets = append(targets, target{st, key})
+	select {
+	case targets = <-found:
+	case <-ctx.Done():
+		t.Fatal("no result was set")
 	}
-	for proxied := false; !proxied; {
-		it, err := obs.Next(ctx)
-		if err != nil {
-			t.Fatalf("observer Next: %v", err)
-		}
-		if it.Event.Attr(attrStreamReply) != doomed.c.ID() {
-			t.Fatalf("result addressed to %q, want the killed instance", it.Event.Attr(attrStreamReply))
-		}
-		keep(store.KeyOf(it.Proxy))
-		r, err := it.Value(ctx)
-		if err != nil {
-			t.Fatalf("resolving result: %v", err)
-		}
-		if p := embeddedProxy(r); p != nil {
-			keep(store.KeyOf(p))
-			proxied = true
-		}
+	if len(targets) != 2 {
+		t.Fatalf("the result set yields %d stored targets, want its payload and the embedded proxy's", len(targets))
 	}
 
 	deadline := time.Now().Add(20 * time.Second)
@@ -450,11 +475,11 @@ func TestStreamServerChurnSweepsKilledInstanceResults(t *testing.T) {
 func TestStreamServerCloseReturnsServerKeysToBaseline(t *testing.T) {
 	// The twin of faas's executor test: generations of instances that
 	// submit, drain their results and Close cleanly must leave no
-	// per-instance keys on the kv server — Close leaves the thinkers
-	// group and forgets the instance's offset, and its workers leave the
-	// worker group. One instance lives at a time: WithKVTruncate(1)
-	// compacts the task topic (one logical reader, the group) and is only
-	// safe on the shared result topic while a single instance reads it.
+	// per-instance keys on the kv server — each result future is deleted
+	// once awaited, Close leaves the thinkers group, and its workers leave
+	// the worker group. Two instances of the name run at once, sharing the
+	// task topic, which WithKVTruncate(1) compacts (one logical reader,
+	// the group).
 	srv, err := kvstore.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
@@ -480,21 +505,31 @@ func TestStreamServerCloseReturnsServerKeysToBaseline(t *testing.T) {
 	// The count is polled briefly: a group member's floor sweep may still
 	// be collecting the last task's claim record just after its ack.
 	generation := func(ceiling int64) int64 {
-		s, err := NewStreamServer(st, b, "leak-"+id, 2, 64)
-		if err != nil {
-			t.Fatalf("NewStreamServer: %v", err)
+		var twins [2]*StreamServer
+		for j := range twins {
+			s, err := NewStreamServer(st, b, "leak-"+id, 2, 64)
+			if err != nil {
+				t.Fatalf("NewStreamServer: %v", err)
+			}
+			s.RegisterMethod("echo", func(_ context.Context, in any) (any, error) { return in, nil })
+			twins[j] = s
 		}
-		s.RegisterMethod("echo", func(_ context.Context, in any) (any, error) { return in, nil })
 		for i := 0; i < 8; i++ {
-			if err := s.Submit(ctx, "echo", i, i); err != nil {
-				t.Fatalf("Submit: %v", err)
+			for _, s := range twins {
+				if err := s.Submit(ctx, "echo", i, i); err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
 			}
-			if res := awaitResult(t, s); res.Err != nil {
-				t.Fatalf("result error: %v", res.Err)
+			for _, s := range twins {
+				if res := awaitResult(t, s); res.Err != nil || res.Tag != i {
+					t.Fatalf("result = %+v, want tag %d", res, i)
+				}
 			}
 		}
-		if err := s.Close(); err != nil {
-			t.Fatalf("Close: %v", err)
+		for _, s := range twins {
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
 		}
 		var n int64
 		deadline := time.Now().Add(5 * time.Second)
@@ -508,9 +543,9 @@ func TestStreamServerCloseReturnsServerKeysToBaseline(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	// The baseline is the topics' counters and floors, the group's floor
-	// and the two groups' emptied rosters: 7 keys, however many tasks or
-	// instances have been through.
+	// The baseline is the task topic's counter and floor, the group's
+	// floor and the two groups' emptied rosters: 5 keys, however many
+	// tasks or instances have been through.
 	first := generation(8)
 	second := generation(first)
 	if second > first {

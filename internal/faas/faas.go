@@ -18,9 +18,10 @@
 // events claimed by endpoint worker pools as a consumer group
 // (claims/leases give exactly-one-live-member dispatch and crash
 // reclamation), bulk arguments and results ride the store data plane, and
-// results flow back on a per-client result topic as self-contained proxy
-// events. Both executors return *Future, so callers are written once; see
-// README.md for the wire format and delivery guarantees.
+// each result comes back as a self-contained proxy event in a future of
+// its own, one key per task, that the submitter waits on. Both executors
+// return *Future, so callers are written once; see README.md for the wire
+// format and delivery guarantees.
 package faas
 
 import (
@@ -258,7 +259,7 @@ func NewExecutor(cloud *Cloud, endpoint, clientSite string) *Executor {
 
 // Future is a pending task result. It is the adapter both executors hand
 // out: the classic executor resolves it from the cloud's result channel,
-// the stream executor from the client's result topic. Either way the
+// the stream executor from the task's result future. Either way the
 // result payload moves toward the client only on first retrieval.
 type Future struct {
 	wait func(ctx context.Context) (any, error)

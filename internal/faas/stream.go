@@ -11,7 +11,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"proxystore/internal/pstream"
@@ -22,31 +21,30 @@ import (
 // worker pool claims task submissions.
 func TaskTopic(endpoint string) string { return "faas.t." + endpoint }
 
-// ResultTopic returns the topic all of the named endpoint's executors read
-// their results from, each keeping those its faas.rt attr addresses to it.
+// ResultTopic returns the name of the named endpoint's results: each task
+// result is a future, the key ps:<ResultTopic>:f:<executor>:<task>, and
+// executors join the endpoint's client group under this name.
 func ResultTopic(endpoint string) string { return "faas.r." + endpoint }
 
 // TaskGroup is the consumer group endpoint workers claim tasks as, and
-// ClientGroup the membership group executors join on the result topic
-// (pstream.TaskPlane's Group and Clients).
+// ClientGroup the membership group executors join (pstream.TaskPlane's
+// Group and Clients).
 const (
 	TaskGroup   = "workers"
 	ClientGroup = "clients"
 )
 
-// Event attributes carried on task and result events. They duplicate
-// fields of the stored payload so that workers, executors and observers
-// can route without resolving the bulk payload.
+// Event attributes carried on task events. They duplicate fields of the
+// stored payload so that workers and observers can route without
+// resolving the bulk payload.
 const (
-	// AttrTaskID is the task's ID, on both task and result events.
+	// AttrTaskID is the task's ID, on task events and in results.
 	AttrTaskID = "faas.id"
 	// AttrTaskFunction is the registered function name, on task events.
 	AttrTaskFunction = "faas.fn"
-	// AttrResultTopic is the routing tag: on task events it names the
-	// result topic, on result events it carries the addressee's client ID.
+	// AttrResultTopic is the key of the task's result future, which the
+	// executing worker sets.
 	AttrResultTopic = "faas.rt"
-	// AttrTaskClient is the submitting client's ID, on task events.
-	AttrTaskClient = "faas.cl"
 )
 
 // TaskRequest is the bulk payload of one submission, stored through the
@@ -59,16 +57,16 @@ type TaskRequest struct {
 	// Args is the gob-encoded argument list — the same codec as the
 	// classic executor, so proxies travel inside it unchanged.
 	Args []byte
-	// ResultTopic is where the executing worker publishes the TaskResult
-	// (the endpoint's shared result topic).
+	// ResultTopic is the key of the future the executing worker sets the
+	// TaskResult in (the task event's faas.rt).
 	ResultTopic string
-	// Client is the submitting executor's ID — the result event's faas.rt
-	// routing tag, so only the submitter keeps the result.
+	// Client is the submitting executor's ID, the one the future key
+	// names.
 	Client string
 }
 
-// TaskResult is the bulk payload of one completed task, published on the
-// submitting client's result topic.
+// TaskResult is the bulk payload of one completed task, set in the
+// submitting executor's result future.
 type TaskResult struct {
 	// ID echoes the TaskRequest ID.
 	ID string
@@ -88,17 +86,17 @@ func plane(endpoint string) pstream.TaskPlane {
 	return pstream.TaskPlane{
 		Tasks: TaskTopic(endpoint), Results: ResultTopic(endpoint),
 		Group: TaskGroup, Clients: ClientGroup,
-		AttrID: AttrTaskID, AttrReply: AttrResultTopic, AttrClient: AttrTaskClient,
+		AttrID: AttrTaskID, AttrReply: AttrResultTopic,
 	}
 }
 
-// ErrExecutorClosed is returned by Submit after Close, and by pending
-// futures whose executor shuts down before their result arrives.
+// ErrExecutorClosed is returned by Submit after Close, and by futures
+// whose result was not yet set when their executor closed.
 var ErrExecutorClosed = errors.New("faas: stream executor closed")
 
 // StreamExecutor submits tasks as pstream events instead of routing them
-// through a Cloud: it is a pstream.TaskClient whose results complete
-// futures. Each Submit stores a TaskRequest through the store (bulk
+// through a Cloud: it is a pstream.TaskClient whose result futures back
+// faas futures. Each Submit stores a TaskRequest through the store (bulk
 // plane) and publishes a compact event on the endpoint's task topic
 // (metadata plane). There is no payload limit: arguments of any size ride
 // the store.
@@ -106,188 +104,81 @@ var ErrExecutorClosed = errors.New("faas: stream executor closed")
 // A StreamExecutor is safe for concurrent use.
 type StreamExecutor struct {
 	c *pstream.TaskClient[TaskRequest, TaskResult]
-
-	mu      sync.Mutex
-	pending map[string]*pendingResult
-}
-
-// pendingResult tracks one in-flight submission from Submit until its
-// future consumes the result (or Close reclaims it). delivered flips when
-// the result loop hands the item to ch, so later results with the same ID
-// are recognized as duplicates.
-type pendingResult struct {
-	ch        chan *pstream.Item[TaskResult]
-	delivered bool
 }
 
 // NewStreamExecutor returns an executor submitting to the named endpoint's
 // task topic, storing payloads in st and events through b. The store must
 // use a serializer that can encode TaskRequest/TaskResult (the default gob
 // serializer does). On a KVBroker with heartbeats (pstream.WithKVHeartbeat)
-// the executor joins the result topic's "clients" membership group, so the
+// the executor joins the endpoint's "clients" membership group, so the
 // endpoint's orphan sweep can tell a slow client from a dead one.
 func NewStreamExecutor(st *store.Store, b pstream.Broker, endpoint string) (*StreamExecutor, error) {
-	e := &StreamExecutor{pending: make(map[string]*pendingResult)}
-	c, err := pstream.NewTaskClient(st, b, plane(endpoint), pstream.TaskHooks[TaskRequest, TaskResult]{Deliver: e.deliver})
+	c, err := pstream.NewTaskClient[TaskRequest, TaskResult](st, b, plane(endpoint))
 	if err != nil {
 		return nil, err
 	}
-	e.c = c
-	return e, nil
-}
-
-// ID returns the executor's client identity (its results' faas.rt tag).
-func (e *StreamExecutor) ID() string { return e.c.ID() }
-
-// deliver hands a result to its future without resolving it: bulk result
-// bytes move only when (and if) Result asks for them.
-func (e *StreamExecutor) deliver(_ context.Context, it *pstream.Item[TaskResult]) bool {
-	id := it.Event.Attr(AttrTaskID)
-	e.mu.Lock()
-	p := e.pending[id]
-	if p == nil || p.delivered {
-		e.mu.Unlock()
-		return false
-	}
-	p.delivered = true
-	e.mu.Unlock()
-	p.ch <- it // buffered; exactly one delivery per ID
-	return true
-}
-
-// removePending drops id's pending entry and frees its in-flight slot.
-// The slot is released exactly once per submission because the entry is
-// in the map exactly once; entries bulk-cleared by Close release nothing
-// (the executor is closed, so no Submit is waiting).
-func (e *StreamExecutor) removePending(id string) {
-	e.mu.Lock()
-	_, ok := e.pending[id]
-	delete(e.pending, id)
-	e.mu.Unlock()
-	if ok {
-		e.c.Release()
-	}
+	return &StreamExecutor{c: c}, nil
 }
 
 // Submit publishes the task to the endpoint's topic. Unlike the classic
 // executor there is no service payload limit: serialized arguments of any
 // size ride the data plane, and the broker carries O(100 B). Submit
 // blocks while the executor's in-flight window (pstream.TaskWindow) is
-// full, and fails with ErrExecutorClosed once the executor closes.
+// full, and fails with ErrExecutorClosed once the executor closes. The
+// future's Result waits on the task's result future; bulk result bytes
+// move only then.
 func (e *StreamExecutor) Submit(ctx context.Context, function string, args ...any) (*Future, error) {
 	payload, err := encodeArgs(args)
 	if err != nil {
 		return nil, err
 	}
-	pr := &pendingResult{ch: make(chan *pstream.Item[TaskResult], 1)}
 	id, err := e.c.Submit(ctx, func(id string, attrs map[string]string) TaskRequest {
-		e.mu.Lock()
-		e.pending[id] = pr
-		e.mu.Unlock()
 		attrs[AttrTaskFunction] = function
-		// The routing attrs already name the result topic and this client.
 		return TaskRequest{ID: id, Function: function, Args: payload,
-			ResultTopic: attrs[AttrResultTopic], Client: attrs[AttrTaskClient]}
+			ResultTopic: attrs[AttrResultTopic], Client: e.c.ID()}
 	})
+	if errors.Is(err, pstream.ErrTaskClientClosed) {
+		return nil, ErrExecutorClosed
+	}
 	if err != nil {
-		e.removePending(id)
-		if errors.Is(err, pstream.ErrTaskClientClosed) {
-			err = ErrExecutorClosed
-		}
 		return nil, err
 	}
-	// resolve runs on the CALLER's goroutine, so it must never touch the
-	// result loop's subscription (Subscriptions are single-goroutine) — the
-	// loop already acked the event, so all that is left here is the
-	// payload, which the addressee owns.
-	resolve := func(ctx context.Context, it *pstream.Item[TaskResult]) (any, error) {
-		res, err := it.Value(ctx)
-		e.removePending(id)
-		// Reclaim the payload either way: on success it has been copied
-		// out; on failure Result caches the error, so the value is
-		// unreachable regardless.
-		pstream.EvictPayload(ctx, it.Proxy)
-		if err != nil {
-			return nil, fmt.Errorf("faas: resolving result for task %s: %w", id, err)
-		}
-		if res.Err != "" {
+	return &Future{wait: func(ctx context.Context) (any, error) {
+		res, err := e.c.Await(ctx, id)
+		switch {
+		case errors.Is(err, pstream.ErrTaskClientClosed):
+			return nil, ErrExecutorClosed
+		case err != nil:
+			return nil, fmt.Errorf("faas: result for task %s: %w", id, err)
+		case res.Err != "":
 			return nil, fmt.Errorf("faas: task %s: %s", id, res.Err)
 		}
 		return decodeValue(res.Value)
-	}
-	return &Future{wait: func(ctx context.Context) (any, error) {
-		select {
-		case it := <-pr.ch:
-			return resolve(ctx, it)
-		case <-e.c.Done():
-			// A result delivered before shutdown still wins. The
-			// delivered flag is the authority: if set, the item is in
-			// pr.ch now or is transiently held by Close's prime-and-evict
-			// drain, which always puts it back — so block on the channel,
-			// not on a racy non-blocking peek.
-			e.mu.Lock()
-			delivered := pr.delivered
-			e.mu.Unlock()
-			if delivered {
-				select {
-				case it := <-pr.ch:
-					return resolve(ctx, it)
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-			return nil, ErrExecutorClosed
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 	}}, nil
 }
 
-// Close stops the result loop (pstream.TaskClient.Close, which also
-// removes the executor's keys from a KVBroker). Futures whose result never
-// arrived fail with ErrExecutorClosed; futures whose result was already
-// delivered still resolve it after Close. Delivered-but-unconsumed
-// results — abandoned futures, Result calls whose context expired — are
-// resolved into their proxies here and their stored payloads evicted, so
-// nothing leaks either way. Close does not close the store or broker,
-// which the executor borrows.
-func (e *StreamExecutor) Close() error {
-	err := e.c.Close()
-	e.mu.Lock()
-	remaining := e.pending
-	e.pending = make(map[string]*pendingResult)
-	e.mu.Unlock()
-	ctx := context.Background()
-	for _, pr := range remaining {
-		select {
-		case it := <-pr.ch:
-			// Prime the proxy's cache before evicting the stored copy: a
-			// Result call issued after Close must still find the value.
-			// The item goes back in the buffered channel for that call.
-			_, _ = it.Proxy.Value(ctx)
-			pstream.EvictPayload(ctx, it.Proxy)
-			pr.ch <- it
-		default:
-		}
-	}
-	return err
-}
+// Close stops the executor (pstream.TaskClient.Close, which also leaves
+// the client group on a KVBroker with heartbeats). A future whose result
+// is already set still resolves after Close; the others fail with
+// ErrExecutorClosed, and the endpoint's sweep reclaims their results.
+// Close does not close the store or broker, which the executor borrows.
+func (e *StreamExecutor) Close() error { return e.c.Close() }
 
-// Kill simulates the executor's process dying: the result loop and
-// heartbeat stop immediately, with none of Close's cleanup — the
-// committed offset, membership entries, and unconsumed results stay on
-// the server until heartbeat expiry and the endpoint's orphan sweep
-// reclaim them. Test and bench hook for churn scenarios.
+// Kill simulates the executor's process dying: pending futures and the
+// heartbeat stop immediately, with none of Close's cleanup — membership
+// entries and unawaited results stay on the server until heartbeat expiry
+// and the endpoint's orphan sweep reclaim them. Test and bench hook for
+// churn scenarios.
 func (e *StreamExecutor) Kill() { e.c.Kill() }
 
 // StreamEndpoint is a compute endpoint whose workers claim tasks from the
 // endpoint's task topic as a consumer group (a pstream.TaskWorkers pool),
 // replacing the classic per-endpoint channel queue. A worker resolves the
 // request's bulk payload from the data plane, executes the registered
-// function, publishes the result, and only then settles its claim — so a
-// worker that dies mid-task loses its lease and the task is re-executed
-// by a surviving member (at-least-once execution, exactly-once result
-// delivery via the client's dedup).
+// function, sets the result in the task's future, and only then settles
+// its claim — so a worker that dies mid-task loses its lease and the task
+// is re-executed by a surviving member (at-least-once execution,
+// exactly-once result delivery: the future takes only the first result).
 type StreamEndpoint struct {
 	w        *pstream.TaskWorkers[TaskRequest, TaskResult]
 	executed atomic.Uint64
@@ -319,25 +210,26 @@ func (ep *StreamEndpoint) execute(ctx context.Context, req TaskRequest) (TaskRes
 	} else {
 		res.Value = payload
 	}
-	// Count before publishing: the instant the result is sent, the
+	// Count before setting the result: the instant it is set, the
 	// client's future can resolve on another goroutine, and callers joining
 	// on futures legitimately expect Executed to cover their tasks.
 	ep.executed.Add(1)
 	return res, nil
 }
 
-// SweepResults runs one orphan sweep over the endpoint's result topic
-// (pstream.TaskWorkers.SweepResults): results addressed to dead clients
-// have their payloads evicted. Returns the number of log slots reclaimed.
-// Safe to call directly (tests, benches); the endpoint also runs it on a
-// heartbeat-TTL cadence.
+// SweepResults runs one orphan sweep over the endpoint's result futures
+// (pstream.TaskWorkers.SweepResults): results of executors that are dead,
+// killed or closed before awaiting them are evicted with their futures.
+// The endpoint also sweeps on a heartbeat-TTL cadence; SweepResults
+// returns the futures reclaimed since its last call, by either. Safe to
+// call directly (tests, benches).
 func (ep *StreamEndpoint) SweepResults(ctx context.Context) (int, error) {
 	return ep.w.SweepResults(ctx)
 }
 
 // Executed returns the number of tasks whose function this endpoint ran,
-// like the classic Endpoint's counter. A task whose result publish fails
-// is still counted (and re-executed elsewhere after its lease expires).
+// like the classic Endpoint's counter. A task whose result set fails is
+// still counted (and re-executed elsewhere after its lease expires).
 func (ep *StreamEndpoint) Executed() uint64 { return ep.executed.Load() }
 
 // Close stops the endpoint's workers. Unsettled claims are not released;

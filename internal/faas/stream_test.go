@@ -3,6 +3,7 @@ package faas
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -266,10 +267,15 @@ func TestStreamExactlyOnceUnderKilledWorker(t *testing.T) {
 }
 
 func TestStreamResultSurvivesClose(t *testing.T) {
-	// A result delivered before Close must still resolve after it: Close
-	// primes and acks unconsumed deliveries (reclaiming their payloads)
-	// but leaves the value reachable for a late Result call.
-	b := pstream.NewMem()
+	// A result set before Close must still resolve after it: Close ends
+	// the executor's waits, but a later Result takes a result that is
+	// already in its future.
+	srv, err := kvstore.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	b := pstream.NewKV(srv.Addr())
 	t.Cleanup(func() { b.Close() })
 	id := connector.NewID()[:8]
 	st, err := store.New("faas-close-"+id, local.New("faas-close-conn-"+id))
@@ -290,21 +296,22 @@ func TestStreamResultSurvivesClose(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	// Wait (white-box) until the dispatcher has handed the result item to
-	// the future's channel, so Close deterministically runs after delivery.
+	// Wait until the worker has set the result in its future, so Close
+	// deterministically runs after it.
+	cli := kvstore.NewClient(srv.Addr())
+	t.Cleanup(func() { cli.Close() })
+	futures := "ps:" + ResultTopic(epName) + ":f:"
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		exec.mu.Lock()
-		delivered := false
-		for _, pr := range exec.pending {
-			delivered = pr.delivered
+		keys, err := kvstore.Keys(ctx, cli, futures)
+		if err != nil {
+			t.Fatalf("Keys: %v", err)
 		}
-		exec.mu.Unlock()
-		if delivered {
+		if len(keys) == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("result never delivered to the future")
+			t.Fatal("result never set")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -316,21 +323,66 @@ func TestStreamResultSurvivesClose(t *testing.T) {
 	if v.(int) != 7 {
 		t.Fatalf("Result after Close = %v, want 7", v)
 	}
+	if keys, err := kvstore.Keys(ctx, cli, futures); err != nil || len(keys) != 0 {
+		t.Fatalf("futures after Result = %q (%v), want none", keys, err)
+	}
+}
+
+// droppingAck drops the first group ack it sees: the worker believes its
+// claim is settled, but the claim stays leased, as if the worker died
+// between setting the result and acking.
+type droppingAck struct {
+	pstream.Broker
+	acks atomic.Int32
+}
+
+func (b *droppingAck) Unwrap() pstream.Broker { return b.Broker }
+
+func (b *droppingAck) SubscribeGroup(ctx context.Context, topic, group, member string) (pstream.Subscription, error) {
+	sub, err := b.Broker.SubscribeGroup(ctx, topic, group, member)
+	if err != nil {
+		return nil, err
+	}
+	return &droppingAckSub{Subscription: sub, b: b}, nil
+}
+
+type droppingAckSub struct {
+	pstream.Subscription
+	b *droppingAck
+}
+
+func (s *droppingAckSub) Ack(ctx context.Context, ev pstream.Event) (int, error) {
+	if s.b.acks.Add(1) == 1 {
+		return 0, nil
+	}
+	return s.Subscription.Ack(ctx, ev)
 }
 
 func TestStreamDuplicateResultDropped(t *testing.T) {
-	// A worker that dies between result publish and claim settlement makes
-	// the task re-run, publishing a second result with the same ID. The
-	// executor's dispatcher must drop (and ack) the stray so callers never
-	// see it, and keep serving later tasks.
-	b := pstream.NewMem()
+	// A worker that dies between setting a result and settling its claim
+	// makes the task re-run, and the re-run sets the same future a second
+	// time. The first result must win, the loser must reclaim its own
+	// payload, and the executor keeps serving later tasks. The death is
+	// forged by dropping the first ack.
+	srv, err := kvstore.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	b := &droppingAck{Broker: pstream.NewKV(srv.Addr(), pstream.WithKVLease(300*time.Millisecond))}
 	t.Cleanup(func() { b.Close() })
 	id := connector.NewID()[:8]
-	st, err := store.New("faas-dup-"+id, local.New("faas-dup-conn-"+id))
+	conn := local.New("faas-dup-conn-" + id)
+	st, err := store.New("faas-dup-"+id, conn)
 	if err != nil {
 		t.Fatalf("store.New: %v", err)
 	}
 	t.Cleanup(func() { store.Unregister("faas-dup-" + id) })
+	var runs atomic.Int32
+	fnName := "runs-" + id
+	RegisterFunction(fnName, func(context.Context, []any) (any, error) {
+		return int(runs.Add(1)), nil
+	})
 	epName := "dup-ep-" + id
 	ep := StartStreamEndpoint(st, b, epName, 1)
 	t.Cleanup(func() { ep.Close() })
@@ -340,30 +392,40 @@ func TestStreamDuplicateResultDropped(t *testing.T) {
 	}
 	t.Cleanup(func() { exec.Close() })
 
-	ctx := context.Background()
-	fut, err := exec.Submit(ctx, "echo", 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	fut, err := exec.Submit(ctx, fnName)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if _, err := fut.Result(ctx); err != nil {
+	// The re-run's ack is the second: by then both runs have set the
+	// future, and neither result has been taken.
+	for b.acks.Load() < 2 {
+		if ctx.Err() != nil {
+			t.Fatalf("task ran %d times, acked %d times; want a re-run after the dropped ack", runs.Load(), b.acks.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	v, err := fut.Result(ctx)
+	if err != nil {
 		t.Fatalf("Result: %v", err)
 	}
-
-	// Forge a duplicate/unknown result on the shared result topic,
-	// addressed to this executor by the faas.rt routing tag.
-	stray := pstream.NewProducer[TaskResult](st, b, ResultTopic(epName))
-	strayAttrs := map[string]string{AttrTaskID: "stray", AttrResultTopic: exec.ID()}
-	if err := stray.Send(ctx, TaskResult{ID: "stray"}, strayAttrs); err != nil {
-		t.Fatalf("stray Send: %v", err)
+	if v.(int) != 1 {
+		t.Fatalf("Result = %v, want the first run's 1", v)
+	}
+	// The request went with the settling ack, the winner's payload with
+	// Result, and the loser's with its own worker.
+	if n := conn.Len(); n != 0 {
+		t.Fatalf("%d payloads left in the store, want 0", n)
 	}
 
 	fut2, err := exec.Submit(ctx, "echo", 2)
 	if err != nil {
-		t.Fatalf("Submit after stray: %v", err)
+		t.Fatalf("Submit after the duplicate: %v", err)
 	}
-	v, err := fut2.Result(ctx)
+	v, err = fut2.Result(ctx)
 	if err != nil {
-		t.Fatalf("Result after stray: %v", err)
+		t.Fatalf("Result after the duplicate: %v", err)
 	}
 	if v.(int) != 2 {
 		t.Fatalf("Result = %v, want 2", v)

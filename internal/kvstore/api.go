@@ -91,6 +91,20 @@ func DelRange(ctx context.Context, kv KV, prefix string, start, end uint64) (int
 		[]byte(strconv.FormatUint(start, 10)), []byte(strconv.FormatUint(end, 10))).Int()
 }
 
+// Keys lists the keys that start with prefix, sorted. The server walks its
+// whole keyspace for it: keep it off per-item paths.
+func Keys(ctx context.Context, kv KV, prefix string) ([]string, error) {
+	elems, err := kv.Do(ctx, "KEYS", []byte(prefix)).Array()
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]string, len(elems))
+	for i, el := range elems {
+		keys[i] = string(el.v.bulk)
+	}
+	return keys, nil
+}
+
 func keysArgs(keys []string) [][]byte {
 	args := make([][]byte, len(keys))
 	for i, k := range keys {

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -45,6 +46,7 @@ var commandTable = []Command{
 	{Name: "INCR", Arity: 2, Writes: true, keys: firstKey, run: (*Server).cmdIncr},
 	{Name: "CAS", Arity: 4, Writes: true, keys: firstKey, run: (*Server).cmdCAS},
 	{Name: "DELRANGE", Arity: 4, Writes: true, run: (*Server).cmdDelRange},
+	{Name: "KEYS", Arity: 2, run: (*Server).cmdKeys},
 	{Name: "DBSIZE", Arity: 1, run: (*Server).cmdDBSize},
 	{Name: "INFO", Arity: 1, run: func(s *Server, _ [][]byte) value { return bulkValue([]byte(s.InfoText())) }},
 	{Name: "FLUSHALL", Arity: 1, Writes: true, run: (*Server).cmdFlushAll},
@@ -78,9 +80,9 @@ func (c *Command) CheckArgs(args [][]byte) error {
 }
 
 // Keys returns the arguments that name keys. Key-prefix arguments (the
-// slot families of DELRANGE, LAPPEND and LREAD) are not keys; appending
-// to the result never writes into args. Call it only on arguments
-// CheckArgs accepts.
+// slot families of DELRANGE, LAPPEND and LREAD, and KEYS's prefix) are
+// not keys; appending to the result never writes into args. Call it only
+// on arguments CheckArgs accepts.
 func (c *Command) Keys(args [][]byte) (keys [][]byte) {
 	if c.Step == 0 {
 		if c.keys == nil {
@@ -334,6 +336,26 @@ func (s *Server) cmdDelRange(a [][]byte) value {
 		s.notify.publishedRange(prefix)
 	}
 	return integerValue(n)
+}
+
+// cmdKeys is KEYS prefix: the keys that start with prefix, sorted. It
+// walks the whole keyspace under the read lock.
+func (s *Server) cmdKeys(a [][]byte) value {
+	prefix := string(a[0])
+	var keys []string
+	s.mu.RLock()
+	for k := range s.data {
+		if strings.HasPrefix(k, prefix) {
+			keys = append(keys, k)
+		}
+	}
+	s.mu.RUnlock()
+	sort.Strings(keys)
+	out := make([]value, len(keys))
+	for i, k := range keys {
+		out[i] = bulkValue([]byte(k))
+	}
+	return arrayValue(out)
 }
 
 func (s *Server) cmdDBSize([][]byte) value {

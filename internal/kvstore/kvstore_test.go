@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -246,6 +247,21 @@ func TestCASConcurrentSingleWinner(t *testing.T) {
 	}
 }
 
+func TestKeysListsAPrefixSorted(t *testing.T) {
+	_, cli := newPair(t, nil, nil)
+	ctx := context.Background()
+	for _, k := range []string{"f:b", "f:a", "g:a", "f", "f:c"} {
+		Set(ctx, cli, k, []byte("v"))
+	}
+	keys, err := Keys(ctx, cli, "f:")
+	if err != nil || !reflect.DeepEqual(keys, []string{"f:a", "f:b", "f:c"}) {
+		t.Fatalf("Keys(f:) = %q, %v; want [f:a f:b f:c]", keys, err)
+	}
+	if keys, err := Keys(ctx, cli, "none:"); err != nil || len(keys) != 0 {
+		t.Fatalf("Keys(none:) = %q, %v; want none", keys, err)
+	}
+}
+
 func TestDelRange(t *testing.T) {
 	_, cli := newPair(t, nil, nil)
 	ctx := context.Background()
@@ -468,6 +484,7 @@ var validArgs = map[string][]string{
 	"INCR":     {"n"},
 	"CAS":      {"c", "", "v"},
 	"DELRANGE": {"s:", "0", "4"},
+	"KEYS":     {"k"},
 	"DBSIZE":   {},
 	"INFO":     {},
 	"FLUSHALL": {},

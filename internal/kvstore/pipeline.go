@@ -82,9 +82,6 @@ func (r PipeReply) Array() ([]PipeReply, error) {
 	return out, nil
 }
 
-// ErrReply returns a reply that carries err.
-func ErrReply(err error) PipeReply { return PipeReply{err: err} }
-
 // Pipeline returns an empty command pipeline.
 func (c *Client) Pipeline() *Pipeline { return &Pipeline{c: c} }
 

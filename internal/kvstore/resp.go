@@ -7,9 +7,11 @@
 // commands.go: each row gives the command's arity, whether it writes,
 // which arguments are keys, and its handler. Beside the Redis basics it
 // holds CAS, DELRANGE and two log commands, LAPPEND and LREAD, which
-// pstream's KVBroker publishes and scans with. Clients send a command
-// with KV.Do or queue it on a Pipeline; the typed calls (Get, Set, CAS,
-// ...) are functions over KV.
+// pstream's KVBroker publishes and scans with, and KEYS prefix, the sorted
+// list of keys under a prefix, which pstream's task janitor finds
+// orphaned result futures with (it walks the keyspace, so it stays off
+// per-item paths). Clients send a command with KV.Do or queue it on a
+// Pipeline; the typed calls (Get, Set, CAS, ...) are functions over KV.
 //
 // # Blocking reads (the wait/notify protocol)
 //

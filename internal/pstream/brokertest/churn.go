@@ -273,7 +273,7 @@ func churnStorm(t *testing.T, newBroker func(t *testing.T, lease, heartbeat time
 		// Sweep the drained log: ack-triggered truncation stops with the
 		// last ack, so the tail slots need one explicit GC pass — the same
 		// call the task planes' janitors run.
-		if _, err := b.SweepTopic(ctx, topic, m, nil); err != nil {
+		if _, err := b.SweepTopic(ctx, topic, m); err != nil {
 			t.Fatalf("SweepTopic: %v", err)
 		}
 		n, err := opts.DBSize()

@@ -215,18 +215,23 @@ func (b *KVBroker) Heartbeats() bool { return b.hbTTL > 0 }
 // (CountingBroker, test wrappers) via their Unwrap method. The task planes
 // use it to reach kv-only machinery — membership, orphan sweeps — through
 // whatever instrumentation the caller layered on top.
-func AsKV(b Broker) (*KVBroker, bool) {
+func AsKV(b Broker) (*KVBroker, bool) { return unwrapTo[*KVBroker](b) }
+
+// unwrapTo walks b and the brokers it wraps (via their Unwrap method) to
+// the first that is a T.
+func unwrapTo[T any](b Broker) (T, bool) {
 	for b != nil {
-		if kb, ok := b.(*KVBroker); ok {
-			return kb, true
+		if t, ok := b.(T); ok {
+			return t, true
 		}
 		u, ok := b.(interface{ Unwrap() Broker })
 		if !ok {
-			return nil, false
+			break
 		}
 		b = u.Unwrap()
 	}
-	return nil, false
+	var zero T
+	return zero, false
 }
 
 // observeDeliver records the publish→deliver latency for a delivered
@@ -775,9 +780,14 @@ func (b *KVBroker) truncatePass(ctx context.Context, topic string) bool {
 		}
 		f++
 	}
-	if f == floor {
-		return false
-	}
+	return f > floor && b.collect(ctx, topic, floor, f)
+}
+
+// collect CASes the truncation floor from floor to f and deletes the
+// covered event slots and ack counters, reporting whether it did. The CAS
+// serializes concurrent truncators and sweepers: a loser leaves the work
+// to the winner.
+func (b *KVBroker) collect(ctx context.Context, topic string, floor, f uint64) bool {
 	var old []byte
 	if floor > 0 {
 		old = []byte(strconv.FormatUint(floor, 10))
@@ -793,37 +803,48 @@ func (b *KVBroker) truncatePass(ctx context.Context, topic string) bool {
 	return true
 }
 
-// --- Fleet GC -------------------------------------------------------------
+// --- Result futures -------------------------------------------------------
 
-// ForgetConsumer deletes a fan-out consumer's committed offset — the one
-// key Subscribe leaves per consumer name. Ephemeral consumers (task-plane
-// clients with UUID identities) call it on clean shutdown; crashed ones
-// are covered by SweepTopic's dead-consumer cleanup.
-func (b *KVBroker) ForgetConsumer(ctx context.Context, topic, consumer string) error {
-	_, err := kvstore.Del(ctx, b.client, kvOffsetKey(topic, consumer))
+// A task plane's result future is one key that a worker sets once, with a
+// CAS against absence, and that its client resolves with one TWAITGET and
+// deletes once the result is in hand (see task.go).
+
+// setFuture implements resultFutures.
+func (b *KVBroker) setFuture(ctx context.Context, key string, val []byte) (bool, error) {
+	return kvstore.CAS(ctx, b.client, key, nil, val)
+}
+
+// awaitFuture implements resultFutures.
+func (b *KVBroker) awaitFuture(ctx context.Context, key string, round time.Duration) ([]byte, bool, error) {
+	return b.client.WaitGet(ctx, key, round)
+}
+
+// deleteFutures implements resultFutures.
+func (b *KVBroker) deleteFutures(ctx context.Context, keys ...string) error {
+	_, err := kvstore.Del(ctx, b.client, keys...)
 	return err
 }
 
+// --- Fleet GC -------------------------------------------------------------
+
 // SweepTopic garbage-collects a topic consumed by a churning fan-out
-// population whose consumers are members of m — the task planes' shared
-// result topics, where one log serves every ephemeral client and a static
-// WithKVTruncate threshold cannot exist. One sweep: reap m's dead members
+// population whose consumers are members of m: one log serves every
+// ephemeral consumer, so a static WithKVTruncate threshold cannot exist.
+// (The task planes do not use it: their results are per-task futures,
+// reclaimed by TaskWorkers.SweepResults.) One sweep: reap m's dead members
 // (expired heartbeats) and delete their committed-offset keys, then
 // advance the topic's truncation floor to the minimum committed offset of
 // the live members and collect the covered log slots and ack counters
-// with ranged DELs. Every collected payload event is offered to orphan
-// (when non-nil) together with the live-member set, so the caller can
-// reclaim data-plane payloads addressed to dead consumers (counted in
-// ps.orphan_gc when orphan reports true). With no live members the whole
-// log is collected, End markers excepted. Returns collected slots.
+// with ranged DELs. With no live members the whole log is collected, End
+// markers excepted. Returns collected slots.
 //
 // Safety against joiners: the log length is read before the roster, so a
-// client that registers with m before its first publish-triggering
-// request (as the task planes do) can never have a result swept out from
-// under it — its results land at offsets at or past that length, and a
-// client already registered at the roster read bounds the floor with its
-// own offset (absent reads as 0).
-func (b *KVBroker) SweepTopic(ctx context.Context, topic string, m *Membership, orphan func(ev Event, live map[string]bool) (evicted bool)) (int, error) {
+// consumer that registers with m before anything is published for it can
+// never have an event swept out from under it — those events land at
+// offsets at or past that length, and a consumer already registered at
+// the roster read bounds the floor with its own offset (absent reads as
+// 0).
+func (b *KVBroker) SweepTopic(ctx context.Context, topic string, m *Membership) (int, error) {
 	length, err := b.counter(ctx, kvLenKey(topic))
 	if err != nil {
 		return 0, err
@@ -842,11 +863,9 @@ func (b *KVBroker) SweepTopic(ctx context.Context, topic string, m *Membership, 
 		}
 	}
 	limit := length
-	liveSet := make(map[string]bool, len(live))
 	if len(live) > 0 {
 		keys := make([]string, len(live))
 		for i, c := range live {
-			liveSet[c] = true
 			keys[i] = kvOffsetKey(topic, c)
 		}
 		raws, err := kvstore.MGet(ctx, b.client, keys...)
@@ -865,7 +884,7 @@ func (b *KVBroker) SweepTopic(ctx context.Context, topic string, m *Membership, 
 	}
 	collected := 0
 	for {
-		n, more, err := b.sweepPass(ctx, topic, limit, liveSet, orphan)
+		n, more, err := b.sweepPass(ctx, topic, limit)
 		collected += n
 		if err != nil || !more {
 			return collected, err
@@ -878,7 +897,7 @@ func (b *KVBroker) SweepTopic(ctx context.Context, topic string, m *Membership, 
 // truncatePass it does not require ack thresholds — the limit already
 // proves every live consumer is past these slots — but End markers still
 // stop it, for the same rejoin reasons.
-func (b *KVBroker) sweepPass(ctx context.Context, topic string, limit uint64, live map[string]bool, orphan func(Event, map[string]bool) bool) (int, bool, error) {
+func (b *KVBroker) sweepPass(ctx context.Context, topic string, limit uint64) (int, bool, error) {
 	floor, err := b.counter(ctx, kvTruncKey(topic))
 	if err != nil {
 		return 0, false, err
@@ -896,28 +915,11 @@ func (b *KVBroker) sweepPass(ctx context.Context, topic string, limit uint64, li
 		if ok && ev.End {
 			break
 		}
-		if ok && orphan != nil {
-			if orphan(ev, live) {
-				b.mOrphanGC.Inc()
-			}
-		}
 		f++
 	}
-	if f == floor {
+	if f == floor || !b.collect(ctx, topic, floor, f) {
 		return 0, false, nil
 	}
-	var old []byte
-	if floor > 0 {
-		old = []byte(strconv.FormatUint(floor, 10))
-	}
-	ok, err := kvstore.CAS(ctx, b.client, kvTruncKey(topic), old, []byte(strconv.FormatUint(f, 10)))
-	if err != nil || !ok {
-		return 0, false, nil // another sweeper or truncator won; let it work
-	}
-	b.deleteRange(ctx, kvEventPrefix(topic), floor, f)
-	b.deleteRange(ctx, kvAckPrefix(topic), floor, f)
-	b.mTruncSweeps.Inc()
-	b.mTruncSlots.Add(f - floor)
 	return int(f - floor), f-floor == truncChunk && f < limit, nil
 }
 

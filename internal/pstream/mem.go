@@ -24,7 +24,9 @@ type MemBroker struct {
 
 	mu     sync.Mutex
 	topics map[string]*memTopic
-	closed bool
+	// futures holds the task planes' result futures by key (see task.go).
+	futures map[string]*memFuture
+	closed  bool
 	// done is closed by Close so fetchers parked on empty topics wake
 	// immediately instead of waiting out their timers.
 	done chan struct{}
@@ -81,9 +83,10 @@ func WithMemLease(d time.Duration) MemOption {
 // NewMem returns an empty in-process broker.
 func NewMem(opts ...MemOption) *MemBroker {
 	b := &MemBroker{
-		topics: make(map[string]*memTopic),
-		done:   make(chan struct{}),
-		lease:  DefaultLease,
+		topics:  make(map[string]*memTopic),
+		futures: make(map[string]*memFuture),
+		done:    make(chan struct{}),
+		lease:   DefaultLease,
 	}
 	for _, o := range opts {
 		o(b)
@@ -186,6 +189,64 @@ func (b *MemBroker) Close() error {
 	if !b.closed {
 		b.closed = true
 		close(b.done)
+	}
+	return nil
+}
+
+// memFuture is one result future: set is closed once val is in.
+type memFuture struct {
+	val []byte
+	set chan struct{}
+}
+
+// future returns key's future, making it if absent. Callers hold b.mu.
+func (b *MemBroker) future(key string) *memFuture {
+	f := b.futures[key]
+	if f == nil {
+		f = &memFuture{set: make(chan struct{})}
+		b.futures[key] = f
+	}
+	return f
+}
+
+// setFuture implements resultFutures.
+func (b *MemBroker) setFuture(_ context.Context, key string, val []byte) (bool, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	f := b.future(key)
+	if f.val != nil {
+		return false, nil
+	}
+	f.val = val
+	close(f.set)
+	return true, nil
+}
+
+// awaitFuture implements resultFutures.
+func (b *MemBroker) awaitFuture(ctx context.Context, key string, round time.Duration) ([]byte, bool, error) {
+	b.mu.Lock()
+	f := b.future(key)
+	b.mu.Unlock()
+	timer := time.NewTimer(round)
+	defer timer.Stop()
+	select {
+	case <-f.set:
+		return f.val, true, nil
+	case <-timer.C:
+		return nil, false, nil
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	case <-b.done:
+		return nil, false, fmt.Errorf("pstream: broker closed")
+	}
+}
+
+// deleteFutures implements resultFutures.
+func (b *MemBroker) deleteFutures(_ context.Context, keys ...string) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, k := range keys {
+		delete(b.futures, k)
 	}
 	return nil
 }

@@ -18,9 +18,11 @@ package pstream
 // Consumers of the layer: group subscriptions under WithKVHeartbeat treat
 // an expired heartbeat as early lease reclamation (a crashed member's
 // claims are stolen in O(heartbeat) instead of O(lease)); the task planes
-// (faas, colmena) drive orphan GC of shared result topics from SweepTopic,
-// which reaps the dead and sweeps with the live set in one pass; and
-// producers size evict-on-ack from Sizer's live-member count.
+// (faas, colmena) reclaim the result futures of clients that are no longer
+// live (TaskWorkers.SweepResults), and SweepTopic garbage-collects fan-out
+// topics of ephemeral consumers, each reaping the dead and judging with
+// the live set in one pass; and producers size evict-on-ack from Sizer's
+// live-member count.
 
 import (
 	"context"
@@ -266,7 +268,8 @@ func (m *Membership) Reap(ctx context.Context) ([]string, error) {
 }
 
 // cull is Reap plus the live view in one pass: the dead are reaped, the
-// live are returned. SweepTopic runs on it.
+// live are returned. SweepTopic and the task planes' result sweep run on
+// it.
 func (m *Membership) cull(ctx context.Context) (live, dead []string, err error) {
 	live, dead, err = m.split(ctx)
 	if err != nil || len(dead) == 0 {

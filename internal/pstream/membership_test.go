@@ -2,6 +2,7 @@ package pstream_test
 
 import (
 	"context"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -163,22 +164,22 @@ func TestMembershipSelfFencesWhenServerDies(t *testing.T) {
 	h.Kill()
 }
 
-// stallingKV holds SETs of one key while stall is set: the write neither
-// lands nor fails, the way a heartbeat refresh queued behind a saturated
-// command pool behaves.
+// stallingKV holds SETs of the keys under prefix while stall is set: the
+// write neither lands nor fails, the way a heartbeat refresh queued behind
+// a saturated command pool behaves. A held SET whose context ends is
+// passed on to the wrapped client, which answers it.
 type stallingKV struct {
 	kvstore.KV
-	key     string
+	prefix  string
 	stall   atomic.Bool
 	release chan struct{}
 }
 
 func (s *stallingKV) Do(ctx context.Context, name string, args ...[]byte) kvstore.PipeReply {
-	if name == "SET" && string(args[0]) == s.key && s.stall.Load() {
+	if name == "SET" && strings.HasPrefix(string(args[0]), s.prefix) && s.stall.Load() {
 		select {
 		case <-s.release:
 		case <-ctx.Done():
-			return kvstore.ErrReply(ctx.Err())
 		}
 	}
 	return s.KV.Do(ctx, name, args...)
@@ -196,7 +197,7 @@ func TestMembershipFencesWhenRefreshStallsWithoutError(t *testing.T) {
 		t.Fatalf("NewServer: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	kv := &stallingKV{key: "ps:m.stall:g:h:slow", release: make(chan struct{})}
+	kv := &stallingKV{prefix: "ps:m.stall:g:h:slow", release: make(chan struct{})}
 	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeat(ttl),
 		pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { kv.KV = inner; return kv }))
 	t.Cleanup(func() { b.Close() })

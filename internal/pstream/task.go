@@ -10,11 +10,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"proxystore/internal/connector"
+	"proxystore/internal/kvstore"
 	"proxystore/internal/proxy"
 	"proxystore/internal/store"
 	"proxystore/internal/telemetry"
@@ -23,22 +26,25 @@ import (
 // TaskPlane names one task stream. Every field is a wire name, so
 // processes configured with the same values interoperate.
 type TaskPlane struct {
-	// Tasks is the topic clients publish task events on. Results is the
-	// topic every client of the plane reads its results from.
+	// Tasks is the topic clients publish task events on. Results names
+	// the plane's result futures, the keys ps:<Results>:f:<client>:<task>,
+	// and the membership domain of its clients.
 	Tasks, Results string
 	// Group is the consumer group workers claim tasks as. Clients is the
-	// membership group clients join on Results (KVBroker with heartbeats
-	// only), whose live set the orphan sweep trusts.
+	// membership group clients join (KVBroker with heartbeats only), whose
+	// live set the orphan sweep trusts.
 	Group, Clients string
-	// AttrID carries the task ID on task and result events. AttrReply is
-	// the routing tag: on task events it names Results, on result events
-	// it carries the addressee client's ID. AttrClient carries the
-	// submitting client's ID on task events, so a worker can address a
-	// result without resolving the payload.
-	AttrID, AttrReply, AttrClient string
+	// AttrID carries the task ID on task events and in results. AttrReply
+	// carries, on task events, the key of the future the worker sets the
+	// result in, so a worker can reply without resolving the payload.
+	AttrID, AttrReply string
 }
 
-// TaskHooks are a plane's own steps; each half calls the ones it needs.
+// futurePrefix covers every result future of the plane; a client's own
+// futures sit under futurePrefix + client + ":".
+func (p TaskPlane) futurePrefix() string { return "ps:" + p.Results + ":f:" }
+
+// TaskHooks are a plane's own steps, run by its workers.
 type TaskHooks[Req, Res any] struct {
 	// Execute runs one resolved task on a worker. An error means the
 	// task's inputs could not be resolved; the core handles it like an
@@ -46,24 +52,9 @@ type TaskHooks[Req, Res any] struct {
 	Execute func(ctx context.Context, req Req) (Res, error)
 	// Failed builds the error result reported for a poison task.
 	Failed func(id string, err error) Res
-	// Deliver hands a result addressed to this client to the plane (the
-	// event is already acked). It reports false for a duplicate or a
-	// stray, which the core then reclaims.
-	Deliver func(ctx context.Context, it *Item[Res]) bool
 	// Orphan, when set, reclaims what a result nobody will consume holds
-	// beyond its own payload: dropped, swept and unpublished results.
+	// beyond its own payload: duplicate, swept and unset results.
 	Orphan func(ctx context.Context, res Res)
-}
-
-// reclaim evicts a result nobody will consume: whatever Orphan finds in it
-// (resolving the payload only when Orphan is set), then the payload.
-func (h TaskHooks[Req, Res]) reclaim(ctx context.Context, pxy *proxy.Proxy[Res]) bool {
-	if h.Orphan != nil {
-		if res, err := pxy.Value(ctx); err == nil {
-			h.Orphan(ctx, res)
-		}
-	}
-	return EvictPayload(ctx, pxy)
 }
 
 // EvictPayload best-effort evicts a proxy's stored target, reporting
@@ -80,105 +71,117 @@ func EvictPayload[T any](ctx context.Context, p *proxy.Proxy[T]) bool {
 	return st.Evict(context.WithoutCancel(ctx), key) == nil
 }
 
+// resultFutures is the capability behind task results: a key its producer
+// sets exactly once and its consumer resolves by waiting. KVBroker (CAS,
+// TWAITGET, DEL) and MemBroker (a map and a channel per key) implement it;
+// the task planes reach it through broker wrappers by the walk AsKV uses.
+type resultFutures interface {
+	// setFuture sets key to val unless key is set, reporting whether it
+	// did.
+	setFuture(ctx context.Context, key string, val []byte) (bool, error)
+	// awaitFuture waits up to round for key to be set and returns its
+	// value; ok is false when the round lapsed first.
+	awaitFuture(ctx context.Context, key string, round time.Duration) (val []byte, ok bool, err error)
+	// deleteFutures removes keys.
+	deleteFutures(ctx context.Context, keys ...string) error
+}
+
+// errNoFutures is returned for a broker that does not unwrap to one with
+// result futures.
+var errNoFutures = errors.New("pstream: broker has no result futures")
+
 // TaskWindow bounds a task client's pending submissions: Submit blocks
 // while this many are in flight, so a producer that outruns the workers
 // backs off instead of flooding the broker log.
 const TaskWindow = 4096
 
-// ErrTaskClientClosed is returned by Submit once the client is closing.
+// ErrTaskClientClosed is returned by Submit once the client is closing,
+// and by Await for a result not yet set when the client closed.
 var ErrTaskClientClosed = errors.New("pstream: task client closed")
 
+// ErrTaskClientFenced is returned by Await when a wait round ends while
+// the client's heartbeat is fenced: peers may already read the client as
+// dead and sweep its futures, so the result may never arrive.
+var ErrTaskClientFenced = errors.New("pstream: task client fenced: its heartbeat is not landing, so its results may be swept")
+
 // TaskClient is the submitting half of a task stream: a producer on the
-// task topic and a result loop on the shared result topic, both under one
-// fresh ID. Safe for concurrent use.
+// task topic, and one result future per submission that Await resolves.
+// Safe for concurrent use.
 type TaskClient[Req, Res any] struct {
-	plane TaskPlane
-	hooks TaskHooks[Req, Res]
-	id    string
-	prod  *Producer[Req]
-	sem   chan struct{} // one slot per pending submission
+	plane  TaskPlane
+	id     string
+	prefix string // this client's future keys: plane.futurePrefix() + id + ":"
+	prod   *Producer[Req]
+	fut    resultFutures
+	sem    chan struct{} // one slot per submission not yet awaited
+	// round bounds one wait on a future: the heartbeat TTL when there is
+	// a heartbeat, so a fenced client notices within one round.
+	round time.Duration
+	hb    *Heartbeat // non-nil when heartbeats are on
 
-	kb *KVBroker  // non-nil when b unwraps to a KVBroker
-	hb *Heartbeat // non-nil when heartbeats are on
-
-	closed atomic.Bool
+	life   context.Context // ends at Close and Kill
 	cancel context.CancelFunc
-	done   chan struct{}
 }
 
 // NewTaskClient starts a client of plane, storing task payloads in st and
-// events through b. hooks.Deliver is required, hooks.Orphan optional. On a
-// KVBroker with heartbeats the client joins the plane's Clients group.
-func NewTaskClient[Req, Res any](st *store.Store, b Broker, plane TaskPlane, hooks TaskHooks[Req, Res]) (*TaskClient[Req, Res], error) {
-	id := connector.NewID()
-	ctx, cancel := context.WithCancel(context.Background())
-	// Window 1: the result topic is shared, and prefetch would batch-resolve
-	// peers' payloads (which the filter then ignores) and pull bulk results
-	// into memory before the plane asks for them.
-	cons, err := NewConsumer[Res](ctx, b, plane.Results, id, WithEndCount(0), WithWindow(1))
-	if err != nil {
-		cancel()
-		return nil, err
+// events through b, which must unwrap to a broker with result futures. On
+// a KVBroker with heartbeats the client joins the plane's Clients group.
+func NewTaskClient[Req, Res any](st *store.Store, b Broker, plane TaskPlane) (*TaskClient[Req, Res], error) {
+	fut, ok := unwrapTo[resultFutures](b)
+	if !ok {
+		return nil, errNoFutures
 	}
+	id := connector.NewID()
+	life, cancel := context.WithCancel(context.Background())
 	c := &TaskClient[Req, Res]{
-		plane: plane,
-		hooks: hooks,
-		id:    id,
+		plane:  plane,
+		id:     id,
+		prefix: plane.futurePrefix() + id + ":",
 		// Exactly one consumer (the worker group) reads each task, so its
 		// ack reclaims the request payload from the store.
 		prod:   NewProducer[Req](st, b, plane.Tasks, WithEvictOnAck(1)),
+		fut:    fut,
 		sem:    make(chan struct{}, TaskWindow),
+		round:  kvWaitRound,
+		life:   life,
 		cancel: cancel,
-		done:   make(chan struct{}),
 	}
-	if kb, ok := AsKV(b); ok {
-		c.kb = kb
-		if kb.Heartbeats() {
-			if c.hb, err = kb.Membership(plane.Results, plane.Clients).Join(ctx, id); err != nil {
-				cancel()
-				cons.Close()
-				return nil, err
-			}
+	if kb, ok := AsKV(b); ok && kb.Heartbeats() {
+		hb, err := kb.Membership(plane.Results, plane.Clients).Join(life, id)
+		if err != nil {
+			cancel()
+			return nil, err
 		}
+		c.hb, c.round = hb, kb.HeartbeatTTL()
 	}
-	go func() {
-		defer close(c.done)
-		consumeLoop(ctx, func() (*Consumer[Res], error) { return cons, nil }, c.handle)
-	}()
 	return c, nil
 }
 
 // ID returns the client's identity.
 func (c *TaskClient[Req, Res]) ID() string { return c.id }
 
-// Done is closed once the client's result loop has stopped.
-func (c *TaskClient[Req, Res]) Done() <-chan struct{} { return c.done }
-
 // Submit publishes one task. It waits for an in-flight slot — after the
 // plane's pre-send work, so a failure there holds none — then calls build
-// with a fresh ID and the routing attrs (build may add more). build
-// registers the submission as pending, before the send so the fastest
-// result still finds it, and returns the request. From then on the slot
-// belongs to that entry: the plane calls Release when it drops the entry,
-// also when Submit fails after build (the returned ID is empty if build
-// never ran).
+// with a fresh ID and the task event's attrs (build may add more), and
+// returns the request to send. The attrs' AttrReply holds the key of the
+// task's result future. The slot is the ID's until Await returns; a
+// failed Submit frees it.
 func (c *TaskClient[Req, Res]) Submit(ctx context.Context, build func(id string, attrs map[string]string) Req) (string, error) {
 	select {
 	case c.sem <- struct{}{}:
-	case <-c.done:
+	case <-c.life.Done():
 		return "", ErrTaskClientClosed
 	case <-ctx.Done():
 		return "", ctx.Err()
 	}
-	if c.closed.Load() {
-		c.Release()
+	if c.life.Err() != nil {
+		<-c.sem
 		return "", ErrTaskClientClosed
 	}
 	id := connector.NewID()
 	attrs := map[string]string{
-		c.plane.AttrID:     id,
-		c.plane.AttrReply:  c.plane.Results,
-		c.plane.AttrClient: c.id,
+		c.plane.AttrID:    id,
+		c.plane.AttrReply: c.prefix + id,
 	}
 	req := build(id, attrs)
 	// Every submission roots a trace; each later hop (publish, execute,
@@ -187,69 +190,100 @@ func (c *TaskClient[Req, Res]) Submit(ctx context.Context, build func(id string,
 	sp.Inject(attrs)
 	err := c.prod.Send(ctx, req, attrs)
 	sp.End()
-	return id, err
+	if err != nil {
+		<-c.sem
+		return "", err
+	}
+	return id, nil
 }
 
-// Release frees one in-flight slot. The plane calls it exactly once per
-// pending entry that build registered, when it drops that entry.
-func (c *TaskClient[Req, Res]) Release() { <-c.sem }
-
-// handle runs on the result loop for every event on the shared topic.
-func (c *TaskClient[Req, Res]) handle(ctx context.Context, it *Item[Res]) {
-	// Ack first, on the goroutine that owns the subscription: it commits
-	// the offset so the log can be compacted, and — result producers set no
-	// evict-on-ack — has no payload side effect.
-	_ = it.Ack(ctx)
-	// A peer's result is left alone: evicting it here would race its
-	// addressee's own resolve.
-	if it.Event.Attr(c.plane.AttrReply) != c.id {
-		return
+// Await waits for the result of the task Submit returned id for, resolves
+// it, then evicts its payload and deletes its future. Call it at most once
+// per ID: it frees the ID's in-flight slot when it returns. A wait the
+// server refuses for its tagged-wait cap, or that fails in transit, is
+// retried with backoff; a wait round that ends while the client is fenced
+// fails with ErrTaskClientFenced. Once the client is closed, Await takes
+// only a result already set, and otherwise fails with
+// ErrTaskClientClosed.
+func (c *TaskClient[Req, Res]) Await(ctx context.Context, id string) (Res, error) {
+	defer func() { <-c.sem }()
+	var res Res
+	key := c.prefix + id
+	raw, err := c.wait(ctx, key)
+	if err != nil {
+		return res, err
+	}
+	// The future goes last, after the payload: a crash in between leaves
+	// nothing the sweep misses.
+	defer c.fut.deleteFutures(context.WithoutCancel(ctx), key)
+	ev, err := DecodeEvent(raw)
+	if err != nil {
+		return res, err
 	}
 	// "deliver" closes the trace the submit opened.
-	if trace := it.Event.Attr(telemetry.AttrTrace); trace != "" {
-		defer telemetry.Default().StartSpan(trace, it.Event.Attr(telemetry.AttrSpan), "deliver").End()
+	if trace := ev.Attr(telemetry.AttrTrace); trace != "" {
+		defer telemetry.Default().StartSpan(trace, ev.Attr(telemetry.AttrSpan), "deliver").End()
 	}
-	if !c.hooks.Deliver(ctx, it) {
-		// A duplicate (the task re-ran after a worker died between publish
-		// and ack) or a stray: nobody will consume it.
-		c.hooks.reclaim(ctx, it.Proxy)
+	pxy := new(proxy.Proxy[Res])
+	if err = pxy.UnmarshalBinary(ev.ProxyData); err == nil {
+		res, err = pxy.Value(ctx)
+		// Copied out or lost, the payload is done with.
+		EvictPayload(ctx, pxy)
 	}
+	return res, err
 }
 
-// stop marks the client closed and waits for its result loop to exit.
-func (c *TaskClient[Req, Res]) stop() {
-	c.closed.Store(true)
-	c.cancel()
-	<-c.done
-}
-
-// Close stops the result loop. On a KVBroker it also leaves the Clients
-// group and forgets the committed offset, so a clean churn of clients
-// leaves the server's key count at its baseline. The store and broker are
-// borrowed and stay open.
-func (c *TaskClient[Req, Res]) Close() error {
-	c.stop()
-	ctx := context.Background()
-	var err error
-	if c.hb != nil {
-		err = c.hb.Leave(ctx)
-	}
-	if c.kb != nil {
-		if ferr := c.kb.ForgetConsumer(ctx, c.plane.Results, c.id); err == nil {
-			err = ferr
+// wait returns the value of the future at key.
+func (c *TaskClient[Req, Res]) wait(ctx context.Context, key string) ([]byte, error) {
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(c.life, cancel)()
+	var retry backoff
+	for {
+		if c.life.Err() != nil {
+			// Closed: take a result already set, with one short wait.
+			raw, ok, err := c.fut.awaitFuture(ctx, key, time.Millisecond)
+			if err == nil && !ok {
+				err = ErrTaskClientClosed
+			}
+			return raw, err
+		}
+		raw, ok, err := c.fut.awaitFuture(wctx, key, c.round)
+		if ok {
+			return raw, nil
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		if c.hb != nil && c.hb.Fenced() {
+			return nil, ErrTaskClientFenced
+		}
+		if err != nil {
+			retry.pause(wctx) // cut short by Close or the caller's ctx
 		}
 	}
-	return err
 }
 
-// Kill simulates the client's process dying: the result loop and the
-// heartbeat stop with none of Close's cleanup, which is left to heartbeat
-// expiry and the workers' orphan sweep. Test and bench hook.
+// Close stops the client: pending Awaits return (those whose result is
+// already set still take it), and on a KVBroker with heartbeats it leaves
+// the Clients group, so the workers' sweep reclaims the futures nobody
+// will await. The store and broker are borrowed and stay open.
+func (c *TaskClient[Req, Res]) Close() error {
+	c.cancel()
+	if c.hb != nil {
+		return c.hb.Leave(context.Background())
+	}
+	return nil
+}
+
+// Kill simulates the client's process dying: pending Awaits and the
+// heartbeat stop with none of Close's cleanup; its futures are reclaimed
+// once the heartbeat expires, by the workers' sweep. Test and bench hook.
 func (c *TaskClient[Req, Res]) Kill() {
 	if c.hb != nil {
 		c.hb.Kill()
 	}
-	c.stop()
+	c.cancel()
 }
 
 // DefaultSettleStrikes is how many failed deliveries of one task (one lease
@@ -260,16 +294,19 @@ const DefaultSettleStrikes = 3
 
 // TaskWorkers is the executing half of a task stream: members of the
 // plane's worker group and, on a KVBroker with heartbeats, a janitor
-// sweeping the result topic for orphans.
+// reclaiming the result futures of clients that are gone.
 type TaskWorkers[Req, Res any] struct {
 	st    *store.Store
-	b     Broker
+	fut   resultFutures // nil when the broker has none: every result fails
 	plane TaskPlane
 	hooks TaskHooks[Req, Res]
 
 	// kb/mem drive the orphan sweep: mem is the plane's Clients group.
-	kb  *KVBroker
-	mem *Membership
+	// swept counts the futures the janitor reclaimed since the last
+	// SweepResults call, which reports them.
+	kb    *KVBroker
+	mem   *Membership
+	swept atomic.Int64
 
 	// strikes counts failed deliveries per task-log offset.
 	strikeMu sync.Mutex
@@ -287,8 +324,9 @@ func StartTaskWorkers[Req, Res any](st *store.Store, b Broker, plane TaskPlane, 
 		n = 1
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	w := &TaskWorkers[Req, Res]{st: st, b: b, plane: plane, hooks: hooks,
+	w := &TaskWorkers[Req, Res]{st: st, plane: plane, hooks: hooks,
 		strikes: make(map[uint64]int), cancel: cancel}
+	w.fut, _ = unwrapTo[resultFutures](b)
 	// Member names carry a fresh ID: two processes serving the same name
 	// must not collide on member identity, or a stale ack from one could
 	// settle a same-named peer's live claim.
@@ -296,15 +334,7 @@ func StartTaskWorkers[Req, Res any](st *store.Store, b Broker, plane TaskPlane, 
 	for i := 0; i < n; i++ {
 		member := fmt.Sprintf("%s-%s-w%d", name, instance, i)
 		w.wg.Add(1)
-		go func() {
-			defer w.wg.Done()
-			consumeLoop(ctx, func() (*Consumer[Req], error) {
-				// Window 1: a member should never claim work it cannot
-				// start within its lease.
-				return NewConsumer[Req](ctx, b, plane.Tasks, member,
-					WithGroup(plane.Group), WithEndCount(0), WithWindow(1))
-			}, w.execute)
-		}()
+		go w.work(ctx, b, member)
 	}
 	if kb, ok := AsKV(b); ok && kb.Heartbeats() {
 		w.kb, w.mem = kb, kb.Membership(plane.Results, plane.Clients)
@@ -314,10 +344,39 @@ func StartTaskWorkers[Req, Res any](st *store.Store, b Broker, plane TaskPlane, 
 	return w
 }
 
+// work is one member's loop until ctx ends: it retries subscribing until
+// it succeeds, then runs every task it claims, backing off on transient
+// Next errors; the backoff resets on any success.
+func (w *TaskWorkers[Req, Res]) work(ctx context.Context, b Broker, member string) {
+	defer w.wg.Done()
+	var retry backoff
+	var cons *Consumer[Req]
+	for cons == nil {
+		var err error
+		// Window 1: a member should never claim work it cannot start
+		// within its lease.
+		cons, err = NewConsumer[Req](ctx, b, w.plane.Tasks, member,
+			WithGroup(w.plane.Group), WithEndCount(0), WithWindow(1))
+		if err != nil && !retry.pause(ctx) {
+			return
+		}
+	}
+	defer cons.Close()
+	for {
+		it, err := cons.Next(ctx)
+		if err == nil {
+			retry = backoff{}
+			w.execute(ctx, it)
+		} else if errors.Is(err, ErrEnd) || ctx.Err() != nil || !retry.pause(ctx) {
+			return
+		}
+	}
+}
+
 // execute runs one claimed task. The claim is settled only after the
-// result publish succeeds; an earlier failure leaves the claim to its
-// lease, so another member retries the task (at-least-once execution; the
-// client drops duplicate results).
+// result is set; an earlier failure leaves the claim to its lease, so
+// another member retries the task (at-least-once execution; only the
+// first result set reaches the client).
 func (w *TaskWorkers[Req, Res]) execute(ctx context.Context, it *Item[Req]) {
 	req, err := it.Value(ctx)
 	if err != nil {
@@ -325,7 +384,7 @@ func (w *TaskWorkers[Req, Res]) execute(ctx context.Context, it *Item[Req]) {
 		return
 	}
 	// Continue the submitter's trace: "execute" parents under the task
-	// event's span and is the parent the result event carries.
+	// event's span and is the parent the result carries.
 	var sp *telemetry.Span
 	if trace := it.Event.Attr(telemetry.AttrTrace); trace != "" {
 		sp = telemetry.Default().StartSpan(trace, it.Event.Attr(telemetry.AttrSpan), "execute")
@@ -338,27 +397,51 @@ func (w *TaskWorkers[Req, Res]) execute(ctx context.Context, it *Item[Req]) {
 	}
 	err = w.publish(ctx, it, res, sp)
 	sp.End()
-	if err != nil {
-		// The result never shipped, and the lease will re-run the task.
-		if w.hooks.Orphan != nil {
-			w.hooks.Orphan(ctx, res)
-		}
-		return
+	if err == nil {
+		w.settle(ctx, it)
 	}
-	w.settle(ctx, it)
 }
 
-// publish sends res as the result of task it, addressed to its submitter.
-// No evict-on-ack: every client on the shared topic acks every result, so
-// an ack count would let one client evict another's unread payload — the
-// addressee evicts its own, and the sweep those of dead addressees.
+// publish sets res as the result of task it, in the future the task
+// event's reply attr names: the payload's proxy, the task ID and the trace
+// context. A result that does not end up there — the set failed, or lost
+// its CAS because an earlier run of the task (a worker died between set
+// and ack) got there first — is reclaimed: its payload, and whatever
+// Orphan finds in it. Only a failure is returned: it leaves the claim to
+// its lease, while a lost CAS means the task has its result.
 func (w *TaskWorkers[Req, Res]) publish(ctx context.Context, it *Item[Req], res Res, sp *telemetry.Span) error {
-	attrs := map[string]string{
-		w.plane.AttrID:    it.Event.Attr(w.plane.AttrID),
-		w.plane.AttrReply: it.Event.Attr(w.plane.AttrClient),
+	set := false
+	defer func() {
+		if !set && w.hooks.Orphan != nil {
+			w.hooks.Orphan(ctx, res)
+		}
+	}()
+	key := it.Event.Attr(w.plane.AttrReply)
+	if w.fut == nil {
+		return errNoFutures
 	}
+	if !strings.HasPrefix(key, w.plane.futurePrefix()) {
+		return fmt.Errorf("pstream: task %s names no result future of plane %q", it.Event.Attr(w.plane.AttrID), w.plane.Results)
+	}
+	attrs := map[string]string{w.plane.AttrID: it.Event.Attr(w.plane.AttrID)}
 	sp.Inject(attrs)
-	return NewProducer[Res](w.st, w.b, w.plane.Results).Send(ctx, res, attrs)
+	defer publishSpan(attrs).End()
+	skey, err := w.st.PutObject(ctx, res)
+	if err != nil {
+		return err
+	}
+	var raw []byte
+	data, err := store.ProxyFromKey[Res](w.st, skey).MarshalBinary()
+	if err == nil {
+		raw, err = EncodeEvent(Event{ProxyData: data, Attrs: attrs})
+	}
+	if err == nil {
+		set, err = w.fut.setFuture(ctx, key, raw)
+	}
+	if !set {
+		w.st.Evict(context.WithoutCancel(ctx), skey)
+	}
+	return err
 }
 
 // settle clears the task's strikes and acks its claim, which reclaims the
@@ -373,10 +456,10 @@ func (w *TaskWorkers[Req, Res]) settle(ctx context.Context, it *Item[Req]) {
 // strike is the poison-task policy for a task whose payload did not
 // resolve. Transient store failures heal across lease redeliveries, so the
 // claim is left to expire — until the task's offset has failed
-// DefaultSettleStrikes times. Then the failure is reported as the task's
-// result, routed by the event attrs (which exist so a worker can report
-// without the payload), and the claim is settled. If that publish fails,
-// the claim is again left to its lease.
+// DefaultSettleStrikes times. Then the failure is set as the task's
+// result, in the future the event attrs name (which exist so a worker can
+// reply without the payload), and the claim is settled. If that set
+// fails, the claim is again left to its lease.
 func (w *TaskWorkers[Req, Res]) strike(ctx context.Context, it *Item[Req], cause error) {
 	if ctx.Err() != nil {
 		return
@@ -395,7 +478,7 @@ func (w *TaskWorkers[Req, Res]) strike(ctx context.Context, it *Item[Req], cause
 	w.settle(ctx, it)
 }
 
-// janitor sweeps the result topic once per heartbeat TTL: a dead client
+// janitor sweeps the plane's futures once per heartbeat TTL: a dead client
 // is detected within one TTL, so its orphans linger at most about two.
 func (w *TaskWorkers[Req, Res]) janitor(ctx context.Context) {
 	defer w.wg.Done()
@@ -406,29 +489,69 @@ func (w *TaskWorkers[Req, Res]) janitor(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			_, _ = w.SweepResults(ctx)
+			n, _ := w.sweep(ctx) // a failed sweep is retried next tick
+			w.swept.Add(int64(n))
 		}
 	}
 }
 
-// SweepResults runs one orphan sweep (KVBroker.SweepTopic) over the
-// result topic with the Clients group's live set, reclaiming every
-// result addressed to a dead client. Returns the log slots reclaimed. A
-// no-op on brokers without heartbeats; the janitor also runs it.
+// SweepResults runs one orphan sweep over the plane's result futures: it
+// lists them (KEYS), reaps the Clients group's dead members, and reclaims
+// every future whose client is not a live member — dead, killed, or
+// closed before awaiting it: its payload, whatever Orphan finds in it,
+// and the key. The janitor runs the same sweep; SweepResults returns the
+// futures reclaimed since its last call, by this sweep or the janitor's.
+// A no-op on brokers without heartbeats.
 func (w *TaskWorkers[Req, Res]) SweepResults(ctx context.Context) (int, error) {
+	n, err := w.sweep(ctx)
+	return n + int(w.swept.Swap(0)), err
+}
+
+// sweep is one orphan sweep, returning the futures it reclaimed. The list
+// is read before the roster: a client joins before it submits, so the
+// client of any listed future is on the roster read after it, and a live
+// client never loses a future to the sweep.
+func (w *TaskWorkers[Req, Res]) sweep(ctx context.Context) (int, error) {
 	if w.mem == nil {
 		return 0, nil
 	}
-	return w.kb.SweepTopic(ctx, w.plane.Results, w.mem, func(ev Event, live map[string]bool) bool {
-		if live[ev.Attr(w.plane.AttrReply)] {
-			return false // the addressee is alive and evicts its own payloads
-		}
-		pxy := new(proxy.Proxy[Res])
-		if err := pxy.UnmarshalBinary(ev.ProxyData); err != nil {
-			return false
-		}
-		return w.hooks.reclaim(ctx, pxy)
+	prefix := w.plane.futurePrefix()
+	keys, err := kvstore.Keys(ctx, w.kb.client, prefix)
+	if err != nil {
+		return 0, err
+	}
+	live, _, err := w.mem.cull(ctx)
+	alive := make(map[string]bool, len(live))
+	for _, c := range live {
+		alive[c] = true
+	}
+	orphans := slices.DeleteFunc(keys, func(k string) bool {
+		client, _, _ := strings.Cut(k[len(prefix):], ":")
+		return alive[client]
 	})
+	if err != nil || len(orphans) == 0 {
+		return 0, err
+	}
+	raws, err := kvstore.MGet(ctx, w.kb.client, orphans...)
+	if err != nil {
+		return 0, err
+	}
+	for _, raw := range raws {
+		pxy := new(proxy.Proxy[Res])
+		if ev, err := DecodeEvent(raw); raw == nil || err != nil || pxy.UnmarshalBinary(ev.ProxyData) != nil {
+			continue // taken since the list was read, or unreadable
+		}
+		// Resolve the payload only for Orphan, then evict it.
+		if w.hooks.Orphan != nil {
+			if res, err := pxy.Value(ctx); err == nil {
+				w.hooks.Orphan(ctx, res)
+			}
+		}
+		EvictPayload(ctx, pxy)
+	}
+	n, err := kvstore.Del(ctx, w.kb.client, orphans...)
+	w.kb.mOrphanGC.Add(uint64(n))
+	return int(n), err
 }
 
 // Close stops the workers and the janitor. Unsettled claims are not
@@ -439,53 +562,31 @@ func (w *TaskWorkers[Req, Res]) Close() {
 	w.wg.Wait()
 }
 
-// loopRetry is consumeLoop's base retry pause; loopBackoffCap bounds its
+// loopRetry is a retry pause's base; loopBackoffCap bounds its
 // exponential backoff at this many multiples of it (50 ms → 1.6 s).
 const (
 	loopRetry      = 50 * time.Millisecond
 	loopBackoffCap = 32
 )
 
-// consumeLoop drives a long-lived consumer until ctx is canceled or the
-// stream ends: it retries subscribe until it succeeds, then delivers every
-// item to handle (which owns resolve and ack), backing off on transient
-// Next errors. Pauses double up to the cap, are jittered over [½, 1½]× so
-// restarting workers don't thundering-herd a recovering broker, and reset
-// on any success.
-func consumeLoop[T any](ctx context.Context, subscribe func() (*Consumer[T], error), handle func(context.Context, *Item[T])) {
-	delay := loopRetry
-	pause := func() bool {
-		d := delay/2 + time.Duration(rand.Int63n(int64(delay)))
-		if delay < loopBackoffCap*loopRetry {
-			delay *= 2
-		}
-		select {
-		case <-ctx.Done():
-			return false
-		case <-time.After(d):
-			return true
-		}
+// backoff paces retries. Pauses double up to the cap and are jittered over
+// [½, 1½]×, so restarting workers don't thundering-herd a recovering
+// broker. The zero value starts at loopRetry.
+type backoff struct{ delay time.Duration }
+
+// pause sleeps one retry pause, reporting false if ctx ended first.
+func (b *backoff) pause(ctx context.Context) bool {
+	if b.delay == 0 {
+		b.delay = loopRetry
 	}
-	var cons *Consumer[T]
-	for cons == nil {
-		var err error
-		if cons, err = subscribe(); err != nil {
-			if !pause() {
-				return
-			}
-		}
+	d := b.delay/2 + time.Duration(rand.Int63n(int64(b.delay)))
+	if b.delay < loopBackoffCap*loopRetry {
+		b.delay *= 2
 	}
-	defer cons.Close()
-	delay = loopRetry
-	for {
-		it, err := cons.Next(ctx)
-		if err != nil {
-			if errors.Is(err, ErrEnd) || ctx.Err() != nil || !pause() {
-				return
-			}
-			continue
-		}
-		delay = loopRetry
-		handle(ctx, it)
+	select {
+	case <-ctx.Done():
+		return false
+	case <-time.After(d):
+		return true
 	}
 }

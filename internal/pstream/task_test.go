@@ -2,6 +2,9 @@ package pstream_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,6 +23,9 @@ type deliveryCounter struct {
 	pstream.Broker
 	n atomic.Int32
 }
+
+// Unwrap lets the task planes reach the wrapped broker's result futures.
+func (b *deliveryCounter) Unwrap() pstream.Broker { return b.Broker }
 
 func (b *deliveryCounter) SubscribeGroup(ctx context.Context, topic, group, member string) (pstream.Subscription, error) {
 	sub, err := b.Broker.SubscribeGroup(ctx, topic, group, member)
@@ -77,18 +83,13 @@ func TestTaskPlanePoisonTaskSettlesAfterStrikes(t *testing.T) {
 	plane := pstream.TaskPlane{
 		Tasks: "tp.t." + id, Results: "tp.r." + id,
 		Group: "workers", Clients: "clients",
-		AttrID: "tp.id", AttrReply: "tp.rt", AttrClient: "tp.cl",
+		AttrID: "tp.id", AttrReply: "tp.rt",
 	}
-	results := make(chan *pstream.Item[string], 4)
 	hooks := pstream.TaskHooks[string, string]{
 		Execute: func(_ context.Context, req string) (string, error) { return req, nil },
 		Failed:  func(_ string, err error) string { return err.Error() },
-		Deliver: func(_ context.Context, it *pstream.Item[string]) bool {
-			results <- it
-			return true
-		},
 	}
-	c, err := pstream.NewTaskClient(st, b, plane, hooks)
+	c, err := pstream.NewTaskClient[string, string](st, b, plane)
 	if err != nil {
 		t.Fatalf("NewTaskClient: %v", err)
 	}
@@ -118,18 +119,9 @@ func TestTaskPlanePoisonTaskSettlesAfterStrikes(t *testing.T) {
 	w := pstream.StartTaskWorkers(st, b, plane, hooks, "poison", 1)
 	t.Cleanup(w.Close)
 
-	var res *pstream.Item[string]
-	select {
-	case res = <-results:
-	case <-ctx.Done():
-		t.Fatalf("no error result; %d deliveries so far", b.n.Load())
-	}
-	if got := res.Event.Attr(plane.AttrID); got != taskID {
-		t.Fatalf("result for task %q, want %q", got, taskID)
-	}
-	msg, err := res.Value(ctx)
+	msg, err := c.Await(ctx, taskID)
 	if err != nil {
-		t.Fatalf("resolving the error result: %v", err)
+		t.Fatalf("no error result (%v); %d deliveries so far", err, b.n.Load())
 	}
 	if !strings.Contains(msg, "resolving task payload") {
 		t.Fatalf("error result = %q, want it to report the unresolvable payload", msg)
@@ -138,17 +130,231 @@ func TestTaskPlanePoisonTaskSettlesAfterStrikes(t *testing.T) {
 		t.Fatalf("task delivered %d times before settling, want %d", got, pstream.DefaultSettleStrikes)
 	}
 	// Settled: several leases later it has been neither redelivered nor
-	// reported again.
+	// reported again (Await deleted the future, so a second result would
+	// set it anew).
 	time.Sleep(4 * lease)
 	if got := b.n.Load(); got != pstream.DefaultSettleStrikes {
 		t.Fatalf("settled task redelivered: %d deliveries, want %d", got, pstream.DefaultSettleStrikes)
 	}
-	select {
-	case it := <-results:
-		t.Fatalf("second result for a settled task: %+v", it.Event)
-	default:
+	cli := kvstore.NewClient(srv.Addr())
+	defer cli.Close()
+	if keys, err := kvstore.Keys(ctx, cli, "ps:"+plane.Results+":f:"); err != nil || len(keys) != 0 {
+		t.Fatalf("result futures after the settled task = %q (%v), want none", keys, err)
 	}
 	if n := pstream.TaskStrikes(w); n != 0 {
 		t.Fatalf("worker still holds strikes for %d offsets, want 0", n)
+	}
+}
+
+// newTaskPlane returns a kvstore server, a fresh plane and a store over a
+// local connector, so the server counts broker commands only.
+func newTaskPlane(t *testing.T, name string) (*kvstore.Server, pstream.TaskPlane, *store.Store) {
+	t.Helper()
+	srv, err := kvstore.NewServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	id := connector.NewID()[:8]
+	st, err := store.New(name+"-"+id, local.New(name+"-conn-"+id))
+	if err != nil {
+		t.Fatalf("store.New: %v", err)
+	}
+	t.Cleanup(func() { store.Unregister(name + "-" + id) })
+	plane := pstream.TaskPlane{
+		Tasks: "tp.t." + id, Results: "tp.r." + id,
+		Group: "workers", Clients: "clients",
+		AttrID: "tp.id", AttrReply: "tp.rt",
+	}
+	return srv, plane, st
+}
+
+// echoHooks run a task by returning its request.
+var echoHooks = pstream.TaskHooks[string, string]{
+	Execute: func(_ context.Context, req string) (string, error) { return req, nil },
+	Failed:  func(_ string, err error) string { return err.Error() },
+}
+
+// TestTaskPlaneCommandsFlatInClients: a task costs the same kv commands
+// however many clients share the plane — each result is a future of its
+// own, read by its client alone. Every client runs closed-loop tasks
+// against two workers; with 8 clients a task must cost at most 10 % more
+// than with 1.
+func TestTaskPlaneCommandsFlatInClients(t *testing.T) {
+	const tasksPerClient = 200
+	perTask := func(clients int) float64 {
+		srv, plane, st := newTaskPlane(t, fmt.Sprintf("task-flat-%d", clients))
+		b := pstream.NewKV(srv.Addr())
+		t.Cleanup(func() { b.Close() })
+		w := pstream.StartTaskWorkers(st, b, plane, echoHooks, "flat", 2)
+		t.Cleanup(w.Close)
+		cs := make([]*pstream.TaskClient[string, string], clients)
+		for i := range cs {
+			c, err := pstream.NewTaskClient[string, string](st, b, plane)
+			if err != nil {
+				t.Fatalf("NewTaskClient: %v", err)
+			}
+			t.Cleanup(func() { c.Close() })
+			cs[i] = c
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		before := srv.Commands()
+		errs := make(chan error, clients)
+		for i, c := range cs {
+			go func() {
+				for j := 0; j < tasksPerClient; j++ {
+					want := fmt.Sprintf("c%d-t%d", i, j)
+					id, err := c.Submit(ctx, func(string, map[string]string) string { return want })
+					if err == nil {
+						var got string
+						if got, err = c.Await(ctx, id); err == nil && got != want {
+							err = fmt.Errorf("result %q, want %q", got, want)
+						}
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		for range cs {
+			if err := <-errs; err != nil {
+				t.Fatalf("%d clients: %v", clients, err)
+			}
+		}
+		return float64(srv.Commands()-before) / float64(clients*tasksPerClient)
+	}
+	one, eight := perTask(1), perTask(8)
+	t.Logf("kv commands per task: %.2f with 1 client, %.2f with 8", one, eight)
+	// Only growth is a failure: busy workers park less between tasks, so
+	// a task may cost fewer commands when 8 clients keep them busy.
+	if eight > 1.1*one {
+		t.Fatalf("kv commands per task: %.2f with 8 clients against %.2f with 1, want at most 10 %% more", eight, one)
+	}
+}
+
+// waitCapTap counts the waits on result futures that the server refuses
+// for its per-connection cap on tagged waits.
+type waitCapTap struct {
+	kvstore.KV
+	prefix  string
+	refused atomic.Int32
+}
+
+func (w *waitCapTap) WaitGet(ctx context.Context, key string, timeout time.Duration) ([]byte, bool, error) {
+	val, ok, err := w.KV.WaitGet(ctx, key, timeout)
+	if err != nil && strings.Contains(err.Error(), "too many in-flight tagged waits") && strings.HasPrefix(key, w.prefix) {
+		w.refused.Add(1)
+	}
+	return val, ok, err
+}
+
+// TestTaskPlaneAwaitsSurviveTaggedWaitCap: the server parks at most 4,096
+// tagged waits per connection, as many as a client may have tasks in
+// flight, and a broker's waits all share one connection. A client
+// awaiting TaskWindow futures at once beside idle workers' parks of the
+// same broker has waits refused; each refused wait is retried, and every
+// future resolves.
+func TestTaskPlaneAwaitsSurviveTaggedWaitCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs TaskWindow tasks; the full-length task-plane run covers it")
+	}
+	srv, plane, st := newTaskPlane(t, "task-cap")
+	tap := &waitCapTap{prefix: "ps:" + plane.Results + ":f:"}
+	b := pstream.NewKV(srv.Addr(), pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { tap.KV = inner; return tap }))
+	t.Cleanup(func() { b.Close() })
+	waiters := srv.Telemetry().Gauge("kv.waiters")
+
+	// Idle workers of another plane park first and stay parked.
+	idle := plane
+	idle.Tasks, idle.Results = plane.Tasks+".idle", plane.Results+".idle"
+	iw := pstream.StartTaskWorkers(st, b, idle, echoHooks, "idle", 2)
+	t.Cleanup(iw.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	for waiters.Value() < 2 {
+		if ctx.Err() != nil {
+			t.Fatalf("idle workers never parked: %d waits", waiters.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	c, err := pstream.NewTaskClient[string, string](st, b, plane)
+	if err != nil {
+		t.Fatalf("NewTaskClient: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	ids := make([]string, pstream.TaskWindow)
+	for i := range ids {
+		want := strconv.Itoa(i)
+		if ids[i], err = c.Submit(ctx, func(string, map[string]string) string { return want }); err != nil {
+			t.Fatalf("Submit #%d: %v", i, err)
+		}
+	}
+	errs := make(chan error, len(ids))
+	for i, id := range ids {
+		go func() {
+			got, err := c.Await(ctx, id)
+			if err == nil && got != strconv.Itoa(i) {
+				err = fmt.Errorf("task %d: result %q", i, got)
+			}
+			errs <- err
+		}()
+	}
+	// Nothing resolves until the workers start, so every future stays
+	// awaited: with the idle parks that is more waits than the cap.
+	for tap.refused.Load() == 0 {
+		if ctx.Err() != nil {
+			t.Fatalf("no future wait refused with %d waits parked", waiters.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	w := pstream.StartTaskWorkers(st, b, plane, echoHooks, "cap", 2)
+	t.Cleanup(w.Close)
+	for range ids {
+		if err := <-errs; err != nil {
+			t.Fatalf("Await: %v (%d future waits refused)", err, tap.refused.Load())
+		}
+	}
+	t.Logf("%d future waits refused and retried", tap.refused.Load())
+}
+
+// TestTaskPlaneFencedClientAwaitFails: a client whose heartbeat stops
+// landing may be read as dead, and its futures swept, by peers. Its Await
+// must then fail within one wait round rather than wait for a result that
+// may never come.
+func TestTaskPlaneFencedClientAwaitFails(t *testing.T) {
+	srv, plane, st := newTaskPlane(t, "task-fence")
+	const ttl = 300 * time.Millisecond
+	kv := &stallingKV{prefix: "ps:m." + plane.Results + ":" + plane.Clients + ":h:", release: make(chan struct{})}
+	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeat(ttl),
+		pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { kv.KV = inner; return kv }))
+	t.Cleanup(func() { b.Close() })
+	c, err := pstream.NewTaskClient[string, string](st, b, plane)
+	if err != nil {
+		t.Fatalf("NewTaskClient: %v", err)
+	}
+	t.Cleanup(func() {
+		close(kv.release)
+		c.Close()
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// No worker runs: the result never comes.
+	id, err := c.Submit(ctx, func(string, map[string]string) string { return "never run" })
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	kv.stall.Store(true)
+	start := time.Now()
+	_, err = c.Await(ctx, id)
+	if !errors.Is(err, pstream.ErrTaskClientFenced) {
+		t.Fatalf("Await of a fenced client = %v, want ErrTaskClientFenced", err)
+	}
+	if took := time.Since(start); took > 2*ttl {
+		t.Fatalf("fenced Await took %v, want within one wait round (%v)", took, ttl)
 	}
 }
