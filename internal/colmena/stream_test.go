@@ -477,16 +477,14 @@ func TestStreamServerCloseReturnsServerKeysToBaseline(t *testing.T) {
 	// submit, drain their results and Close cleanly must leave no
 	// per-instance keys on the kv server — each result future is deleted
 	// once awaited, Close leaves the thinkers group, and its workers leave
-	// the worker group. Two instances of the name run at once, sharing the
-	// task topic, which WithKVTruncate(1) compacts (one logical reader,
-	// the group).
+	// the worker group, trimming the task topic they share (two instances
+	// of the name run at once) to the group's floor.
 	srv, err := kvstore.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	b := pstream.NewKV(srv.Addr(),
-		pstream.WithKVTruncate(1),
 		pstream.WithKVLease(2*time.Second),
 		pstream.WithKVHeartbeat(200*time.Millisecond))
 	t.Cleanup(func() { b.Close() })
@@ -502,8 +500,7 @@ func TestStreamServerCloseReturnsServerKeysToBaseline(t *testing.T) {
 	cli := kvstore.NewClient(srv.Addr())
 	t.Cleanup(func() { cli.Close() })
 
-	// The count is polled briefly: a group member's floor sweep may still
-	// be collecting the last task's claim record just after its ack.
+	// The count is polled briefly, as in faas's twin test.
 	generation := func(ceiling int64) int64 {
 		var twins [2]*StreamServer
 		for j := range twins {
@@ -544,8 +541,8 @@ func TestStreamServerCloseReturnsServerKeysToBaseline(t *testing.T) {
 		}
 	}
 	// The baseline is the task topic's counter and floor, the group's
-	// floor and the two groups' emptied rosters: 5 keys, however many
-	// tasks or instances have been through.
+	// floor and registration, and the two groups' emptied rosters: 6 keys,
+	// however many tasks or instances have been through.
 	first := generation(8)
 	second := generation(first)
 	if second > first {

@@ -23,6 +23,9 @@ func setup(t *testing.T) (*Connector, *Connector) {
 	if err := svc.RegisterEndpoint("site-b", netsim.SiteTheta, t.TempDir()); err != nil {
 		t.Fatalf("RegisterEndpoint: %v", err)
 	}
+	// Cleanups run last-in first-out: in-flight transfers finish before
+	// the endpoint directories are removed.
+	t.Cleanup(svc.WaitAll)
 	globus.RegisterService("svc", svc)
 
 	producer, err := New("svc", "site-a", []string{"site-b"})

@@ -433,20 +433,18 @@ func TestStreamDuplicateResultDropped(t *testing.T) {
 }
 
 func TestStreamExecutorCloseReturnsServerKeysToBaseline(t *testing.T) {
-	// Regression: executors used to leave their result-topic keys (log
-	// slots, committed offset) on the kv server forever — each
-	// Close-without-cleanup grew the key count by O(results). Now the
-	// result topic is shared per endpoint, Close forgets the executor's
-	// offset and leaves the membership group, and the endpoint's sweep
-	// truncates consumed slots — so a churn of executors must hold the
-	// server's key count at a fixed baseline.
+	// Regression: executors used to leave per-executor keys on the kv
+	// server forever — each Close-without-cleanup grew the key count by
+	// O(results). Now each result is a future deleted once awaited, Close
+	// leaves the membership group, and the endpoint's sweep trims the task
+	// topic to its worker group's floor — so a churn of executors must
+	// hold the server's key count at a fixed baseline.
 	srv, err := kvstore.NewServer("127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	b := pstream.NewKV(srv.Addr(),
-		pstream.WithKVTruncate(1),
 		pstream.WithKVLease(2*time.Second),
 		pstream.WithKVHeartbeat(200*time.Millisecond))
 	t.Cleanup(func() { b.Close() })
@@ -468,8 +466,9 @@ func TestStreamExecutorCloseReturnsServerKeysToBaseline(t *testing.T) {
 	// Two generations of executors: each submits and resolves a batch,
 	// then closes cleanly. After a sweep, the server must be back at the
 	// same key count both times — no per-executor growth. The count is
-	// polled briefly: the workers' own floor sweep collects the last
-	// task's claim record on their next scan, an instant after its ack.
+	// polled briefly: the sweep trims only to the workers' group floor,
+	// which passes the last task on their next scan, an instant after its
+	// ack.
 	generation := func(ceiling int64) int64 {
 		exec, err := NewStreamExecutor(st, b, epName)
 		if err != nil {
@@ -502,8 +501,9 @@ func TestStreamExecutorCloseReturnsServerKeysToBaseline(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	// The absolute baseline is a fixed handful: topic counters, trunc
-	// floors, the group's floor, rosters and live worker heartbeats —
+	// The absolute baseline is a fixed handful: the task topic's counters,
+	// the group's floor and registration, rosters and live worker
+	// heartbeats —
 	// independent of how many tasks or executors have been through.
 	first := generation(24)
 	second := generation(first)
@@ -514,9 +514,9 @@ func TestStreamExecutorCloseReturnsServerKeysToBaseline(t *testing.T) {
 		t.Fatalf("baseline server key count = %d, want <= 24", first)
 	}
 
-	// A third generation crashes with work in flight: its two results land
-	// on the shared result topic addressed to a client whose heartbeat is
-	// about to expire, and only the endpoint's sweeps can reclaim them.
+	// A third generation crashes with work in flight: its two results are
+	// set in the futures of a client whose heartbeat is about to expire,
+	// and only the endpoint's sweeps can reclaim them.
 	// The loop waits for both the reclaimed slots and the key baseline:
 	// the key count alone is already at baseline before the results exist.
 	release := make(chan struct{})

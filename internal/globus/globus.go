@@ -15,8 +15,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -196,6 +198,18 @@ func (s *Service) Status(taskID string) (TaskStatus, error) {
 		return TaskFailed, fmt.Errorf("globus: unknown task %q", taskID)
 	}
 	return t.status, nil
+}
+
+// WaitAll blocks until every task submitted so far has finished, so a
+// caller can remove the endpoints' directories with no transfer still
+// writing into them.
+func (s *Service) WaitAll() {
+	s.mu.RLock()
+	tasks := slices.Collect(maps.Values(s.tasks))
+	s.mu.RUnlock()
+	for _, t := range tasks {
+		<-t.done
+	}
 }
 
 // Wait blocks until the task completes, returning the task's error if it

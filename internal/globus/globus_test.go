@@ -133,3 +133,26 @@ func TestServiceRegistry(t *testing.T) {
 		t.Fatal("LookupService found unregistered service")
 	}
 }
+
+// TestWaitAllWaitsForEveryTask checks that WaitAll returns only once
+// every submitted task has left the running state.
+func TestWaitAllWaitsForEveryTask(t *testing.T) {
+	svc, dirA, _ := newService(t)
+	var ids []string
+	for _, name := range []string{"a.obj", "b.obj", "c.obj"} {
+		if err := os.WriteFile(filepath.Join(dirA, name), []byte(name), 0o644); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		id, err := svc.Submit("ep-a", "ep-b", []string{name})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		ids = append(ids, id)
+	}
+	svc.WaitAll()
+	for _, id := range ids {
+		if st, err := svc.Status(id); err != nil || st != TaskSucceeded {
+			t.Fatalf("Status(%s) after WaitAll = %v, %v", id, st, err)
+		}
+	}
+}

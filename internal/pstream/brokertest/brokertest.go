@@ -585,6 +585,80 @@ func Run(t *testing.T, newBroker func(t *testing.T) pstream.Broker, opts Options
 		}
 	})
 
+	t.Run("TrimKeepsWhatReadersNeed", func(t *testing.T) {
+		// A group acks far past any trim stride while a fan-out reader
+		// lags at offset 10: the lagging reader must still get every event
+		// from there. A reader registered before a publish must get it,
+		// however far the other readers go past it. An End must survive.
+		topic := freshTopic("trim")
+		const n, lag = 200, 10
+		publish := func() {
+			evs := make([]pstream.Event, n)
+			for i := range evs {
+				evs[i] = ev("p", uint64(i+1))
+			}
+			if err := b.PublishBatch(ctx, topic, evs); err != nil {
+				t.Fatalf("PublishBatch: %v", err)
+			}
+		}
+		// read takes and acks the events at offsets [from, to), in order.
+		read := func(sub pstream.Subscription, from, to uint64) {
+			t.Helper()
+			for off := from; off < to; off++ {
+				if e := next(t, sub); e.Offset != off {
+					t.Fatalf("got offset %d, want %d", e.Offset, off)
+				} else if _, err := sub.Ack(ctx, e); err != nil {
+					t.Fatalf("Ack: %v", err)
+				}
+			}
+		}
+		group := groupSub(t, topic, "g", "m")
+		lagging, err := b.Subscribe(ctx, topic, "lagging")
+		if err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		defer lagging.Close()
+		publish()
+		read(lagging, 0, lag)
+		read(group, 0, n)
+		read(lagging, lag, n)
+
+		late, err := b.Subscribe(ctx, topic, "late")
+		if err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		defer late.Close()
+		publish()
+		read(group, n, 2*n)
+		read(lagging, n, 2*n)
+		e := next(t, late)
+		for e.Offset < n {
+			e = next(t, late)
+		}
+		if e.Offset != n {
+			t.Fatalf("late reader skipped to offset %d, past offset %d published after it registered", e.Offset, n)
+		}
+		read(late, n+1, 2*n)
+
+		// An End survives every trim, even once every reader has acked
+		// past it (and the member's Close has trimmed): a member rejoining
+		// the group still receives it.
+		if err := b.Publish(ctx, topic, pstream.Event{Producer: "p", Seq: 2*n + 1, End: true}); err != nil {
+			t.Fatalf("Publish End: %v", err)
+		}
+		for _, sub := range []pstream.Subscription{group, lagging, late} {
+			if e := next(t, sub); !e.End {
+				t.Fatalf("got {seq %d @%d}, want the End", e.Seq, e.Offset)
+			} else if _, err := sub.Ack(ctx, e); err != nil {
+				t.Fatalf("Ack End: %v", err)
+			}
+		}
+		group.Close()
+		if e := next(t, groupSub(t, topic, "g", "rejoined")); !e.End {
+			t.Fatalf("rejoined member got {seq %d @%d}, want the End", e.Seq, e.Offset)
+		}
+	})
+
 	if opts.ClaimLease > 0 {
 		t.Run("GroupReclaimsExpiredClaims", func(t *testing.T) {
 			topic := freshTopic("lease")

@@ -29,9 +29,7 @@ type ChurnOptions struct {
 
 // RunChurn exercises the heartbeat/churn battery. newBroker builds a
 // fresh KVBroker over one shared backing server with the given group
-// lease and heartbeat TTL — each subtest picks its own timing — and must
-// enable log truncation (pstream.WithKVTruncate(1)) so the storm's
-// key-count assertion measures GC, not retention.
+// lease and heartbeat TTL — each subtest picks its own timing.
 //
 // The battery proves the two fleet-lifecycle guarantees:
 //   - a member that dies with a live lease has its claims reclaimed in
@@ -248,9 +246,10 @@ func churnStorm(t *testing.T, newBroker func(t *testing.T, lease, heartbeat time
 	}
 
 	// GC: after the dead members' heartbeats expire, one Reap must clear
-	// the roster, and a final member scan plus log truncation must return
-	// the server to its baseline plus a fixed handful of bookkeeping keys
-	// (log length, truncation floors, group floor, roster tombstone).
+	// the roster, and a final member's scan and Close — which trims the
+	// drained log — must return the server to its baseline plus a fixed
+	// handful of bookkeeping keys (log length, truncation floor, group
+	// floor and registration, roster tombstone).
 	m := b.Membership(topic, group)
 	const slack = 8
 	gcDeadline := time.Now().Add(10 * time.Second)
@@ -263,18 +262,12 @@ func churnStorm(t *testing.T, newBroker func(t *testing.T, lease, heartbeat time
 			t.Fatalf("Live: %v", err)
 		}
 		// A throwaway member scans once to push the group floor over the
-		// tail claims, then leaves cleanly.
+		// tail claims, then leaves cleanly; its Close trims the log.
 		if sub, err := b.SubscribeGroup(ctx, topic, group, "janitor"); err == nil {
 			nctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
 			_, _, _ = sub.Poll(nctx)
 			cancel()
 			sub.Close()
-		}
-		// Sweep the drained log: ack-triggered truncation stops with the
-		// last ack, so the tail slots need one explicit GC pass — the same
-		// call the task planes' janitors run.
-		if _, err := b.SweepTopic(ctx, topic, m); err != nil {
-			t.Fatalf("SweepTopic: %v", err)
 		}
 		n, err := opts.DBSize()
 		if err != nil {

@@ -27,8 +27,7 @@ func TestKVBrokerChurn(t *testing.T) {
 		func(t *testing.T, lease, heartbeat time.Duration) *pstream.KVBroker {
 			return pstream.NewKV(srv.Addr(),
 				pstream.WithKVLease(lease),
-				pstream.WithKVHeartbeat(heartbeat),
-				pstream.WithKVTruncate(1))
+				pstream.WithKVHeartbeat(heartbeat))
 		},
 		brokertest.ChurnOptions{
 			DBSize: func() (int64, error) { return cli.DBSize(context.Background()) },

@@ -6,8 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"proxystore/internal/connector"
+	"proxystore/internal/connectors/local"
 	"proxystore/internal/kvstore"
 	"proxystore/internal/pstream"
+	"proxystore/internal/store"
 )
 
 // --- KVBroker group path: command cost and scan read order ----------------
@@ -26,7 +29,12 @@ func newGroupServer(t *testing.T) *kvstore.Server {
 // per event, one event per round: Publish is one LAPPEND in one round
 // trip; Next is the scan's LREAD, the claim CAS and the floor guard; Ack
 // is a CAS of the remembered record plus INCR; the draining Poll after the
-// ack is the LREAD, the floor CAS and the claim-record DELRANGE.
+// ack is the LREAD and the floor CAS. The drain whose floor CAS crosses
+// 128, the second multiple of the trim stride, also pays one trim pass up
+// to 64, a stride short of the floor: MGET of the truncation floor and
+// length, KEYS of the readers, MGET of their floors and the End record,
+// the truncation-floor CAS and three DELRANGEs (slots, ack counters,
+// claim records).
 func TestGroupCommandBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -79,9 +87,51 @@ func TestGroupCommandBudget(t *testing.T) {
 			if _, ok, err := sub.Poll(ctx); err != nil || ok {
 				t.Fatalf("drain Poll = %v, %v; want nothing pending", ok, err)
 			}
-		}); got > 3 {
-			t.Errorf("round %d: drain Poll cost %d server commands, want ≤ 3", round, got)
+		}); got > 2 {
+			t.Errorf("round %d: drain Poll cost %d server commands, want ≤ 2", round, got)
 		}
+	}
+
+	// Consume up to the last slot below the second stride; the drain after
+	// its ack moves the floor from 127 to 128.
+	const stride = 64
+	evs := make([]pstream.Event, 2*stride-5)
+	for i := range evs {
+		evs[i] = pstream.Event{Producer: "p", Seq: uint64(i + 6)}
+	}
+	if err := b.PublishBatch(ctx, topic, evs); err != nil {
+		t.Fatalf("PublishBatch: %v", err)
+	}
+	for range evs {
+		ev, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		if _, err := sub.Ack(ctx, ev); err != nil {
+			t.Fatalf("Ack: %v", err)
+		}
+	}
+	probe := kvstore.NewClient(srv.Addr())
+	defer probe.Close()
+	before, err := probe.DBSize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cost(func() {
+		if _, ok, err := sub.Poll(ctx); err != nil || ok {
+			t.Fatalf("drain Poll = %v, %v; want nothing pending", ok, err)
+		}
+	}); got != 2+7 {
+		t.Errorf("stride-crossing drain Poll cost %d server commands, want 9 (2 + a 7-command trim pass)", got)
+	}
+	after, err := probe.DBSize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pass collected the first stride's events, ack counters and claim
+	// records, and wrote the topic's first truncation floor.
+	if before-after != 3*stride-1 {
+		t.Errorf("the trim pass took the key count down by %d, want %d", before-after, 3*stride-1)
 	}
 
 	// An Ack whose remembered record was reclaimed by a peer loses its CAS
@@ -121,8 +171,6 @@ func TestGroupCommandBudget(t *testing.T) {
 	}); got != 3 {
 		t.Errorf("stale Ack cost %d server commands, want 3 (lost CAS, GET, count GET)", got)
 	}
-	probe := kvstore.NewClient(srv.Addr())
-	defer probe.Close()
 	if raw, _, err := kvstore.Get(ctx, probe, fmt.Sprintf("ps:%s:a:%d", stale, ea.Offset)); err != nil || string(raw) != "1" {
 		t.Fatalf("ack counter after the stale Ack = %q, %v; want 1", raw, err)
 	}
@@ -131,8 +179,9 @@ func TestGroupCommandBudget(t *testing.T) {
 // TestGroupScanReadsFloorAfterClaims checks that a scan never reads the
 // group floor before its claim window: both come from one LREAD, one
 // snapshot. Just before member A's read, peer B claims slot 0, acks it and
-// sweeps the floor past it, which deletes the claim record. A must see
-// slot 0 as settled: no CAS and no DEL on slot 0's claim key.
+// closes, which sweeps the floor past it and trims the topic, deleting
+// the claim record. A must see slot 0 as settled: no CAS and no DEL on
+// slot 0's claim key.
 func TestGroupScanReadsFloorAfterClaims(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -174,12 +223,12 @@ func TestGroupScanReadsFloorAfterClaims(t *testing.T) {
 			t.Errorf("B Ack: %v", err)
 			return
 		}
-		if _, _, err := subB.Poll(ctx); err != nil {
-			t.Errorf("B sweep Poll: %v", err)
+		if err := subB.Close(); err != nil {
+			t.Errorf("B Close: %v", err)
 			return
 		}
 		if _, held, err := kvstore.Get(ctx, probe, claimKey); err != nil || held {
-			t.Errorf("B's sweep left the claim record: held=%v err=%v", held, err)
+			t.Errorf("B's trim left the claim record: held=%v err=%v", held, err)
 		}
 	}
 	tap := func(name string, args [][]byte, _ bool) kvstore.TapDone {
@@ -273,5 +322,71 @@ func TestGroupClaimedRecordsDropOnceFloorPasses(t *testing.T) {
 	}
 	if got := pstream.ClaimedCount(subB); got != 0 {
 		t.Fatalf("B remembers %d claims after acking all of them", got)
+	}
+}
+
+// TestKVBrokerGroupTrimBoundsServerKeys runs one group member over n
+// evict-on-ack events and closes it. The trim is on with no option, so
+// the server keeps the same handful of keys at n = 500 and n = 2,000, and
+// its passes cost the consume side little: at most 7.2 commands per event,
+// about what it cost before any trimming.
+func TestKVBrokerGroupTrimBoundsServerKeys(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	run := func(n int) (keys int64, perEvent float64) {
+		srv := newGroupServer(t)
+		id := connector.NewID()[:8]
+		st, err := store.New("trim-"+id, local.New("trim-conn-"+id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Unregister("trim-" + id)
+		b := pstream.NewKV(srv.Addr())
+		defer b.Close()
+		prod := pstream.NewProducer[[]byte](st, b, "s", pstream.WithEvictOnAck(1))
+		const batch = 50
+		for sent := 0; sent < n; sent += batch {
+			vals := make([][]byte, batch)
+			for i := range vals {
+				vals[i] = make([]byte, 16)
+			}
+			if err := prod.SendBatch(ctx, vals); err != nil {
+				t.Fatalf("SendBatch: %v", err)
+			}
+		}
+		before := srv.Commands()
+		cons, err := pstream.NewConsumer[[]byte](ctx, b, "s", "m", pstream.WithGroup("g"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if _, err := cons.NextValue(ctx); err != nil {
+				t.Fatalf("NextValue %d: %v", i, err)
+			}
+		}
+		if err := cons.Close(); err != nil {
+			t.Fatal(err)
+		}
+		perEvent = float64(srv.Commands()-before) / float64(n)
+		probe := kvstore.NewClient(srv.Addr())
+		defer probe.Close()
+		if keys, err = probe.DBSize(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Metrics().Evicts; got != uint64(n) {
+			t.Fatalf("store Evicts = %d, want %d", got, n)
+		}
+		return keys, perEvent
+	}
+	small, smallCost := run(500)
+	large, largeCost := run(2000)
+	t.Logf("server keys %d and %d; consume side %.2f and %.2f commands per event", small, large, smallCost, largeCost)
+	if small != large {
+		t.Errorf("server keys grew with the event count: %d at 500, %d at 2000", small, large)
+	}
+	for _, c := range []float64{smallCost, largeCost} {
+		if c > 7.2 {
+			t.Errorf("consume side cost %.2f commands per event, want ≤ 7.2", c)
+		}
 	}
 }

@@ -311,7 +311,7 @@ func TestKVBrokerPublishBatchIsOneCommand(t *testing.T) {
 
 // TestKVBrokerTruncationBoundsServerKeys is the acceptance check for log
 // compaction: a 1,000-event stream, fully consumed and acked with
-// evict-on-ack payloads and WithKVTruncate, must leave the kv server with
+// evict-on-ack payloads and the default trim, must leave the kv server with
 // O(1) keys — not O(events) of log slots, ack counters and blobs.
 func TestKVBrokerTruncationBoundsServerKeys(t *testing.T) {
 	ctx := context.Background()
@@ -334,7 +334,7 @@ func TestKVBrokerTruncationBoundsServerKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Unregister(name)
-	b := pstream.NewKV(srv.Addr(), pstream.WithKVTruncate(1))
+	b := pstream.NewKV(srv.Addr())
 	defer b.Close()
 
 	prod := pstream.NewProducer[[]byte](st, b, "trunc", pstream.WithEvictOnAck(1))
@@ -388,7 +388,8 @@ func TestKVBrokerTruncationBoundsServerKeys(t *testing.T) {
 		t.Fatalf("DBSize: %v", err)
 	}
 	// Survivors: the log length counter, the truncation floor, the
-	// consumer's committed offset, and the trailing End marker (plus a
+	// consumer's committed offset and registration, and the trailing End
+	// marker (plus a
 	// window of not-yet-collected stragglers). Anything O(items) means a
 	// leak of event slots, ack counters or payload blobs.
 	if keys > 16 {

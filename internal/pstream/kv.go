@@ -26,6 +26,9 @@ import (
 //	ps:T:c:<name> consumer name's committed offset
 //	ps:T:a:<i>    INCR-maintained distinct-consumer ack count of event i
 //	ps:T:t        truncation floor: slots below it have been reclaimed
+//	ps:T:r:<f>    a registered reader, whose floor is ps:T:<f>: a group's
+//	              g:G:f or a fan-out consumer's c:<name>
+//	ps:T:end      the first End marker a reader read past: trims stop at it
 //	ps:T:g:G:f    group G's claim floor (first offset not group-resolved)
 //	ps:T:g:G:c:<i> group G's claim record for slot i ("c|member|deadline"
 //	              while leased, "a" once acked)
@@ -33,9 +36,10 @@ import (
 // An append is one LAPPEND, which grows the length and fills the slots it
 // takes in one server step — a Publish or a whole PublishBatch is one
 // command, concurrent producers never collide, and no slot is ever taken
-// without its event. Group scans and truncation passes read the log with
-// LREAD: a window of slots, their claim records or ack counters, the
-// length and the floors, in one snapshot. Delivery is
+// without its event. Group scans and trim passes read the log with LREAD:
+// a window of slots, their claim records, the length and the floors, in
+// one snapshot. A trim pass collects what every registered reader is done
+// with (see trim). Delivery is
 // push: a blocked Next parks in one server-side wait on its cursor slot
 // (group members on their first unfilled slot, or over the topic keyspace
 // while an End barrier is pending) and the write that fills it wakes the
@@ -63,10 +67,6 @@ type KVBroker struct {
 	// expired heartbeat lets peers reclaim a dead member's claims early —
 	// in O(hbTTL) instead of O(lease). See WithKVHeartbeat.
 	hbTTL time.Duration
-	// truncAfter, when positive, is the distinct-consumer ack count at
-	// which a log slot is considered fully consumed; contiguous fully
-	// consumed prefixes are garbage-collected from the server.
-	truncAfter int
 
 	// truncMu guards truncPending, ranged deletes owed a retry after a
 	// transient failure (the floor has already passed them).
@@ -118,26 +118,10 @@ func WithKVHeartbeat(ttl time.Duration) KVOption {
 }
 
 // WithKVTelemetry makes the broker record its metrics (publish latency,
-// publish→deliver histogram, claims, lease reclaims, truncation sweeps)
+// publish→deliver histogram, claims, lease reclaims, trim passes)
 // into reg instead of a private registry.
 func WithKVTelemetry(reg *telemetry.Registry) KVOption {
 	return func(b *KVBroker) { b.reg = reg }
-}
-
-// WithKVTruncate enables log truncation: once consumers distinct consumers
-// (count fan-out consumers plus groups) have acked a contiguous log
-// prefix, its event slots and ack counters are deleted from the server and
-// the truncation floor advances, so a fully consumed stream holds O(open
-// window) keys instead of O(history). consumers must cover every consumer
-// that will ever read the topic: an undercount truncates events a
-// late-joining consumer still needs (new subscribers are clamped to the
-// truncation floor).
-func WithKVTruncate(consumers int) KVOption {
-	return func(b *KVBroker) {
-		if consumers > 0 {
-			b.truncAfter = consumers
-		}
-	}
 }
 
 // NewKV returns a broker over the kvstore server at addr.
@@ -267,6 +251,8 @@ func kvClaimKey(topic, group string, i uint64) string {
 	return "ps:" + topic + ":g:" + group + ":c:" + strconv.FormatUint(i, 10)
 }
 func kvClaimPrefix(topic, group string) string { return "ps:" + topic + ":g:" + group + ":c:" }
+func kvReaderPrefix(topic string) string       { return "ps:" + topic + ":r:" }
+func kvEndKey(topic string) string             { return "ps:" + topic + ":end" }
 
 // kvTopicPrefix covers every key of one topic — log slots, counters, acks
 // and claim records — so one WaitPrefix watch observes appends, settles
@@ -317,12 +303,19 @@ func (b *KVBroker) PublishBatch(ctx context.Context, topic string, evs []Event) 
 	return nil
 }
 
-// Subscribe implements Broker, resuming from the committed offset stored on
-// the server. The start offset is clamped to the truncation floor: slots
-// below it are gone, so a fresh consumer on a truncated topic begins at
-// the oldest surviving event instead of polling a deleted slot forever.
+// Subscribe implements Broker: it registers the consumer as a reader of
+// topic and resumes from the committed offset stored on the server. The
+// start offset is clamped to the truncation floor: slots below it are
+// gone, so a fresh consumer on a truncated topic begins at the oldest
+// surviving event instead of polling a deleted slot forever. A clamped
+// start is written as the committed offset, so the registration holds the
+// trim at the consumer's cursor rather than at 0.
 func (b *KVBroker) Subscribe(ctx context.Context, topic, consumer string) (Subscription, error) {
-	off, err := b.committedOffset(ctx, topic, consumer)
+	offKey := kvOffsetKey(topic, consumer)
+	if err := b.register(ctx, topic, offKey); err != nil {
+		return nil, err
+	}
+	off, err := b.counter(ctx, offKey)
 	if err != nil {
 		return nil, err
 	}
@@ -330,18 +323,25 @@ func (b *KVBroker) Subscribe(ctx context.Context, topic, consumer string) (Subsc
 	if err != nil {
 		return nil, err
 	}
+	s := &kvSub{b: b, topic: topic, consumer: consumer, cursor: off, committed: off}
 	if floor > off {
-		off = floor
+		s.cursor, s.committed = floor, floor
+		if err := s.commitOffset(ctx, floor); err != nil {
+			return nil, err
+		}
 	}
-	return &kvSub{b: b, topic: topic, consumer: consumer, cursor: off, committed: off}, nil
+	return s, nil
 }
 
-// SubscribeGroup implements Broker. The member's End-broadcast cursor is
-// seeded at the truncation floor — not the group claim floor, which sweeps
-// past End markers: a member that (re)joins must still receive every
-// surviving End, exactly as a reconnecting fan-out consumer re-sees an
-// unacked End.
+// SubscribeGroup implements Broker, registering the group as a reader of
+// topic. The member's End-broadcast cursor is seeded at the truncation
+// floor — not the group claim floor, which sweeps past End markers: a
+// member that (re)joins must still receive every surviving End, exactly
+// as a reconnecting fan-out consumer re-sees an unacked End.
 func (b *KVBroker) SubscribeGroup(ctx context.Context, topic, group, member string) (Subscription, error) {
+	if err := b.register(ctx, topic, kvGroupFloorKey(topic, group)); err != nil {
+		return nil, err
+	}
 	floor, err := b.counter(ctx, kvTruncKey(topic))
 	if err != nil {
 		return nil, err
@@ -357,19 +357,16 @@ func (b *KVBroker) SubscribeGroup(ctx context.Context, topic, group, member stri
 	return s, nil
 }
 
-func (b *KVBroker) committedOffset(ctx context.Context, topic, consumer string) (uint64, error) {
-	raw, ok, err := kvstore.Get(ctx, b.client, kvOffsetKey(topic, consumer))
-	if err != nil {
-		return 0, fmt.Errorf("pstream: reading committed offset: %w", err)
+// register marks the reader whose floor is floorKey as a reader of topic:
+// the marker is the floor key with "r:" after the topic prefix. It is
+// durable: a reader that Closes stays registered, so its floor still
+// holds the trim when it resumes.
+func (b *KVBroker) register(ctx context.Context, topic, floorKey string) error {
+	marker := kvReaderPrefix(topic) + strings.TrimPrefix(floorKey, kvTopicPrefix(topic))
+	if err := kvstore.Set(ctx, b.client, marker, []byte("1")); err != nil {
+		return fmt.Errorf("pstream: registering a reader of %s: %w", topic, err)
 	}
-	if !ok {
-		return 0, nil
-	}
-	off, err := strconv.ParseUint(string(raw), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("pstream: corrupt committed offset %q: %w", raw, err)
-	}
-	return off, nil
+	return nil
 }
 
 // counter reads an unsigned decimal counter key, treating absence as 0.
@@ -522,6 +519,9 @@ type kvSub struct {
 	// marks a mirror that advanced past a failed server write.
 	committed uint64
 	dirty     bool
+	// end is one past the offset of the latest End marker delivered (0
+	// for none): a committed offset reaching that End triggers a trim.
+	end uint64
 }
 
 // eventAt reads and decodes the event at log index i; ok is false when the
@@ -544,11 +544,12 @@ func (b *KVBroker) ackCount(ctx context.Context, topic string, i uint64) (int64,
 	return n, nil
 }
 
-// skipTruncated disambiguates a missing cursor slot: truncation may have
-// collected it while this subscription was idle (the slot was fully acked
-// by every counted consumer). The cursor jumps to the truncation floor —
-// retrying a deleted key would poll forever — and the committed mirror
-// follows, so a later Ack does not resurrect deleted ack counters.
+// skipTruncated disambiguates a missing cursor slot: a trim may have
+// collected it (possible only for a slot below the consumer's committed
+// offset, or a consumer whose registration was lost). The cursor jumps to
+// the truncation floor — retrying a deleted key would poll forever — and
+// the committed mirror follows, so a later Ack does not resurrect deleted
+// ack counters.
 func (s *kvSub) skipTruncated(ctx context.Context) (bool, error) {
 	floor, err := s.b.counter(ctx, kvTruncKey(s.topic))
 	if err != nil {
@@ -570,9 +571,9 @@ func (s *kvSub) skipTruncated(ctx context.Context) (bool, error) {
 // event — not O(poll rate) — and wakes in sub-millisecond time regardless
 // of how long it idled. The wait returns an already-filled slot
 // immediately, so it IS the read: the fast path costs the same one command
-// as a plain GET. Truncation of the watched slot (possible only for a
-// consumer left out of the topic's ack threshold) produces no SET, so it
-// is re-checked when a wait round lapses rather than before every arm.
+// as a plain GET. A trim of the watched slot (see skipTruncated) produces
+// no SET, so it is re-checked when a wait round lapses rather than before
+// every arm.
 func (s *kvSub) Next(ctx context.Context) (Event, error) {
 	for {
 		raw, ok, err := s.b.client.WaitGet(ctx, kvEventKey(s.topic, s.cursor), kvWaitRound)
@@ -586,13 +587,32 @@ func (s *kvSub) Next(ctx context.Context) (Event, error) {
 			continue // re-arm (at the floor, if the slot was collected)
 		}
 		ev, _, err := decodeAt(raw, s.cursor)
+		if err == nil {
+			err = s.deliver(ctx, ev)
+		}
 		if err != nil {
 			return Event{}, err
 		}
-		s.cursor++
-		s.b.observeDeliver(ev)
 		return ev, nil
 	}
+}
+
+// deliver moves the cursor past ev. An End is recorded first (see
+// passEnd), and an End delivered at the committed offset triggers a trim:
+// the consumer's floor has reached it.
+func (s *kvSub) deliver(ctx context.Context, ev Event) error {
+	if ev.End {
+		if err := s.b.passEnd(ctx, s.topic, ev.Offset); err != nil {
+			return err
+		}
+		s.end = ev.Offset + 1
+		if s.committed == ev.Offset {
+			defer s.b.trim(ctx, s.topic, 0)
+		}
+	}
+	s.cursor++
+	s.b.observeDeliver(ev)
+	return nil
 }
 
 // Poll implements Subscription: one GET round trip, no waiting.
@@ -603,8 +623,9 @@ func (s *kvSub) Poll(ctx context.Context) (Event, bool, error) {
 			return Event{}, false, err
 		}
 		if ok {
-			s.cursor++
-			s.b.observeDeliver(ev)
+			if err := s.deliver(ctx, ev); err != nil {
+				return Event{}, false, err
+			}
 			return ev, true, nil
 		}
 		if skipped, err := s.skipTruncated(ctx); err != nil || !skipped {
@@ -622,7 +643,8 @@ func (s *kvSub) Poll(ctx context.Context) (Event, bool, error) {
 // takes the already-covered path instead of re-running the Incrs, so
 // counts cannot double. (A crash before the offset write still
 // re-delivers and re-counts on resubscribe — the documented
-// at-least-once trade.)
+// at-least-once trade.) An ack that moves the offset across a multiple of
+// trimStride, or onto a delivered End, runs a trim pass.
 func (s *kvSub) Ack(ctx context.Context, ev Event) (int, error) {
 	committed := s.committed
 	if ev.Offset < committed {
@@ -665,7 +687,12 @@ func (s *kvSub) Ack(ctx context.Context, ev Event) (int, error) {
 		return 0, fmt.Errorf("pstream: committing offset: %w", err)
 	}
 	s.dirty = false
-	s.b.maybeTruncate(ctx, s.topic)
+	switch {
+	case s.committed+1 == s.end:
+		s.b.trim(ctx, s.topic, 0)
+	case committed/trimStride != s.committed/trimStride:
+		s.b.trim(ctx, s.topic, trimStride)
+	}
 	return int(last), nil
 }
 
@@ -677,14 +704,25 @@ func (s *kvSub) commitOffset(ctx context.Context, off uint64) error {
 	return nil
 }
 
-// Close implements Subscription; the server keeps the committed offset.
+// Close implements Subscription; the server keeps the committed offset and
+// the registration. Close runs no trim: the consumer's acks ran every
+// pass its offset owed, and a pass here would collect the tail below the
+// stride that a consumer registering later still reads.
 func (s *kvSub) Close() error { return nil }
 
-// --- Log truncation -------------------------------------------------------
+// --- Log trimming ---------------------------------------------------------
 
-// truncChunk bounds how many slots one truncation pass collects, keeping
-// every ranged DEL far below the server's range cap no matter how large a
-// backlog one cumulative ack covers.
+// trimStride is how far a reader's floor moves between the trims it runs:
+// a pass costs about seven commands, about 0.11 per event. Those trims
+// also stop a stride short of the readers' floors, so a topic keeps one
+// to two strides of slots its readers are done with. The margin is for
+// group members: one that read the log before a peer took slot i parks on
+// i, and if a trim deleted i first, that wait, which only a write of i
+// ends, would stall the member for a whole wait round.
+const trimStride = 64
+
+// truncChunk bounds how many slots one trim pass collects, keeping every
+// ranged DEL far below the server's range cap.
 const truncChunk = 1024
 
 // pendingDel is a ranged delete that failed and is owed a retry.
@@ -704,9 +742,18 @@ func (b *KVBroker) deleteRange(ctx context.Context, prefix string, start, end ui
 	}
 }
 
-// retryPendingDeletes re-attempts owed ranged deletes; still-failing
-// ranges re-queue themselves.
-func (b *KVBroker) retryPendingDeletes(ctx context.Context) {
+// trim collects the slots below the minimum of topic's registered readers'
+// floors (absent ones read as 0), capped at the log length and at the
+// first End marker a reader read past (see passEnd), which a rejoining
+// reader still needs. A pass CASes the truncation floor forward,
+// serializing concurrent passes, then deletes the event slots, ack
+// counters and every group's claim records below it; a failed delete is
+// retried by a later trim (a crash in between leaks the range). Passes
+// collect at most truncChunk slots each. The length is read before the
+// readers are listed, so a reader registered after the listing loses no
+// event published after it registered. A trim never fails the operation
+// that ran it. The limit is lowered by lag (see trimStride).
+func (b *KVBroker) trim(ctx context.Context, topic string, lag uint64) {
 	b.truncMu.Lock()
 	pending := b.truncPending
 	b.truncPending = nil
@@ -714,93 +761,84 @@ func (b *KVBroker) retryPendingDeletes(ctx context.Context) {
 	for _, r := range pending {
 		b.deleteRange(ctx, r.prefix, r.start, r.end)
 	}
-}
-
-// maybeTruncate garbage-collects the fully consumed log prefix: starting
-// at the truncation floor, it walks forward while slots have reached the
-// configured ack threshold (End markers stop the walk so rejoining
-// consumers still see them), then CASes the floor forward and deletes the
-// covered event slots and ack counters with two ranged DELs. Each pass
-// collects at most truncChunk slots and passes repeat until the walk
-// stops, so one huge cumulative ack cannot exceed the server's
-// delete-range cap. The CAS
-// serializes concurrent truncators — a loser leaves the work to the
-// winner — and failed deletes are queued and retried on later calls (a
-// crash between the CAS and the delete still leaks the range: the price
-// of a two-step collect on a plain kv server). Truncation never fails the
-// ack that triggered it.
-func (b *KVBroker) maybeTruncate(ctx context.Context, topic string) {
-	if b.truncAfter == 0 {
-		return
-	}
-	b.retryPendingDeletes(ctx)
-	for b.truncatePass(ctx, topic) {
-	}
-}
-
-// truncatePass advances the truncation floor by up to truncChunk slots,
-// reporting whether it advanced (callers loop until it did not). The
-// per-slot reads — event and ack counter — and the log length come from
-// LREAD windows, so a full chunk costs truncChunk/kvScanWindow read
-// commands, not 2*truncChunk. A stale window only under-reports acks,
-// which stops the walk early; the CAS on the floor still serializes the
-// actual collect.
-func (b *KVBroker) truncatePass(ctx context.Context, topic string) bool {
-	floor, err := b.counter(ctx, kvTruncKey(topic))
-	if err != nil {
-		return false
-	}
-	win := b.window(topic, kvEventPrefix(topic), kvAckPrefix(topic))
-	if _, err := win.fetch(ctx, floor); err != nil {
-		return false
-	}
-	length := win.length
-	f := floor
-	for f < length && f-floor < truncChunk {
-		raw, ok, err := win.at(ctx, 1, f)
+	for {
+		heads, err := kvstore.MGet(ctx, b.client, kvTruncKey(topic), kvLenKey(topic))
 		if err != nil {
-			return false
+			return
 		}
-		var n int64
-		if ok {
-			n, _ = strconv.ParseInt(string(raw), 10, 64)
+		markers, err := kvstore.Keys(ctx, b.client, kvReaderPrefix(topic))
+		if err != nil || len(markers) == 0 {
+			return
 		}
-		if n < int64(b.truncAfter) {
-			break
+		trunc, err1 := parseCounter(kvTruncKey(topic), heads[0])
+		limit, err2 := parseCounter(kvLenKey(topic), heads[1])
+		if err1 != nil || err2 != nil || trunc >= limit {
+			return
 		}
-		ev, ok, err := win.event(ctx, f)
+		var floors []string
+		prefixes := []string{kvEventPrefix(topic), kvAckPrefix(topic)}
+		for _, m := range markers {
+			f := kvTopicPrefix(topic) + strings.TrimPrefix(m, kvReaderPrefix(topic))
+			floors = append(floors, f)
+			if strings.HasPrefix(f, kvTopicPrefix(topic)+"g:") {
+				prefixes = append(prefixes, strings.TrimSuffix(f, "f")+"c:")
+			}
+		}
+		// The End record is read with the floors, in one MGET: a reader
+		// records an End before its floor passes it.
+		raws, err := kvstore.MGet(ctx, b.client, append(floors, kvEndKey(topic))...)
 		if err != nil {
-			return false
+			return
 		}
-		// An End marker survives truncation even once cumulative acks
-		// cover it: it is the only way a late or rejoining consumer
-		// learns the stream is over.
-		if ok && ev.End {
-			break
+		for i, f := range floors {
+			n, err := parseCounter(f, raws[i])
+			if err != nil {
+				return
+			}
+			limit = min(limit, n)
 		}
-		f++
+		if end := raws[len(floors)]; end != nil {
+			n, err := parseCounter(kvEndKey(topic), end)
+			if err != nil {
+				return
+			}
+			limit = min(limit, n)
+		}
+		if limit < trunc+lag {
+			return
+		}
+		limit -= lag
+		t := min(limit, trunc+truncChunk)
+		if t <= trunc {
+			return
+		}
+		var old []byte
+		if trunc > 0 {
+			old = []byte(strconv.FormatUint(trunc, 10))
+		}
+		if won, err := kvstore.CAS(ctx, b.client, kvTruncKey(topic), old, []byte(strconv.FormatUint(t, 10))); err != nil || !won {
+			return
+		}
+		for _, p := range prefixes {
+			b.deleteRange(ctx, p, trunc, t)
+		}
+		b.mTruncSweeps.Inc()
+		b.mTruncSlots.Add(t - trunc)
+		if t == limit {
+			return
+		}
 	}
-	return f > floor && b.collect(ctx, topic, floor, f)
 }
 
-// collect CASes the truncation floor from floor to f and deletes the
-// covered event slots and ack counters, reporting whether it did. The CAS
-// serializes concurrent truncators and sweepers: a loser leaves the work
-// to the winner.
-func (b *KVBroker) collect(ctx context.Context, topic string, floor, f uint64) bool {
-	var old []byte
-	if floor > 0 {
-		old = []byte(strconv.FormatUint(floor, 10))
+// passEnd records, before a reader's floor passes the End marker at
+// offset i, that a reader read past it, so no trim collects it. A reader
+// passes Ends in log order, and records each before passing it, so the
+// first record is the topic's first End and later ones leave it be.
+func (b *KVBroker) passEnd(ctx context.Context, topic string, i uint64) error {
+	if _, err := kvstore.CAS(ctx, b.client, kvEndKey(topic), nil, []byte(strconv.FormatUint(i, 10))); err != nil {
+		return fmt.Errorf("pstream: recording the End at %d: %w", i, err)
 	}
-	ok, err := kvstore.CAS(ctx, b.client, kvTruncKey(topic), old, []byte(strconv.FormatUint(f, 10)))
-	if err != nil || !ok {
-		return false
-	}
-	b.deleteRange(ctx, kvEventPrefix(topic), floor, f)
-	b.deleteRange(ctx, kvAckPrefix(topic), floor, f)
-	b.mTruncSweeps.Inc()
-	b.mTruncSlots.Add(f - floor)
-	return true
+	return nil
 }
 
 // --- Result futures -------------------------------------------------------
@@ -823,104 +861,6 @@ func (b *KVBroker) awaitFuture(ctx context.Context, key string, round time.Durat
 func (b *KVBroker) deleteFutures(ctx context.Context, keys ...string) error {
 	_, err := kvstore.Del(ctx, b.client, keys...)
 	return err
-}
-
-// --- Fleet GC -------------------------------------------------------------
-
-// SweepTopic garbage-collects a topic consumed by a churning fan-out
-// population whose consumers are members of m: one log serves every
-// ephemeral consumer, so a static WithKVTruncate threshold cannot exist.
-// (The task planes do not use it: their results are per-task futures,
-// reclaimed by TaskWorkers.SweepResults.) One sweep: reap m's dead members
-// (expired heartbeats) and delete their committed-offset keys, then
-// advance the topic's truncation floor to the minimum committed offset of
-// the live members and collect the covered log slots and ack counters
-// with ranged DELs. With no live members the whole log is collected, End
-// markers excepted. Returns collected slots.
-//
-// Safety against joiners: the log length is read before the roster, so a
-// consumer that registers with m before anything is published for it can
-// never have an event swept out from under it — those events land at
-// offsets at or past that length, and a consumer already registered at
-// the roster read bounds the floor with its own offset (absent reads as
-// 0).
-func (b *KVBroker) SweepTopic(ctx context.Context, topic string, m *Membership) (int, error) {
-	length, err := b.counter(ctx, kvLenKey(topic))
-	if err != nil {
-		return 0, err
-	}
-	live, dead, err := m.cull(ctx)
-	if err != nil {
-		return 0, err
-	}
-	if len(dead) > 0 {
-		keys := make([]string, len(dead))
-		for i, d := range dead {
-			keys[i] = kvOffsetKey(topic, d)
-		}
-		if _, err := kvstore.Del(ctx, b.client, keys...); err != nil {
-			return 0, err
-		}
-	}
-	limit := length
-	if len(live) > 0 {
-		keys := make([]string, len(live))
-		for i, c := range live {
-			keys[i] = kvOffsetKey(topic, c)
-		}
-		raws, err := kvstore.MGet(ctx, b.client, keys...)
-		if err != nil {
-			return 0, err
-		}
-		for _, raw := range raws {
-			var off uint64
-			if raw != nil {
-				off, _ = strconv.ParseUint(string(raw), 10, 64)
-			}
-			if off < limit {
-				limit = off
-			}
-		}
-	}
-	collected := 0
-	for {
-		n, more, err := b.sweepPass(ctx, topic, limit)
-		collected += n
-		if err != nil || !more {
-			return collected, err
-		}
-	}
-}
-
-// sweepPass advances the truncation floor toward limit by up to
-// truncChunk slots, reporting whether a further pass is needed. Unlike
-// truncatePass it does not require ack thresholds — the limit already
-// proves every live consumer is past these slots — but End markers still
-// stop it, for the same rejoin reasons.
-func (b *KVBroker) sweepPass(ctx context.Context, topic string, limit uint64) (int, bool, error) {
-	floor, err := b.counter(ctx, kvTruncKey(topic))
-	if err != nil {
-		return 0, false, err
-	}
-	if floor >= limit {
-		return 0, false, nil
-	}
-	evWin := b.window(topic, kvEventPrefix(topic))
-	f := floor
-	for f < limit && f-floor < truncChunk {
-		ev, ok, err := evWin.event(ctx, f)
-		if err != nil {
-			return 0, false, err
-		}
-		if ok && ev.End {
-			break
-		}
-		f++
-	}
-	if f == floor || !b.collect(ctx, topic, floor, f) {
-		return 0, false, nil
-	}
-	return int(f - floor), f-floor == truncChunk && f < limit, nil
 }
 
 // --- Consumer groups ------------------------------------------------------
@@ -1091,20 +1031,33 @@ func (s *kvGroupSub) trackLeaseDeadline(deadline time.Time) {
 // group floor past resolved slots, deliver a pending End marker once its
 // barrier is met (floor swept past it), else claim the earliest available
 // payload slot with a CAS-guarded lease. As a side effect it refreshes
-// nextLease with the earliest live claim deadline encountered.
+// nextLease with the earliest live claim deadline encountered. A closing
+// scan only advances the floor and trims; it delivers and claims nothing.
+// A scan whose floor CAS crosses a multiple of trimStride, or that
+// delivers an End, runs a trim pass before it returns.
 //
 // A scan reads in one LREAD: the event and claim-record windows at
 // floorHint, the floor the previous scan left, together with the log
-// length, the group floor and the truncation floor — one snapshot. The
-// floor moves before a sweep deletes claim records, so a record missing
-// from the window at an index at or above the floor read was not
-// collected by a sweep: the scan never mistakes a swept, settled slot for
-// a free one. Likewise no slot in the window is newer than the length or
+// length, the group floor and the truncation floor — one snapshot. A trim
+// deletes claim records only below every group's floor, so a record
+// missing from the window at an index at or above the floor read was not
+// collected by a trim: the scan never mistakes a settled slot for a free
+// one. Likewise no slot in the window is newer than the length or
 // the truncation floor. A walk that leaves the window refetches it; such
 // a read is newer than the counters, and tryClaim's floor guard covers
 // it. Over a deep backlog the walks cost O(slots/kvScanWindow) commands,
 // not O(slots).
-func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
+func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error) {
+	// A scan that crosses a stride trims with a stride's lag; one that
+	// delivers an End, or closes, trims exactly.
+	trimDue, exact := false, closing
+	defer func() {
+		if exact {
+			s.b.trim(ctx, s.topic, 0)
+		} else if trimDue {
+			s.b.trim(ctx, s.topic, trimStride)
+		}
+	}()
 	s.nextLease = time.Time{}
 	s.endPending = false
 	if err := s.flushPendingIncr(ctx); err != nil {
@@ -1132,10 +1085,10 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 	// 1. Sweep the shared floor: Ends and truncated slots resolve on
 	// contact, payload slots once their claim record reads acked. The
 	// sweep is opportunistic — a lost CAS means another member advanced it
-	// — and advances at most truncChunk slots per scan, bounding both the
-	// sweep's round trips and the claim-record delete range below the
-	// server's cap.
+	// — and advances at most truncChunk slots per scan, bounding its round
+	// trips. The first End it passes is recorded first (see passEnd).
 	f := floor
+	passed := false
 	for f < length && f-floor < truncChunk {
 		ev, ok, err := win.event(ctx, f)
 		if err != nil {
@@ -1147,6 +1100,12 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 				continue
 			}
 			break // unfilled slot
+		}
+		if ev.End && !passed {
+			if err := s.b.passEnd(ctx, s.topic, f); err != nil {
+				return Event{}, false, err
+			}
+			passed = true
 		}
 		if !ev.End {
 			raw, held, err := win.at(ctx, 1, f)
@@ -1170,9 +1129,7 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 		}
 		if ok, err := kvstore.CAS(ctx, s.b.client, floorKey, old, []byte(strconv.FormatUint(f, 10))); err == nil && ok {
 			s.floorHint = f
-			// Claim records below the floor are garbage now; a failed
-			// delete is queued and retried with the truncation ranges.
-			s.b.deleteRange(ctx, kvClaimPrefix(s.topic, s.group), floor, f)
+			trimDue = floor/trimStride != f/trimStride
 		}
 	}
 	// Every slot below f is settled, so no claim of ours there can still be
@@ -1181,6 +1138,9 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 		if off < f {
 			delete(s.claimed, off)
 		}
+	}
+	if closing {
+		return Event{}, false, nil
 	}
 
 	// 2. End markers broadcast once all payload work before them is acked
@@ -1205,6 +1165,7 @@ func (s *kvGroupSub) scan(ctx context.Context) (Event, bool, error) {
 		}
 		if f > s.endCursor {
 			s.endCursor++
+			exact = true
 			return ev, true, nil
 		}
 		s.endPending = true
@@ -1401,7 +1362,7 @@ func (s *kvGroupSub) park(ctx context.Context) (Event, bool, error) {
 // an append burst is consumed claim-by-claim without rescans.
 func (s *kvGroupSub) Next(ctx context.Context) (Event, error) {
 	for {
-		ev, ok, err := s.scan(ctx)
+		ev, ok, err := s.scan(ctx, false)
 		if err != nil || ok {
 			return ev, err
 		}
@@ -1414,7 +1375,7 @@ func (s *kvGroupSub) Next(ctx context.Context) (Event, error) {
 
 // Poll implements Subscription: one scan pass, no waiting.
 func (s *kvGroupSub) Poll(ctx context.Context) (Event, bool, error) {
-	return s.scan(ctx)
+	return s.scan(ctx, false)
 }
 
 // Ack implements Subscription: settle the claim by CASing the exact claim
@@ -1470,16 +1431,18 @@ func (s *kvGroupSub) Ack(ctx context.Context, ev Event) (int, error) {
 		s.pendingIncr = append(s.pendingIncr, ev.Offset)
 		return 0, fmt.Errorf("pstream: counting group ack: %w", err)
 	}
-	s.b.maybeTruncate(ctx, s.topic)
 	return int(n), nil
 }
 
-// Close implements Subscription. Unacked claims are left to expire, so
-// other members reclaim this member's unfinished work (with a clean
-// membership leave under WithKVHeartbeat, peers fall back to lease timing
-// for them — the heartbeat key is gone, which proves nothing about a
-// crash; only an expired heartbeat does).
+// Close implements Subscription. A closing scan sweeps the group floor
+// past the member's last acks and trims the topic, so a drained queue
+// leaves no slots behind; the group stays registered. Unacked claims are
+// left to expire, so other members reclaim this member's unfinished work
+// (with a clean membership leave under WithKVHeartbeat, peers fall back to
+// lease timing for them — the heartbeat key is gone, which proves nothing
+// about a crash; only an expired heartbeat does).
 func (s *kvGroupSub) Close() error {
+	s.scan(context.Background(), true)
 	s.claimed = nil
 	if s.hb != nil {
 		return s.hb.Leave(context.Background())

@@ -19,9 +19,8 @@ package pstream
 // an expired heartbeat as early lease reclamation (a crashed member's
 // claims are stolen in O(heartbeat) instead of O(lease)); the task planes
 // (faas, colmena) reclaim the result futures of clients that are no longer
-// live (TaskWorkers.SweepResults), and SweepTopic garbage-collects fan-out
-// topics of ephemeral consumers, each reaping the dead and judging with
-// the live set in one pass; and producers size evict-on-ack from Sizer's
+// live (TaskWorkers.SweepResults), reaping the dead and judging with the
+// live set in one pass; and producers size evict-on-ack from Sizer's
 // live-member count.
 
 import (
@@ -268,8 +267,7 @@ func (m *Membership) Reap(ctx context.Context) ([]string, error) {
 }
 
 // cull is Reap plus the live view in one pass: the dead are reaped, the
-// live are returned. SweepTopic and the task planes' result sweep run on
-// it.
+// live are returned. The task planes' result sweep runs on it.
 func (m *Membership) cull(ctx context.Context) (live, dead []string, err error) {
 	live, dead, err = m.split(ctx)
 	if err != nil || len(dead) == 0 {

@@ -301,6 +301,7 @@ type TaskWorkers[Req, Res any] struct {
 	plane TaskPlane
 	hooks TaskHooks[Req, Res]
 
+	// kb is the broker when it unwraps to a KVBroker; with heartbeats on,
 	// kb/mem drive the orphan sweep: mem is the plane's Clients group.
 	// swept counts the futures the janitor reclaimed since the last
 	// SweepResults call, which reports them.
@@ -336,8 +337,8 @@ func StartTaskWorkers[Req, Res any](st *store.Store, b Broker, plane TaskPlane, 
 		w.wg.Add(1)
 		go w.work(ctx, b, member)
 	}
-	if kb, ok := AsKV(b); ok && kb.Heartbeats() {
-		w.kb, w.mem = kb, kb.Membership(plane.Results, plane.Clients)
+	if w.kb, _ = AsKV(b); w.kb != nil && w.kb.Heartbeats() {
+		w.mem = w.kb.Membership(plane.Results, plane.Clients)
 		w.wg.Add(1)
 		go w.janitor(ctx)
 	}
@@ -495,14 +496,19 @@ func (w *TaskWorkers[Req, Res]) janitor(ctx context.Context) {
 	}
 }
 
-// SweepResults runs one orphan sweep over the plane's result futures: it
-// lists them (KEYS), reaps the Clients group's dead members, and reclaims
-// every future whose client is not a live member — dead, killed, or
-// closed before awaiting it: its payload, whatever Orphan finds in it,
-// and the key. The janitor runs the same sweep; SweepResults returns the
-// futures reclaimed since its last call, by this sweep or the janitor's.
-// A no-op on brokers without heartbeats.
+// SweepResults trims the task topic on a KVBroker, collecting the tasks
+// the worker group is done with, and runs one orphan sweep over the
+// plane's result futures: it lists them (KEYS), reaps the Clients group's
+// dead members, and reclaims every future whose client is not a live
+// member — dead, killed, or closed before awaiting it: its payload,
+// whatever Orphan finds in it, and the key. The janitor runs the same
+// sweep; SweepResults returns the futures reclaimed since its last call,
+// by this sweep or the janitor's. The sweep is a no-op on brokers without
+// heartbeats.
 func (w *TaskWorkers[Req, Res]) SweepResults(ctx context.Context) (int, error) {
+	if w.kb != nil {
+		w.kb.trim(ctx, w.plane.Tasks, 0)
+	}
 	n, err := w.sweep(ctx)
 	return n + int(w.swept.Swap(0)), err
 }

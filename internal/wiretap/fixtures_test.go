@@ -112,7 +112,8 @@ const (
 // the race the heartbeat-reclaim work fixed in tryClaim: member A's scan
 // reads its window (slot 0 filled, its claim record missing) and its
 // counters (group floor 0) in one LREAD, and pauses; member B claims the slot,
-// acks it, and sweeps the floor past it (GC'ing the claim record); A
+// acks it, and closes, which sweeps the floor past it and trims the topic
+// (GC'ing the claim record); A
 // resumes and its create-CAS wins on the swept slot — a claim stranded
 // below the floor, invisible to every future sweep — and A's context is
 // canceled the instant the CAS completes. The floor guard must still run
@@ -188,7 +189,8 @@ func TestClaimRaceUndoLive(t *testing.T) {
 		t.Fatal("member A never reached the scan's counter read")
 	}
 	// A is frozen between its counter read and its CAS. B takes the slot,
-	// acks it, and sweeps the floor past it — deleting the claim record.
+	// acks it, and closes: the floor sweeps past it and the trim deletes
+	// the claim record.
 	evB, ok, err := subB.Poll(ctx)
 	if err != nil || !ok || evB.Offset != 0 {
 		t.Fatalf("B Poll = %+v, %v, %v; want offset 0", evB, ok, err)
@@ -196,22 +198,15 @@ func TestClaimRaceUndoLive(t *testing.T) {
 	if _, err := subB.Ack(ctx, evB); err != nil {
 		t.Fatalf("B Ack: %v", err)
 	}
+	if err := subB.Close(); err != nil {
+		t.Fatalf("B Close: %v", err)
+	}
 	probe := kvstore.NewClient(srv.Addr())
 	defer probe.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, _, err := subB.Poll(ctx); err != nil {
-			t.Fatalf("B sweep Poll: %v", err)
-		}
-		if _, held, err := kvstore.Get(ctx, probe, claimKey); err != nil {
-			t.Fatal(err)
-		} else if !held {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("floor sweep never GC'd the acked claim record")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if _, held, err := kvstore.Get(ctx, probe, claimKey); err != nil {
+		t.Fatal(err)
+	} else if held {
+		t.Fatal("B's trim never GC'd the acked claim record")
 	}
 	close(resume)
 
