@@ -207,6 +207,12 @@ func (s *Server) cmdLAppend(a [][]byte) value {
 		n += int64(len(vals))
 		keys, err = s.setAllLocked(append(pairs, a[0], []byte(strconv.FormatInt(n, 10))))
 	}
+	if err == nil && s.logs[prefix] != string(a[0]) {
+		if s.logs == nil {
+			s.logs = make(map[string]string)
+		}
+		s.logs[prefix] = string(a[0])
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return errorValue("ERR " + err.Error())
@@ -367,6 +373,7 @@ func (s *Server) cmdDBSize([][]byte) value {
 func (s *Server) cmdFlushAll([][]byte) value {
 	s.mu.Lock()
 	s.data = make(map[string][]byte)
+	s.logs = nil
 	s.appendAOF(aofFlush, "", nil)
 	s.mu.Unlock()
 	s.notify.publishedAll()

@@ -22,7 +22,9 @@
 //     SET/MSET/LAPPEND/CAS/INCR filling it) and returns that value in the
 //     wait's own reply, so the wake carries the payload and no follow-up
 //     GET is needed. A lapsed timeout returns a null bulk; the connection
-//     stays clean either way.
+//     stays clean either way. A wait on a slot of a log the server grew
+//     with LAPPEND, below the log's length but deleted, returns a null
+//     bulk at once: no append fills such a slot again.
 //   - TWAITPREFIX tag prefix after_seq timeout_ms blocks until any key
 //     under prefix is mutated with a server mutation-sequence number >
 //     after_seq, then returns the current sequence for the caller to

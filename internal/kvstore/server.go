@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +52,10 @@ type Server struct {
 
 	mu   sync.RWMutex
 	data map[string][]byte
+	// logs maps the slot prefix of every log an LAPPEND grew on this
+	// server to its length key, so a wait on a slot can tell a collected
+	// slot from an unfilled one (see collectedLocked).
+	logs map[string]string
 
 	// aofMu guards the persistence file, its size (which doubles as the
 	// replication offset), and the latched append error. aofCond is
@@ -502,9 +507,11 @@ func clampWait(ms int64) time.Duration {
 // waitGet blocks until key holds a value (returned as a bulk string) or
 // the timeout lapses (null bulk). The handler registers a waiter BEFORE
 // checking the data map, so a write landing between check and park is
-// never missed; wakes caused by deletes simply re-park. A server shutdown
-// wakes the waiter with an error reply, and a close of cancel (the owning
-// connection went away) unparks it too.
+// never missed; wakes caused by deletes simply re-park. A wait on a log
+// slot that was filled and has since been deleted returns a null bulk at
+// once: no append fills it again. A server shutdown wakes the waiter with
+// an error reply, and a close of cancel (the owning connection went away)
+// unparks it too.
 func (s *Server) waitGet(key string, timeout time.Duration, cancel <-chan struct{}) value {
 	s.waiters.Inc()
 	defer s.waiters.Dec()
@@ -514,12 +521,13 @@ func (s *Server) waitGet(key string, timeout time.Duration, cancel <-chan struct
 		if w == nil {
 			return errorValue("ERR server closed")
 		}
-		if v, ok := s.get(key); ok {
+		v, ok, collected := s.getSlot(key)
+		if ok {
 			s.notify.cancelKey(key, w)
 			return bulkValue(v)
 		}
 		remain := time.Until(deadline)
-		if remain <= 0 {
+		if remain <= 0 || collected {
 			s.notify.cancelKey(key, w)
 			return nullBulk()
 		}
@@ -578,6 +586,25 @@ func (s *Server) waitPrefix(prefix string, after uint64, timeout time.Duration, 
 		return errorValue("ERR server closed")
 	}
 	return integerValue(int64(s.notify.currentSeq()))
+}
+
+// getSlot reads key like get; collected reports a missing key that is a
+// slot of a log this server appended to, below that log's length: the
+// slot was filled and then deleted.
+func (s *Server) getSlot(key string) (v []byte, ok, collected bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if v, ok = s.data[key]; ok {
+		return v, true, false
+	}
+	digits := strings.TrimRight(key, "0123456789")
+	lenKey, isLog := s.logs[digits]
+	if !isLog || len(digits) == len(key) {
+		return nil, false, false
+	}
+	i, err1 := strconv.ParseInt(key[len(digits):], 10, 64)
+	n, err2 := s.intLocked(lenKey)
+	return nil, false, err1 == nil && err2 == nil && i < n
 }
 
 func (s *Server) get(key string) ([]byte, bool) {

@@ -56,6 +56,39 @@ func TestWaitGetWakesOnSet(t *testing.T) {
 	}
 }
 
+// A wait on a log slot that an append filled and a ranged delete then
+// removed can never be satisfied: the server answers it at once, as it
+// would a lapsed round. A wait on an unfilled slot still parks.
+func TestWaitGetOnCollectedLogSlotReturnsAtOnce(t *testing.T) {
+	_, cli := newPair(t, nil, nil)
+	ctx := context.Background()
+	if _, err := cli.Do(ctx, "LAPPEND", []byte("log:len"), []byte("log:"), []byte("a"), []byte("b"), []byte("c")).Int(); err != nil {
+		t.Fatalf("LAPPEND: %v", err)
+	}
+	if _, err := DelRange(ctx, cli, "log:", 0, 2); err != nil {
+		t.Fatalf("DelRange: %v", err)
+	}
+	start := time.Now()
+	if val, ok, err := cli.WaitGet(ctx, "log:1", 10*time.Second); err != nil || ok {
+		t.Fatalf("WaitGet on a collected slot = %q, %v, %v; want a miss", val, ok, err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("WaitGet on a collected slot blocked %v", d)
+	}
+	if val, ok, err := cli.WaitGet(ctx, "log:2", 10*time.Second); err != nil || !ok || string(val) != "c" {
+		t.Fatalf("WaitGet on a kept slot = %q, %v, %v", val, ok, err)
+	}
+	for _, key := range []string{"log:3", "other:1"} {
+		start := time.Now()
+		if _, ok, err := cli.WaitGet(ctx, key, 100*time.Millisecond); err != nil || ok {
+			t.Fatalf("WaitGet(%s) = %v, %v; want a lapsed wait", key, ok, err)
+		}
+		if d := time.Since(start); d < 90*time.Millisecond {
+			t.Fatalf("WaitGet(%s) returned after %v, before its timeout", key, d)
+		}
+	}
+}
+
 // Every write command that can fill a key must wake a parked WaitGet.
 func TestWaitGetWakesOnEveryWriteCommand(t *testing.T) {
 	writes := map[string]func(cli *Client, ctx context.Context, key string) error{

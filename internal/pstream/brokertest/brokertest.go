@@ -241,45 +241,64 @@ func Run(t *testing.T, newBroker func(t *testing.T) pstream.Broker, opts Options
 	})
 
 	t.Run("OffsetResumeAfterReconnect", func(t *testing.T) {
+		// The topic is long enough (several trim strides) that a trimming
+		// broker collects the events every registered reader has acked.
 		topic := freshTopic("resume")
-		const n = 5
-		for i := 1; i <= n; i++ {
-			if err := b.Publish(ctx, topic, ev("p", uint64(i))); err != nil {
-				t.Fatalf("Publish: %v", err)
-			}
+		const n, acked = 200, 150
+		evs := make([]pstream.Event, n)
+		for i := range evs {
+			evs[i] = ev("p", uint64(i+1))
+		}
+		if err := b.PublishBatch(ctx, topic, evs); err != nil {
+			t.Fatalf("PublishBatch: %v", err)
 		}
 		sub, err := b.Subscribe(ctx, topic, "durable")
 		if err != nil {
 			t.Fatalf("Subscribe: %v", err)
 		}
-		var third pstream.Event
-		for i := 0; i < 3; i++ {
-			third = next(t, sub)
+		var last pstream.Event
+		for i := 0; i < acked; i++ {
+			last = next(t, sub)
 		}
-		if _, err := sub.Ack(ctx, third); err != nil {
+		if _, err := sub.Ack(ctx, last); err != nil {
 			t.Fatalf("Ack: %v", err)
 		}
 		sub.Close()
 
-		// Reconnecting resumes at the first unacked event (index 3), not at
-		// the read cursor and not at the beginning.
+		// Reconnecting resumes at the first unacked event, not at the read
+		// cursor and not at the beginning.
 		sub2, err := b.Subscribe(ctx, topic, "durable")
 		if err != nil {
 			t.Fatalf("re-Subscribe: %v", err)
 		}
 		defer sub2.Close()
-		if e := next(t, sub2); e.Offset != 3 {
-			t.Fatalf("resumed at Offset %d, want 3", e.Offset)
+		if e := next(t, sub2); e.Offset != acked {
+			t.Fatalf("resumed at Offset %d, want %d", e.Offset, acked)
 		}
 
-		// A different consumer name is unaffected by durable's commits.
+		// A new consumer name starts at the oldest event the broker kept:
+		// at the latest, the first one a registered reader has not acked.
+		// From there it receives every event in order, and so every event
+		// published after it subscribed.
 		fresh, err := b.Subscribe(ctx, topic, "fresh")
 		if err != nil {
 			t.Fatalf("Subscribe(fresh): %v", err)
 		}
 		defer fresh.Close()
-		if e := next(t, fresh); e.Offset != 0 {
-			t.Fatalf("fresh consumer started at Offset %d", e.Offset)
+		first := next(t, fresh)
+		if first.Offset > acked {
+			t.Fatalf("fresh consumer started at Offset %d, past the first event (%d) a registered reader has not acked", first.Offset, acked)
+		}
+		for off := first.Offset + 1; off < n; off++ {
+			if e := next(t, fresh); e.Offset != off {
+				t.Fatalf("fresh consumer got Offset %d, want %d", e.Offset, off)
+			}
+		}
+		if err := b.Publish(ctx, topic, ev("p", n+1)); err != nil {
+			t.Fatalf("Publish: %v", err)
+		}
+		if e := next(t, fresh); e.Offset != n {
+			t.Fatalf("fresh consumer got Offset %d after a publish, want %d", e.Offset, n)
 		}
 	})
 

@@ -31,10 +31,9 @@ func newGroupServer(t *testing.T) *kvstore.Server {
 // is a CAS of the remembered record plus INCR; the draining Poll after the
 // ack is the LREAD and the floor CAS. The drain whose floor CAS crosses
 // 128, the second multiple of the trim stride, also pays one trim pass up
-// to 64, a stride short of the floor: MGET of the truncation floor and
-// length, KEYS of the readers, MGET of their floors and the End record,
-// the truncation-floor CAS and three DELRANGEs (slots, ack counters,
-// claim records).
+// to the floor: MGET of the truncation floor, length and reader set, MGET
+// of the End record and the readers' floors, the truncation-floor CAS and
+// three DELRANGEs (slots, ack counters, claim records).
 func TestGroupCommandBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -121,17 +120,17 @@ func TestGroupCommandBudget(t *testing.T) {
 		if _, ok, err := sub.Poll(ctx); err != nil || ok {
 			t.Fatalf("drain Poll = %v, %v; want nothing pending", ok, err)
 		}
-	}); got != 2+7 {
-		t.Errorf("stride-crossing drain Poll cost %d server commands, want 9 (2 + a 7-command trim pass)", got)
+	}); got != 2+6 {
+		t.Errorf("stride-crossing drain Poll cost %d server commands, want 8 (2 + a 6-command trim pass)", got)
 	}
 	after, err := probe.DBSize(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pass collected the first stride's events, ack counters and claim
-	// records, and wrote the topic's first truncation floor.
-	if before-after != 3*stride-1 {
-		t.Errorf("the trim pass took the key count down by %d, want %d", before-after, 3*stride-1)
+	// The pass collected the second stride's events, ack counters and
+	// claim records; the first stride's went when the floor crossed 64.
+	if before-after != 3*stride {
+		t.Errorf("the trim pass took the key count down by %d, want %d", before-after, 3*stride)
 	}
 
 	// An Ack whose remembered record was reclaimed by a peer loses its CAS
@@ -173,6 +172,113 @@ func TestGroupCommandBudget(t *testing.T) {
 	}
 	if raw, _, err := kvstore.Get(ctx, probe, fmt.Sprintf("ps:%s:a:%d", stale, ea.Offset)); err != nil || string(raw) != "1" {
 		t.Fatalf("ack counter after the stale Ack = %q, %v; want 1", raw, err)
+	}
+}
+
+// TestGroupMemberDoesNotStallOnACollectedSlot walks member A off a lost
+// claim onto a slot that peer B then consumes before A's wait arrives: B
+// takes slots 0–4, acks them and closes, which trims the topic past slot
+// 4. A's wait on the collected slot must end at once, so A rescans and
+// takes the next event, instead of sitting out a 15 s wait round.
+func TestGroupMemberDoesNotStallOnACollectedSlot(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	srv := newGroupServer(t)
+	const topic, group = "walk", "g"
+	slot := func(i int) string { return fmt.Sprintf("ps:%s:e:%d", topic, i) }
+	claim3 := "ps:" + topic + ":g:" + group + ":c:3"
+
+	// A pauses before its claim CAS on slot 3 and before its wait on
+	// slot 4, each once.
+	casPaused, casResume := make(chan struct{}), make(chan struct{})
+	waitPaused, waitResume := make(chan struct{}), make(chan struct{})
+	var sawCAS, sawWait bool
+	bA := pstream.NewKV(srv.Addr(), pstream.WithKVWrap(func(kv kvstore.KV) kvstore.KV {
+		return kvstore.NewTap(kv, func(name string, args [][]byte, _ bool) kvstore.TapDone {
+			switch {
+			case name == "CAS" && string(args[0]) == claim3 && !sawCAS:
+				sawCAS = true
+				close(casPaused)
+				<-casResume
+			case name == "WAITGET" && string(args[0]) == slot(4) && !sawWait:
+				sawWait = true
+				close(waitPaused)
+				<-waitResume
+			}
+			return func([][]byte, error) {}
+		})
+	}))
+	defer bA.Close()
+	bB := pstream.NewKV(srv.Addr())
+	defer bB.Close()
+	publish := func(seq uint64) {
+		t.Helper()
+		if err := bB.Publish(ctx, topic, pstream.Event{Producer: "p", Seq: seq}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	subA, err := bA.SubscribeGroup(ctx, topic, group, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer subA.Close()
+	subB, err := bB.SubscribeGroup(ctx, topic, group, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []pstream.Event
+	take := func() {
+		t.Helper()
+		ev, ok, err := subB.Poll(ctx)
+		if err != nil || !ok {
+			t.Fatalf("B Poll = %v, %v", ok, err)
+		}
+		held = append(held, ev)
+	}
+	for i := 1; i <= 3; i++ {
+		publish(uint64(i))
+		take()
+	}
+
+	type result struct {
+		ev  pstream.Event
+		err error
+		at  time.Time
+	}
+	done := make(chan result, 1)
+	go func() {
+		ev, err := subA.Next(ctx)
+		done <- result{ev, err, time.Now()}
+	}()
+	publish(4)
+	<-casPaused // A found slot 3 filled and is about to claim it
+	take()      // B wins slot 3
+	close(casResume)
+	<-waitPaused // A lost slot 3 and walks to slot 4
+	publish(5)
+	take()
+	for _, ev := range held {
+		if _, err := subB.Ack(ctx, ev); err != nil {
+			t.Fatalf("B Ack: %v", err)
+		}
+	}
+	if err := subB.Close(); err != nil {
+		t.Fatal(err)
+	}
+	probe := kvstore.NewClient(srv.Addr())
+	defer probe.Close()
+	if _, ok, err := kvstore.Get(ctx, probe, slot(4)); err != nil || ok {
+		t.Fatalf("slot 4 after B's Close: present=%v, %v; want it trimmed", ok, err)
+	}
+	resumed := time.Now()
+	close(waitResume)
+	publish(6)
+	r := <-done
+	if r.err != nil || r.ev.Offset != 5 {
+		t.Fatalf("A Next = %+v, %v; want offset 5", r.ev, r.err)
+	}
+	if d := r.at.Sub(resumed); d > 5*time.Second {
+		t.Fatalf("A took %v to get the next event after its wait on a collected slot", d)
 	}
 }
 

@@ -3,6 +3,7 @@ package pstream
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,8 +27,9 @@ import (
 //	ps:T:c:<name> consumer name's committed offset
 //	ps:T:a:<i>    INCR-maintained distinct-consumer ack count of event i
 //	ps:T:t        truncation floor: slots below it have been reclaimed
-//	ps:T:r:<f>    a registered reader, whose floor is ps:T:<f>: a group's
-//	              g:G:f or a fan-out consumer's c:<name>
+//	ps:T:r        the registered readers, one line each naming the
+//	              reader's floor key ps:T:<f>: a group's g:G:f or a
+//	              fan-out consumer's c:<name>
 //	ps:T:end      the first End marker a reader read past: trims stop at it
 //	ps:T:g:G:f    group G's claim floor (first offset not group-resolved)
 //	ps:T:g:G:c:<i> group G's claim record for slot i ("c|member|deadline"
@@ -36,11 +38,11 @@ import (
 // An append is one LAPPEND, which grows the length and fills the slots it
 // takes in one server step — a Publish or a whole PublishBatch is one
 // command, concurrent producers never collide, and no slot is ever taken
-// without its event. Group scans and trim passes read the log with LREAD:
-// a window of slots, their claim records, the length and the floors, in
-// one snapshot. A trim pass collects what every registered reader is done
-// with (see trim). Delivery is
-// push: a blocked Next parks in one server-side wait on its cursor slot
+// without its event. Group scans read the log with LREAD: a window of
+// slots, their claim records, the length and the group floor, in one
+// snapshot. A trim pass collects what every registered reader is done
+// with (see trim). Delivery is push: a blocked Next parks in one
+// server-side wait on its cursor slot
 // (group members on their first unfilled slot, or over the topic keyspace
 // while an End barrier is pending) and the write that fills it wakes the
 // waiter — O(1) commands while idle and wake latency independent of any
@@ -251,7 +253,7 @@ func kvClaimKey(topic, group string, i uint64) string {
 	return "ps:" + topic + ":g:" + group + ":c:" + strconv.FormatUint(i, 10)
 }
 func kvClaimPrefix(topic, group string) string { return "ps:" + topic + ":g:" + group + ":c:" }
-func kvReaderPrefix(topic string) string       { return "ps:" + topic + ":r:" }
+func kvReadersKey(topic string) string         { return "ps:" + topic + ":r" }
 func kvEndKey(topic string) string             { return "ps:" + topic + ":end" }
 
 // kvTopicPrefix covers every key of one topic — log slots, counters, acks
@@ -260,8 +262,7 @@ func kvEndKey(topic string) string             { return "ps:" + topic + ":end" }
 func kvTopicPrefix(topic string) string { return "ps:" + topic + ":" }
 
 // kvWaitRound bounds one server-side blocking wait. Blocked consumers
-// re-arm in rounds, so truncation of a watched slot (which produces no
-// write) is re-checked at least this often; an idle round costs nothing.
+// re-arm in rounds; an idle round costs nothing.
 const kvWaitRound = 15 * time.Second
 
 // Publish implements Broker as a one-event PublishBatch: one LAPPEND.
@@ -357,16 +358,34 @@ func (b *KVBroker) SubscribeGroup(ctx context.Context, topic, group, member stri
 	return s, nil
 }
 
-// register marks the reader whose floor is floorKey as a reader of topic:
-// the marker is the floor key with "r:" after the topic prefix. It is
-// durable: a reader that Closes stays registered, so its floor still
-// holds the trim when it resumes.
+// register adds the reader whose floor is floorKey to topic's reader set
+// (ps:T:r), one line per reader: a GET, and a CAS that retries while
+// another reader registers concurrently. It is durable: a reader that
+// Closes stays registered, so its floor still holds the trim when it
+// resumes.
 func (b *KVBroker) register(ctx context.Context, topic, floorKey string) error {
-	marker := kvReaderPrefix(topic) + strings.TrimPrefix(floorKey, kvTopicPrefix(topic))
-	if err := kvstore.Set(ctx, b.client, marker, []byte("1")); err != nil {
-		return fmt.Errorf("pstream: registering a reader of %s: %w", topic, err)
+	key := kvReadersKey(topic)
+	line := strings.TrimPrefix(floorKey, kvTopicPrefix(topic))
+	for {
+		raw, _, err := kvstore.Get(ctx, b.client, key)
+		if err != nil {
+			return fmt.Errorf("pstream: registering a reader of %s: %w", topic, err)
+		}
+		if slices.Contains(strings.Split(string(raw), "\n"), line) {
+			return nil
+		}
+		set := line
+		if raw != nil {
+			set = string(raw) + "\n" + line
+		}
+		won, err := kvstore.CAS(ctx, b.client, key, raw, []byte(set))
+		if err != nil {
+			return fmt.Errorf("pstream: registering a reader of %s: %w", topic, err)
+		}
+		if won {
+			return nil
+		}
 	}
-	return nil
 }
 
 // counter reads an unsigned decimal counter key, treating absence as 0.
@@ -410,13 +429,12 @@ func (b *KVBroker) RoundTrips() uint64 { return b.client.RoundTrips() }
 const kvScanWindow = 32
 
 // kvWindow is a batched read-through view over a topic's log and the
-// records kept beside each slot — claim records, ack counters. at() serves
-// single-slot reads from a window fetched with one LREAD, collapsing the
-// O(slots) GET walks of group scans and truncation passes into
-// O(slots/window) commands. A window may carry several key families read
-// at the same indices (a group scan's event slots and claim records): one
-// LREAD then fetches the run of every family at once, bounded at the log
-// length.
+// records kept beside each slot. at() serves single-slot reads from a
+// window fetched with one LREAD, collapsing a group scan's O(slots) GET
+// walks into O(slots/window) commands. A window carries several key
+// families read at the same indices (a group scan's event slots and claim
+// records): one LREAD fetches the run of every family at once, bounded at
+// the log length.
 //
 // The window is a snapshot: a slot that fills (or settles) after its
 // window was fetched still reads as missing/stale. Callers treat that
@@ -571,9 +589,9 @@ func (s *kvSub) skipTruncated(ctx context.Context) (bool, error) {
 // event — not O(poll rate) — and wakes in sub-millisecond time regardless
 // of how long it idled. The wait returns an already-filled slot
 // immediately, so it IS the read: the fast path costs the same one command
-// as a plain GET. A trim of the watched slot (see skipTruncated) produces
-// no SET, so it is re-checked when a wait round lapses rather than before
-// every arm.
+// as a plain GET. A wait on a slot a trim has collected returns at once,
+// a miss (the server knows the log's length), and skipTruncated moves the
+// cursor to the truncation floor.
 func (s *kvSub) Next(ctx context.Context) (Event, error) {
 	for {
 		raw, ok, err := s.b.client.WaitGet(ctx, kvEventKey(s.topic, s.cursor), kvWaitRound)
@@ -607,7 +625,7 @@ func (s *kvSub) deliver(ctx context.Context, ev Event) error {
 		}
 		s.end = ev.Offset + 1
 		if s.committed == ev.Offset {
-			defer s.b.trim(ctx, s.topic, 0)
+			defer s.b.trim(ctx, s.topic)
 		}
 	}
 	s.cursor++
@@ -687,11 +705,8 @@ func (s *kvSub) Ack(ctx context.Context, ev Event) (int, error) {
 		return 0, fmt.Errorf("pstream: committing offset: %w", err)
 	}
 	s.dirty = false
-	switch {
-	case s.committed+1 == s.end:
-		s.b.trim(ctx, s.topic, 0)
-	case committed/trimStride != s.committed/trimStride:
-		s.b.trim(ctx, s.topic, trimStride)
+	if s.committed+1 == s.end || committed/trimStride != s.committed/trimStride {
+		s.b.trim(ctx, s.topic)
 	}
 	return int(last), nil
 }
@@ -704,21 +719,17 @@ func (s *kvSub) commitOffset(ctx context.Context, off uint64) error {
 	return nil
 }
 
-// Close implements Subscription; the server keeps the committed offset and
-// the registration. Close runs no trim: the consumer's acks ran every
-// pass its offset owed, and a pass here would collect the tail below the
-// stride that a consumer registering later still reads.
-func (s *kvSub) Close() error { return nil }
+// Close implements Subscription: it trims the topic up to the readers'
+// floors; the server keeps the committed offset and the registration.
+func (s *kvSub) Close() error {
+	s.b.trim(context.Background(), s.topic)
+	return nil
+}
 
 // --- Log trimming ---------------------------------------------------------
 
 // trimStride is how far a reader's floor moves between the trims it runs:
-// a pass costs about seven commands, about 0.11 per event. Those trims
-// also stop a stride short of the readers' floors, so a topic keeps one
-// to two strides of slots its readers are done with. The margin is for
-// group members: one that read the log before a peer took slot i parks on
-// i, and if a trim deleted i first, that wait, which only a write of i
-// ends, would stall the member for a whole wait round.
+// a pass costs about six commands, about 0.1 per event.
 const trimStride = 64
 
 // truncChunk bounds how many slots one trim pass collects, keeping every
@@ -749,11 +760,11 @@ func (b *KVBroker) deleteRange(ctx context.Context, prefix string, start, end ui
 // serializing concurrent passes, then deletes the event slots, ack
 // counters and every group's claim records below it; a failed delete is
 // retried by a later trim (a crash in between leaks the range). Passes
-// collect at most truncChunk slots each. The length is read before the
-// readers are listed, so a reader registered after the listing loses no
+// collect at most truncChunk slots each. The length and the reader set
+// are read in one snapshot, so a reader registered after it loses no
 // event published after it registered. A trim never fails the operation
-// that ran it. The limit is lowered by lag (see trimStride).
-func (b *KVBroker) trim(ctx context.Context, topic string, lag uint64) {
+// that ran it.
+func (b *KVBroker) trim(ctx context.Context, topic string) {
 	b.truncMu.Lock()
 	pending := b.truncPending
 	b.truncPending = nil
@@ -762,12 +773,8 @@ func (b *KVBroker) trim(ctx context.Context, topic string, lag uint64) {
 		b.deleteRange(ctx, r.prefix, r.start, r.end)
 	}
 	for {
-		heads, err := kvstore.MGet(ctx, b.client, kvTruncKey(topic), kvLenKey(topic))
-		if err != nil {
-			return
-		}
-		markers, err := kvstore.Keys(ctx, b.client, kvReaderPrefix(topic))
-		if err != nil || len(markers) == 0 {
+		heads, err := kvstore.MGet(ctx, b.client, kvTruncKey(topic), kvLenKey(topic), kvReadersKey(topic))
+		if err != nil || heads[2] == nil {
 			return
 		}
 		trunc, err1 := parseCounter(kvTruncKey(topic), heads[0])
@@ -775,39 +782,30 @@ func (b *KVBroker) trim(ctx context.Context, topic string, lag uint64) {
 		if err1 != nil || err2 != nil || trunc >= limit {
 			return
 		}
-		var floors []string
-		prefixes := []string{kvEventPrefix(topic), kvAckPrefix(topic)}
-		for _, m := range markers {
-			f := kvTopicPrefix(topic) + strings.TrimPrefix(m, kvReaderPrefix(topic))
-			floors = append(floors, f)
-			if strings.HasPrefix(f, kvTopicPrefix(topic)+"g:") {
-				prefixes = append(prefixes, strings.TrimSuffix(f, "f")+"c:")
-			}
-		}
 		// The End record is read with the floors, in one MGET: a reader
 		// records an End before its floor passes it.
-		raws, err := kvstore.MGet(ctx, b.client, append(floors, kvEndKey(topic))...)
+		keys := []string{kvEndKey(topic)}
+		prefixes := []string{kvEventPrefix(topic), kvAckPrefix(topic)}
+		for _, line := range strings.Split(string(heads[2]), "\n") {
+			keys = append(keys, kvTopicPrefix(topic)+line)
+			if group, ok := strings.CutSuffix(line, "f"); ok && strings.HasPrefix(line, "g:") {
+				prefixes = append(prefixes, kvTopicPrefix(topic)+group+"c:")
+			}
+		}
+		raws, err := kvstore.MGet(ctx, b.client, keys...)
 		if err != nil {
 			return
 		}
-		for i, f := range floors {
-			n, err := parseCounter(f, raws[i])
+		for i, key := range keys {
+			if i == 0 && raws[i] == nil {
+				continue // no End read past yet
+			}
+			n, err := parseCounter(key, raws[i])
 			if err != nil {
 				return
 			}
 			limit = min(limit, n)
 		}
-		if end := raws[len(floors)]; end != nil {
-			n, err := parseCounter(kvEndKey(topic), end)
-			if err != nil {
-				return
-			}
-			limit = min(limit, n)
-		}
-		if limit < trunc+lag {
-			return
-		}
-		limit -= lag
 		t := min(limit, trunc+truncChunk)
 		if t <= trunc {
 			return
@@ -1038,26 +1036,17 @@ func (s *kvGroupSub) trackLeaseDeadline(deadline time.Time) {
 //
 // A scan reads in one LREAD: the event and claim-record windows at
 // floorHint, the floor the previous scan left, together with the log
-// length, the group floor and the truncation floor — one snapshot. A trim
-// deletes claim records only below every group's floor, so a record
-// missing from the window at an index at or above the floor read was not
-// collected by a trim: the scan never mistakes a settled slot for a free
-// one. Likewise no slot in the window is newer than the length or
-// the truncation floor. A walk that leaves the window refetches it; such
-// a read is newer than the counters, and tryClaim's floor guard covers
-// it. Over a deep backlog the walks cost O(slots/kvScanWindow) commands,
-// not O(slots).
+// length and the group floor — one snapshot. A trim deletes claim records
+// only below every group's floor, so a record missing from the window at
+// an index at or above the floor read was not collected by a trim: the
+// scan never mistakes a settled slot for a free one. An append fills
+// every slot it takes in one step, so a slot missing below the length of
+// the read that fetched it was collected by a trim, and one at or past
+// it is unfilled. A walk that leaves the window refetches it; such a
+// read is newer than the floor, and tryClaim's floor guard covers it.
+// Over a deep backlog the walks cost O(slots/kvScanWindow) commands, not
+// O(slots).
 func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error) {
-	// A scan that crosses a stride trims with a stride's lag; one that
-	// delivers an End, or closes, trims exactly.
-	trimDue, exact := false, closing
-	defer func() {
-		if exact {
-			s.b.trim(ctx, s.topic, 0)
-		} else if trimDue {
-			s.b.trim(ctx, s.topic, trimStride)
-		}
-	}()
 	s.nextLease = time.Time{}
 	s.endPending = false
 	if err := s.flushPendingIncr(ctx); err != nil {
@@ -1065,22 +1054,16 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 	}
 	win := s.b.window(s.topic, kvEventPrefix(s.topic), kvClaimPrefix(s.topic, s.group))
 	floorKey := kvGroupFloorKey(s.topic, s.group)
-	keys := [...]string{floorKey, kvTruncKey(s.topic)}
-	raws, err := win.fetch(ctx, s.floorHint, keys[:]...)
+	raws, err := win.fetch(ctx, s.floorHint, floorKey)
 	if err != nil {
 		return Event{}, false, err
 	}
-	var counters [len(keys)]uint64
-	for j, key := range keys {
-		raw, _, _ := raws[j].Bytes()
-		if counters[j], err = parseCounter(key, raw); err != nil {
-			return Event{}, false, err
-		}
+	raw, _, _ := raws[0].Bytes()
+	floor, err := parseCounter(floorKey, raw)
+	if err != nil {
+		return Event{}, false, err
 	}
-	// A missing event slot is ambiguous: either no append has reached it
-	// yet (stop and wait) or log truncation collected a fully-acked slot
-	// (resolved — skip it). The truncation floor tells them apart.
-	length, floor, trunc := win.length, counters[0], counters[1]
+	length := win.length
 
 	// 1. Sweep the shared floor: Ends and truncated slots resolve on
 	// contact, payload slots once their claim record reads acked. The
@@ -1095,8 +1078,8 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 			return Event{}, false, err
 		}
 		if !ok {
-			if f < trunc {
-				f++
+			if f < win.length {
+				f++ // collected by a trim
 				continue
 			}
 			break // unfilled slot
@@ -1122,6 +1105,7 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 		f++
 	}
 	s.floorHint = floor
+	trimDue := closing
 	if f > floor {
 		var old []byte
 		if floor > 0 {
@@ -1129,7 +1113,7 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 		}
 		if ok, err := kvstore.CAS(ctx, s.b.client, floorKey, old, []byte(strconv.FormatUint(f, 10))); err == nil && ok {
 			s.floorHint = f
-			trimDue = floor/trimStride != f/trimStride
+			trimDue = trimDue || floor/trimStride != f/trimStride
 		}
 	}
 	// Every slot below f is settled, so no claim of ours there can still be
@@ -1138,6 +1122,9 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 		if off < f {
 			delete(s.claimed, off)
 		}
+	}
+	if trimDue {
+		s.b.trim(ctx, s.topic)
 	}
 	if closing {
 		return Event{}, false, nil
@@ -1153,8 +1140,8 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 			return Event{}, false, err
 		}
 		if !ok {
-			if s.endCursor < trunc {
-				s.endCursor++
+			if s.endCursor < win.length {
+				s.endCursor++ // collected by a trim
 				continue
 			}
 			break
@@ -1165,7 +1152,7 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 		}
 		if f > s.endCursor {
 			s.endCursor++
-			exact = true
+			s.b.trim(ctx, s.topic)
 			return ev, true, nil
 		}
 		s.endPending = true
@@ -1173,17 +1160,17 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 	}
 
 	// 3. Claim the earliest available payload slot. parkSlot ends at the
-	// first unfilled slot — the only place new claimable work can appear —
-	// which is where park points its blocking watch.
-	s.parkSlot = length
-	for i := f; i < length; i++ {
+	// first slot unfilled in the latest read — the only place new
+	// claimable work can appear — which is where park points its blocking
+	// watch.
+	for i := f; ; i++ {
 		ev, ok, err := win.event(ctx, i)
 		if err != nil {
 			return Event{}, false, err
 		}
 		if !ok {
-			if i < trunc {
-				continue
+			if i < win.length {
+				continue // collected by a trim
 			}
 			s.parkSlot = i
 			break // unfilled: preserve log order, wait for the fill
@@ -1317,8 +1304,11 @@ func (s *kvGroupSub) waitTimeout() time.Duration {
 // settling, so the watch widens to a WaitPrefix over the whole topic.
 //
 // Returns ok=true with a claimed event, or ok=false when the caller must
-// rescan: a wait round lapsed (lease expiry → reclamation, truncation), or
-// a delivered End or endPending wake (the barrier logic lives in scan).
+// rescan: a wait round lapsed (lease expiry → reclamation), the watched
+// slot was already collected by a trim (peers consumed it, and the group
+// floor passed it, before the wait arrived; the server answers such a
+// wait at once), or a delivered End or endPending wake (the barrier logic
+// lives in scan).
 func (s *kvGroupSub) park(ctx context.Context) (Event, bool, error) {
 	parkSlot := s.parkSlot
 	for {
@@ -1335,7 +1325,7 @@ func (s *kvGroupSub) park(ctx context.Context) (Event, bool, error) {
 			return Event{}, false, err
 		}
 		if !ok {
-			return Event{}, false, nil // wait round lapsed
+			return Event{}, false, nil // wait round lapsed, or slot collected
 		}
 		ev, _, err := decodeAt(raw, parkSlot)
 		if err != nil {

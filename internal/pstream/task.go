@@ -507,7 +507,7 @@ func (w *TaskWorkers[Req, Res]) janitor(ctx context.Context) {
 // heartbeats.
 func (w *TaskWorkers[Req, Res]) SweepResults(ctx context.Context) (int, error) {
 	if w.kb != nil {
-		w.kb.trim(ctx, w.plane.Tasks, 0)
+		w.kb.trim(ctx, w.plane.Tasks)
 	}
 	n, err := w.sweep(ctx)
 	return n + int(w.swept.Swap(0)), err

@@ -28,7 +28,8 @@ import (
 //     recorded schedule with inter-arrival gaps (and wait timeouts)
 //     divided by Speed, each in its own goroutine — recorded traffic
 //     becomes a load generator that preserves the workload's shape
-//     instead of replaying uniform synthetic ops.
+//     instead of replaying uniform synthetic ops. Appends and ranged
+//     deletes keep their recorded order (see dispatchAsync).
 type Replayer struct {
 	kv    kvstore.KV
 	speed float64
@@ -279,7 +280,12 @@ func (x *replayRun) dispatch(op *Op, ctx context.Context) {
 	x.exec(op, ctx)
 }
 
-// dispatchAsync issues op in its own goroutine (compressed mode).
+// dispatchAsync issues op in its own goroutine (compressed mode). An op
+// that takes or drops log slots first waits for its Dep prefix: the
+// server picks an append's slots when it runs it, so racing appends would
+// land in other slots, and every later op naming a slot would name
+// another event; and a ranged delete run before the appends it covered
+// would miss them.
 func (x *replayRun) dispatchAsync(op *Op, ctx context.Context) {
 	x.mu.Lock()
 	x.report.Ops++
@@ -288,6 +294,9 @@ func (x *replayRun) dispatchAsync(op *Op, ctx context.Context) {
 	x.inFlight.Add(1)
 	go func() {
 		defer x.inFlight.Done()
+		if op.Name == "LAPPEND" || op.Name == "DELRANGE" {
+			x.awaitDep(int(op.Dep)) // on a canceled run, exec fails at once
+		}
 		x.exec(op, ctx)
 	}()
 }

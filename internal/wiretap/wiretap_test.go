@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -132,10 +133,8 @@ func newServer(t *testing.T) *kvstore.Server {
 
 // recordGroupRun drives a concurrent two-member group consumption through
 // a recording broker and returns the trace plus the recording server's
-// final state over the trace's key set. With withEnd the stream closes
-// with an End marker, whose delivery trims the log; without it, a member
-// stops once the queue is drained.
-func recordGroupRun(t *testing.T, withEnd bool) (*wiretap.Trace, map[string]string) {
+// final state over the trace's key set.
+func recordGroupRun(t *testing.T) (*wiretap.Trace, map[string]string) {
 	t.Helper()
 	ctx := context.Background()
 	srv := newServer(t)
@@ -152,10 +151,8 @@ func recordGroupRun(t *testing.T, withEnd bool) (*wiretap.Trace, map[string]stri
 			t.Fatalf("Publish: %v", err)
 		}
 	}
-	if withEnd {
-		if err := b.Publish(ctx, "t", pstream.Event{Topic: "t", Producer: "p", Seq: items + 1, End: true}); err != nil {
-			t.Fatalf("Publish end: %v", err)
-		}
+	if err := b.Publish(ctx, "t", pstream.Event{Topic: "t", Producer: "p", Seq: items + 1, End: true}); err != nil {
+		t.Fatalf("Publish end: %v", err)
 	}
 
 	// Two group members claim alternately from one goroutine: a real
@@ -183,7 +180,6 @@ func recordGroupRun(t *testing.T, withEnd bool) (*wiretap.Trace, map[string]stri
 				t.Fatalf("Poll m%d: %v", m, err)
 			}
 			if !ok {
-				ended[m] = !withEnd && len(consumed) == items
 				continue
 			}
 			if ev.End {
@@ -251,7 +247,7 @@ func replayOnce(t *testing.T, tr *wiretap.Trace, speed float64) (*wiretap.Report
 // issue identical command sequences and leave byte-identical server
 // state — which also matches the recording server's state.
 func TestReplayDeterministic(t *testing.T) {
-	tr, liveSnap := recordGroupRun(t, true)
+	tr, liveSnap := recordGroupRun(t)
 
 	r1, s1 := replayOnce(t, tr, 1)
 	r2, s2 := replayOnce(t, tr, 1)
@@ -282,11 +278,12 @@ func TestReplayDeterministic(t *testing.T) {
 // TestReplayCompressed replays the recorded run at 50× as trace-driven
 // load: every op must execute, and state must still converge to the
 // recording (group claims are CAS-guarded, so racing replays stay
-// exactly-once). The recorded stream has no End marker, so no trim runs:
-// a trim's recorded DELRANGE, raced against appends that land in other
-// slots, would delete other events than it did live.
+// exactly-once).
 func TestReplayCompressed(t *testing.T) {
-	tr, liveSnap := recordGroupRun(t, false)
+	tr, liveSnap := recordGroupRun(t)
+	if !slices.ContainsFunc(tr.Ops, func(op wiretap.Op) bool { return op.Name == "DELRANGE" }) {
+		t.Fatal("the recorded run has no trim DELRANGE to replay")
+	}
 	report, snap := replayOnce(t, tr, 50)
 	if report.Ops != len(tr.Ops) {
 		t.Fatalf("replayed %d ops, trace has %d", report.Ops, len(tr.Ops))
@@ -295,11 +292,11 @@ func TestReplayCompressed(t *testing.T) {
 		t.Fatalf("%d stragglers after compressed replay", report.Stragglers)
 	}
 	// Compressed mode races by design: reply divergence and differently-
-	// ordered claim bookkeeping (a GC sweep racing an ack) are expected,
-	// and so are appends landing in another slot order, as the server
-	// picks each append's slot when it runs. The write-once part of the
-	// state — the log length and the set of events in the log — must
-	// still converge exactly.
+	// ordered claim bookkeeping (a floor sweep racing an ack) are
+	// expected. Appends keep their recorded order, and the trim's ranged
+	// delete runs after the appends it covers, so the write-once part of
+	// the state — the log length and the set of events the trim left in
+	// the log — must still converge exactly.
 	writeOnce := func(snap map[string]string) map[string]string {
 		out := map[string]string{}
 		for k, v := range snap {
