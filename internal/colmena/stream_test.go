@@ -540,15 +540,15 @@ func TestStreamServerCloseReturnsServerKeysToBaseline(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
-	// The baseline is the task topic's counter and floor, the group's
-	// floor and registration, and the two groups' emptied rosters: 6 keys,
-	// however many tasks or instances have been through.
-	first := generation(8)
+	// The baseline is the task topic's counter and floor, and the group's
+	// floor and registration: 4 keys, however many tasks or instances have
+	// been through.
+	first := generation(6)
 	second := generation(first)
 	if second > first {
 		t.Fatalf("server keys grew across instance generations: %d -> %d", first, second)
 	}
-	if first > 8 {
-		t.Fatalf("baseline server key count = %d, want <= 8", first)
+	if first > 6 {
+		t.Fatalf("baseline server key count = %d, want <= 6", first)
 	}
 }

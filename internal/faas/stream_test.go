@@ -502,8 +502,7 @@ func TestStreamExecutorCloseReturnsServerKeysToBaseline(t *testing.T) {
 		}
 	}
 	// The absolute baseline is a fixed handful: the task topic's counters,
-	// the group's floor and registration, rosters and live worker
-	// heartbeats —
+	// the group's floor and registration, and live worker heartbeats —
 	// independent of how many tasks or executors have been through.
 	first := generation(24)
 	second := generation(first)

@@ -16,13 +16,15 @@ import (
 //
 //	op(1) keyLen(4 LE) valLen(4 LE) key val
 //
-// with ops aofSet (key gains val), aofDel (key removed), aofDelRange
-// (key holds the prefix, val holds two LE uint64s [start,end) — one record
-// for a whole DELRANGE sweep), aofFlush (keyspace cleared; empty key and
-// val), and aofMulti (empty key; val is itself a sequence of aofSet
-// records, applied together — one record for a whole MSET or LAPPEND, so
-// neither a torn tail nor a replication chunk boundary can persist or ship
-// part of one). Records are appended in APPLY order — every mutation appends
+// with ops aofSet (key gains val), aofDel (key removed, by DEL or by
+// expiry), aofDelRange (key holds the prefix, val holds two LE uint64s
+// [start,end) — one record for a whole DELRANGE sweep), aofFlush (keyspace
+// cleared; empty key and val), aofExpire (PEXPIRE: val holds the ttl in
+// decimal ms, armed from the applier's clock) and aofMulti (empty
+// key; val is itself a sequence of aofSet and aofExpire records, applied
+// together — one record for a whole MSET, LAPPEND or PSETEX, so neither a
+// torn tail nor a replication chunk boundary can persist or ship part of
+// one). Records are appended in APPLY order — every mutation appends
 // while still holding the data mutex — so replaying a prefix of the file
 // always reconstructs a state the server actually passed through. That
 // property is what lets the same byte stream double as the replication
@@ -35,6 +37,7 @@ const (
 	aofDelRange byte = 3
 	aofFlush    byte = 4
 	aofMulti    byte = 5
+	aofExpire   byte = 6
 )
 
 const aofHeaderLen = 9
@@ -57,7 +60,7 @@ func (rec aofRecord) encodedLen() int { return aofHeaderLen + len(rec.key) + len
 // checkAOFHeader validates a record header's lengths, distinguishing
 // corruption (absurd lengths) from a merely torn record.
 func checkAOFHeader(op byte, keyLen, valLen uint32) error {
-	if op < aofSet || op > aofMulti {
+	if op < aofSet || op > aofExpire {
 		return fmt.Errorf("kvstore: corrupt persistence record op=%d", op)
 	}
 	if keyLen > maxBulkLen || valLen > maxBulkLen {
@@ -134,14 +137,15 @@ func appendAOFRecord(buf []byte, op byte, key string, val []byte) []byte {
 	return append(append(buf, key...), val...)
 }
 
-// multiRecords decodes an aofMulti record value into its aofSet records.
+// multiRecords decodes an aofMulti record value into its aofSet and
+// aofExpire records.
 func multiRecords(val []byte) ([]aofRecord, error) {
 	recs, span, err := splitAOFRecords(val)
 	if err == nil && span != len(val) {
 		err = fmt.Errorf("kvstore: corrupt persistence multi record: %d trailing bytes", len(val)-span)
 	}
 	for _, rec := range recs {
-		if err == nil && rec.op != aofSet {
+		if err == nil && rec.op != aofSet && rec.op != aofExpire {
 			err = fmt.Errorf("kvstore: corrupt persistence multi record: nested op=%d", rec.op)
 		}
 	}
@@ -166,8 +170,10 @@ func (s *Server) applyRecordLocked(rec aofRecord) error {
 		// so adopting the alias is safe; copy anyway when the buffer is the
 		// load path's per-record allocation — it already is a fresh slice.
 		s.data[string(rec.key)] = rec.val
+		s.persistLocked(string(rec.key))
 	case aofDel:
 		delete(s.data, string(rec.key))
+		s.persistLocked(string(rec.key))
 	case aofDelRange:
 		if len(rec.val) != 16 {
 			return fmt.Errorf("kvstore: corrupt persistence range record: %d-byte bounds", len(rec.val))
@@ -179,17 +185,30 @@ func (s *Server) applyRecordLocked(rec aofRecord) error {
 		}
 		prefix := string(rec.key)
 		for i := start; i < end; i++ {
-			delete(s.data, prefix+strconv.FormatUint(i, 10))
+			key := prefix + strconv.FormatUint(i, 10)
+			delete(s.data, key)
+			s.persistLocked(key)
 		}
 	case aofFlush:
 		s.data = make(map[string][]byte)
+		s.expires = nil
+	case aofExpire:
+		ttl, err := parseTTL(rec.val)
+		if err != nil {
+			return fmt.Errorf("kvstore: corrupt persistence expire record: %w", err)
+		}
+		if _, ok := s.data[string(rec.key)]; ok {
+			s.expireLocked(string(rec.key), ttl)
+		}
 	case aofMulti:
 		recs, err := multiRecords(rec.val)
 		if err != nil {
 			return err
 		}
 		for _, r := range recs {
-			s.data[string(r.key)] = r.val
+			if err := s.applyRecordLocked(r); err != nil {
+				return err
+			}
 		}
 	default:
 		return fmt.Errorf("kvstore: corrupt persistence record op=%d", rec.op)
@@ -210,7 +229,9 @@ func (s *Server) notifyRecord(rec aofRecord) {
 	case aofMulti:
 		recs, _ := multiRecords(rec.val) // validated by the apply
 		for _, r := range recs {
-			s.notify.published(string(r.key))
+			if r.op == aofSet {
+				s.notify.published(string(r.key))
+			}
 		}
 	}
 }

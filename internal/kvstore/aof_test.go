@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // aofStateAfter replays the complete records at the start of raw into a
@@ -109,8 +110,8 @@ func TestAOFConcurrentSetDelRestart(t *testing.T) {
 }
 
 // writeAOFRun produces a small but representative log: sets, overwrites,
-// deletes, an INCR, a DELRANGE sweep, an LAPPEND, an MSET, a FLUSHALL, and
-// writes after it.
+// deletes, an INCR, a DELRANGE sweep, an LAPPEND, an MSET, a PSETEX, a
+// PEXPIRE, an expiry's DEL, a FLUSHALL, and writes after it.
 func writeAOFRun(t *testing.T, aof string) []byte {
 	t.Helper()
 	srv, err := NewServer("127.0.0.1:0", WithPersistence(aof))
@@ -140,6 +141,22 @@ func writeAOFRun(t *testing.T, aof string) []byte {
 	if err := MSet(ctx, cli, map[string][]byte{"m1": []byte("1"), "m2": []byte("2")}); err != nil {
 		t.Fatalf("MSet: %v", err)
 	}
+	// hb:a outlives the test; hb:b expires live. A server reloading a cut
+	// that holds hb:b but not its DEL arms it afresh, and must not expire
+	// it before the snapshot: its ttl is long against a reload.
+	if err := PSetEx(ctx, cli, "hb:a", time.Hour, []byte("1")); err != nil {
+		t.Fatalf("PSetEx: %v", err)
+	}
+	if ok, err := PExpire(ctx, cli, "hb:a", time.Hour); err != nil || !ok {
+		t.Fatalf("PExpire = %v, %v", ok, err)
+	}
+	if err := PSetEx(ctx, cli, "hb:b", time.Second, []byte("2")); err != nil {
+		t.Fatalf("PSetEx: %v", err)
+	}
+	waitFor(t, "hb:b's expiry", func() bool {
+		n, err := Exists(ctx, cli, "hb:b")
+		return err == nil && n == 0
+	})
 	if err := cli.Do(ctx, "FLUSHALL").Err(); err != nil {
 		t.Fatalf("FlushAll: %v", err)
 	}
@@ -171,6 +188,25 @@ func TestAOFTorture(t *testing.T) {
 	recs, span, err := splitAOFRecords(raw)
 	if err != nil || span != len(raw) {
 		t.Fatalf("run log not record-aligned: span=%d len=%d err=%v", span, len(raw), err)
+	}
+	ops, expired := map[byte]bool{}, false
+	for _, rec := range recs {
+		ops[rec.op] = true
+		expired = expired || rec.op == aofDel && string(rec.key) == "hb:b"
+		if rec.op == aofMulti {
+			nested, _ := multiRecords(rec.val)
+			for _, r := range nested {
+				ops[r.op] = true
+			}
+		}
+	}
+	for op := aofSet; op <= aofExpire; op++ {
+		if !ops[op] {
+			t.Fatalf("run log holds no record of op %d", op)
+		}
+	}
+	if !expired {
+		t.Fatal("run log holds no expiry DEL of hb:b")
 	}
 	boundary := map[int]bool{0: true}
 	at := 0

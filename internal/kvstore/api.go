@@ -32,6 +32,25 @@ func Set(ctx context.Context, kv KV, key string, val []byte) error {
 	return kv.Do(ctx, "SET", []byte(key), val).Err()
 }
 
+// PSetEx stores val under key with a deadline ttl from now on the
+// server's clock (whole milliseconds, at least one): once it passes, the
+// server deletes the key as a DEL would, unless PExpire moved it first.
+func PSetEx(ctx context.Context, kv KV, key string, ttl time.Duration, val []byte) error {
+	return kv.Do(ctx, "PSETEX", []byte(key), ttlArg(ttl), val).Err()
+}
+
+// PExpire moves key's deadline to ttl from now on the server's clock. It
+// reports false, and changes nothing, when key is absent or already past
+// its deadline.
+func PExpire(ctx context.Context, kv KV, key string, ttl time.Duration) (bool, error) {
+	n, err := kv.Do(ctx, "PEXPIRE", []byte(key), ttlArg(ttl)).Int()
+	return n == 1, err
+}
+
+func ttlArg(ttl time.Duration) []byte {
+	return []byte(strconv.FormatInt(max(ttl.Milliseconds(), 1), 10))
+}
+
 // Get fetches key's value; ok is false when the key does not exist.
 func Get(ctx context.Context, kv KV, key string) (val []byte, ok bool, err error) {
 	return kv.Do(ctx, "GET", []byte(key)).Bytes()

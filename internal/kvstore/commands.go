@@ -36,6 +36,8 @@ func firstKey(a [][]byte) [][]byte { return a[:1:1] }
 var commandTable = []Command{
 	{Name: "PING", Arity: -1, run: (*Server).cmdPing},
 	{Name: "SET", Arity: 3, Writes: true, keys: firstKey, run: (*Server).cmdSet},
+	{Name: "PSETEX", Arity: 4, Writes: true, keys: firstKey, run: (*Server).cmdPSetEx},
+	{Name: "PEXPIRE", Arity: 3, Writes: true, keys: firstKey, run: (*Server).cmdPExpire},
 	{Name: "GET", Arity: 2, keys: firstKey, run: (*Server).cmdGet},
 	{Name: "DEL", Arity: -1, Step: 1, Writes: true, run: (*Server).cmdDel},
 	{Name: "EXISTS", Arity: -1, Step: 1, run: (*Server).cmdExists},
@@ -123,6 +125,7 @@ func (s *Server) cmdSet(a [][]byte) value {
 	key := string(a[0])
 	s.mu.Lock()
 	s.data[key] = a[1]
+	s.persistLocked(key)
 	s.appendAOF(aofSet, key, a[1])
 	s.mu.Unlock()
 	s.notify.published(key)
@@ -145,6 +148,7 @@ func (s *Server) cmdDel(a [][]byte) value {
 		_, ok := s.data[key]
 		if ok {
 			delete(s.data, key)
+			s.persistLocked(key)
 			s.appendAOF(aofDel, key, nil)
 		}
 		s.mu.Unlock()
@@ -266,6 +270,7 @@ func (s *Server) cmdIncr(a [][]byte) value {
 		n++
 		buf := []byte(strconv.FormatInt(n, 10))
 		s.data[key] = buf
+		s.persistLocked(key)
 		s.appendAOF(aofSet, key, buf)
 	}
 	s.mu.Unlock()
@@ -289,6 +294,7 @@ func (s *Server) cmdCAS(a [][]byte) value {
 	swap := len(old) == 0 && !ok || len(old) > 0 && ok && bytes.Equal(cur, old)
 	if swap {
 		s.data[key] = a[2]
+		s.persistLocked(key)
 		s.appendAOF(aofSet, key, a[2])
 	}
 	s.mu.Unlock()
@@ -327,6 +333,7 @@ func (s *Server) cmdDelRange(a [][]byte) value {
 		key := prefix + strconv.FormatUint(i, 10)
 		if _, ok := s.data[key]; ok {
 			delete(s.data, key)
+			s.persistLocked(key)
 			n++
 		}
 	}
@@ -374,6 +381,7 @@ func (s *Server) cmdFlushAll([][]byte) value {
 	s.mu.Lock()
 	s.data = make(map[string][]byte)
 	s.logs = nil
+	s.expires = nil
 	s.appendAOF(aofFlush, "", nil)
 	s.mu.Unlock()
 	s.notify.publishedAll()

@@ -474,6 +474,8 @@ func TestUnknownCommandReturnsError(t *testing.T) {
 var validArgs = map[string][]string{
 	"PING":     {},
 	"SET":      {"k", "v"},
+	"PSETEX":   {"k", "60000", "v"},
+	"PEXPIRE":  {"k", "60000"},
 	"GET":      {"k"},
 	"DEL":      {"k"},
 	"EXISTS":   {"k"},

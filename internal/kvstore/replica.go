@@ -263,10 +263,12 @@ func (s *Server) drainFeeds(timeout time.Duration) {
 }
 
 // promote latches the server standalone: it stops following its primary
-// (severing the pull connection) and starts accepting writes.
+// (severing the pull connection), starts accepting writes, and arms its
+// key deadlines afresh for its own expiry loop.
 func (s *Server) promote() {
 	if s.standalone.CompareAndSwap(false, true) && s.replicaOf != "" {
 		s.severUpstream()
+		s.rearmExpiries()
 	}
 }
 

@@ -9,9 +9,22 @@
 // holds CAS, DELRANGE and two log commands, LAPPEND and LREAD, which
 // pstream's KVBroker publishes and scans with, and KEYS prefix, the sorted
 // list of keys under a prefix, which pstream's task janitor finds
-// orphaned result futures with (it walks the keyspace, so it stays off
-// per-item paths). Clients send a command with KV.Do or queue it on a
-// Pipeline; the typed calls (Get, Set, CAS, ...) are functions over KV.
+// orphaned result futures and live members with (it walks the keyspace,
+// so it stays off per-item paths). Clients send a command with KV.Do or
+// queue it on a Pipeline; the typed calls (Get, Set, CAS, ...) are
+// functions over KV.
+//
+// # Expiring keys
+//
+// PSETEX key ms value sets key with a deadline ms from now on the server's
+// own clock; PEXPIRE key ms moves a present key's deadline (reply 1), or
+// replies 0 when the key is absent or past it. One loop, timed for the
+// earliest deadline, deletes due keys as DEL does, so an expiry persists,
+// replicates and wakes waits like a DEL; reads check no deadline. Any
+// other write or delete drops a key's deadline. A following replica never
+// expires a key on its own clock, and a reload or promotion arms every
+// deadline afresh: a key may outlive its deadline by one ttl, never die
+// early. pstream's heartbeats are such keys (expire.go).
 //
 // # Blocking reads (the wait/notify protocol)
 //
@@ -19,7 +32,7 @@
 // mechanism behind pstream's KVBroker delivery:
 //
 //   - TWAITGET tag key timeout_ms blocks until key holds a value (any of
-//     SET/MSET/LAPPEND/CAS/INCR filling it) and returns that value in the
+//     SET/PSETEX/MSET/LAPPEND/CAS/INCR filling it) and returns that value in the
 //     wait's own reply, so the wake carries the payload and no follow-up
 //     GET is needed. A lapsed timeout returns a null bulk; the connection
 //     stays clean either way. A wait on a slot of a log the server grew
@@ -81,10 +94,13 @@
 //
 //	op(1) keyLen(4 LE) valLen(4 LE) key val
 //
-// with ops aofSet (key gains val), aofDel (key removed), aofDelRange
-// (key holds the prefix, val holds two LE uint64s — the [start,end)
-// sequence window of one DELRANGE, a single record no matter how many
-// keys it covered) and aofFlush (FLUSHALL; key and val empty). Appends
+// with ops aofSet (key gains val), aofDel (key removed, by DEL or by
+// expiry), aofDelRange (key holds the prefix, val holds two LE uint64s —
+// the [start,end) sequence window of one DELRANGE, a single record no
+// matter how many keys it covered), aofFlush (FLUSHALL; key and val
+// empty), aofExpire (PEXPIRE; val holds the ttl in milliseconds) and
+// aofMulti (several set and expire records as one: MSET, LAPPEND,
+// PSETEX). Appends
 // happen inside the data mutex in apply order, so byte offset N names a
 // unique server state: whoever has replayed N bytes of the log IS the
 // primary as of that offset.

@@ -110,6 +110,14 @@ type Server struct {
 	bytesOut  *telemetry.Counter
 	connGauge *telemetry.Gauge
 	waiters   *telemetry.Gauge
+
+	// expires holds the deadline of every key PSETEX or PEXPIRE gave one
+	// (see expire.go), and nextExpiry the deadline the expiry loop is
+	// timed for; both are guarded by mu. An earlier deadline wakes the
+	// loop through expiryWake.
+	expires    map[string]expiry
+	nextExpiry time.Time
+	expiryWake chan struct{}
 }
 
 // cmdMetrics is the per-command instrument bundle: how many times the
@@ -165,11 +173,12 @@ func (s *Server) observe(cmd command, start time.Time, reply value) {
 // NewServer starts a server listening on addr (e.g. "127.0.0.1:0").
 func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 	s := &Server{
-		data:    make(map[string][]byte),
-		conns:   make(map[net.Conn]bool),
-		feeds:   make(map[*replFeed]struct{}),
-		notify:  newNotifier(),
-		started: time.Now(),
+		data:       make(map[string][]byte),
+		conns:      make(map[net.Conn]bool),
+		feeds:      make(map[*replFeed]struct{}),
+		notify:     newNotifier(),
+		expiryWake: make(chan struct{}, 1),
+		started:    time.Now(),
 	}
 	s.aofCond = sync.NewCond(&s.aofMu)
 	for _, o := range opts {
@@ -202,6 +211,8 @@ func NewServer(addr string, opts ...ServerOption) (*Server, error) {
 	}
 	s.ln = ln
 	go s.acceptLoop()
+	s.connWG.Add(1)
+	go s.expireLoop()
 	if s.replicaOf != "" {
 		s.connWG.Add(1)
 		go s.replicateLoop()
@@ -644,6 +655,7 @@ func (s *Server) setAllLocked(pairs [][]byte) ([]string, error) {
 	var rec []byte
 	for i, k := range keys {
 		s.data[k] = pairs[2*i+1]
+		s.persistLocked(k)
 		if s.aof != nil {
 			rec = appendAOFRecord(rec, aofSet, k, pairs[2*i+1])
 		}

@@ -496,3 +496,65 @@ func TestKVBrokerGroupTrimBoundsServerKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestGroupHeartbeatClaimMarker: only a member that heartbeats marks its
+// claims as stealable on a missing heartbeat. Members A and B share a
+// group with a 3 s lease; B heartbeats with a 150 ms ttl. A member
+// without heartbeats that claims and goes silent keeps its claim for the
+// whole lease; one that heartbeats and Closes with the claim unacked
+// loses it to B at once, because its Leave deleted the key.
+func TestGroupHeartbeatClaimMarker(t *testing.T) {
+	const lease = 3 * time.Second
+	srv := newGroupServer(t)
+	plain := pstream.NewKV(srv.Addr(), pstream.WithKVLease(lease))
+	t.Cleanup(func() { plain.Close() })
+	beating := pstream.NewKV(srv.Addr(), pstream.WithKVLease(lease), pstream.WithKVHeartbeat(150*time.Millisecond))
+	t.Cleanup(func() { beating.Close() })
+	ctx := context.Background()
+
+	for _, tc := range []struct {
+		name   string
+		holder *pstream.KVBroker
+		steal  bool
+	}{
+		{"SilentWithoutHeartbeatsKeepsLease", plain, false},
+		{"ClosedHeartbeatingMemberLosesClaim", beating, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topic := "marker-" + tc.name
+			if err := plain.Publish(ctx, topic, pstream.Event{Producer: "p", Seq: 1}); err != nil {
+				t.Fatalf("Publish: %v", err)
+			}
+			a, err := tc.holder.SubscribeGroup(ctx, topic, "g", "a")
+			if err != nil {
+				t.Fatalf("SubscribeGroup(a): %v", err)
+			}
+			claimed, err := a.Next(ctx)
+			if err != nil {
+				t.Fatalf("a Next: %v", err)
+			}
+			if tc.steal {
+				a.Close()
+			} else {
+				defer a.Close()
+			}
+			b, err := beating.SubscribeGroup(ctx, topic, "g", "b")
+			if err != nil {
+				t.Fatalf("SubscribeGroup(b): %v", err)
+			}
+			defer b.Close()
+			start := time.Now()
+			nctx, cancel := context.WithTimeout(ctx, lease/3)
+			defer cancel()
+			got, err := b.Next(nctx)
+			switch {
+			case !tc.steal && err == nil:
+				t.Fatalf("b took offset %d after %v, inside a silent member's %v lease", got.Offset, time.Since(start), lease)
+			case tc.steal && err != nil:
+				t.Fatalf("b Next: %v; want the closed member's claim well inside the %v lease", err, lease)
+			case tc.steal && got.Offset != claimed.Offset:
+				t.Fatalf("b took offset %d, want the abandoned %d", got.Offset, claimed.Offset)
+			}
+		})
+	}
+}

@@ -65,9 +65,9 @@ type KVBroker struct {
 	// before other members reclaim it.
 	lease time.Duration
 	// hbTTL, when positive, enables the membership layer for group
-	// subscriptions: members heartbeat under this liveness window, and an
-	// expired heartbeat lets peers reclaim a dead member's claims early —
-	// in O(hbTTL) instead of O(lease). See WithKVHeartbeat.
+	// subscriptions: members heartbeat under this liveness window, and a
+	// heartbeat key gone from the server lets peers reclaim that member's
+	// claims early — in O(hbTTL) instead of O(lease). See WithKVHeartbeat.
 	hbTTL time.Duration
 
 	// truncMu guards truncPending, ranged deletes owed a retry after a
@@ -105,11 +105,12 @@ func WithKVLease(d time.Duration) KVOption {
 // group subscriptions: every member SubscribeGroup creates joins the
 // (topic, group) membership domain and heartbeats under ttl (0 means
 // DefaultHeartbeatTTL). The payoff is early lease reclamation — group
-// scans treat a claim whose holder's heartbeat expired as reclaimable
-// immediately, so a crashed member's work is stolen in O(ttl) instead of
-// O(lease) — at the cost of one small write per member per ttl/3 while
-// idle. A member whose own heartbeat cannot be refreshed self-fences and
-// stops claiming new work until refreshes recover (see Heartbeat.Fenced).
+// scans treat a claim whose heartbeating holder's key is gone as
+// reclaimable immediately, so a crashed member's work is stolen in O(ttl)
+// instead of O(lease) — at the cost of one small write per member per
+// ttl/3 while idle. A member whose own heartbeat cannot be refreshed
+// self-fences and stops claiming new work until refreshes recover (see
+// Heartbeat.Fenced).
 func WithKVHeartbeat(ttl time.Duration) KVOption {
 	return func(b *KVBroker) {
 		if ttl <= 0 {
@@ -866,23 +867,29 @@ func (b *KVBroker) deleteFutures(ctx context.Context, keys ...string) error {
 // claimAcked is the claim-record value of a settled (group-acked) slot.
 const claimAcked = "a"
 
-// claimRecord encodes a live lease.
-func claimRecord(member string, deadline time.Time) []byte {
-	return []byte("c|" + member + "|" + strconv.FormatInt(deadline.UnixNano(), 10))
+// claimRecord encodes a live lease: "h|member|deadline" for a member that
+// heartbeats, whose claim peers may take once its heartbeat key is gone,
+// and "c|member|deadline" for one that does not.
+func claimRecord(member string, deadline time.Time, heartbeats bool) []byte {
+	tag := "c|"
+	if heartbeats {
+		tag = "h|"
+	}
+	return []byte(tag + member + "|" + strconv.FormatInt(deadline.UnixNano(), 10))
 }
 
 // parseClaim decodes a live lease record; ok is false for the acked
 // marker or a corrupt record.
-func parseClaim(raw []byte) (member string, deadline time.Time, ok bool) {
+func parseClaim(raw []byte) (member string, deadline time.Time, heartbeats, ok bool) {
 	parts := strings.SplitN(string(raw), "|", 3)
-	if len(parts) != 3 || parts[0] != "c" {
-		return "", time.Time{}, false
+	if len(parts) != 3 || parts[0] != "c" && parts[0] != "h" {
+		return "", time.Time{}, false, false
 	}
 	nanos, err := strconv.ParseInt(parts[2], 10, 64)
 	if err != nil {
-		return "", time.Time{}, false
+		return "", time.Time{}, false, false
 	}
-	return parts[1], time.Unix(0, nanos), true
+	return parts[1], time.Unix(0, nanos), parts[0] == "h", true
 }
 
 // kvGroupSub is one group member's view of a topic work queue. All claim
@@ -932,10 +939,8 @@ type kvGroupSub struct {
 	// otherwise): Close leaves cleanly, and tryClaim consults its fence
 	// before taking new work.
 	hb *Heartbeat
-	// hbSeen caches peer heartbeat deadlines read while judging live
-	// claims: a deadline still in the future vouches for the member
-	// without a re-read, and an apparently dead member is always re-read
-	// fresh before its claims are stolen.
+	// hbSeen maps a peer whose heartbeat key a read found present to when
+	// that alive verdict lapses, ttl/3 later on this member's clock.
 	hbSeen map[string]time.Time
 }
 
@@ -965,56 +970,44 @@ func (s *kvGroupSub) flushPendingIncr(ctx context.Context) error {
 	return nil
 }
 
-// hbAlive reports the claim-holding member's liveness under the
-// membership layer: alive (true), dead — heartbeat stamped but expired —
-// (false), or unknown, reported as alive, when heartbeats are off, the
-// member is this subscription, or the member has no heartbeat key (it may
-// predate the layer, or run a broker without WithKVHeartbeat; stealing its
-// live-leased claims on absence of evidence would break exactly-once).
-// Live verdicts are cached until the seen deadline passes; a dead verdict
-// is always confirmed with a fresh read, so a member is never declared
-// dead off a stale cache.
+// hbAlive reports whether the heartbeating holder of a live h| claim may
+// still be alive: false only when a fresh EXISTS finds its heartbeat key
+// gone — expired on the server's clock, or deleted by a clean Leave. A
+// read error reads as alive, and so does this subscription's own claim. A
+// present key is cached for ttl/3 of this member's clock (hbSeen).
 func (s *kvGroupSub) hbAlive(ctx context.Context, member string, now time.Time) bool {
-	if s.b.hbTTL <= 0 || member == s.member {
+	if member == s.member {
 		return true
 	}
-	if cached, ok := s.hbSeen[member]; ok && cached.After(now) {
+	if until, ok := s.hbSeen[member]; ok && now.Before(until) {
 		return true
 	}
-	raw, ok, err := kvstore.Get(ctx, s.b.client, kvHeartbeatKey(s.topic, s.group, member))
-	if err != nil || !ok {
-		return true // unknown: fall back to lease timing
-	}
-	deadline, ok := parseDeadline(raw)
-	if !ok {
+	n, err := kvstore.Exists(ctx, s.b.client, kvHeartbeatKey(s.topic, s.group, member))
+	if err != nil {
 		return true
+	}
+	if n == 0 {
+		return false
 	}
 	if s.hbSeen == nil {
 		s.hbSeen = make(map[string]time.Time)
 	}
-	s.hbSeen[member] = deadline
-	return deadline.After(now)
+	s.hbSeen[member] = now.Add(s.b.HeartbeatTTL() / 3)
+	return true
 }
 
 // trackLease records a live claim deadline so Next can cap its blocking
-// wait at the earliest one. Under the membership layer the effective
-// deadline is the earlier of the lease and the holder's heartbeat
-// deadline: a parked member then wakes in O(heartbeat) when a peer dies,
+// wait at the earliest one. For a heartbeating holder the cap is also the
+// lapse of its cached alive verdict: a parked member then re-reads the
+// holder's heartbeat, and takes its claims in O(heartbeat) when it died,
 // not O(lease).
-func (s *kvGroupSub) trackLease(ctx context.Context, raw []byte, now time.Time) {
-	member, deadline, ok := parseClaim(raw)
+func (s *kvGroupSub) trackLease(raw []byte, now time.Time) {
+	member, deadline, heartbeats, ok := parseClaim(raw)
 	if !ok || !deadline.After(now) {
 		return
 	}
-	if s.b.hbTTL > 0 && member != s.member {
-		if hbDl, seen := s.hbSeen[member]; seen && hbDl.Before(deadline) {
-			if hbDl.Before(now) {
-				// Holder looks dead already; rescan almost immediately to
-				// confirm and reclaim.
-				hbDl = now.Add(time.Millisecond)
-			}
-			deadline = hbDl
-		}
+	if until, seen := s.hbSeen[member]; heartbeats && seen && until.Before(deadline) {
+		deadline = until
 	}
 	s.trackLeaseDeadline(deadline)
 }
@@ -1097,7 +1090,7 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 			}
 			if !held || string(raw) != claimAcked {
 				if held {
-					s.trackLease(ctx, raw, time.Now())
+					s.trackLease(raw, time.Now())
 				}
 				break
 			}
@@ -1162,7 +1155,14 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 	// 3. Claim the earliest available payload slot. parkSlot ends at the
 	// first slot unfilled in the latest read — the only place new
 	// claimable work can appear — which is where park points its blocking
-	// watch.
+	// watch. A fenced member takes no work, so it parks at the log's end
+	// until the fence may lift: fenced members walking (and decoding) the
+	// log starve the heartbeats that would lift their fences.
+	if s.hb != nil && s.hb.Fenced() {
+		s.parkSlot = length
+		s.trackLeaseDeadline(time.Now().Add(s.b.hbTTL / 3))
+		return Event{}, false, nil
+	}
 	for i := f; ; i++ {
 		ev, ok, err := win.event(ctx, i)
 		if err != nil {
@@ -1197,10 +1197,10 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 // tryClaim attempts to lease payload slot i, going straight to a CAS on
 // the claim record as the caller last read it (raw, held): held false —
 // a scan window's missing record, or park's freshly filled slot — means
-// nil→record, a fresh claim; an expired lease, or under the membership
-// layer a live lease whose holder's heartbeat has expired (the crashed
-// member's work is stolen in O(heartbeat), not O(lease)), means an
-// exact-record CAS, so two reclaimers can never both win; a live lease or
+// nil→record, a fresh claim; an expired lease, or a heartbeating holder's
+// live lease whose heartbeat key is gone (the crashed member's work is
+// stolen in O(heartbeat), not O(lease)), means an exact-record CAS, so two
+// reclaimers can never both win; a live lease or
 // the acked marker means skip, with no CAS. There is no read of the record
 // here, so a stale view costs a lost CAS. After a win, the floor guard protects against resurrecting a
 // settled slot — if the slot was acked and its record GC'd before the
@@ -1218,7 +1218,7 @@ func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64, raw []byte, held bo
 	}
 	key := kvClaimKey(s.topic, s.group, i)
 	now := time.Now()
-	record := claimRecord(s.member, now.Add(s.b.lease))
+	record := claimRecord(s.member, now.Add(s.b.lease), s.hb != nil)
 	var win, reclaimed bool
 	var err error
 	if !held {
@@ -1234,18 +1234,19 @@ func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64, raw []byte, held bo
 		if string(raw) == claimAcked {
 			return false, nil
 		}
-		member, deadline, ok := parseClaim(raw)
-		if ok && (now.After(deadline) || !s.hbAlive(ctx, member, now)) {
-			// Expired lease, or a live lease whose holder's heartbeat has
-			// expired (hbAlive re-reads the heartbeat fresh before the dead
-			// verdict). Reclaim with a CAS against the exact stale record,
-			// so two reclaimers can never both win.
+		member, deadline, heartbeats, ok := parseClaim(raw)
+		if ok && (now.After(deadline) || heartbeats && !s.hbAlive(ctx, member, now)) {
+			// Expired lease, or a live lease whose heartbeating holder's
+			// key is gone (hbAlive re-reads it fresh before that verdict).
+			// A c| holder keeps its full lease: absence of a heartbeat
+			// proves nothing about it. Reclaim with a CAS against the
+			// exact stale record, so two reclaimers can never both win.
 			if win, err = kvstore.CAS(ctx, s.b.client, key, raw, record); err != nil {
 				return false, err
 			}
 			reclaimed = win
 		} else {
-			s.trackLease(ctx, raw, now)
+			s.trackLease(raw, now)
 		}
 	}
 	if !win {
@@ -1402,7 +1403,7 @@ func (s *kvGroupSub) Ack(ctx context.Context, ev Event) (int, error) {
 			// Settled (possibly by us, possibly GC'd below the floor).
 			return stale()
 		}
-		member, _, ok := parseClaim(raw)
+		member, _, _, ok := parseClaim(raw)
 		if !ok || member != s.member {
 			return stale()
 		}
@@ -1427,10 +1428,9 @@ func (s *kvGroupSub) Ack(ctx context.Context, ev Event) (int, error) {
 // Close implements Subscription. A closing scan sweeps the group floor
 // past the member's last acks and trims the topic, so a drained queue
 // leaves no slots behind; the group stays registered. Unacked claims are
-// left to expire, so other members reclaim this member's unfinished work
-// (with a clean membership leave under WithKVHeartbeat, peers fall back to
-// lease timing for them — the heartbeat key is gone, which proves nothing
-// about a crash; only an expired heartbeat does).
+// abandoned to other members: at lease expiry, or under WithKVHeartbeat at
+// once, since the clean membership leave deletes the heartbeat key their
+// h| records point peers at.
 func (s *kvGroupSub) Close() error {
 	s.scan(context.Background(), true)
 	s.claimed = nil

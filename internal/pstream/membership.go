@@ -1,36 +1,18 @@
 package pstream
 
-// Liveness and membership for fleets of short-lived clients, built on the
-// same kvstore primitives as the broker itself: each member runs a
-// heartbeater that refreshes a deadline-stamped key, liveness is "the
-// stamped deadline has not passed", and the member list is a CAS-maintained
-// roster key (the kv surface has no key enumeration, so the roster is how
-// one MGET can read every heartbeat). Layout, per topic T and group G:
-//
-//	ps:m.T:G:r          roster: member names joined by "\n" ("-" when empty)
-//	ps:m.T:G:h:<member> heartbeat: the member's deadline (UnixNano, decimal)
-//
-// The roster key is never deleted — an empty roster holds the "-"
-// tombstone — because the kv CAS treats an empty expected value as "key
-// must not exist": deleting the key on last-leave would race a concurrent
-// join's create-CAS.
-//
-// Consumers of the layer: group subscriptions under WithKVHeartbeat treat
-// an expired heartbeat as early lease reclamation (a crashed member's
-// claims are stolen in O(heartbeat) instead of O(lease)); the task planes
-// (faas, colmena) reclaim the result futures of clients that are no longer
-// live (TaskWorkers.SweepResults), reaping the dead and judging with the
-// live set in one pass; and producers size evict-on-ack from Sizer's
-// live-member count.
+// Liveness and membership for fleets of short-lived clients, on the kv
+// server's expiring keys: a member is alive while its heartbeat key
+// ps:m.T:G:h:<member> exists, for topic T and group G. The server expires
+// the key ttl after its last refresh, on its own clock, so no member's
+// clock is compared with another's. Group subscriptions under
+// WithKVHeartbeat take a claim early once its holder's key is gone, and
+// the task planes reclaim the result futures of clients that are not live
+// (TaskWorkers.SweepResults).
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,25 +21,17 @@ import (
 )
 
 // DefaultHeartbeatTTL is the liveness window used when WithKVHeartbeat is
-// not given an explicit TTL: a member whose heartbeat key is older than
-// this is presumed dead. Refreshes run at a third of the TTL, so a member
+// not given an explicit TTL: the server deletes a heartbeat key this long
+// after its last refresh. Refreshes run at a third of the TTL, so a member
 // survives two missed refreshes before peers act on its death.
 const DefaultHeartbeatTTL = 3 * time.Second
 
-// rosterEmpty is the tombstone value of a roster with no members. It keeps
-// the key present (see the package comment on CAS create semantics) while
-// parsing to zero members.
-const rosterEmpty = "-"
+// heartbeatVal is every heartbeat key's value: only presence counts.
+var heartbeatVal = []byte("1")
 
-// rosterCASAttempts bounds the CAS retry loop on the roster key; every
-// retry means another member just joined or left, so sustained failure is
-// pathological churn, not contention to wait out politely.
-const rosterCASAttempts = 32
-
-func kvMemberPrefix(topic, group string) string { return "ps:m." + topic + ":" + group + ":" }
-func kvRosterKey(topic, group string) string    { return kvMemberPrefix(topic, group) + "r" }
+func kvHeartbeatPrefix(topic, group string) string { return "ps:m." + topic + ":" + group + ":h:" }
 func kvHeartbeatKey(topic, group, member string) string {
-	return kvMemberPrefix(topic, group) + "h:" + member
+	return kvHeartbeatPrefix(topic, group) + member
 }
 
 // Membership is a handle on one (topic, group) liveness domain. Handles
@@ -68,295 +42,87 @@ type Membership struct {
 	topic string
 	group string
 	ttl   time.Duration
-
-	// sizer cache (see Sizer).
-	szMu   sync.Mutex
-	szN    int
-	szWhen time.Time
 }
 
 // Membership returns the liveness domain for topic and group, with the
-// broker's heartbeat TTL (WithKVHeartbeat, or DefaultHeartbeatTTL).
+// broker's heartbeat TTL.
 func (b *KVBroker) Membership(topic, group string) *Membership {
-	ttl := b.hbTTL
-	if ttl <= 0 {
-		ttl = DefaultHeartbeatTTL
-	}
-	return &Membership{b: b, topic: topic, group: group, ttl: ttl}
+	return &Membership{b: b, topic: topic, group: group, ttl: b.HeartbeatTTL()}
 }
 
-// rosterParse decodes a roster value into member names.
-func rosterParse(raw []byte) []string {
-	s := string(raw)
-	if s == "" || s == rosterEmpty {
-		return nil
-	}
-	return strings.Split(s, "\n")
-}
-
-// rosterEncode is the inverse of rosterParse.
-func rosterEncode(names []string) []byte {
-	if len(names) == 0 {
-		return []byte(rosterEmpty)
-	}
-	return []byte(strings.Join(names, "\n"))
-}
-
-// roster reads the current member list (live and dead alike).
-func (m *Membership) roster(ctx context.Context) ([]string, error) {
-	raw, _, err := kvstore.Get(ctx, m.b.client, kvRosterKey(m.topic, m.group))
-	if err != nil {
-		return nil, fmt.Errorf("pstream: reading member roster: %w", err)
-	}
-	return rosterParse(raw), nil
-}
-
-// rosterEdit applies edit to the member list under a CAS loop. edit
-// returns the new list and whether anything changed.
-func (m *Membership) rosterEdit(ctx context.Context, edit func([]string) ([]string, bool)) error {
-	key := kvRosterKey(m.topic, m.group)
-	for attempt := 0; attempt < rosterCASAttempts; attempt++ {
-		raw, _, err := kvstore.Get(ctx, m.b.client, key)
-		if err != nil {
-			return fmt.Errorf("pstream: reading member roster: %w", err)
-		}
-		names, changed := edit(rosterParse(raw))
-		if !changed {
-			return nil
-		}
-		ok, err := kvstore.CAS(ctx, m.b.client, key, raw, rosterEncode(names))
-		if err != nil {
-			return fmt.Errorf("pstream: updating member roster: %w", err)
-		}
-		if ok {
-			return nil
-		}
-	}
-	return errors.New("pstream: member roster contention: CAS attempts exhausted")
-}
-
-func rosterAdd(names []string, member string) ([]string, bool) {
-	for _, n := range names {
-		if n == member {
-			return names, false
-		}
-	}
-	names = append(names, member)
-	sort.Strings(names)
-	return names, true
-}
-
-func rosterRemove(names []string, members map[string]bool) ([]string, bool) {
-	kept := names[:0]
-	for _, n := range names {
-		if !members[n] {
-			kept = append(kept, n)
-		}
-	}
-	return kept, len(kept) != len(names)
-}
-
-// Join registers member in the domain and starts its heartbeater: a
-// background goroutine that refreshes the member's deadline-stamped key at
-// a third of the TTL, retrying failures with capped exponential backoff
-// plus jitter. A member whose refreshes stop landing — failing, or merely
-// late — self-fences a third of a TTL before its stamped deadline: Fenced
-// flips true, and group subscriptions carrying the heartbeat stop claiming
-// new work, so a partitioned or starved member degrades to idle before its
-// peers can believe it dead; the fence lifts on the next landed refresh.
-// Stop the heartbeater with Leave (clean departure) or abandon it with
-// Kill (simulated crash).
+// Join registers member in the domain with one PSETEX and starts its
+// heartbeater, which refreshes the key with one PEXPIRE every ttl/3 (with
+// capped exponential backoff plus jitter on errors). A refresh that finds
+// the key gone means the member lapsed, and peers may have read it as
+// dead: it re-joins with PSETEX and counts the lapse. Stop the heartbeater
+// with Leave (clean departure) or abandon it with Kill (simulated crash).
 func (m *Membership) Join(ctx context.Context, member string) (*Heartbeat, error) {
-	if member == "" || strings.Contains(member, "\n") {
+	if member == "" {
 		return nil, fmt.Errorf("pstream: invalid member name %q", member)
 	}
-	h := &Heartbeat{m: m, member: member, done: make(chan struct{})}
-	deadline := time.Now().Add(m.ttl)
-	if err := kvstore.Set(ctx, m.b.client, kvHeartbeatKey(m.topic, m.group, member),
-		stampDeadline(deadline)); err != nil {
+	h := &Heartbeat{m: m, key: kvHeartbeatKey(m.topic, m.group, member), epoch: time.Now(), done: make(chan struct{})}
+	if err := kvstore.PSetEx(ctx, m.b.client, h.key, m.ttl, heartbeatVal); err != nil {
 		return nil, fmt.Errorf("pstream: writing heartbeat: %w", err)
 	}
-	if err := m.rosterEdit(ctx, func(names []string) ([]string, bool) {
-		return rosterAdd(names, member)
-	}); err != nil {
-		kvstore.Del(context.WithoutCancel(ctx), m.b.client, kvHeartbeatKey(m.topic, m.group, member))
-		return nil, err
-	}
-	h.deadline.Store(deadline.UnixNano())
 	hctx, cancel := context.WithCancel(context.Background())
 	h.cancel = cancel
 	go h.run(hctx)
 	return h, nil
 }
 
-func stampDeadline(t time.Time) []byte {
-	return []byte(strconv.FormatInt(t.UnixNano(), 10))
-}
-
-// parseDeadline decodes a heartbeat value; ok is false for a corrupt one.
-func parseDeadline(raw []byte) (time.Time, bool) {
-	nanos, err := strconv.ParseInt(string(raw), 10, 64)
-	if err != nil {
-		return time.Time{}, false
-	}
-	return time.Unix(0, nanos), true
-}
-
-// Live reads the domain's live members with two commands — one roster GET,
-// one MGET over every member's heartbeat key — filtering out members whose
-// stamped deadline has passed (dead, but not yet reaped). It also feeds
-// the ps.members gauge.
+// Live lists the domain's live members: the heartbeat keys present, with
+// one KEYS. It also feeds the ps.members gauge.
 func (m *Membership) Live(ctx context.Context) ([]string, error) {
-	live, _, err := m.split(ctx)
+	prefix := kvHeartbeatPrefix(m.topic, m.group)
+	keys, err := kvstore.Keys(ctx, m.b.client, prefix)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pstream: listing heartbeats: %w", err)
 	}
-	return live, nil
-}
-
-// split partitions the roster into live and dead members.
-func (m *Membership) split(ctx context.Context) (live, dead []string, err error) {
-	names, err := m.roster(ctx)
-	if err != nil {
-		return nil, nil, err
+	for i, k := range keys {
+		keys[i] = k[len(prefix):]
 	}
-	if len(names) == 0 {
-		m.b.mMembers.Set(0)
-		return nil, nil, nil
-	}
-	keys := make([]string, len(names))
-	for i, n := range names {
-		keys[i] = kvHeartbeatKey(m.topic, m.group, n)
-	}
-	raws, err := kvstore.MGet(ctx, m.b.client, keys...)
-	if err != nil {
-		return nil, nil, fmt.Errorf("pstream: reading heartbeats: %w", err)
-	}
-	now := time.Now()
-	for i, raw := range raws {
-		if deadline, ok := parseDeadline(raw); raw != nil && ok && deadline.After(now) {
-			live = append(live, names[i])
-		} else {
-			// Missing key (reaped, or a torn join), corrupt stamp, or an
-			// expired deadline: all dead.
-			dead = append(dead, names[i])
-		}
-	}
-	m.b.mMembers.Set(int64(len(live)))
-	return live, dead, nil
-}
-
-// Watch parks in one server-side WaitPrefix over the domain's keyspace
-// until a membership write (join, heartbeat refresh, leave, reap) newer
-// than after lands, or timeout lapses. It returns the server mutation
-// sequence to pass to the next Watch, so callers observe every change
-// exactly once. Note that heartbeat refreshes wake watchers too: Watch is
-// "membership state may have changed", not an edge-triggered join/leave
-// signal — re-read Live and diff.
-func (m *Membership) Watch(ctx context.Context, after uint64, timeout time.Duration) (uint64, error) {
-	return m.b.client.WaitPrefix(ctx, kvMemberPrefix(m.topic, m.group), after, timeout)
-}
-
-// Reap deletes dead members — expired or missing heartbeats — from the
-// domain: their heartbeat keys are removed and the roster is pruned.
-// Returns the reaped names. Reaping is cooperative garbage collection, not
-// required for correctness: Live filters dead members regardless.
-func (m *Membership) Reap(ctx context.Context) ([]string, error) {
-	_, dead, err := m.cull(ctx)
-	return dead, err
-}
-
-// cull is Reap plus the live view in one pass: the dead are reaped, the
-// live are returned. The task planes' result sweep runs on it.
-func (m *Membership) cull(ctx context.Context) (live, dead []string, err error) {
-	live, dead, err = m.split(ctx)
-	if err != nil || len(dead) == 0 {
-		return live, dead, err
-	}
-	gone := make(map[string]bool, len(dead))
-	keys := make([]string, 0, len(dead))
-	for _, n := range dead {
-		gone[n] = true
-		keys = append(keys, kvHeartbeatKey(m.topic, m.group, n))
-	}
-	if _, err := kvstore.Del(ctx, m.b.client, keys...); err != nil {
-		return live, nil, fmt.Errorf("pstream: reaping heartbeats: %w", err)
-	}
-	if err := m.rosterEdit(ctx, func(names []string) ([]string, bool) {
-		return rosterRemove(names, gone)
-	}); err != nil {
-		return live, nil, err
-	}
-	return live, dead, nil
-}
-
-// Sizer returns a live-member-count function suitable for
-// WithEvictSizer: producers publishing to a fleet-consumed fan-out topic
-// size the evict-on-ack threshold from it instead of a hand-counted
-// constant. Counts are cached for maxAge (the heartbeat TTL when zero —
-// without a floor, every Send would read the roster); while the count
-// is unknown — first call failing, no live members — it reports 0, which
-// WithEvictSizer treats as "policy off for this event" rather than
-// guessing a threshold that would evict too early.
-func (m *Membership) Sizer(maxAge time.Duration) func() int {
-	if maxAge <= 0 {
-		maxAge = m.ttl
-	}
-	return func() int {
-		m.szMu.Lock()
-		defer m.szMu.Unlock()
-		if !m.szWhen.IsZero() && time.Since(m.szWhen) < maxAge {
-			return m.szN
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), m.ttl)
-		live, err := m.Live(ctx)
-		cancel()
-		if err != nil {
-			// Keep the stale count briefly rather than flapping the policy;
-			// a dead server fences the producer's publishes anyway.
-			return m.szN
-		}
-		m.szN, m.szWhen = len(live), time.Now()
-		return m.szN
-	}
+	m.b.mMembers.Set(int64(len(keys)))
+	return keys, nil
 }
 
 // Heartbeat is one member's running registration: a background refresher
 // plus the self-fencing state group subscriptions consult before claiming
 // work.
 type Heartbeat struct {
-	m      *Membership
-	member string
-	// deadline is the last successfully stamped deadline (UnixNano); Fenced
-	// is judged from it alone.
-	deadline atomic.Int64
+	m   *Membership
+	key string
+	// epoch anchors sent on the member's monotonic clock; sent is the time
+	// since epoch at which the last refresh that landed was sent.
+	epoch    time.Time
+	sent     atomic.Int64
+	lapses   atomic.Int64
 	cancel   context.CancelFunc
 	done     chan struct{}
 	stopOnce sync.Once
 }
 
-// Fenced reports whether the member is self-fenced: its last landed
-// refresh stamped a deadline that is now less than ttl/3 away (or past),
-// so peers may soon read it as dead and steal its claims, and it must not
-// take new work. Refreshes are jittered within [ttl/6, ttl/2) of the
-// previous one, so an on-time member never trips the fence; a refresh
-// that is only late — its SET queued behind a busy command pool, never
-// erroring — fences exactly like a failing one. The fence lifts when a
-// refresh lands.
+// Fenced reports whether the member is self-fenced: ttl − ttl/3 has
+// passed on its own monotonic clock since it sent its last refresh that
+// landed, so the server may soon expire its key, and group subscriptions
+// carrying it take no new work. Refreshes come every [ttl/6, ttl/2), so an
+// on-time member never trips the fence; one that is only late fences like
+// a failing one. The fence lifts when a refresh lands.
 func (h *Heartbeat) Fenced() bool {
-	return time.Now().UnixNano() >= h.deadline.Load()-int64(h.m.ttl/3)
+	ttl := h.m.ttl
+	return time.Since(h.epoch)-time.Duration(h.sent.Load()) >= ttl-ttl/3
 }
 
-// run is the refresher: stamp a fresh deadline every ttl/3, with capped
-// exponential backoff plus jitter on errors.
+// Lapses reports how many times the member found its heartbeat key
+// expired and re-joined. Peers may have read it as dead in between: swept
+// its futures, or taken its claims.
+func (h *Heartbeat) Lapses() int64 { return h.lapses.Load() }
+
+// run is the refresher: one PEXPIRE every ttl/3, a PSETEX re-join when the
+// key lapsed, with capped exponential backoff plus jitter on errors.
 func (h *Heartbeat) run(ctx context.Context) {
 	defer close(h.done)
 	m := h.m
-	interval := m.ttl / 3
-	if interval < 5*time.Millisecond {
-		interval = 5 * time.Millisecond
-	}
-	key := kvHeartbeatKey(m.topic, m.group, h.member)
+	interval := max(m.ttl/3, 5*time.Millisecond)
 	delay := interval
 	for {
 		jittered := delay/2 + time.Duration(rand.Int63n(int64(delay)))
@@ -365,20 +131,23 @@ func (h *Heartbeat) run(ctx context.Context) {
 			return
 		case <-time.After(jittered):
 		}
-		deadline := time.Now().Add(m.ttl)
-		err := kvstore.Set(ctx, m.b.client, key, stampDeadline(deadline))
+		sent := time.Since(h.epoch)
+		alive, err := kvstore.PExpire(ctx, m.b.client, h.key, m.ttl)
+		if err == nil && !alive {
+			if err = kvstore.PSetEx(ctx, m.b.client, h.key, m.ttl, heartbeatVal); err == nil {
+				h.lapses.Add(1)
+			}
+		}
 		if err != nil {
 			if ctx.Err() != nil {
 				return
 			}
 			// Backoff caps at the TTL: past that the member is fenced and
 			// retries are pure recovery probes.
-			if delay *= 2; delay > m.ttl {
-				delay = m.ttl
-			}
+			delay = min(2*delay, m.ttl)
 			continue
 		}
-		h.deadline.Store(deadline.UnixNano())
+		h.sent.Store(int64(sent))
 		delay = interval
 	}
 }
@@ -391,23 +160,18 @@ func (h *Heartbeat) stop() {
 	})
 }
 
-// Leave is the clean departure: the refresher stops, the heartbeat key is
-// deleted, and the roster is pruned, so peers observe the leave
-// immediately instead of after a TTL.
+// Leave is the clean departure: the refresher stops and the heartbeat key
+// is deleted, so peers observe the leave at once instead of after a TTL.
 func (h *Heartbeat) Leave(ctx context.Context) error {
 	h.stop()
-	m := h.m
-	if _, err := kvstore.Del(ctx, m.b.client, kvHeartbeatKey(m.topic, m.group, h.member)); err != nil {
+	if _, err := kvstore.Del(ctx, h.m.b.client, h.key); err != nil {
 		return fmt.Errorf("pstream: deleting heartbeat: %w", err)
 	}
-	return m.rosterEdit(ctx, func(names []string) ([]string, bool) {
-		return rosterRemove(names, map[string]bool{h.member: true})
-	})
+	return nil
 }
 
 // Kill abandons the heartbeat without any cleanup — the refresher stops
-// but the heartbeat key and roster entry stay, exactly as a crashed
-// process would leave them. Peers then observe the member's death when the
-// stamped deadline passes. It exists so tests and benches can simulate
-// member crashes without killing processes.
+// and the key stays, exactly as a crashed process would leave it, until
+// the server expires it a TTL after its last refresh. It exists so tests
+// and benches can simulate member crashes without killing processes.
 func (h *Heartbeat) Kill() { h.stop() }

@@ -66,12 +66,14 @@ func TestMembershipJoinLiveLeave(t *testing.T) {
 }
 
 func TestMembershipHeartbeatKeepsMemberAliveAndKillExpires(t *testing.T) {
-	// The heartbeater must refresh well past the initial TTL stamp; once
-	// killed, the member must read as dead within one TTL and Reap must
-	// collect its keys.
+	// The heartbeater must refresh well past the initial TTL; once killed,
+	// the member must leave Live, and its key the server, within one TTL
+	// plus a margin, with no client action: the server expires it.
 	ctx := context.Background()
 	const ttl = 200 * time.Millisecond
-	_, _, m := newMembershipBroker(t, ttl)
+	srv, _, m := newMembershipBroker(t, ttl)
+	cli := kvstore.NewClient(srv.Addr())
+	t.Cleanup(func() { cli.Close() })
 
 	h, err := m.Join(ctx, "worker")
 	if err != nil {
@@ -85,63 +87,40 @@ func TestMembershipHeartbeatKeepsMemberAliveAndKillExpires(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Live: %v", err)
 		}
-		if len(live) != 1 {
+		if len(live) != 1 || live[0] != "worker" {
 			t.Fatalf("member died while heartbeating: Live = %v", live)
 		}
 		time.Sleep(ttl / 4)
 	}
 
 	h.Kill() // simulated crash: no cleanup
-	time.Sleep(ttl + 50*time.Millisecond)
-	dead, err := m.Reap(ctx)
-	if err != nil {
-		t.Fatalf("Reap: %v", err)
-	}
-	if len(dead) != 1 || dead[0] != "worker" {
-		t.Fatalf("Reap = %v, want [worker]", dead)
-	}
-	live, err := m.Live(ctx)
-	if err != nil || len(live) != 0 {
-		t.Fatalf("Live after reap = %v, %v; want empty", live, err)
-	}
-}
-
-func TestMembershipWatchWakesOnJoin(t *testing.T) {
-	// Watch parks in the server's WAITPREFIX; a join must wake it without
-	// waiting out the timeout.
-	ctx := context.Background()
-	_, _, m := newMembershipBroker(t, time.Second)
-
-	woke := make(chan error, 1)
-	go func() {
-		_, err := m.Watch(ctx, 0, 5*time.Second)
-		woke <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let the watch park
-
-	start := time.Now()
-	h, err := m.Join(ctx, "joiner")
-	if err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-	t.Cleanup(func() { h.Leave(ctx) })
-	select {
-	case err := <-woke:
+	killed := time.Now()
+	for {
+		live, err := m.Live(ctx)
 		if err != nil {
-			t.Fatalf("Watch: %v", err)
+			t.Fatalf("Live: %v", err)
 		}
-		if since := time.Since(start); since > 2*time.Second {
-			t.Fatalf("Watch woke after %v — timed out instead of waking on the join", since)
+		n, err := cli.DBSize(ctx)
+		if err != nil {
+			t.Fatalf("DBSize: %v", err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Watch never returned after a join")
+		if len(live) == 0 && n == 0 {
+			break
+		}
+		if time.Since(killed) > ttl+500*time.Millisecond {
+			t.Fatalf("%v after Kill: Live = %v, %d server keys; want both empty", time.Since(killed), live, n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if h.Lapses() != 0 {
+		t.Fatalf("Lapses = %d while heartbeating on time, want 0", h.Lapses())
 	}
 }
 
 func TestMembershipSelfFencesWhenServerDies(t *testing.T) {
-	// A member that cannot refresh past its own stamped deadline must
-	// self-fence (stop claiming new work) instead of running as a zombie
-	// whose claims peers are already stealing.
+	// A member whose refreshes cannot reach the server must self-fence
+	// (stop claiming new work) instead of running as a zombie whose claims
+	// peers are already stealing.
 	ctx := context.Background()
 	const ttl = 200 * time.Millisecond
 	srv, _, m := newMembershipBroker(t, ttl)
@@ -164,10 +143,10 @@ func TestMembershipSelfFencesWhenServerDies(t *testing.T) {
 	h.Kill()
 }
 
-// stallingKV holds SETs of the keys under prefix while stall is set: the
-// write neither lands nor fails, the way a heartbeat refresh queued behind
-// a saturated command pool behaves. A held SET whose context ends is
-// passed on to the wrapped client, which answers it.
+// stallingKV holds every command on a key under prefix while stall is
+// set: the command neither lands nor fails, the way a heartbeat refresh
+// queued behind a saturated command pool behaves. A held command whose
+// context ends is passed on to the wrapped client, which answers it.
 type stallingKV struct {
 	kvstore.KV
 	prefix  string
@@ -176,7 +155,7 @@ type stallingKV struct {
 }
 
 func (s *stallingKV) Do(ctx context.Context, name string, args ...[]byte) kvstore.PipeReply {
-	if name == "SET" && strings.HasPrefix(string(args[0]), s.prefix) && s.stall.Load() {
+	if s.stall.Load() && s.holds(name, args) {
 		select {
 		case <-s.release:
 		case <-ctx.Done():
@@ -185,11 +164,26 @@ func (s *stallingKV) Do(ctx context.Context, name string, args ...[]byte) kvstor
 	return s.KV.Do(ctx, name, args...)
 }
 
+// holds reports whether a key argument of the command lies under prefix.
+// A KEYS prefix is not a key: listing members is never held.
+func (s *stallingKV) holds(name string, args [][]byte) bool {
+	cmd, ok := kvstore.LookupCommand(name)
+	if !ok || cmd.CheckArgs(args) != nil {
+		return false
+	}
+	for _, k := range cmd.Keys(args) {
+		if strings.HasPrefix(string(k), s.prefix) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestMembershipFencesWhenRefreshStallsWithoutError(t *testing.T) {
-	// A refresher that is only late never sees an error, yet its peers
-	// read it as dead once its stamped deadline passes. It must fence
-	// before that, from its own last stamped deadline, and unfence once a
-	// refresh lands again.
+	// A refresher that is only late never sees an error, yet the server
+	// expires its key a TTL after its last landed refresh. It must fence
+	// before that, on its own clock, and unfence once a refresh lands
+	// again.
 	ctx := context.Background()
 	const ttl = 300 * time.Millisecond
 	srv, err := kvstore.NewServer("127.0.0.1:0")
@@ -225,59 +219,5 @@ func TestMembershipFencesWhenRefreshStallsWithoutError(t *testing.T) {
 			t.Fatal("fence did not lift after refreshes landed again")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestMembershipSizerFeedsEvictSizer(t *testing.T) {
-	// Producers size evict-on-ack from the live-member count: with two
-	// live members the event carries threshold 2; with none the policy is
-	// off (no attr) instead of guessing.
-	ctx := context.Background()
-	_, b, m := newMembershipBroker(t, time.Second)
-	st := newLocalStore(t)
-
-	h1, err := m.Join(ctx, "c1")
-	if err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-	h2, err := m.Join(ctx, "c2")
-	if err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-
-	// maxAge 1ns: re-read the roster on every call so the test sees
-	// membership changes immediately.
-	prod := pstream.NewProducer[int](st, b, "sized", pstream.WithEvictSizer(m.Sizer(time.Nanosecond)))
-	if err := prod.Send(ctx, 1, nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	sub, err := b.Subscribe(ctx, "sized", "obs")
-	if err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	defer sub.Close()
-	ev, err := sub.Next(ctx)
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if got := ev.Attr("ps.evict_after"); got != "2" {
-		t.Fatalf("evict_after attr = %q, want \"2\" (two live members)", got)
-	}
-
-	if err := h1.Leave(ctx); err != nil {
-		t.Fatalf("Leave: %v", err)
-	}
-	if err := h2.Leave(ctx); err != nil {
-		t.Fatalf("Leave: %v", err)
-	}
-	if err := prod.Send(ctx, 2, nil); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	ev, err = sub.Next(ctx)
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if got := ev.Attr("ps.evict_after"); got != "" {
-		t.Fatalf("evict_after attr = %q with no live members, want unset", got)
 	}
 }

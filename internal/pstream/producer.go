@@ -33,7 +33,6 @@ type ProducerOption func(*producerConfig)
 
 type producerConfig struct {
 	evictAfter int
-	evictSizer func() int
 	id         string
 }
 
@@ -49,18 +48,6 @@ type producerConfig struct {
 // observing the threshold, so their objects are not reclaimed.
 func WithEvictOnAck(consumers int) ProducerOption {
 	return func(c *producerConfig) { c.evictAfter = consumers }
-}
-
-// WithEvictSizer is WithEvictOnAck with a live threshold: sizer is
-// consulted per published event, so producers feeding a fleet whose
-// consumer count changes — e.g. pstream Membership.Sizer counting a
-// group's live members — size the evict-on-ack policy automatically
-// instead of hand-counting consumers. A sizer return of 0 or less leaves
-// the policy off for that event (no threshold is safer than a wrong one:
-// an undercount evicts before everyone has read). Overrides WithEvictOnAck
-// when both are set.
-func WithEvictSizer(sizer func() int) ProducerOption {
-	return func(c *producerConfig) { c.evictSizer = sizer }
 }
 
 // WithProducerID pins the producer's ID (default: a fresh UUID). Stable IDs
@@ -122,12 +109,8 @@ func (p *Producer[T]) event(pxy *proxy.Proxy[T], key connector.Key, attrs map[st
 	for k, v := range attrs {
 		ev.Attrs[k] = v
 	}
-	evictAfter := p.cfg.evictAfter
-	if p.cfg.evictSizer != nil {
-		evictAfter = p.cfg.evictSizer()
-	}
-	if evictAfter > 0 {
-		ev.Attrs[attrEvictAfter] = strconv.Itoa(evictAfter)
+	if p.cfg.evictAfter > 0 {
+		ev.Attrs[attrEvictAfter] = strconv.Itoa(p.cfg.evictAfter)
 	}
 	ev.Attrs[AttrPubTime] = strconv.FormatInt(time.Now().UnixNano(), 10)
 	return ev, nil

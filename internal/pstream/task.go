@@ -100,8 +100,9 @@ const TaskWindow = 4096
 var ErrTaskClientClosed = errors.New("pstream: task client closed")
 
 // ErrTaskClientFenced is returned by Await when a wait round ends while
-// the client's heartbeat is fenced: peers may already read the client as
-// dead and sweep its futures, so the result may never arrive.
+// the client's heartbeat is fenced, or after it lapsed since the wait
+// began: peers may read, or have read, the client as dead and swept its
+// futures, so the result may never arrive.
 var ErrTaskClientFenced = errors.New("pstream: task client fenced: its heartbeat is not landing, so its results may be swept")
 
 // TaskClient is the submitting half of a task stream: a producer on the
@@ -201,10 +202,10 @@ func (c *TaskClient[Req, Res]) Submit(ctx context.Context, build func(id string,
 // it, then evicts its payload and deletes its future. Call it at most once
 // per ID: it frees the ID's in-flight slot when it returns. A wait the
 // server refuses for its tagged-wait cap, or that fails in transit, is
-// retried with backoff; a wait round that ends while the client is fenced
-// fails with ErrTaskClientFenced. Once the client is closed, Await takes
-// only a result already set, and otherwise fails with
-// ErrTaskClientClosed.
+// retried with backoff; a wait round that ends while the client is fenced,
+// or after its heartbeat lapsed, fails with ErrTaskClientFenced. Once the
+// client is closed, Await takes only a result already set, and otherwise
+// fails with ErrTaskClientClosed.
 func (c *TaskClient[Req, Res]) Await(ctx context.Context, id string) (Res, error) {
 	defer func() { <-c.sem }()
 	var res Res
@@ -238,6 +239,10 @@ func (c *TaskClient[Req, Res]) wait(ctx context.Context, key string) ([]byte, er
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	defer context.AfterFunc(c.life, cancel)()
+	var lapses int64
+	if c.hb != nil {
+		lapses = c.hb.Lapses()
+	}
 	var retry backoff
 	for {
 		if c.life.Err() != nil {
@@ -255,7 +260,9 @@ func (c *TaskClient[Req, Res]) wait(ctx context.Context, key string) ([]byte, er
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		if c.hb != nil && c.hb.Fenced() {
+		if c.hb != nil && (c.hb.Fenced() || c.hb.Lapses() != lapses) {
+			// The janitor may have swept this future while the client
+			// read as dead.
 			return nil, ErrTaskClientFenced
 		}
 		if err != nil {
@@ -498,9 +505,9 @@ func (w *TaskWorkers[Req, Res]) janitor(ctx context.Context) {
 
 // SweepResults trims the task topic on a KVBroker, collecting the tasks
 // the worker group is done with, and runs one orphan sweep over the
-// plane's result futures: it lists them (KEYS), reaps the Clients group's
-// dead members, and reclaims every future whose client is not a live
-// member — dead, killed, or closed before awaiting it: its payload,
+// plane's result futures: it lists them (KEYS), lists the Clients group's
+// live members, and reclaims every future whose client is not one —
+// dead, killed, lapsed, or closed before awaiting it: its payload,
 // whatever Orphan finds in it, and the key. The janitor runs the same
 // sweep; SweepResults returns the futures reclaimed since its last call,
 // by this sweep or the janitor's. The sweep is a no-op on brokers without
@@ -513,10 +520,11 @@ func (w *TaskWorkers[Req, Res]) SweepResults(ctx context.Context) (int, error) {
 	return n + int(w.swept.Swap(0)), err
 }
 
-// sweep is one orphan sweep, returning the futures it reclaimed. The list
-// is read before the roster: a client joins before it submits, so the
-// client of any listed future is on the roster read after it, and a live
-// client never loses a future to the sweep.
+// sweep is one orphan sweep, returning the futures it reclaimed. The
+// futures are listed before the heartbeats: a client joins before it
+// submits, so the client of any listed future is among the heartbeats
+// listed after it unless it left or lapsed in between, and a live client
+// never loses a future to the sweep.
 func (w *TaskWorkers[Req, Res]) sweep(ctx context.Context) (int, error) {
 	if w.mem == nil {
 		return 0, nil
@@ -526,7 +534,7 @@ func (w *TaskWorkers[Req, Res]) sweep(ctx context.Context) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	live, _, err := w.mem.cull(ctx)
+	live, err := w.mem.Live(ctx)
 	alive := make(map[string]bool, len(live))
 	for _, c := range live {
 		alive[c] = true

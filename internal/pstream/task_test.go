@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -356,5 +357,99 @@ func TestTaskPlaneFencedClientAwaitFails(t *testing.T) {
 	}
 	if took := time.Since(start); took > 2*ttl {
 		t.Fatalf("fenced Await took %v, want within one wait round (%v)", took, ttl)
+	}
+}
+
+// TestTaskPlaneLapsedClientRejoins: a client whose heartbeat refreshes
+// are held past its TTL lapses — the Await in flight fails with
+// ErrTaskClientFenced, the server expires its key, and a sweep takes the
+// future set meanwhile. Once refreshes land again the client re-joins, is
+// live, and its next task's result is not swept.
+func TestTaskPlaneLapsedClientRejoins(t *testing.T) {
+	srv, plane, st := newTaskPlane(t, "task-lapse")
+	const ttl = 200 * time.Millisecond
+	kv := &stallingKV{prefix: "ps:m." + plane.Results + ":" + plane.Clients + ":h:", release: make(chan struct{})}
+	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeat(ttl),
+		pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { kv.KV = inner; return kv }))
+	t.Cleanup(func() { b.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	gate := make(chan struct{})
+	hooks := pstream.TaskHooks[string, string]{
+		Execute: func(ctx context.Context, req string) (string, error) {
+			if req == "held" {
+				select {
+				case <-gate:
+				case <-ctx.Done():
+				}
+			}
+			return req, nil
+		},
+		Failed: echoHooks.Failed,
+	}
+	w := pstream.StartTaskWorkers(st, b, plane, hooks, "lapse", 1)
+	t.Cleanup(w.Close)
+	c, err := pstream.NewTaskClient[string, string](st, b, plane)
+	if err != nil {
+		t.Fatalf("NewTaskClient: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	mem := b.Membership(plane.Results, plane.Clients)
+	isLive := func() bool {
+		live, err := mem.Live(ctx)
+		if err != nil {
+			t.Fatalf("Live: %v", err)
+		}
+		return slices.Contains(live, c.ID())
+	}
+	within := func(what string, since time.Time, limit time.Duration, cond func() bool) {
+		t.Helper()
+		for !cond() {
+			if time.Since(since) > limit {
+				t.Fatalf("%s: not within %v", what, limit)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	held, err := c.Submit(ctx, func(string, map[string]string) string { return "held" })
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	start := time.Now()
+	kv.stall.Store(true)
+	if _, err := c.Await(ctx, held); !errors.Is(err, pstream.ErrTaskClientFenced) {
+		t.Fatalf("Await across the lapse = %v, want ErrTaskClientFenced", err)
+	}
+	if took := time.Since(start); took > 2*ttl {
+		t.Fatalf("Await across the lapse took %v, want within %v", took, 2*ttl)
+	}
+	within("the server expires the client's heartbeat", start, ttl+500*time.Millisecond, func() bool { return !isLive() })
+	close(gate) // the held task's result is set while the client is not live
+	swept := 0
+	within("a sweep takes the held task's future", start, 5*time.Second, func() bool {
+		n, err := w.SweepResults(ctx)
+		if err != nil {
+			t.Fatalf("SweepResults: %v", err)
+		}
+		swept += n
+		return swept > 0
+	})
+	if swept != 1 {
+		t.Fatalf("SweepResults reclaimed %d futures, want the held task's 1", swept)
+	}
+	time.Sleep(time.Until(start.Add(2 * ttl)))
+	kv.stall.Store(false)
+	close(kv.release)
+	within("the client re-joins", time.Now(), ttl+500*time.Millisecond, isLive)
+
+	id, err := c.Submit(ctx, func(string, map[string]string) string { return "after" })
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	actx, acancel := context.WithTimeout(ctx, 5*time.Second)
+	defer acancel()
+	if got, err := c.Await(actx, id); err != nil || got != "after" {
+		t.Fatalf("Await after re-joining = %q, %v; want \"after\"", got, err)
 	}
 }
