@@ -114,9 +114,9 @@ func resultTopic(name string) string { return "colmena.r." + name }
 // NewStreamServer starts a stream-backed task server with the given
 // worker-pool size. st stores task and result payloads (its serializer
 // must handle gob — the default does); b carries the O(100 B) events.
-// When b unwraps to a KVBroker with heartbeats enabled, the instance
-// joins the server name's "thinkers" membership group and sweeps the
-// result futures of instances that are gone.
+// When b unwraps to a KVBroker, the instance joins the server name's
+// "thinkers" membership group and sweeps the result futures of instances
+// that are gone.
 func NewStreamServer(st *store.Store, b pstream.Broker, name string, workers, resultDepth int) (*StreamServer, error) {
 	if workers < 1 {
 		workers = 4
@@ -156,7 +156,7 @@ func NewStreamServer(st *store.Store, b pstream.Broker, name string, workers, re
 // gone have their payloads — including any embedded ProxyResults proxy
 // target — evicted from the store, and their futures deleted. Returns the
 // futures reclaimed since the last call, by it or the instance's janitor.
-// No-op on brokers without heartbeats.
+// No-op on a broker that does not unwrap to a KVBroker.
 func (s *StreamServer) SweepResults(ctx context.Context) (int, error) {
 	return s.w.SweepResults(ctx)
 }
@@ -287,7 +287,7 @@ func (s *StreamServer) execute(ctx context.Context, tk streamTask) (streamResult
 // Close stops the workers and the waiters. Tasks already claimed but
 // unsettled expire with their leases; submissions still pending never
 // complete (their producers should drain Results before Close). On a
-// KVBroker with heartbeats, Close also leaves the thinkers group
+// KVBroker, Close also leaves the thinkers group
 // (pstream.TaskClient.Close), so a surviving instance's sweep reclaims
 // results that land later, and a clean instance churn leaves no keys.
 func (s *StreamServer) Close() error {
@@ -305,9 +305,9 @@ func (s *StreamServer) stopWaiters() {
 }
 
 // Kill simulates the instance's process dying: workers, waiters and
-// heartbeat stop immediately with none of Close's cleanup — membership
-// entries and unawaited results stay on the server until heartbeat expiry
-// and a surviving instance's orphan sweep reclaim them. Test and bench
+// heartbeat stop immediately with none of Close's cleanup — the heartbeat
+// key stays until the server expires it a heartbeat TTL later, and
+// unawaited results until a surviving instance's orphan sweep after that. Test and bench
 // hook for churn scenarios.
 func (s *StreamServer) Kill() {
 	s.stopWaiters()

@@ -399,7 +399,7 @@ func TestStreamServerChurnSweepsKilledInstanceResults(t *testing.T) {
 	}}
 	b := pstream.NewKV(srv.Addr(),
 		pstream.WithKVLease(time.Second),
-		pstream.WithKVHeartbeat(200*time.Millisecond),
+		pstream.WithKVHeartbeatTTL(200*time.Millisecond),
 		pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { tap.KV = inner; return tap }))
 	t.Cleanup(func() { b.Close() })
 
@@ -486,7 +486,7 @@ func TestStreamServerCloseReturnsServerKeysToBaseline(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	b := pstream.NewKV(srv.Addr(),
 		pstream.WithKVLease(2*time.Second),
-		pstream.WithKVHeartbeat(200*time.Millisecond))
+		pstream.WithKVHeartbeatTTL(200*time.Millisecond))
 	t.Cleanup(func() { b.Close() })
 
 	id := connector.NewID()[:8]

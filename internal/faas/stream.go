@@ -109,9 +109,9 @@ type StreamExecutor struct {
 // NewStreamExecutor returns an executor submitting to the named endpoint's
 // task topic, storing payloads in st and events through b. The store must
 // use a serializer that can encode TaskRequest/TaskResult (the default gob
-// serializer does). On a KVBroker with heartbeats (pstream.WithKVHeartbeat)
-// the executor joins the endpoint's "clients" membership group, so the
-// endpoint's orphan sweep can tell a slow client from a dead one.
+// serializer does). On a KVBroker the executor joins the endpoint's
+// "clients" membership group, so the endpoint's orphan sweep can tell a
+// slow client from a dead one.
 func NewStreamExecutor(st *store.Store, b pstream.Broker, endpoint string) (*StreamExecutor, error) {
 	c, err := pstream.NewTaskClient[TaskRequest, TaskResult](st, b, plane(endpoint))
 	if err != nil {
@@ -158,17 +158,17 @@ func (e *StreamExecutor) Submit(ctx context.Context, function string, args ...an
 }
 
 // Close stops the executor (pstream.TaskClient.Close, which also leaves
-// the client group on a KVBroker with heartbeats). A future whose result
+// the client group on a KVBroker). A future whose result
 // is already set still resolves after Close; the others fail with
 // ErrExecutorClosed, and the endpoint's sweep reclaims their results.
 // Close does not close the store or broker, which the executor borrows.
 func (e *StreamExecutor) Close() error { return e.c.Close() }
 
 // Kill simulates the executor's process dying: pending futures and the
-// heartbeat stop immediately, with none of Close's cleanup — membership
-// entries and unawaited results stay on the server until heartbeat expiry
-// and the endpoint's orphan sweep reclaim them. Test and bench hook for
-// churn scenarios.
+// heartbeat stop immediately, with none of Close's cleanup — the
+// heartbeat key stays until the server expires it a heartbeat TTL later,
+// and unawaited results until the endpoint's orphan sweep after that.
+// Test and bench hook for churn scenarios.
 func (e *StreamExecutor) Kill() { e.c.Kill() }
 
 // StreamEndpoint is a compute endpoint whose workers claim tasks from the
@@ -220,7 +220,7 @@ func (ep *StreamEndpoint) execute(ctx context.Context, req TaskRequest) (TaskRes
 // SweepResults runs one orphan sweep over the endpoint's result futures
 // (pstream.TaskWorkers.SweepResults): results of executors that are dead,
 // killed or closed before awaiting them are evicted with their futures.
-// The endpoint also sweeps on a heartbeat-TTL cadence; SweepResults
+// On a KVBroker the endpoint also sweeps once per heartbeat TTL; SweepResults
 // returns the futures reclaimed since its last call, by either. Safe to
 // call directly (tests, benches).
 func (ep *StreamEndpoint) SweepResults(ctx context.Context) (int, error) {

@@ -446,7 +446,7 @@ func TestStreamExecutorCloseReturnsServerKeysToBaseline(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 	b := pstream.NewKV(srv.Addr(),
 		pstream.WithKVLease(2*time.Second),
-		pstream.WithKVHeartbeat(200*time.Millisecond))
+		pstream.WithKVHeartbeatTTL(200*time.Millisecond))
 	t.Cleanup(func() { b.Close() })
 
 	id := connector.NewID()[:8]

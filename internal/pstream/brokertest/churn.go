@@ -84,7 +84,7 @@ func churnReclaim(t *testing.T, newBroker func(t *testing.T, lease, heartbeat ti
 	}
 	hb := pstream.GroupHeartbeat(victim)
 	if hb == nil {
-		t.Fatal("GroupHeartbeat returned nil — broker not heartbeat-enabled?")
+		t.Fatal("GroupHeartbeat returned nil for a KVBroker group member")
 	}
 	died := time.Now()
 	hb.Kill() // heartbeat stops; the claim and subscription are abandoned
@@ -161,6 +161,7 @@ func churnStorm(t *testing.T, newBroker func(t *testing.T, lease, heartbeat time
 		acked   = make(map[uint64][]string) // offset -> acking members
 		total   atomic.Int64
 		memberN atomic.Int64
+		lapses  atomic.Int64 // heartbeat lapses of members that left cleanly
 	)
 	record := func(off uint64, who string) {
 		mu.Lock()
@@ -201,6 +202,7 @@ func churnStorm(t *testing.T, newBroker func(t *testing.T, lease, heartbeat time
 		}
 		switch mode {
 		case "clean":
+			lapses.Add(pstream.GroupHeartbeat(sub).Lapses())
 			sub.Close()
 		default: // killAck
 			pstream.GroupHeartbeat(sub).Kill()
@@ -232,6 +234,8 @@ func churnStorm(t *testing.T, newBroker func(t *testing.T, lease, heartbeat time
 		}
 		wg.Wait()
 	}
+
+	t.Logf("%d heartbeat lapses among the members that ran to a clean leave", lapses.Load())
 
 	// Exactly-once: every offset acked by exactly one member.
 	mu.Lock()

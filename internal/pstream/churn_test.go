@@ -27,7 +27,7 @@ func TestKVBrokerChurn(t *testing.T) {
 		func(t *testing.T, lease, heartbeat time.Duration) *pstream.KVBroker {
 			return pstream.NewKV(srv.Addr(),
 				pstream.WithKVLease(lease),
-				pstream.WithKVHeartbeat(heartbeat))
+				pstream.WithKVHeartbeatTTL(heartbeat))
 		},
 		brokertest.ChurnOptions{
 			DBSize: func() (int64, error) { return cli.DBSize(context.Background()) },

@@ -33,7 +33,9 @@ func newGroupServer(t *testing.T) *kvstore.Server {
 // 128, the second multiple of the trim stride, also pays one trim pass up
 // to the floor: MGET of the truncation floor, length and reader set, MGET
 // of the End record and the readers' floors, the truncation-floor CAS and
-// three DELRANGEs (slots, ack counters, claim records).
+// three DELRANGEs (slots, ack counters, claim records). The member's
+// heartbeat refreshes run on their own timer, so a step's cost leaves out
+// the PEXPIREs the server served during it.
 func TestGroupCommandBudget(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -47,10 +49,11 @@ func TestGroupCommandBudget(t *testing.T) {
 	}
 	defer sub.Close()
 
+	pexpires := srv.Telemetry().Counter("kv.cmd.PEXPIRE.count")
 	cost := func(f func()) uint64 {
-		before := srv.Commands()
+		refreshes, before := pexpires.Value(), srv.Commands()
 		f()
-		return srv.Commands() - before
+		return srv.Commands() - before - (pexpires.Value() - refreshes)
 	}
 	for round := 0; round < 5; round++ {
 		trips := b.RoundTrips()
@@ -497,18 +500,18 @@ func TestKVBrokerGroupTrimBoundsServerKeys(t *testing.T) {
 	}
 }
 
-// TestGroupHeartbeatClaimMarker: only a member that heartbeats marks its
-// claims as stealable on a missing heartbeat. Members A and B share a
-// group with a 3 s lease; B heartbeats with a 150 ms ttl. A member
-// without heartbeats that claims and goes silent keeps its claim for the
-// whole lease; one that heartbeats and Closes with the claim unacked
-// loses it to B at once, because its Leave deleted the key.
+// TestGroupHeartbeatClaimMarker: a claim is stealable before its lease
+// only once its holder's heartbeat key is gone. Members A and B share a
+// group with a 3 s lease; B heartbeats with a 150 ms ttl. A member with
+// the default ttl that claims and goes silent, while its heartbeat still
+// runs, keeps its claim for the whole lease; one that Closes with the
+// claim unacked loses it to B at once, because its Leave deleted the key.
 func TestGroupHeartbeatClaimMarker(t *testing.T) {
 	const lease = 3 * time.Second
 	srv := newGroupServer(t)
 	plain := pstream.NewKV(srv.Addr(), pstream.WithKVLease(lease))
 	t.Cleanup(func() { plain.Close() })
-	beating := pstream.NewKV(srv.Addr(), pstream.WithKVLease(lease), pstream.WithKVHeartbeat(150*time.Millisecond))
+	beating := pstream.NewKV(srv.Addr(), pstream.WithKVLease(lease), pstream.WithKVHeartbeatTTL(150*time.Millisecond))
 	t.Cleanup(func() { beating.Close() })
 	ctx := context.Background()
 
@@ -517,7 +520,7 @@ func TestGroupHeartbeatClaimMarker(t *testing.T) {
 		holder *pstream.KVBroker
 		steal  bool
 	}{
-		{"SilentWithoutHeartbeatsKeepsLease", plain, false},
+		{"SilentHeartbeatingMemberKeepsLease", plain, false},
 		{"ClosedHeartbeatingMemberLosesClaim", beating, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -557,4 +560,54 @@ func TestGroupHeartbeatClaimMarker(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGroupKilledMemberLosesClaimInsideLease: with default-configuration
+// brokers and a 20 s lease, a member that claims and then dies — its
+// heartbeat stops, its claim stays — loses the claim to a peer within two
+// default heartbeat ttls: the server expires its key within one ttl, and
+// the peer's cached alive verdict adds at most a third of one.
+func TestGroupKilledMemberLosesClaimInsideLease(t *testing.T) {
+	const lease = 20 * time.Second
+	srv := newGroupServer(t)
+	ba := pstream.NewKV(srv.Addr(), pstream.WithKVLease(lease))
+	t.Cleanup(func() { ba.Close() })
+	bb := pstream.NewKV(srv.Addr(), pstream.WithKVLease(lease))
+	t.Cleanup(func() { bb.Close() })
+	ctx := context.Background()
+	const topic = "killed-holder"
+	if err := ba.Publish(ctx, topic, pstream.Event{Producer: "p", Seq: 1}); err != nil {
+		t.Fatalf("Publish: %v", err)
+	}
+	a, err := ba.SubscribeGroup(ctx, topic, "g", "a")
+	if err != nil {
+		t.Fatalf("SubscribeGroup(a): %v", err)
+	}
+	claimed, err := a.Next(ctx)
+	if err != nil {
+		t.Fatalf("a Next: %v", err)
+	}
+	hb := pstream.GroupHeartbeat(a)
+	if hb == nil {
+		t.Fatal("a group member of a default KVBroker has no heartbeat")
+	}
+	hb.Kill()
+	killed := time.Now()
+
+	b, err := bb.SubscribeGroup(ctx, topic, "g", "b")
+	if err != nil {
+		t.Fatalf("SubscribeGroup(b): %v", err)
+	}
+	defer b.Close()
+	limit := 2 * pstream.DefaultHeartbeatTTL
+	nctx, cancel := context.WithTimeout(ctx, limit)
+	defer cancel()
+	got, err := b.Next(nctx)
+	if err != nil {
+		t.Fatalf("b Next: %v; want the killed member's claim within %v, inside the %v lease", err, limit, lease)
+	}
+	if got.Offset != claimed.Offset {
+		t.Fatalf("b took offset %d, want the abandoned %d", got.Offset, claimed.Offset)
+	}
+	t.Logf("claim taken %v after its holder died (lease %v)", time.Since(killed), lease)
 }

@@ -32,7 +32,7 @@ import (
 //	              fan-out consumer's c:<name>
 //	ps:T:end      the first End marker a reader read past: trims stop at it
 //	ps:T:g:G:f    group G's claim floor (first offset not group-resolved)
-//	ps:T:g:G:c:<i> group G's claim record for slot i ("c|member|deadline"
+//	ps:T:g:G:c:<i> group G's claim record for slot i ("h|member|deadline"
 //	              while leased, "a" once acked)
 //
 // An append is one LAPPEND, which grows the length and fills the slots it
@@ -64,11 +64,12 @@ type KVBroker struct {
 	// lease bounds how long a group member may hold a claimed event
 	// before other members reclaim it.
 	lease time.Duration
-	// hbTTL, when positive, enables the membership layer for group
-	// subscriptions: members heartbeat under this liveness window, and a
-	// heartbeat key gone from the server lets peers reclaim that member's
-	// claims early — in O(hbTTL) instead of O(lease). See WithKVHeartbeat.
+	// hbTTL is the liveness window of every group member and task client
+	// (see WithKVHeartbeatTTL). hbs holds the heartbeats started here and
+	// still running; Close stops them and leaves hbs nil. hbMu guards hbs.
 	hbTTL time.Duration
+	hbMu  sync.Mutex
+	hbs   map[*Heartbeat]struct{}
 
 	// truncMu guards truncPending, ranged deletes owed a retry after a
 	// transient failure (the floor has already passed them).
@@ -101,22 +102,19 @@ func WithKVLease(d time.Duration) KVOption {
 	}
 }
 
-// WithKVHeartbeat enables the liveness/membership layer for this broker's
-// group subscriptions: every member SubscribeGroup creates joins the
-// (topic, group) membership domain and heartbeats under ttl (0 means
-// DefaultHeartbeatTTL). The payoff is early lease reclamation — group
-// scans treat a claim whose heartbeating holder's key is gone as
-// reclaimable immediately, so a crashed member's work is stolen in O(ttl)
-// instead of O(lease) — at the cost of one small write per member per
-// ttl/3 while idle. A member whose own heartbeat cannot be refreshed
-// self-fences and stops claiming new work until refreshes recover (see
-// Heartbeat.Fenced).
-func WithKVHeartbeat(ttl time.Duration) KVOption {
+// WithKVHeartbeatTTL sets the liveness window of the broker's membership
+// domains (default DefaultHeartbeatTTL). Every member SubscribeGroup
+// creates, and every task client, joins its domain and refreshes its
+// heartbeat key every ttl/3. A group scan treats a claim whose holder's
+// key is gone as reclaimable at once, so a crashed member's work is stolen
+// in O(ttl) instead of O(lease). A member whose own heartbeat cannot be
+// refreshed self-fences and stops claiming new work until refreshes
+// recover (see Heartbeat.Fenced).
+func WithKVHeartbeatTTL(ttl time.Duration) KVOption {
 	return func(b *KVBroker) {
-		if ttl <= 0 {
-			ttl = DefaultHeartbeatTTL
+		if ttl > 0 {
+			b.hbTTL = ttl
 		}
-		b.hbTTL = ttl
 	}
 }
 
@@ -129,7 +127,8 @@ func WithKVTelemetry(reg *telemetry.Registry) KVOption {
 
 // NewKV returns a broker over the kvstore server at addr.
 func NewKV(addr string, opts ...KVOption) *KVBroker {
-	b := &KVBroker{addr: addr, lease: DefaultLease}
+	b := &KVBroker{addr: addr, lease: DefaultLease, hbTTL: DefaultHeartbeatTTL,
+		hbs: make(map[*Heartbeat]struct{})}
 	for _, o := range opts {
 		o(b)
 	}
@@ -183,20 +182,8 @@ func newKVClient(addr string, opts ...kvstore.ClientOption) kvstore.KV {
 func (b *KVBroker) Telemetry() *telemetry.Registry { return b.reg }
 
 // HeartbeatTTL reports the liveness window this broker's membership
-// domains use: the WithKVHeartbeat ttl, or DefaultHeartbeatTTL when the
-// option was not given (Membership handles work either way; the option
-// additionally turns on per-group-member heartbeats and early
-// reclamation).
-func (b *KVBroker) HeartbeatTTL() time.Duration {
-	if b.hbTTL > 0 {
-		return b.hbTTL
-	}
-	return DefaultHeartbeatTTL
-}
-
-// Heartbeats reports whether WithKVHeartbeat was given — whether group
-// members heartbeat and scans reclaim on heartbeat expiry.
-func (b *KVBroker) Heartbeats() bool { return b.hbTTL > 0 }
+// domains use (see WithKVHeartbeatTTL).
+func (b *KVBroker) HeartbeatTTL() time.Duration { return b.hbTTL }
 
 // AsKV unwraps b to its underlying *KVBroker, walking wrapper brokers
 // (CountingBroker, test wrappers) via their Unwrap method. The task planes
@@ -348,15 +335,11 @@ func (b *KVBroker) SubscribeGroup(ctx context.Context, topic, group, member stri
 	if err != nil {
 		return nil, err
 	}
-	s := &kvGroupSub{b: b, topic: topic, group: group, member: member, endCursor: floor, floorHint: floor}
-	if b.hbTTL > 0 {
-		hb, err := b.Membership(topic, group).Join(ctx, member)
-		if err != nil {
-			return nil, err
-		}
-		s.hb = hb
+	hb, err := b.Membership(topic, group).Join(ctx, member)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return &kvGroupSub{b: b, topic: topic, group: group, member: member, endCursor: floor, floorHint: floor, hb: hb}, nil
 }
 
 // register adds the reader whose floor is floorKey to topic's reader set
@@ -411,8 +394,19 @@ func parseCounter(key string, raw []byte) (uint64, error) {
 	return n, nil
 }
 
-// Close implements Broker. Server-side logs and offsets persist.
-func (b *KVBroker) Close() error { return b.client.Close() }
+// Close implements Broker. Server-side logs and offsets persist. The
+// heartbeats still running stop as Kill stops them: the server expires
+// their keys within one ttl, and peers then take their claims and futures.
+func (b *KVBroker) Close() error {
+	b.hbMu.Lock()
+	hbs := b.hbs
+	b.hbs = nil
+	b.hbMu.Unlock()
+	for h := range hbs {
+		h.stop()
+	}
+	return b.client.Close()
+}
 
 // Dials reports how many TCP connections the broker's client has
 // established, command pool and wait multiplexer together. An idle
@@ -867,29 +861,24 @@ func (b *KVBroker) deleteFutures(ctx context.Context, keys ...string) error {
 // claimAcked is the claim-record value of a settled (group-acked) slot.
 const claimAcked = "a"
 
-// claimRecord encodes a live lease: "h|member|deadline" for a member that
-// heartbeats, whose claim peers may take once its heartbeat key is gone,
-// and "c|member|deadline" for one that does not.
-func claimRecord(member string, deadline time.Time, heartbeats bool) []byte {
-	tag := "c|"
-	if heartbeats {
-		tag = "h|"
-	}
-	return []byte(tag + member + "|" + strconv.FormatInt(deadline.UnixNano(), 10))
+// claimRecord encodes a live lease, "h|member|deadline": peers may take
+// it at the deadline, or once the member's heartbeat key is gone.
+func claimRecord(member string, deadline time.Time) []byte {
+	return []byte("h|" + member + "|" + strconv.FormatInt(deadline.UnixNano(), 10))
 }
 
 // parseClaim decodes a live lease record; ok is false for the acked
 // marker or a corrupt record.
-func parseClaim(raw []byte) (member string, deadline time.Time, heartbeats, ok bool) {
+func parseClaim(raw []byte) (member string, deadline time.Time, ok bool) {
 	parts := strings.SplitN(string(raw), "|", 3)
-	if len(parts) != 3 || parts[0] != "c" && parts[0] != "h" {
-		return "", time.Time{}, false, false
+	if len(parts) != 3 || parts[0] != "h" {
+		return "", time.Time{}, false
 	}
 	nanos, err := strconv.ParseInt(parts[2], 10, 64)
 	if err != nil {
-		return "", time.Time{}, false, false
+		return "", time.Time{}, false
 	}
-	return parts[1], time.Unix(0, nanos), parts[0] == "h", true
+	return parts[1], time.Unix(0, nanos), true
 }
 
 // kvGroupSub is one group member's view of a topic work queue. All claim
@@ -935,9 +924,8 @@ type kvGroupSub struct {
 	// before the retry loses the count — the unavoidable window of a
 	// two-step settle on a plain kv server.)
 	pendingIncr []uint64
-	// hb is this member's membership heartbeat under WithKVHeartbeat (nil
-	// otherwise): Close leaves cleanly, and tryClaim consults its fence
-	// before taking new work.
+	// hb is this member's membership heartbeat: Close leaves cleanly, and
+	// tryClaim consults its fence before taking new work.
 	hb *Heartbeat
 	// hbSeen maps a peer whose heartbeat key a read found present to when
 	// that alive verdict lapses, ttl/3 later on this member's clock.
@@ -970,11 +958,11 @@ func (s *kvGroupSub) flushPendingIncr(ctx context.Context) error {
 	return nil
 }
 
-// hbAlive reports whether the heartbeating holder of a live h| claim may
-// still be alive: false only when a fresh EXISTS finds its heartbeat key
-// gone — expired on the server's clock, or deleted by a clean Leave. A
-// read error reads as alive, and so does this subscription's own claim. A
-// present key is cached for ttl/3 of this member's clock (hbSeen).
+// hbAlive reports whether the holder of a live claim may still be alive:
+// false only when a fresh EXISTS finds its heartbeat key gone — expired on
+// the server's clock, or deleted by a clean Leave. A read error reads as
+// alive, and so does this subscription's own claim. A present key is
+// cached for ttl/3 of this member's clock (hbSeen).
 func (s *kvGroupSub) hbAlive(ctx context.Context, member string, now time.Time) bool {
 	if member == s.member {
 		return true
@@ -997,16 +985,16 @@ func (s *kvGroupSub) hbAlive(ctx context.Context, member string, now time.Time) 
 }
 
 // trackLease records a live claim deadline so Next can cap its blocking
-// wait at the earliest one. For a heartbeating holder the cap is also the
-// lapse of its cached alive verdict: a parked member then re-reads the
-// holder's heartbeat, and takes its claims in O(heartbeat) when it died,
-// not O(lease).
+// wait at the earliest one. The cap is also the lapse of the holder's
+// cached alive verdict: a parked member then re-reads the holder's
+// heartbeat, and takes its claims in O(heartbeat) when it died, not
+// O(lease).
 func (s *kvGroupSub) trackLease(raw []byte, now time.Time) {
-	member, deadline, heartbeats, ok := parseClaim(raw)
+	member, deadline, ok := parseClaim(raw)
 	if !ok || !deadline.After(now) {
 		return
 	}
-	if until, seen := s.hbSeen[member]; heartbeats && seen && until.Before(deadline) {
+	if until, seen := s.hbSeen[member]; seen && until.Before(deadline) {
 		deadline = until
 	}
 	s.trackLeaseDeadline(deadline)
@@ -1158,9 +1146,9 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 	// watch. A fenced member takes no work, so it parks at the log's end
 	// until the fence may lift: fenced members walking (and decoding) the
 	// log starve the heartbeats that would lift their fences.
-	if s.hb != nil && s.hb.Fenced() {
+	if s.hb.Fenced() {
 		s.parkSlot = length
-		s.trackLeaseDeadline(time.Now().Add(s.b.hbTTL / 3))
+		s.trackLeaseDeadline(time.Now().Add(s.b.HeartbeatTTL() / 3))
 		return Event{}, false, nil
 	}
 	for i := f; ; i++ {
@@ -1197,9 +1185,9 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 // tryClaim attempts to lease payload slot i, going straight to a CAS on
 // the claim record as the caller last read it (raw, held): held false —
 // a scan window's missing record, or park's freshly filled slot — means
-// nil→record, a fresh claim; an expired lease, or a heartbeating holder's
-// live lease whose heartbeat key is gone (the crashed member's work is
-// stolen in O(heartbeat), not O(lease)), means an exact-record CAS, so two
+// nil→record, a fresh claim; an expired lease, or a live lease whose
+// holder's heartbeat key is gone (the crashed member's work is stolen in
+// O(heartbeat), not O(lease)), means an exact-record CAS, so two
 // reclaimers can never both win; a live lease or
 // the acked marker means skip, with no CAS. There is no read of the record
 // here, so a stale view costs a lost CAS. After a win, the floor guard protects against resurrecting a
@@ -1213,12 +1201,12 @@ func (s *kvGroupSub) scan(ctx context.Context, closing bool) (Event, bool, error
 // unrefreshable, so peers may already be stealing its claims — takes no
 // new work at all.
 func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64, raw []byte, held bool) (bool, error) {
-	if s.hb != nil && s.hb.Fenced() {
+	if s.hb.Fenced() {
 		return false, nil
 	}
 	key := kvClaimKey(s.topic, s.group, i)
 	now := time.Now()
-	record := claimRecord(s.member, now.Add(s.b.lease), s.hb != nil)
+	record := claimRecord(s.member, now.Add(s.b.lease))
 	var win, reclaimed bool
 	var err error
 	if !held {
@@ -1234,13 +1222,12 @@ func (s *kvGroupSub) tryClaim(ctx context.Context, i uint64, raw []byte, held bo
 		if string(raw) == claimAcked {
 			return false, nil
 		}
-		member, deadline, heartbeats, ok := parseClaim(raw)
-		if ok && (now.After(deadline) || heartbeats && !s.hbAlive(ctx, member, now)) {
-			// Expired lease, or a live lease whose heartbeating holder's
-			// key is gone (hbAlive re-reads it fresh before that verdict).
-			// A c| holder keeps its full lease: absence of a heartbeat
-			// proves nothing about it. Reclaim with a CAS against the
-			// exact stale record, so two reclaimers can never both win.
+		member, deadline, ok := parseClaim(raw)
+		if ok && (now.After(deadline) || !s.hbAlive(ctx, member, now)) {
+			// Expired lease, or a live lease whose holder's key is gone
+			// (hbAlive re-reads it fresh before that verdict). Reclaim with
+			// a CAS against the exact stale record, so two reclaimers can
+			// never both win.
 			if win, err = kvstore.CAS(ctx, s.b.client, key, raw, record); err != nil {
 				return false, err
 			}
@@ -1403,7 +1390,7 @@ func (s *kvGroupSub) Ack(ctx context.Context, ev Event) (int, error) {
 			// Settled (possibly by us, possibly GC'd below the floor).
 			return stale()
 		}
-		member, _, _, ok := parseClaim(raw)
+		member, _, ok := parseClaim(raw)
 		if !ok || member != s.member {
 			return stale()
 		}
@@ -1428,20 +1415,16 @@ func (s *kvGroupSub) Ack(ctx context.Context, ev Event) (int, error) {
 // Close implements Subscription. A closing scan sweeps the group floor
 // past the member's last acks and trims the topic, so a drained queue
 // leaves no slots behind; the group stays registered. Unacked claims are
-// abandoned to other members: at lease expiry, or under WithKVHeartbeat at
-// once, since the clean membership leave deletes the heartbeat key their
-// h| records point peers at.
+// abandoned to other members at once: the clean membership leave deletes
+// the heartbeat key their records point peers at.
 func (s *kvGroupSub) Close() error {
 	s.scan(context.Background(), true)
 	s.claimed = nil
-	if s.hb != nil {
-		return s.hb.Leave(context.Background())
-	}
-	return nil
+	return s.hb.Leave(context.Background())
 }
 
-// GroupHeartbeat returns the membership heartbeat a KVBroker group
-// subscription runs under WithKVHeartbeat, or nil for other subscriptions.
+// GroupHeartbeat returns the membership heartbeat of a KVBroker group
+// subscription, or nil for other subscriptions.
 // Callers use it to observe self-fencing (Fenced) — and tests use its Kill
 // hook to simulate member crashes without killing processes.
 func GroupHeartbeat(sub Subscription) *Heartbeat {

@@ -4,10 +4,10 @@ package pstream
 // server's expiring keys: a member is alive while its heartbeat key
 // ps:m.T:G:h:<member> exists, for topic T and group G. The server expires
 // the key ttl after its last refresh, on its own clock, so no member's
-// clock is compared with another's. Group subscriptions under
-// WithKVHeartbeat take a claim early once its holder's key is gone, and
-// the task planes reclaim the result futures of clients that are not live
-// (TaskWorkers.SweepResults).
+// clock is compared with another's. Liveness is always on: every KVBroker
+// group member and task client heartbeats, group scans take a claim early
+// once its holder's key is gone, and the task planes reclaim the result
+// futures of clients that are not live (TaskWorkers.SweepResults).
 
 import (
 	"context"
@@ -20,10 +20,10 @@ import (
 	"proxystore/internal/kvstore"
 )
 
-// DefaultHeartbeatTTL is the liveness window used when WithKVHeartbeat is
-// not given an explicit TTL: the server deletes a heartbeat key this long
-// after its last refresh. Refreshes run at a third of the TTL, so a member
-// survives two missed refreshes before peers act on its death.
+// DefaultHeartbeatTTL is a KVBroker's liveness window unless
+// WithKVHeartbeatTTL sets another: the server deletes a heartbeat key this
+// long after its last refresh. Refreshes run at a third of the TTL, so a
+// member survives two missed refreshes before peers act on its death.
 const DefaultHeartbeatTTL = 3 * time.Second
 
 // heartbeatVal is every heartbeat key's value: only presence counts.
@@ -55,7 +55,8 @@ func (b *KVBroker) Membership(topic, group string) *Membership {
 // capped exponential backoff plus jitter on errors). A refresh that finds
 // the key gone means the member lapsed, and peers may have read it as
 // dead: it re-joins with PSETEX and counts the lapse. Stop the heartbeater
-// with Leave (clean departure) or abandon it with Kill (simulated crash).
+// with Leave (clean departure) or abandon it with Kill (simulated crash);
+// the broker's Close stops it as Kill does.
 func (m *Membership) Join(ctx context.Context, member string) (*Heartbeat, error) {
 	if member == "" {
 		return nil, fmt.Errorf("pstream: invalid member name %q", member)
@@ -64,6 +65,13 @@ func (m *Membership) Join(ctx context.Context, member string) (*Heartbeat, error
 	if err := kvstore.PSetEx(ctx, m.b.client, h.key, m.ttl, heartbeatVal); err != nil {
 		return nil, fmt.Errorf("pstream: writing heartbeat: %w", err)
 	}
+	b := m.b
+	b.hbMu.Lock()
+	defer b.hbMu.Unlock()
+	if b.hbs == nil {
+		return nil, fmt.Errorf("pstream: broker closed")
+	}
+	b.hbs[h] = struct{}{}
 	hctx, cancel := context.WithCancel(context.Background())
 	h.cancel = cancel
 	go h.run(hctx)
@@ -152,11 +160,16 @@ func (h *Heartbeat) run(ctx context.Context) {
 	}
 }
 
-// stop halts the refresher goroutine.
+// stop halts the refresher goroutine and drops it from the broker's
+// running set.
 func (h *Heartbeat) stop() {
 	h.stopOnce.Do(func() {
 		h.cancel()
 		<-h.done
+		b := h.m.b
+		b.hbMu.Lock()
+		delete(b.hbs, h)
+		b.hbMu.Unlock()
 	})
 }
 

@@ -11,9 +11,9 @@ import (
 	"proxystore/internal/pstream"
 )
 
-// newMembershipBroker spins up a kvstore server and a heartbeat-enabled
-// KVBroker over it, returning both plus the broker's membership handle for
-// a fresh topic/group.
+// newMembershipBroker spins up a kvstore server and a KVBroker over it
+// whose heartbeats run under ttl, returning both plus the broker's
+// membership handle for a fresh topic/group.
 func newMembershipBroker(t *testing.T, ttl time.Duration) (*kvstore.Server, *pstream.KVBroker, *pstream.Membership) {
 	t.Helper()
 	srv, err := kvstore.NewServer("127.0.0.1:0")
@@ -21,7 +21,7 @@ func newMembershipBroker(t *testing.T, ttl time.Duration) (*kvstore.Server, *pst
 		t.Fatalf("NewServer: %v", err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeat(ttl))
+	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeatTTL(ttl))
 	t.Cleanup(func() { b.Close() })
 	return srv, b, b.Membership("mtopic", "mgroup")
 }
@@ -192,7 +192,7 @@ func TestMembershipFencesWhenRefreshStallsWithoutError(t *testing.T) {
 	}
 	t.Cleanup(func() { srv.Close() })
 	kv := &stallingKV{prefix: "ps:m.stall:g:h:slow", release: make(chan struct{})}
-	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeat(ttl),
+	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeatTTL(ttl),
 		pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { kv.KV = inner; return kv }))
 	t.Cleanup(func() { b.Close() })
 
@@ -220,4 +220,58 @@ func TestMembershipFencesWhenRefreshStallsWithoutError(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// pexpireTap counts the PEXPIRE commands a broker's client is asked for,
+// whether or not they reach the server.
+type pexpireTap struct {
+	kvstore.KV
+	n atomic.Int64
+}
+
+func (p *pexpireTap) Do(ctx context.Context, name string, args ...[]byte) kvstore.PipeReply {
+	if name == "PEXPIRE" {
+		p.n.Add(1)
+	}
+	return p.KV.Do(ctx, name, args...)
+}
+
+// TestKVBrokerCloseStopsHeartbeats: closing a broker stops the heartbeats
+// of the group subscriptions and task clients still open on it, as Kill
+// does. Over the next 3 ttls the broker attempts no refresh, and the
+// server serves none.
+func TestKVBrokerCloseStopsHeartbeats(t *testing.T) {
+	const ttl = 100 * time.Millisecond
+	srv, plane, st := newTaskPlane(t, "close-hb")
+	tap := &pexpireTap{}
+	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeatTTL(ttl),
+		pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { tap.KV = inner; return tap }))
+	ctx := context.Background()
+	sub, err := b.SubscribeGroup(ctx, "close-hb", "g", "m")
+	if err != nil {
+		t.Fatalf("SubscribeGroup: %v", err)
+	}
+	c, err := pstream.NewTaskClient[string, string](st, b, plane)
+	if err != nil {
+		t.Fatalf("NewTaskClient: %v", err)
+	}
+	pexpires := srv.Telemetry().Counter("kv.cmd.PEXPIRE.count")
+	for pexpires.Value() < 2 {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// A refresh the closing client abandoned in flight may still land.
+	time.Sleep(10 * time.Millisecond)
+	served, asked := pexpires.Value(), tap.n.Load()
+	time.Sleep(3 * ttl)
+	if got := pexpires.Value(); got != served {
+		t.Errorf("server served %d PEXPIREs in the 3 ttls after Close", got-served)
+	}
+	if got := tap.n.Load(); got != asked {
+		t.Errorf("heartbeats attempted %d refreshes in the 3 ttls after Close", got-asked)
+	}
+	sub.Close()
+	c.Close()
 }

@@ -31,8 +31,8 @@ type TaskPlane struct {
 	// and the membership domain of its clients.
 	Tasks, Results string
 	// Group is the consumer group workers claim tasks as. Clients is the
-	// membership group clients join (KVBroker with heartbeats only), whose
-	// live set the orphan sweep trusts.
+	// membership group clients join on a KVBroker, whose live set the
+	// orphan sweep trusts.
 	Group, Clients string
 	// AttrID carries the task ID on task events and in results. AttrReply
 	// carries, on task events, the key of the future the worker sets the
@@ -115,10 +115,7 @@ type TaskClient[Req, Res any] struct {
 	prod   *Producer[Req]
 	fut    resultFutures
 	sem    chan struct{} // one slot per submission not yet awaited
-	// round bounds one wait on a future: the heartbeat TTL when there is
-	// a heartbeat, so a fenced client notices within one round.
-	round time.Duration
-	hb    *Heartbeat // non-nil when heartbeats are on
+	hb     *Heartbeat    // the client's membership on a KVBroker, else nil
 
 	life   context.Context // ends at Close and Kill
 	cancel context.CancelFunc
@@ -126,7 +123,7 @@ type TaskClient[Req, Res any] struct {
 
 // NewTaskClient starts a client of plane, storing task payloads in st and
 // events through b, which must unwrap to a broker with result futures. On
-// a KVBroker with heartbeats the client joins the plane's Clients group.
+// a KVBroker the client joins the plane's Clients group.
 func NewTaskClient[Req, Res any](st *store.Store, b Broker, plane TaskPlane) (*TaskClient[Req, Res], error) {
 	fut, ok := unwrapTo[resultFutures](b)
 	if !ok {
@@ -143,17 +140,16 @@ func NewTaskClient[Req, Res any](st *store.Store, b Broker, plane TaskPlane) (*T
 		prod:   NewProducer[Req](st, b, plane.Tasks, WithEvictOnAck(1)),
 		fut:    fut,
 		sem:    make(chan struct{}, TaskWindow),
-		round:  kvWaitRound,
 		life:   life,
 		cancel: cancel,
 	}
-	if kb, ok := AsKV(b); ok && kb.Heartbeats() {
+	if kb, ok := AsKV(b); ok {
 		hb, err := kb.Membership(plane.Results, plane.Clients).Join(life, id)
 		if err != nil {
 			cancel()
 			return nil, err
 		}
-		c.hb, c.round = hb, kb.HeartbeatTTL()
+		c.hb = hb
 	}
 	return c, nil
 }
@@ -234,14 +230,15 @@ func (c *TaskClient[Req, Res]) Await(ctx context.Context, id string) (Res, error
 	return res, err
 }
 
-// wait returns the value of the future at key.
+// wait returns the value of the future at key. One wait round lasts the
+// heartbeat TTL, so a fenced client notices within one round.
 func (c *TaskClient[Req, Res]) wait(ctx context.Context, key string) ([]byte, error) {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	defer context.AfterFunc(c.life, cancel)()
-	var lapses int64
+	round, lapses := DefaultHeartbeatTTL, int64(0)
 	if c.hb != nil {
-		lapses = c.hb.Lapses()
+		round, lapses = c.hb.m.ttl, c.hb.Lapses()
 	}
 	var retry backoff
 	for {
@@ -253,7 +250,7 @@ func (c *TaskClient[Req, Res]) wait(ctx context.Context, key string) ([]byte, er
 			}
 			return raw, err
 		}
-		raw, ok, err := c.fut.awaitFuture(wctx, key, c.round)
+		raw, ok, err := c.fut.awaitFuture(wctx, key, round)
 		if ok {
 			return raw, nil
 		}
@@ -272,8 +269,8 @@ func (c *TaskClient[Req, Res]) wait(ctx context.Context, key string) ([]byte, er
 }
 
 // Close stops the client: pending Awaits return (those whose result is
-// already set still take it), and on a KVBroker with heartbeats it leaves
-// the Clients group, so the workers' sweep reclaims the futures nobody
+// already set still take it), and on a KVBroker it leaves the Clients
+// group, so the workers' sweep reclaims the futures nobody
 // will await. The store and broker are borrowed and stay open.
 func (c *TaskClient[Req, Res]) Close() error {
 	c.cancel()
@@ -300,16 +297,16 @@ func (c *TaskClient[Req, Res]) Kill() {
 const DefaultSettleStrikes = 3
 
 // TaskWorkers is the executing half of a task stream: members of the
-// plane's worker group and, on a KVBroker with heartbeats, a janitor
-// reclaiming the result futures of clients that are gone.
+// plane's worker group and, on a KVBroker, a janitor reclaiming the result
+// futures of clients that are gone.
 type TaskWorkers[Req, Res any] struct {
 	st    *store.Store
 	fut   resultFutures // nil when the broker has none: every result fails
 	plane TaskPlane
 	hooks TaskHooks[Req, Res]
 
-	// kb is the broker when it unwraps to a KVBroker; with heartbeats on,
-	// kb/mem drive the orphan sweep: mem is the plane's Clients group.
+	// kb is the broker when it unwraps to a KVBroker; kb/mem drive the
+	// orphan sweep: mem is the plane's Clients group.
 	// swept counts the futures the janitor reclaimed since the last
 	// SweepResults call, which reports them.
 	kb    *KVBroker
@@ -344,7 +341,7 @@ func StartTaskWorkers[Req, Res any](st *store.Store, b Broker, plane TaskPlane, 
 		w.wg.Add(1)
 		go w.work(ctx, b, member)
 	}
-	if w.kb, _ = AsKV(b); w.kb != nil && w.kb.Heartbeats() {
+	if w.kb, _ = AsKV(b); w.kb != nil {
 		w.mem = w.kb.Membership(plane.Results, plane.Clients)
 		w.wg.Add(1)
 		go w.janitor(ctx)
@@ -510,8 +507,8 @@ func (w *TaskWorkers[Req, Res]) janitor(ctx context.Context) {
 // dead, killed, lapsed, or closed before awaiting it: its payload,
 // whatever Orphan finds in it, and the key. The janitor runs the same
 // sweep; SweepResults returns the futures reclaimed since its last call,
-// by this sweep or the janitor's. The sweep is a no-op on brokers without
-// heartbeats.
+// by this sweep or the janitor's. The sweep is a no-op on a broker that is
+// not a KVBroker.
 func (w *TaskWorkers[Req, Res]) SweepResults(ctx context.Context) (int, error) {
 	if w.kb != nil {
 		w.kb.trim(ctx, w.plane.Tasks)

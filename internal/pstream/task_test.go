@@ -331,7 +331,7 @@ func TestTaskPlaneFencedClientAwaitFails(t *testing.T) {
 	srv, plane, st := newTaskPlane(t, "task-fence")
 	const ttl = 300 * time.Millisecond
 	kv := &stallingKV{prefix: "ps:m." + plane.Results + ":" + plane.Clients + ":h:", release: make(chan struct{})}
-	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeat(ttl),
+	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeatTTL(ttl),
 		pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { kv.KV = inner; return kv }))
 	t.Cleanup(func() { b.Close() })
 	c, err := pstream.NewTaskClient[string, string](st, b, plane)
@@ -369,7 +369,7 @@ func TestTaskPlaneLapsedClientRejoins(t *testing.T) {
 	srv, plane, st := newTaskPlane(t, "task-lapse")
 	const ttl = 200 * time.Millisecond
 	kv := &stallingKV{prefix: "ps:m." + plane.Results + ":" + plane.Clients + ":h:", release: make(chan struct{})}
-	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeat(ttl),
+	b := pstream.NewKV(srv.Addr(), pstream.WithKVHeartbeatTTL(ttl),
 		pstream.WithKVWrap(func(inner kvstore.KV) kvstore.KV { kv.KV = inner; return kv }))
 	t.Cleanup(func() { b.Close() })
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -451,5 +451,94 @@ func TestTaskPlaneLapsedClientRejoins(t *testing.T) {
 	defer acancel()
 	if got, err := c.Await(actx, id); err != nil || got != "after" {
 		t.Fatalf("Await after re-joining = %q, %v; want \"after\"", got, err)
+	}
+}
+
+// TestTaskPlaneKilledClientFutureSwept: on default-configuration brokers
+// a task client that dies after a worker set its result leaves a future
+// nobody will await. Once one heartbeat ttl has passed, one SweepResults
+// reclaims it, and the server's key count is back where it was before the
+// client started.
+func TestTaskPlaneKilledClientFutureSwept(t *testing.T) {
+	srv, plane, st := newTaskPlane(t, "task-killed")
+	b := pstream.NewKV(srv.Addr())
+	t.Cleanup(func() { b.Close() })
+	w := pstream.StartTaskWorkers(st, b, plane, echoHooks, "killed", 1)
+	t.Cleanup(w.Close)
+	cli := kvstore.NewClient(srv.Addr())
+	t.Cleanup(func() { cli.Close() })
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	// settled waits until the worker group's floor reaches n, then trims
+	// the task topic up to it.
+	floorKey := "ps:" + plane.Tasks + ":g:" + plane.Group + ":f"
+	settled := func(n string) {
+		t.Helper()
+		for {
+			raw, _, err := kvstore.Get(ctx, cli, floorKey)
+			if err != nil {
+				t.Fatalf("reading the group floor: %v", err)
+			}
+			if string(raw) == n {
+				break
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if _, err := w.SweepResults(ctx); err != nil {
+			t.Fatalf("SweepResults: %v", err)
+		}
+	}
+	run := func(c *pstream.TaskClient[string, string], req string) string {
+		t.Helper()
+		id, err := c.Submit(ctx, func(string, map[string]string) string { return req })
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		return id
+	}
+
+	// A first task, run to completion by a client that leaves, creates the
+	// task topic's bookkeeping keys.
+	warm, err := pstream.NewTaskClient[string, string](st, b, plane)
+	if err != nil {
+		t.Fatalf("NewTaskClient: %v", err)
+	}
+	if got, err := warm.Await(ctx, run(warm, "warm")); err != nil || got != "warm" {
+		t.Fatalf("Await = %q, %v; want \"warm\"", got, err)
+	}
+	if err := warm.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	settled("1")
+	baseline, err := cli.DBSize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := pstream.NewTaskClient[string, string](st, b, plane)
+	if err != nil {
+		t.Fatalf("NewTaskClient: %v", err)
+	}
+	run(c, "orphan")
+	for {
+		keys, err := kvstore.Keys(ctx, cli, "ps:"+plane.Results+":f:")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) == 1 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.Kill()
+	killed := time.Now()
+	settled("2")
+	time.Sleep(time.Until(killed.Add(pstream.DefaultHeartbeatTTL + 250*time.Millisecond)))
+	n, err := w.SweepResults(ctx)
+	if err != nil || n != 1 {
+		t.Fatalf("SweepResults one ttl after the client died = %d, %v; want its 1 future", n, err)
+	}
+	if after, err := cli.DBSize(ctx); err != nil || after != baseline {
+		t.Fatalf("server keys = %d (%v), want the %d from before the client started", after, err, baseline)
 	}
 }

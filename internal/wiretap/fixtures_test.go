@@ -398,13 +398,19 @@ func assertStealInTrace(t *testing.T, tr *wiretap.Trace, claimKey, victim, thief
 	t.Helper()
 	for _, op := range tr.Ops {
 		if op.Name == "CAS" && len(op.Args) == 3 && string(op.Args[0]) == claimKey &&
-			bytes.HasPrefix(op.Args[1], []byte("c|"+victim+"|")) &&
-			bytes.HasPrefix(op.Args[2], []byte("c|"+thief+"|")) &&
+			claimBy(op.Args[1], victim) && claimBy(op.Args[2], thief) &&
 			op.Err == "" && len(op.Reply) == 1 && string(op.Reply[0]) == "i1" {
 			return
 		}
 	}
 	t.Fatalf("trace holds no winning exact-record steal CAS on %s (%s from %s)", claimKey, thief, victim)
+}
+
+// claimBy reports whether raw is a live claim record of member: the
+// broker writes "h|member|deadline"; the committed fixtures were recorded
+// when a member without heartbeats wrote "c|member|deadline".
+func claimBy(raw []byte, member string) bool {
+	return bytes.HasPrefix(raw, []byte("h|"+member+"|")) || bytes.HasPrefix(raw, []byte("c|"+member+"|"))
 }
 
 // TestGroupChurnFixtureReplay replays the committed churn trace twice:
